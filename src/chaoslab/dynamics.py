@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .meanfield import field_cache, mean_field_terms, sqrt_psd_batch
+from .meanfield import FieldCache, drift_and_noise_factor, field_cache, mean_field_terms
 from .model import DataDistribution, Hyperparams, ModelSpec, gamma_scale, time_weight
 from .rng import NoisePlan, SLOT_DATA, SLOT_DIFFUSION, SLOT_INIT, SLOT_LANGEVIN
 
@@ -48,6 +48,11 @@ __all__ = [
     "interacting_sde_run",
     "meanfield_ode_run",
     "meanfield_sde_run",
+    "meanfield_sigma_scale",
+    "noise_width",
+    "drift_and_noise_root",
+    "diffusion_increment",
+    "euler_run",
     "coupled_chaos_error",
     "weak_form_residual",
     "sgd_sde_gap",
@@ -263,17 +268,57 @@ def msgld_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
 # ----------------------------- Euler-Maruyama engines -----------------------------
 
 
-def _diffusion_step(W, sigma, sigma_scale, Z):
-    """sigma_scale * S(W) @ Z with S the symmetric PSD root of sigma."""
-    p = W.shape[1]
+def noise_width(model: ModelSpec, pi: DataDistribution, sigma_override: float | None = None) -> int:
+    """Standard normals per particle that one diffusion increment consumes.
+
+    D (the number of atoms) for the rank-D factor at p > 1, else p.
+    """
+    return len(pi) if model.p > 1 and sigma_override is None else model.p
+
+
+def drift_and_noise_root(
+    W: np.ndarray,
+    law,
+    model: ModelSpec,
+    pi: DataDistribution,
+    need_noise: bool,
+    sigma_override: float | None = None,
+    cache: FieldCache | None = None,
+):
+    """Drift h (n, p) and noise root R (n, k, p) of one Euler-Maruyama step.
+
+    ``W`` holds the particles (n, p) and ``law`` the ensemble whose
+    empirical law drives them (or pass its ``cache``).  R^T R = Sigma per
+    particle, with k = ``noise_width``; R is None when ``need_noise`` is
+    false.  At p = 1, R is the scalar root sqrt(Sigma_00), which gives the
+    W2-optimal synchronous coupling.  At p > 1 it is the exact rank-D
+    factor sqrt(pi_j) xi_j, or sqrt(s) I when Sigma is pinned to s I by
+    ``sigma_override``.
+    """
+    if not need_noise:
+        h, _, _ = mean_field_terms(W, law, model, pi, cache=cache)
+        return h, None
+    p = model.p
     if p == 1:
-        s = np.sqrt(np.clip(sigma[:, 0, 0], 0.0, None))
-        return sigma_scale * s[:, None] * Z
-    S = sqrt_psd_batch(sigma)
-    return sigma_scale * np.einsum("npq,nq->np", S, Z)
+        h, _, sigma = mean_field_terms(
+            W, law, model, pi, need_sigma=True, sigma_override=sigma_override, cache=cache
+        )
+        return h, np.sqrt(np.clip(sigma[:, 0, 0], 0.0, None))[:, None, None]
+    if sigma_override is not None:
+        h, _, _ = mean_field_terms(W, law, model, pi, cache=cache)
+        return h, np.broadcast_to(math.sqrt(sigma_override) * np.eye(p), (h.shape[0], p, p))
+    return drift_and_noise_factor(W, law, model, pi, cache=cache)
 
 
-def _euler_run(
+def diffusion_increment(root: np.ndarray, scale: float, Z: np.ndarray) -> np.ndarray:
+    """scale * R^T z per particle, for a root from ``drift_and_noise_root`` and Z (n, k)."""
+    if root.shape[2] == 1:
+        # p = 1: (scale * sqrt(Sigma_00)) * z; tests/test_noise.py pins this rounding
+        return scale * root[:, 0] * Z
+    return scale * np.einsum("nkp,nk->np", root, Z)
+
+
+def euler_run(
     model: ModelSpec,
     pi: DataDistribution,
     hyper: Hyperparams,
@@ -288,6 +333,12 @@ def _euler_run(
     moment_ceiling: float = DEFAULT_MOMENT_CEILING,
     extra_meta: dict | None = None,
 ) -> Trajectory:
+    """Euler-Maruyama from W0 for an ensemble driven by its own empirical law.
+
+    Each step adds h dt, sigma_scale sqrt(dt) R^T z with R the noise root of
+    ``drift_and_noise_root`` (when sigma_scale > 0) and sqrt(2 eta dt) z'
+    (when eta > 0), all scaled by the time weight (t+1)^-alpha.
+    """
     if hyper.dt <= 0:
         raise ValueError("dt must be > 0")
     n_steps = int(round(hyper.T / hyper.dt))
@@ -295,7 +346,8 @@ def _euler_run(
     N, p = W.shape
     ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
     eta = hyper.eta
-    need_sigma = sigma_scale > 0
+    need_noise = sigma_scale > 0
+    width = noise_width(model, pi, sigma_override)
     sq_dt = math.sqrt(hyper.dt)
 
     snap_steps = _snapshot_steps(n_steps, hyper.dt, snapshot_times) if n_steps else np.array([0])
@@ -309,16 +361,11 @@ def _euler_run(
         t = n * hyper.dt
         _guard_moment(W, n, t, moment_ceiling)
         tw = time_weight(t, hyper.alpha)
-        h, _, sigma = mean_field_terms(
-            W, W, model, pi, need_sigma=need_sigma, sigma_override=sigma_override
-        )
+        h, root = drift_and_noise_root(W, W, model, pi, need_noise, sigma_override)
         incr = h * hyper.dt
-        if need_sigma:
-            Z = _draws(plan, domain, SLOT_DIFFUSION, n, ids, p)
-            try:
-                incr = incr + sq_dt * _diffusion_step(W, sigma, sigma_scale, Z)
-            except ValueError as exc:
-                raise ValueError(f"covariance root failed at step {n} (t={t:.6g}): {exc}") from exc
+        if need_noise:
+            Z = _draws(plan, domain, SLOT_DIFFUSION, n, ids, width)
+            incr = incr + sq_dt * diffusion_increment(root, sigma_scale, Z)
         if eta > 0:
             Zt = _draws(plan, domain, SLOT_LANGEVIN, n, ids, p)
             incr = incr + sq_dt * math.sqrt(2.0 * eta) * Zt
@@ -348,6 +395,10 @@ def _euler_run(
     )
 
 
+# the benchmark's tracer (perfbench/spans.py) looks the engine up by this name
+_euler_run = euler_run
+
+
 def interacting_sde_run(
     model, pi, hyper, N, init, plan, snapshot_times=None, sigma_override=None, **kw
 ) -> Trajectory:
@@ -356,7 +407,7 @@ def interacting_sde_run(
     ids = np.arange(N) if ids is None else np.asarray(ids, dtype=np.int64)
     W0 = init.draw(plan, DOMAIN_SYSTEM, ids, model.p)
     g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
-    return _euler_run(
+    return euler_run(
         model,
         pi,
         hyper,
@@ -372,7 +423,8 @@ def interacting_sde_run(
     )
 
 
-def _meanfield_sigma_scale(hyper: Hyperparams) -> float:
+def meanfield_sigma_scale(hyper: Hyperparams) -> float:
+    """Diffusion factor sqrt(gamma^(1/(1-alpha))/M) of the beta = 1 mean-field limit."""
     return math.sqrt(hyper.gamma ** (1.0 / (1.0 - hyper.alpha)) / hyper.M)
 
 
@@ -388,7 +440,7 @@ def meanfield_ode_run(
         raise ValueError("N_ref must be >= 1")
     ids = np.arange(N_ref)
     W0 = init.draw(plan, DOMAIN_REFERENCE, ids, model.p)
-    return _euler_run(
+    return euler_run(
         model,
         pi,
         hyper,
@@ -411,14 +463,14 @@ def meanfield_sde_run(
         raise ValueError("N_ref must be >= 1")
     ids = np.arange(N_ref)
     W0 = init.draw(plan, DOMAIN_REFERENCE, ids, model.p)
-    return _euler_run(
+    return euler_run(
         model,
         pi,
         hyper,
         W0,
         plan,
         DOMAIN_REFERENCE,
-        sigma_scale=_meanfield_sigma_scale(hyper),
+        sigma_scale=meanfield_sigma_scale(hyper),
         kind="meanfield-sde",
         snapshot_times=snapshot_times,
         sigma_override=sigma_override,
@@ -474,8 +526,9 @@ def _coupled_rep(
     W_ref = init.draw(plan, DOMAIN_REFERENCE, ids_ref, p)
 
     test_scale = math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M)
-    mf_scale = _meanfield_sigma_scale(hyper) if hyper.beta == 1.0 else 0.0
+    mf_scale = meanfield_sigma_scale(hyper) if hyper.beta == 1.0 else 0.0
     eta = hyper.eta
+    width = noise_width(model, pi, sigma_override)
     sq_dt = math.sqrt(hyper.dt)
 
     sup_sq = 0.0
@@ -486,31 +539,29 @@ def _coupled_rep(
         tw = time_weight(t, hyper.alpha)
 
         cache_ref = field_cache(W_ref, model, pi)
-        h_test, _, sig_test = mean_field_terms(
-            W_test, W_test, model, pi, need_sigma=test_scale > 0, sigma_override=sigma_override
+        h_test, root_test = drift_and_noise_root(
+            W_test, W_test, model, pi, test_scale > 0, sigma_override
         )
-        h_comp, _, sig_comp = mean_field_terms(
-            W_comp, W_ref, model, pi,
-            need_sigma=mf_scale > 0, sigma_override=sigma_override, cache=cache_ref,
+        h_comp, root_comp = drift_and_noise_root(
+            W_comp, W_ref, model, pi, mf_scale > 0, sigma_override, cache_ref
         )
-        h_ref, _, sig_ref = mean_field_terms(
-            W_ref, W_ref, model, pi,
-            need_sigma=mf_scale > 0, sigma_override=sigma_override, cache=cache_ref,
+        h_ref, root_ref = drift_and_noise_root(
+            W_ref, W_ref, model, pi, mf_scale > 0, sigma_override, cache_ref
         )
 
         incr_test = h_test * hyper.dt
         incr_comp = h_comp * hyper.dt
         incr_ref = h_ref * hyper.dt
         if test_scale > 0 or mf_scale > 0:
-            Z_sys = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, N, p)
+            Z_sys = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, N, width)
             if test_scale > 0:
-                incr_test = incr_test + sq_dt * _diffusion_step(W_test, sig_test, test_scale, Z_sys)
+                incr_test = incr_test + sq_dt * diffusion_increment(root_test, test_scale, Z_sys)
             if mf_scale > 0:
-                incr_comp = incr_comp + sq_dt * _diffusion_step(
-                    W_comp, sig_comp, mf_scale, Z_sys[:m]
+                incr_comp = incr_comp + sq_dt * diffusion_increment(
+                    root_comp, mf_scale, Z_sys[:m]
                 )
-                Z_ref = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, p)
-                incr_ref = incr_ref + sq_dt * _diffusion_step(W_ref, sig_ref, mf_scale, Z_ref)
+                Z_ref = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, width)
+                incr_ref = incr_ref + sq_dt * diffusion_increment(root_ref, mf_scale, Z_ref)
         if eta > 0:
             Zt_sys = plan.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, N, p)
             lang = sq_dt * math.sqrt(2.0 * eta)

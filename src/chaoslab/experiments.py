@@ -19,17 +19,19 @@ import numpy as np
 from .dynamics import (
     DOMAIN_REFERENCE,
     DOMAIN_SYSTEM,
-    InitSpec,
-    _diffusion_step,
-    _meanfield_sigma_scale,
     ChaosErrorEstimate,
+    InitSpec,
+    diffusion_increment,
+    drift_and_noise_root,
     interacting_sde_run,
     meanfield_ode_run,
     meanfield_sde_run,
+    meanfield_sigma_scale,
     msgld_run,
+    noise_width,
     sgd_run,
 )
-from .meanfield import field_cache, mean_field_terms
+from .meanfield import field_cache
 from .model import (
     DataAtom,
     DataDistribution,
@@ -234,27 +236,24 @@ def _coupled_grid_rep(args) -> dict[int, float]:
     W_sys = init.draw(plan, DOMAIN_SYSTEM, np.arange(max(Ns)), p)
     tests = {N: W_sys[:N].copy() for N in Ns}
     W_comp = W_sys[:m].copy()
-    mf_scale = _meanfield_sigma_scale(hyper) if hyper.beta == 1.0 else 0.0
+    mf_scale = meanfield_sigma_scale(hyper) if hyper.beta == 1.0 else 0.0
     eta = hyper.eta
+    width = noise_width(model, pi)
     sups = {N: 0.0 for N in Ns}
 
     for n in range(n_steps):
         t = n * hyper.dt
         tw = time_weight(t, hyper.alpha)
         cache_ref = field_cache(W_ref, model, pi)
-        Zs = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, max(Ns), p)
-        h_ref, _, s_ref = mean_field_terms(
-            W_ref, W_ref, model, pi, need_sigma=mf_scale > 0, cache=cache_ref
-        )
-        h_c, _, s_c = mean_field_terms(
-            W_comp, W_ref, model, pi, need_sigma=mf_scale > 0, cache=cache_ref
-        )
+        Zs = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, max(Ns), width)
+        h_ref, r_ref = drift_and_noise_root(W_ref, W_ref, model, pi, mf_scale > 0, cache=cache_ref)
+        h_c, r_c = drift_and_noise_root(W_comp, W_ref, model, pi, mf_scale > 0, cache=cache_ref)
         inc_ref = h_ref * hyper.dt
         inc_c = h_c * hyper.dt
         if mf_scale > 0:
-            Zr = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, p)
-            inc_ref = inc_ref + sq_dt * _diffusion_step(W_ref, s_ref, mf_scale, Zr)
-            inc_c = inc_c + sq_dt * _diffusion_step(W_comp, s_c, mf_scale, Zs[:m])
+            Zr = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, width)
+            inc_ref = inc_ref + sq_dt * diffusion_increment(r_ref, mf_scale, Zr)
+            inc_c = inc_c + sq_dt * diffusion_increment(r_c, mf_scale, Zs[:m])
         if eta > 0:
             lang = sq_dt * math.sqrt(2.0 * eta)
             Zt = plan.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, max(Ns), p)
@@ -265,8 +264,8 @@ def _coupled_grid_rep(args) -> dict[int, float]:
         for N in Ns:
             Wt = tests[N]
             t_scale = math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M)
-            h_t, _, s_t = mean_field_terms(Wt, Wt, model, pi, need_sigma=True)
-            inc = h_t * hyper.dt + sq_dt * _diffusion_step(Wt, s_t, t_scale, Zs[:N])
+            h_t, r_t = drift_and_noise_root(Wt, Wt, model, pi, True)
+            inc = h_t * hyper.dt + sq_dt * diffusion_increment(r_t, t_scale, Zs[:N])
             if eta > 0:
                 inc = inc + sq_dt * math.sqrt(2.0 * eta) * Zt[:N]
             new_tests[N] = Wt + tw * inc

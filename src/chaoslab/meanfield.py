@@ -3,7 +3,8 @@
 Everything here is a finite sum over the atoms of the data distribution:
 the population risk and its gradient, the drift field h felt by a single
 weight given the population law mu, the per-sample noise field xi, its
-covariance Sigma and the symmetric PSD square root S.
+covariance Sigma, its exact rank-D factor and the symmetric PSD square
+root S.
 
 The hot path is ``mean_field_terms``: one reduction over the law ensemble
 produces the per-atom predictions (the FieldCache), after which drift and
@@ -29,6 +30,7 @@ __all__ = [
     "mean_field_h",
     "tilde_h",
     "mean_field_terms",
+    "drift_and_noise_factor",
     "noise_xi",
     "covariance_sigma",
     "sqrt_psd",
@@ -146,6 +148,20 @@ def risk_gradient(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution) 
     return (data + model.penalty.grad(W)) / W.shape[0]
 
 
+def _drift_terms(W: np.ndarray, cache: FieldCache, model: ModelSpec, pi: DataDistribution):
+    """Drift h, its bounded part tilde_h and the (n, D, p) feature-gradient block."""
+    gF = model.feature.grad(W, pi.xs)  # (n, D, p)
+    coeff = pi.weights * cache.residual_d1  # (D,)
+    th = -np.einsum("d,ndp->np", coeff, gF)
+    h = th - model.penalty.grad(W)
+    return h, th, gF
+
+
+def _noise_fields(th: np.ndarray, gF: np.ndarray, cache: FieldCache) -> np.ndarray:
+    """Per-atom noise fields xi_j = -tilde_h - d1l_j * gradF(., x_j), shape (n, D, p)."""
+    return -th[:, None, :] - cache.residual_d1[None, :, None] * gF
+
+
 def mean_field_terms(
     W,
     mu,
@@ -159,26 +175,41 @@ def mean_field_terms(
 
     ``W`` holds the evaluation points (n, p); ``mu`` is the population law.
     Returns (h, tilde_h, Sigma) with Sigma None unless requested; with
-    ``sigma_override`` set, Sigma is the constant matrix s^2 * I.
+    ``sigma_override`` set, Sigma is the constant matrix s * I.
     """
     mu = _as_measure(mu)
     W = _as_points(W, model.p)
     if cache is None:
         cache = field_cache(mu, model, pi)
     n, p = W.shape
-    gF = model.feature.grad(W, pi.xs)  # (n, D, p)
-    coeff = pi.weights * cache.residual_d1  # (D,)
-    th = -np.einsum("d,ndp->np", coeff, gF)
-    h = th - model.penalty.grad(W)
+    h, th, gF = _drift_terms(W, cache, model, pi)
     if not need_sigma:
         return h, th, None
     if sigma_override is not None:
         sig = np.broadcast_to(sigma_override * np.eye(p), (n, p, p)).copy()
         return h, th, sig
-    # xi_j = -tilde_h - d1l_j * gradF(., x_j), per atom j
-    xi = -th[:, None, :] - cache.residual_d1[None, :, None] * gF  # (n, D, p)
+    xi = _noise_fields(th, gF, cache)
     sig = np.einsum("d,ndp,ndq->npq", pi.weights, xi, xi)
     return h, th, sig
+
+
+def drift_and_noise_factor(
+    W, mu, model: ModelSpec, pi: DataDistribution, cache: FieldCache | None = None
+):
+    """Drift h and the rank-D noise factor F, from one feature-gradient block.
+
+    F has shape (n, D, p) with F[:, j] = sqrt(pi_j) xi_j, so that
+    sum_j F_j F_j^T = Sigma exactly: F^T z with z ~ N(0, I_D) has the law
+    of Sigma^(1/2) z' without forming Sigma or taking its root.
+    """
+    mu = _as_measure(mu)
+    W = _as_points(W, model.p)
+    if cache is None:
+        cache = field_cache(mu, model, pi)
+    h, th, gF = _drift_terms(W, cache, model, pi)
+    F = _noise_fields(th, gF, cache)
+    F *= np.sqrt(pi.weights)[None, :, None]
+    return h, F
 
 
 def mean_field_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
@@ -231,21 +262,6 @@ def sqrt_psd(sigma: np.ndarray) -> np.ndarray:
         raise ValueError(f"sqrt_psd got an indefinite matrix (min eigenvalue {vals.min():.3e})")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def sqrt_psd_batch(sigmas: np.ndarray) -> np.ndarray:
-    """Batched version of ``sqrt_psd`` on an (n, p, p) stack."""
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    scale = np.maximum(1.0, np.abs(sigmas).max(axis=(1, 2)))
-    asym = np.abs(sigmas - np.transpose(sigmas, (0, 2, 1))).max(axis=(1, 2))
-    if np.any(asym > _SYM_TOL * scale):
-        raise ValueError("sqrt_psd_batch requires symmetric matrices (within 1e-10)")
-    vals, vecs = np.linalg.eigh(sigmas)
-    if np.any(vals[:, 0] < _EIG_FLOOR * scale):
-        k = int(np.argmin(vals[:, 0] / scale))
-        raise ValueError(f"sqrt_psd_batch: indefinite matrix at index {k} (min eig {vals[k, 0]:.3e})")
-    vals = np.clip(vals, 0.0, None)
-    return np.einsum("nij,nj,nkj->nik", vecs, np.sqrt(vals), vecs)
 
 
 def g_envelope(w, model: ModelSpec, atom: DataAtom) -> float:

@@ -288,9 +288,9 @@ class LogisticLoss:
         return np.logaddexp(0.0, z)
 
     def _sig(self, yhat, y):
-        # sigma(-y*yhat), computed stably
+        # sigma(-y*yhat) = exp(-log(1 + exp(y*yhat))); logaddexp never overflows
         z = np.asarray(y) * np.asarray(yhat)
-        return 1.0 / (1.0 + np.exp(z))
+        return np.exp(-np.logaddexp(0.0, z))
 
     def d1(self, yhat, y):
         return -np.asarray(y) * self._sig(yhat, y)

@@ -19,7 +19,7 @@ import numpy as np
 
 __all__ = ["NoisePlan", "SLOT_DIFFUSION", "SLOT_LANGEVIN", "SLOT_DATA", "SLOT_INIT"]
 
-SLOT_DIFFUSION = 0  # Gaussian factors multiplying the covariance square root
+SLOT_DIFFUSION = 0  # Gaussians multiplying the diffusion noise root
 SLOT_LANGEVIN = 1  # additive Langevin Gaussians
 SLOT_DATA = 2  # minibatch sampling uniforms
 SLOT_INIT = 3  # initial-condition draws

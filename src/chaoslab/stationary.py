@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DOMAIN_REFERENCE, _euler_run, _meanfield_sigma_scale
+from .dynamics import DOMAIN_REFERENCE, euler_run, meanfield_sigma_scale
 from .meanfield import EmpiricalMeasure, mean_field_terms
 from .model import DataDistribution, Hyperparams, ModelSpec
 from .rng import NoisePlan, SLOT_INIT
@@ -248,14 +248,14 @@ def stationarity_check(
         raise ValueError("stationarity_check is defined for p = 1")
     u = plan.uniforms(DOMAIN_REFERENCE, SLOT_INIT, 0, N_ref)
     W0 = mu_star.ppf(u)[:, None]
-    traj = _euler_run(
+    traj = euler_run(
         model,
         pi,
         hyper.replace(T=horizon),
         W0,
         plan,
         DOMAIN_REFERENCE,
-        sigma_scale=_meanfield_sigma_scale(hyper),
+        sigma_scale=meanfield_sigma_scale(hyper),
         kind="meanfield-sde",
         snapshot_times=[horizon],
         sigma_override=sigma_override,

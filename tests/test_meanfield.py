@@ -8,6 +8,7 @@ import pytest
 from chaoslab.meanfield import (
     EmpiricalMeasure,
     covariance_sigma,
+    drift_and_noise_factor,
     g_envelope,
     mean_field_h,
     noise_xi,
@@ -15,7 +16,6 @@ from chaoslab.meanfield import (
     predict,
     risk_gradient,
     sqrt_psd,
-    sqrt_psd_batch,
     structural_risk,
     tilde_h,
 )
@@ -201,12 +201,22 @@ class TestSqrtPsd:
         with pytest.raises(ValueError):
             sqrt_psd(np.diag([1.0, -1e-6]))
 
-    def test_batch_matches_single(self):
+
+
+class TestNoiseFactor:
+    def test_factor_matches_covariance(self):
+        # sum_j F_j F_j^T reproduces Sigma, and the drift is mean_field_h
         rng = np.random.default_rng(7)
-        sigs = np.stack([a @ a.T for a in rng.standard_normal((5, 2, 2))])
-        batch = sqrt_psd_batch(sigs)
-        for i in range(5):
-            np.testing.assert_allclose(batch[i], sqrt_psd(sigs[i]), atol=1e-12)
+        for p in (2, 3):
+            model, pi = random_problem(rng, p=p, n_atoms=4)
+            W = rng.standard_normal((6, p))
+            mu = EmpiricalMeasure(rng.standard_normal((5, p)))
+            h, F = drift_and_noise_factor(W, mu, model, pi)
+            assert F.shape == (6, 4, p)
+            np.testing.assert_array_equal(h, mean_field_h(W, mu, model, pi))
+            FF = np.einsum("ndp,ndq->npq", F, F)
+            for i in range(6):
+                np.testing.assert_allclose(FF[i], covariance_sigma(W[i], mu, model, pi), atol=1e-12)
 
 
 class TestBoundedness:

@@ -1,5 +1,7 @@
 """Learning-problem definitions, stepsize algebra, and the hypothesis audit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,19 @@ class TestBuiltins:
         np.testing.assert_allclose(loss.d1(yh, y), fd1, atol=1e-7)
         np.testing.assert_allclose(loss.d2(yh, y), fd2, atol=1e-6)
         np.testing.assert_allclose(loss.d3(yh, y), fd3, atol=1e-6)
+
+    def test_logistic_loss_saturates_without_warnings(self):
+        loss = make_model("tanh-dot", "logistic").loss
+        yh = np.array([1e3, -1e3, 1e3, -1e3])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d1, d2, d3 = loss.d1(yh, y), loss.d2(yh, y), loss.d3(yh, y)
+            value = loss.value(yh, y)
+        np.testing.assert_array_equal(d1, [0.0, -1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(d2, 0.0)
+        np.testing.assert_array_equal(d3, 0.0)
+        np.testing.assert_allclose(value, [0.0, 1e3, 1e3, 0.0], atol=1e-300)
 
     def test_tanh_feature_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
