@@ -4,7 +4,8 @@ One subcommand per study plus ``simulate`` (single engine run),
 ``stationary`` (fixed-point map), ``check-assumptions`` (hypothesis audit)
 and ``metrics`` (distances between stored sample sets).  Every run writes
 its outputs plus a replayable manifest under the output directory; with
-``--strict`` a failed verdict turns into exit code 1, config errors exit 2.
+``--strict`` a failed verdict, or a study with no applicable verdict, turns
+into exit code 1; config errors exit 2.
 """
 
 from __future__ import annotations
@@ -58,7 +59,13 @@ def _hyper_from(cfg: dict) -> Hyperparams:
 
 
 def _problem_from(cfg: dict) -> xp.ProblemConfig:
-    return xp.ProblemConfig(**cfg.get("problem", {}))
+    """The config's problem; building it up front turns bad atoms or init boxes into config errors."""
+    problem = xp.ProblemConfig(**cfg.get("problem", {}))
+    try:
+        problem.build()
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"config field problem: {exc}", "problem") from exc
+    return problem
 
 
 def _resolve_problem(cfg: dict):
@@ -98,9 +105,11 @@ def _finish_study(report: xp.StudyReport, args, cfg: dict) -> int:
         status = "PASS" if v.passed else ("n/a" if v.passed is None else "FAIL")
         print(f"[{report.study_id}] {v.name}: {status} (measured {v.measured:.6g}, "
               f"threshold {v.op} {v.threshold:.6g})")
+    if report.passed is None:
+        print(f"[{report.study_id}] no applicable verdict: n/a")
     for w in report.warnings:
         print(f"[{report.study_id}] warning: {w}", file=sys.stderr)
-    if args.strict and not report.passed:
+    if args.strict and report.passed is not True:
         return EXIT_VERDICT
     return EXIT_OK
 
@@ -333,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output root (default: $CHAOSLAB_OUT or ./chaoslab-out)")
         sp.add_argument("--workers", type=int, default=1, help="process-pool width")
         sp.add_argument("--strict", action="store_true",
-                        help="exit 1 when a verdict fails")
+                        help="exit 1 when a verdict fails or none applies")
         sp.add_argument("--snapshot-times", type=float, nargs="+", default=None)
     return parser
 

@@ -93,6 +93,10 @@ class InitSpec:
     std: float = 1.0
     samples: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind == "uniform" and not self.low <= self.high:
+            raise ValueError(f"uniform init needs low <= high, got low={self.low}, high={self.high}")
+
     @staticmethod
     def dirac(w0) -> "InitSpec":
         return InitSpec(kind="dirac", w0=np.atleast_1d(np.asarray(w0, dtype=np.float64)))
@@ -260,8 +264,6 @@ def sgd_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
 
 def msgld_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
     """SGD plus additive Gaussian noise of temperature eta (eta=0 reduces to SGD)."""
-    if hyper.eta < 0:
-        raise ValueError("eta must be >= 0")
     return _discrete_run(model, pi, hyper, N, init, plan, langevin=True, **kw)
 
 

@@ -99,8 +99,10 @@ class StudyReport:
     elapsed_s: float = 0.0
 
     @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts if v.passed is not None)
+    def passed(self) -> bool | None:
+        """All applicable verdicts pass; None when no verdict applies."""
+        applicable = [v.passed for v in self.verdicts if v.passed is not None]
+        return all(applicable) if applicable else None
 
     def verdict(self, name: str) -> Verdict:
         for v in self.verdicts:

@@ -17,6 +17,7 @@ import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -185,12 +186,15 @@ def load_dataset(path: str | Path) -> DataDistribution:
                 x = np.array([float(row[i]) for i in x_cols])
                 y = float(row[y_col])
                 w = float(row[w_col]) if w_col is not None else 1.0
+                atoms.append(DataAtom(x, y, w))
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"dataset {path} line {lineno}: malformed row ({exc})") from exc
-            atoms.append(DataAtom(x, y, w))
     if not atoms:
         raise ConfigError(f"dataset {path} has no data rows")
-    return DataDistribution(atoms)
+    try:
+        return DataDistribution(atoms)
+    except ValueError as exc:
+        raise ConfigError(f"dataset {path}: {exc}") from exc
 
 
 def save_dataset(pi: DataDistribution, path: str | Path):
@@ -260,15 +264,20 @@ def load_trajectory(path: str | Path) -> Trajectory:
 
 
 def trajectory_to_csv(traj: Trajectory, path: str | Path):
-    """Flat CSV export: one row per (time, particle), full-precision reprs."""
-    rows = []
-    for t, ens in zip(traj.times, traj.ensembles):
-        for k in range(ens.shape[0]):
-            row = {"time": repr(float(t)), "particle": k}
-            for j in range(ens.shape[1]):
-                row[f"w_{j+1}"] = repr(float(ens[k, j]))
-            rows.append(row)
-    write_csv(path, rows)
+    """Flat CSV export: one row per (time, particle), full-precision reprs.
+
+    Rows are streamed to ``write_csv`` as tuples of formatted cells: each
+    snapshot's time is formatted once, and every other cell is a particle
+    index or the ``repr`` of a coordinate.
+    """
+    n_particles, p = traj.n_particles, traj.p
+    indices = [str(k) for k in range(n_particles)]
+    rows = chain.from_iterable(
+        zip(repeat(repr(t), n_particles), indices,
+            *(map(repr, snap[:, j].tolist()) for j in range(p)))
+        for t, snap in zip(traj.times.tolist(), traj.ensembles)
+    )
+    write_csv(path, rows, columns=["time", "particle", *(f"w_{j+1}" for j in range(p))])
 
 
 # ----------------------------- generic writers -----------------------------
@@ -282,17 +291,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: str | Path, rows: list[dict]):
+def write_csv(path: str | Path, rows, columns: list[str] | None = None):
+    """Write a CSV table; a table without rows is an empty file.
+
+    ``rows`` are dicts keyed by column, with cells formatted by ``_fmt`` and
+    columns in the first row's key order.  With ``columns`` given, ``rows``
+    is any iterable of already formatted cell sequences in that order.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for r in rows:
-        lines.append(",".join(_fmt(r[c]) for c in cols))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    if columns is None:
+        columns = list(rows[0].keys()) if rows else []
+        rows = ([_fmt(r[c]) for c in columns] for r in rows)
+    lines = [",".join(columns), *map(",".join, rows)]
+    data = "\n".join(lines) + "\n" if len(lines) > 1 else ""
+    _atomic_write_bytes(path, data.encode("utf-8"))
 
 
 def write_json(path: str | Path, obj):

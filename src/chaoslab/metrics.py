@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "RateFit",
@@ -87,6 +86,10 @@ def _paired_points(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def w2_exact(a, b) -> float:
     """Exact W2 between equally weighted point clouds via optimal assignment."""
+    # imported here: scipy.optimize costs more to import than most CLI calls
+    # spend computing, and nothing else in chaoslab needs scipy
+    from scipy.optimize import linear_sum_assignment
+
     a, b = _paired_points(a, b)
     n = a.shape[0]
     if n > W2_EXACT_MAX_N:

@@ -65,8 +65,12 @@ class DataAtom:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64).reshape(-1))
-        if self.weight < 0:
-            raise ValueError(f"atom weight must be >= 0, got {self.weight}")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError(f"atom x must be finite, got {self.x}")
+        if not math.isfinite(self.y):
+            raise ValueError(f"atom y must be finite, got {self.y}")
+        if not math.isfinite(self.weight) or self.weight < 0:
+            raise ValueError(f"atom weight must be finite and >= 0, got {self.weight}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """Configs, dataset ingestion, trajectory persistence, CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaoslab
 from chaoslab.cli import EXIT_CONFIG, EXIT_OK, cli_dispatch
-from chaoslab.dynamics import InitSpec, interacting_sde_run
+from chaoslab.dynamics import InitSpec, Trajectory, interacting_sde_run
 from chaoslab.io import (
     ConfigError,
     load_config,
@@ -55,8 +60,6 @@ class TestConfigSchema:
 
 class TestShippedConfigs:
     def test_all_example_configs_validate(self):
-        from pathlib import Path
-
         configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
         assert len(configs) >= 8
         for path in configs:
@@ -82,6 +85,18 @@ class TestDatasetIO:
         path = tmp_path / "d.csv"
         path.write_text("x_1,y\n0.5,1.0\nbogus,2.0\n")
         with pytest.raises(ConfigError, match="line 3"):
+            load_dataset(path)
+
+    def test_nan_feature_rejected_with_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x_1,y\n0.5,1.0\nnan,2.0\n")
+        with pytest.raises(ConfigError, match="line 3.*atom x"):
+            load_dataset(path)
+
+    def test_inf_weight_rejected_with_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x_1,y,weight\n0.5,1.0,inf\n-0.5,-1.0,1.0\n")
+        with pytest.raises(ConfigError, match="line 2.*atom weight"):
             load_dataset(path)
 
     def test_missing_columns(self, tmp_path):
@@ -140,7 +155,46 @@ class TestTrajectoryIO:
         np.testing.assert_array_equal(vals, traj.ensembles[0][:, 0])
 
 
+    def test_csv_export_matches_dict_per_row_reference(self, tmp_path):
+        # awkward floats: short and long reprs, signed zero, exponent forms
+        times = np.array([0.0, 1e-05, 123456789.0])
+        ens = np.array([
+            [[1e-05, -0.0], [1e16, 123456789.0], [5e-324, 1.7976931348623157e308]],
+            [[-1e-300, 0.1], [1 / 3, -2.5e-17], [1e22, -1e16]],
+            [[0.0, -123456789.0], [2.0 ** -1074, 9.999999999999999e15], [-0.0, 1e-05]],
+        ])
+        traj = Trajectory("test", times, ens, Hyperparams())
+        path = tmp_path / "t.csv"
+        trajectory_to_csv(traj, path)
+        # the dict-per-row formula the export replaced
+        rows = []
+        for t, snap in zip(times, ens):
+            for k in range(snap.shape[0]):
+                row = {"time": repr(float(t)), "particle": k}
+                for j in range(snap.shape[1]):
+                    row[f"w_{j+1}"] = repr(float(snap[k, j]))
+                rows.append(row)
+        ref = tmp_path / "ref.csv"
+        write_csv(ref, rows)
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_text().split("\n")[0] == "time,particle,w_1,w_2"
+
+
 class TestCsvWriter:
+    def test_preformatted_rows_match_dict_rows(self, tmp_path):
+        dict_rows = [{"a": 0.5, "b": 3, "c": "x"}, {"a": -0.0, "b": 4, "c": "y"}]
+        cells = [("0.5", "3", "x"), ("-0.0", "4", "y")]
+        write_csv(tmp_path / "d.csv", dict_rows)
+        write_csv(tmp_path / "c.csv", iter(cells), columns=["a", "b", "c"])
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+        assert (tmp_path / "c.csv").read_text() == "a,b,c\n0.5,3,x\n-0.0,4,y\n"
+
+    def test_no_rows_writes_empty_file(self, tmp_path):
+        write_csv(tmp_path / "d.csv", [])
+        write_csv(tmp_path / "c.csv", iter(()), columns=["a"])
+        assert (tmp_path / "d.csv").read_bytes() == b""
+        assert (tmp_path / "c.csv").read_bytes() == b""
+
     def test_floats_roundtrip_bitwise(self, tmp_path):
         rows = [{"a": 1 / 3, "b": 1e-17}, {"a": 2 / 7, "b": 123.456e300}]
         path = tmp_path / "x.csv"
@@ -148,6 +202,16 @@ class TestCsvWriter:
         lines = path.read_text().strip().split("\n")
         got = [[float(v) for v in line.split(",")] for line in lines[1:]]
         assert got[0][0] == 1 / 3 and got[1][1] == 123.456e300
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is imported only inside w2_exact; a fresh interpreter shows it
+    code = "import sys, chaoslab.cli; print('scipy' in sys.modules)"
+    src = str(Path(chaoslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestCliDispatch:
@@ -164,6 +228,28 @@ class TestCliDispatch:
         rc = self.run(tmp_path, "simulate", {"hyper": {"alpha": 1.0}})
         assert rc == EXIT_CONFIG
         assert "alpha" in capsys.readouterr().err
+
+    def test_inverted_init_box_exits_config(self, tmp_path, capsys):
+        cfg = {"problem": {"init_low": 1.0, "init_high": -1.0}, "N_grid": [4, 8], "seed": 1}
+        assert self.run(tmp_path, "chaos-rate", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "problem" in err and "low" in err and "high" in err
+
+    def test_non_finite_dataset_exits_config(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x_1,y\n0.5,nan\n")
+        rc = self.run(tmp_path, "check-assumptions", {"dataset": str(data)})
+        assert rc == EXIT_CONFIG
+        assert "atom y" in capsys.readouterr().err
+
+    def test_no_applicable_verdict_fails_strict(self, tmp_path, capsys):
+        cfg = {"hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "betas": [1.0], "N_grid": [64],
+               "seeds": 4, "seed": 1, "problem": {"init_kind": "dirac", "init_w0": 0.0}}
+        assert self.run(tmp_path, "regime", cfg, "--strict") == 1
+        assert "no applicable verdict: n/a" in capsys.readouterr().out
+        assert self.run(tmp_path, "regime", cfg) == EXIT_OK  # non-strict
+        verdicts = json.loads((tmp_path / "out" / "two-regime-seed1" / "verdicts.json").read_text())
+        assert verdicts["passed"] is None
 
     def test_simulate_writes_outputs_and_manifest(self, tmp_path):
         cfg = {"hyper": {"T": 0.2, "dt": 0.05, "gamma": 0.5}, "N": 4,

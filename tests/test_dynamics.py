@@ -37,6 +37,15 @@ NOISY = DataDistribution([
 ])
 
 
+class TestInitSpec:
+    def test_inverted_uniform_box_rejected(self):
+        with pytest.raises(ValueError, match="low.*high"):
+            InitSpec.uniform(1.0, -1.0)
+
+    def test_degenerate_uniform_box_allowed(self):
+        assert InitSpec.uniform(0.5, 0.5).low == 0.5
+
+
 class TestSgdRun:
     def test_single_particle_single_step(self):
         # unit residual, unit input: one step of size gamma moves w by 0.1
@@ -92,8 +101,8 @@ class TestMsgldRun:
         np.testing.assert_array_equal(a.ensembles, b.ensembles)
 
     def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            Hyperparams(eta=-0.5)
+        with pytest.raises(ValueError, match="eta"):
+            Hyperparams(eta=-1)
 
     def test_pure_langevin_increment_variance(self):
         # zero drift: increments are iid N(0, 2 eta gamma N^(beta-1)) per coordinate

@@ -7,6 +7,7 @@ from chaoslab.experiments import (
     ConsistencyConfig,
     HistogramConfig,
     ProblemConfig,
+    StudyReport,
     SweepConfig,
     TwoRegimeConfig,
     Verdict,
@@ -38,6 +39,18 @@ def fast_chaos_config(**kw):
 
 
 class TestVerdict:
+    def test_report_passed_counts_applicable_verdicts_only(self):
+        na = Verdict.not_applicable("n", "why")
+        ok, bad = Verdict.le("a", 1.0, 2.0), Verdict.le("b", 3.0, 2.0)
+
+        def report(*verdicts):
+            return StudyReport("s", {}, {}, list(verdicts))
+
+        assert report(na, ok).passed is True
+        assert report(na, ok, bad).passed is False
+        assert report(na).passed is None
+        assert report().passed is None
+
     def test_le_ge(self):
         assert Verdict.le("a", 1.0, 2.0).passed
         assert not Verdict.le("a", 3.0, 2.0).passed
@@ -109,6 +122,12 @@ class TestTwoRegimeStudy:
     def test_seed_floor(self):
         with pytest.raises(ValueError):
             two_regime_study(self.fast_config(seeds=1))
+
+    def test_no_applicable_verdict_is_not_a_pass(self):
+        # one beta and one N leave nothing to compare: no verdict applies
+        rep = two_regime_study(self.fast_config(betas=(1.0,), N_grid=(64,)))
+        assert all(v.passed is None for v in rep.verdicts)
+        assert rep.passed is None
 
     def test_langevin_restores_noise_below_one(self):
         # zero feature freezes SGD entirely; the Langevin channel alone

@@ -1,5 +1,6 @@
 """Learning-problem definitions, stepsize algebra, and the hypothesis audit."""
 
+import math
 import warnings
 
 import numpy as np
@@ -127,6 +128,21 @@ class TestDataDistribution:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             DataAtom([1.0], 1.0, -0.1)
+
+    def test_non_finite_x_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="atom x"):
+                DataAtom([1.0, bad], 1.0, 0.5)
+
+    def test_non_finite_y_rejected(self):
+        with pytest.raises(ValueError, match="atom y"):
+            DataAtom([1.0], math.nan, 0.5)
+
+    def test_non_finite_weight_rejected(self):
+        # an inf weight would otherwise normalize the weights to [nan, 0]
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="atom weight"):
+                DataAtom([1.0], 1.0, bad)
 
     def test_x_max_recorded(self):
         pi = two_point_distribution([3.0], 1.0, [-4.0], 0.0)
