@@ -25,7 +25,6 @@ from .dynamics import (
     InitSpec,
     NoisePlan,
     Trajectory,
-    coupled_chaos_error,
     interacting_sde_run,
     meanfield_ode_run,
     meanfield_sde_run,
@@ -34,6 +33,7 @@ from .dynamics import (
     sgd_sde_gap,
     weak_form_residual,
 )
+from .experiments import coupled_chaos_error
 from .metrics import fit_rate, path_metric, w2_1d, w2_exact, w2_sliced
 from .stationary import GridDensity1D, fixed_point_iterate, map_H, stationarity_check
 

@@ -278,16 +278,29 @@ def _cmd_check_assumptions(args, cfg: dict) -> int:
 
 
 def _load_samples(path: str) -> np.ndarray:
+    """The w_1..w_p columns of a sample CSV; bad rows are reported with their line number."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
         w_cols = [i for i, h in enumerate(header) if h.startswith("w_")]
         if not w_cols:
             raise ConfigError(f"sample file {path} needs w_1..w_p columns")
-        for line in f:
-            if line.strip():
-                parts = line.strip().split(",")
-                rows.append([float(parts[i]) for i in w_cols])
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            parts = line.strip().split(",")
+            where = f"sample file {path} line {lineno}"
+            if len(parts) < len(header):
+                raise ConfigError(f"{where}: {len(parts)} cells, header has {len(header)}")
+            try:
+                row = [float(parts[i]) for i in w_cols]
+            except ValueError as exc:
+                raise ConfigError(f"{where}: malformed cell ({exc})") from exc
+            if not np.all(np.isfinite(row)):
+                raise ConfigError(f"{where}: non-finite cell")
+            rows.append(row)
+    if not rows:
+        raise ConfigError(f"sample file {path} has no rows")
     return np.asarray(rows)
 
 

@@ -1,4 +1,4 @@
-"""Time-evolution engines and the synchronous-coupling error harness.
+"""Time-evolution engines.
 
 Engines
 -------
@@ -12,10 +12,9 @@ Engines
   evolved as a self-consistent ensemble whose empirical law stands in for
   the intractable mean-field law.
 
-``coupled_chaos_error`` drives a test system, m mean-field companions that
-replay the test particles' initial conditions and Gaussian draws, and an
-independent reference ensemble supplying the companions' law argument; it
-returns the Monte Carlo estimate of E[sup_t sum_k ||W_t^k - W_t^{k,*}||^2].
+Every Euler-Maruyama engine, and the synchronous-coupling harness in
+``experiments``, advances its particles with ``euler_step``, which takes
+the driving law as its ``FieldCache``.
 
 Iteration n of the discrete recursions is stamped with time
 n * gamma_scale(N); all engines share the counter-based NoisePlan, so runs
@@ -39,8 +38,6 @@ __all__ = [
     "DOMAIN_REFERENCE",
     "InitSpec",
     "Trajectory",
-    "CoupledRun",
-    "ChaosErrorEstimate",
     "EnsembleDiverged",
     "TestFunction",
     "sgd_run",
@@ -52,8 +49,9 @@ __all__ = [
     "noise_width",
     "drift_and_noise_root",
     "diffusion_increment",
+    "euler_step",
     "euler_run",
-    "coupled_chaos_error",
+    "guard_moment",
     "weak_form_residual",
     "sgd_sde_gap",
 ]
@@ -76,6 +74,11 @@ class EnsembleDiverged(RuntimeError):
         self.step = step
         self.t = t
         self.value = value
+        self.ceiling = ceiling
+
+    def __reduce__(self):
+        # rebuilt from its fields when a pool worker sends it back
+        return type(self), (self.step, self.t, self.value, self.ceiling)
 
 
 # ----------------------------- initial conditions -----------------------------
@@ -183,9 +186,11 @@ def _draws(plan: NoisePlan, domain: int, slot: int, step: int, ids: np.ndarray, 
     return block[ids]
 
 
-def _guard_moment(W: np.ndarray, step: int, t: float, ceiling: float):
-    m2 = float(np.mean(np.sum(W * W, axis=1)))
-    if not np.isfinite(m2) or m2 > ceiling:
+def guard_moment(W: np.ndarray, step: int, t: float, ceiling: float = DEFAULT_MOMENT_CEILING):
+    """Raise ``EnsembleDiverged`` unless the ensemble second moment is finite and <= ceiling."""
+    v = W.ravel()
+    m2 = float(v @ v) / W.shape[0]
+    if not m2 <= ceiling:  # also catches NaN and inf
         raise EnsembleDiverged(step, t, m2, ceiling)
 
 
@@ -226,7 +231,7 @@ def _discrete_run(
         snap_pos = 1
 
     for n in range(n_T):
-        _guard_moment(W, n, n * g, moment_ceiling)
+        guard_moment(W, n, n * g, moment_ceiling)
         stepsize = hyper.gamma * float(N) ** (hyper.beta - 1.0) * (n + 1.0 / g) ** (-hyper.alpha)
         u = plan.uniforms(DOMAIN_SYSTEM, SLOT_DATA, n, hyper.M)
         batch = np.searchsorted(cum_w, u, side="right")
@@ -280,36 +285,34 @@ def noise_width(model: ModelSpec, pi: DataDistribution, sigma_override: float | 
 
 def drift_and_noise_root(
     W: np.ndarray,
-    law,
+    cache: FieldCache,
     model: ModelSpec,
     pi: DataDistribution,
     need_noise: bool,
     sigma_override: float | None = None,
-    cache: FieldCache | None = None,
 ):
     """Drift h (n, p) and noise root R (n, k, p) of one Euler-Maruyama step.
 
-    ``W`` holds the particles (n, p) and ``law`` the ensemble whose
-    empirical law drives them (or pass its ``cache``).  R^T R = Sigma per
-    particle, with k = ``noise_width``; R is None when ``need_noise`` is
-    false.  At p = 1, R is the scalar root sqrt(Sigma_00), which gives the
-    W2-optimal synchronous coupling.  At p > 1 it is the exact rank-D
-    factor sqrt(pi_j) xi_j, or sqrt(s) I when Sigma is pinned to s I by
-    ``sigma_override``.
+    ``W`` holds the particles (n, p) and ``cache`` the ``field_cache`` of the
+    law that drives them.  R^T R = Sigma per particle, with k =
+    ``noise_width``; R is None when ``need_noise`` is false.  At p = 1, R is
+    the scalar root sqrt(Sigma_00), which gives the W2-optimal synchronous
+    coupling.  At p > 1 it is the exact rank-D factor sqrt(pi_j) xi_j, or
+    sqrt(s) I when Sigma is pinned to s I by ``sigma_override``.
     """
     if not need_noise:
-        h, _, _ = mean_field_terms(W, law, model, pi, cache=cache)
+        h, _, _ = mean_field_terms(W, None, model, pi, cache=cache)
         return h, None
     p = model.p
     if p == 1:
         h, _, sigma = mean_field_terms(
-            W, law, model, pi, need_sigma=True, sigma_override=sigma_override, cache=cache
+            W, None, model, pi, need_sigma=True, sigma_override=sigma_override, cache=cache
         )
         return h, np.sqrt(np.clip(sigma[:, 0, 0], 0.0, None))[:, None, None]
     if sigma_override is not None:
-        h, _, _ = mean_field_terms(W, law, model, pi, cache=cache)
+        h, _, _ = mean_field_terms(W, None, model, pi, cache=cache)
         return h, np.broadcast_to(math.sqrt(sigma_override) * np.eye(p), (h.shape[0], p, p))
-    return drift_and_noise_factor(W, law, model, pi, cache=cache)
+    return drift_and_noise_factor(W, None, model, pi, cache=cache)
 
 
 def diffusion_increment(root: np.ndarray, scale: float, Z: np.ndarray) -> np.ndarray:
@@ -318,6 +321,35 @@ def diffusion_increment(root: np.ndarray, scale: float, Z: np.ndarray) -> np.nda
         # p = 1: (scale * sqrt(Sigma_00)) * z; tests/test_noise.py pins this rounding
         return scale * root[:, 0] * Z
     return scale * np.einsum("nkp,nk->np", root, Z)
+
+
+def euler_step(
+    W: np.ndarray,
+    cache: FieldCache,
+    model: ModelSpec,
+    pi: DataDistribution,
+    dt: float,
+    tw: float,
+    scale: float,
+    Z: np.ndarray | None,
+    Z_lang: np.ndarray | None,
+    eta: float,
+    sigma_override: float | None = None,
+) -> np.ndarray:
+    """One Euler-Maruyama step of the particles W (n, p) under the law in ``cache``.
+
+    Returns W + tw (h dt + sqrt(dt) scale R^T Z + sqrt(dt) sqrt(2 eta) Z_lang),
+    with R the noise root of ``drift_and_noise_root``, Z (n, noise_width) and
+    Z_lang (n, p).  The noise term is skipped when scale is 0 and the
+    Langevin term when eta is 0; their draws may then be None.
+    """
+    h, root = drift_and_noise_root(W, cache, model, pi, scale > 0, sigma_override)
+    incr = h * dt
+    if scale > 0:
+        incr = incr + math.sqrt(dt) * diffusion_increment(root, scale, Z)
+    if eta > 0:
+        incr = incr + math.sqrt(dt) * math.sqrt(2.0 * eta) * Z_lang
+    return W + tw * incr
 
 
 def euler_run(
@@ -337,9 +369,9 @@ def euler_run(
 ) -> Trajectory:
     """Euler-Maruyama from W0 for an ensemble driven by its own empirical law.
 
-    Each step adds h dt, sigma_scale sqrt(dt) R^T z with R the noise root of
-    ``drift_and_noise_root`` (when sigma_scale > 0) and sqrt(2 eta dt) z'
-    (when eta > 0), all scaled by the time weight (t+1)^-alpha.
+    Each step is one ``euler_step`` with noise scale sigma_scale and the
+    time weight (t+1)^-alpha, drawing the particles' rows of the domain's
+    diffusion (when sigma_scale > 0) and Langevin (when eta > 0) blocks.
     """
     if hyper.dt <= 0:
         raise ValueError("dt must be > 0")
@@ -348,9 +380,7 @@ def euler_run(
     N, p = W.shape
     ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
     eta = hyper.eta
-    need_noise = sigma_scale > 0
     width = noise_width(model, pi, sigma_override)
-    sq_dt = math.sqrt(hyper.dt)
 
     snap_steps = _snapshot_steps(n_steps, hyper.dt, snapshot_times) if n_steps else np.array([0])
     snaps = np.empty((len(snap_steps), N, p))
@@ -361,17 +391,11 @@ def euler_run(
 
     for n in range(n_steps):
         t = n * hyper.dt
-        _guard_moment(W, n, t, moment_ceiling)
-        tw = time_weight(t, hyper.alpha)
-        h, root = drift_and_noise_root(W, W, model, pi, need_noise, sigma_override)
-        incr = h * hyper.dt
-        if need_noise:
-            Z = _draws(plan, domain, SLOT_DIFFUSION, n, ids, width)
-            incr = incr + sq_dt * diffusion_increment(root, sigma_scale, Z)
-        if eta > 0:
-            Zt = _draws(plan, domain, SLOT_LANGEVIN, n, ids, p)
-            incr = incr + sq_dt * math.sqrt(2.0 * eta) * Zt
-        W = W + tw * incr
+        guard_moment(W, n, t, moment_ceiling)
+        Z = _draws(plan, domain, SLOT_DIFFUSION, n, ids, width) if sigma_scale > 0 else None
+        Z_lang = _draws(plan, domain, SLOT_LANGEVIN, n, ids, p) if eta > 0 else None
+        W = euler_step(W, field_cache(W, model, pi), model, pi, hyper.dt,
+                       time_weight(t, hyper.alpha), sigma_scale, Z, Z_lang, eta, sigma_override)
 
         if snap_pos < len(snap_steps) and snap_steps[snap_pos] == n + 1:
             snaps[snap_pos] = W
@@ -478,145 +502,6 @@ def meanfield_sde_run(
         sigma_override=sigma_override,
         **kw,
     )
-
-
-# ----------------------------- synchronous coupling -----------------------------
-
-
-@dataclass
-class CoupledRun:
-    """One repetition of the coupling: test system, companions, reference."""
-
-    sup_sq_distance: float
-    test_endpoint: np.ndarray
-    companion_endpoint: np.ndarray
-    reference_endpoint: np.ndarray
-
-
-@dataclass
-class ChaosErrorEstimate:
-    """Monte Carlo estimate of E[sup_t sum_{k<=m} ||W_t^{k,N} - W_t^{k,*}||^2]."""
-
-    value: float
-    stderr: float
-    per_rep: np.ndarray
-    N: int
-    m: int
-    N_ref: int
-    ref_bias_scale: float  # O(N_ref^-1/2) proxy bias of the reference law
-
-
-def _coupled_rep(
-    model: ModelSpec,
-    pi: DataDistribution,
-    hyper: Hyperparams,
-    N: int,
-    m: int,
-    N_ref: int,
-    init: InitSpec,
-    plan: NoisePlan,
-    sigma_override: float | None,
-    moment_ceiling: float,
-) -> CoupledRun:
-    p = model.p
-    n_steps = int(round(hyper.T / hyper.dt))
-    ids_test = np.arange(N)
-    ids_ref = np.arange(N_ref)
-
-    W_test = init.draw(plan, DOMAIN_SYSTEM, ids_test, p)
-    W_comp = W_test[:m].copy()
-    W_ref = init.draw(plan, DOMAIN_REFERENCE, ids_ref, p)
-
-    test_scale = math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M)
-    mf_scale = meanfield_sigma_scale(hyper) if hyper.beta == 1.0 else 0.0
-    eta = hyper.eta
-    width = noise_width(model, pi, sigma_override)
-    sq_dt = math.sqrt(hyper.dt)
-
-    sup_sq = 0.0
-    for n in range(n_steps):
-        t = n * hyper.dt
-        _guard_moment(W_test, n, t, moment_ceiling)
-        _guard_moment(W_ref, n, t, moment_ceiling)
-        tw = time_weight(t, hyper.alpha)
-
-        cache_ref = field_cache(W_ref, model, pi)
-        h_test, root_test = drift_and_noise_root(
-            W_test, W_test, model, pi, test_scale > 0, sigma_override
-        )
-        h_comp, root_comp = drift_and_noise_root(
-            W_comp, W_ref, model, pi, mf_scale > 0, sigma_override, cache_ref
-        )
-        h_ref, root_ref = drift_and_noise_root(
-            W_ref, W_ref, model, pi, mf_scale > 0, sigma_override, cache_ref
-        )
-
-        incr_test = h_test * hyper.dt
-        incr_comp = h_comp * hyper.dt
-        incr_ref = h_ref * hyper.dt
-        if test_scale > 0 or mf_scale > 0:
-            Z_sys = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, N, width)
-            if test_scale > 0:
-                incr_test = incr_test + sq_dt * diffusion_increment(root_test, test_scale, Z_sys)
-            if mf_scale > 0:
-                incr_comp = incr_comp + sq_dt * diffusion_increment(
-                    root_comp, mf_scale, Z_sys[:m]
-                )
-                Z_ref = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, width)
-                incr_ref = incr_ref + sq_dt * diffusion_increment(root_ref, mf_scale, Z_ref)
-        if eta > 0:
-            Zt_sys = plan.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, N, p)
-            lang = sq_dt * math.sqrt(2.0 * eta)
-            incr_test = incr_test + lang * Zt_sys
-            incr_comp = incr_comp + lang * Zt_sys[:m]
-            incr_ref = incr_ref + lang * plan.normals(DOMAIN_REFERENCE, SLOT_LANGEVIN, n, N_ref, p)
-
-        W_test = W_test + tw * incr_test
-        W_comp = W_comp + tw * incr_comp
-        W_ref = W_ref + tw * incr_ref
-
-        sup_sq = max(sup_sq, float(np.sum((W_test[:m] - W_comp) ** 2)))
-
-    return CoupledRun(sup_sq, W_test, W_comp, W_ref)
-
-
-def coupled_chaos_error(
-    model: ModelSpec,
-    pi: DataDistribution,
-    hyper: Hyperparams,
-    N: int,
-    m: int,
-    N_ref: int,
-    reps: int,
-    plan: NoisePlan,
-    init: InitSpec | None = None,
-    sigma_override: float | None = None,
-    moment_ceiling: float = DEFAULT_MOMENT_CEILING,
-) -> ChaosErrorEstimate:
-    """Coupling error between the interacting system and its mean-field limit.
-
-    Companions share initial conditions and Gaussian draws with test
-    particles 1..m; their law argument is the empirical law of an
-    independent self-consistent reference ensemble of size N_ref, which
-    carries an O(N_ref^-1/2) proxy bias reported on the estimate.
-    """
-    if m > N:
-        raise ValueError(f"m={m} must not exceed N={N}")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if N_ref < N:
-        raise ValueError(f"reference size N_ref={N_ref} must dominate N={N}")
-    init = init or InitSpec.uniform()
-    sups = np.empty(reps)
-    for r in range(reps):
-        rep = _coupled_rep(
-            model, pi, hyper, N, m, N_ref, init, plan.child("rep", r),
-            sigma_override, moment_ceiling,
-        )
-        sups[r] = rep.sup_sq_distance
-    value = float(np.mean(sups))
-    stderr = float(np.std(sups, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return ChaosErrorEstimate(value, stderr, sups, N, m, N_ref, N_ref ** -0.5)
 
 
 # ----------------------------- weak-form residual -----------------------------

@@ -19,10 +19,9 @@ import numpy as np
 from .dynamics import (
     DOMAIN_REFERENCE,
     DOMAIN_SYSTEM,
-    ChaosErrorEstimate,
     InitSpec,
-    diffusion_increment,
-    drift_and_noise_root,
+    euler_step,
+    guard_moment,
     interacting_sde_run,
     meanfield_ode_run,
     meanfield_sde_run,
@@ -53,6 +52,8 @@ __all__ = [
     "SweepConfig",
     "HistogramConfig",
     "ConsistencyConfig",
+    "ChaosErrorEstimate",
+    "coupled_chaos_error",
     "chaos_rate_study",
     "two_regime_study",
     "gamma_sweep",
@@ -220,24 +221,41 @@ def _stratified_reference(init: InitSpec, n: int, p: int) -> np.ndarray | None:
     return None
 
 
+@dataclass
+class ChaosErrorEstimate:
+    """Monte Carlo estimate of E[sup_t sum_{k<=m} ||W_t^{k,N} - W_t^{k,*}||^2]."""
+
+    value: float
+    stderr: float
+    per_rep: np.ndarray
+    N: int
+    m: int
+    N_ref: int
+    ref_bias_scale: float  # O(N_ref^-1/2) proxy bias of the reference law
+
+
 def _coupled_grid_rep(args) -> dict[int, float]:
     """One repetition of the coupling, sharing streams across the whole N grid.
 
-    The reference ensemble and the m companions are computed once; each test
-    system of size N consumes rows 0..N-1 of the same Gaussian block, so the
-    error ratios across N concentrate (common random numbers).
+    The reference ensemble and the m companions are stepped once; row k of
+    each system-domain Gaussian block drives particle k of every test
+    system and of the companions, so companion k replays test particle k
+    and the error ratios across N concentrate (common random numbers).
     """
     model, pi, hyper, Ns, m, N_ref, init, plan = args
     p = model.p
     n_steps = int(round(hyper.T / hyper.dt))
-    sq_dt = math.sqrt(hyper.dt)
+    n_sys = max(Ns)
 
     W_ref = _stratified_reference(init, N_ref, p)
     if W_ref is None:
         W_ref = init.draw(plan, DOMAIN_REFERENCE, np.arange(N_ref), p)
-    W_sys = init.draw(plan, DOMAIN_SYSTEM, np.arange(max(Ns)), p)
+    W_sys = init.draw(plan, DOMAIN_SYSTEM, np.arange(n_sys), p)
     tests = {N: W_sys[:N].copy() for N in Ns}
     W_comp = W_sys[:m].copy()
+    test_scales = {
+        N: math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M) for N in Ns
+    }
     mf_scale = meanfield_sigma_scale(hyper) if hyper.beta == 1.0 else 0.0
     eta = hyper.eta
     width = noise_width(model, pi)
@@ -245,50 +263,64 @@ def _coupled_grid_rep(args) -> dict[int, float]:
 
     for n in range(n_steps):
         t = n * hyper.dt
+        guard_moment(W_ref, n, t)
+        for W in tests.values():
+            guard_moment(W, n, t)
         tw = time_weight(t, hyper.alpha)
-        cache_ref = field_cache(W_ref, model, pi)
-        Zs = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, max(Ns), width)
-        h_ref, r_ref = drift_and_noise_root(W_ref, W_ref, model, pi, mf_scale > 0, cache=cache_ref)
-        h_c, r_c = drift_and_noise_root(W_comp, W_ref, model, pi, mf_scale > 0, cache=cache_ref)
-        inc_ref = h_ref * hyper.dt
-        inc_c = h_c * hyper.dt
-        if mf_scale > 0:
-            Zr = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, width)
-            inc_ref = inc_ref + sq_dt * diffusion_increment(r_ref, mf_scale, Zr)
-            inc_c = inc_c + sq_dt * diffusion_increment(r_c, mf_scale, Zs[:m])
+        Zs = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, n_sys, width)
+        Zr = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, width) if mf_scale > 0 else None
+        Zl = Zl_ref = None
         if eta > 0:
-            lang = sq_dt * math.sqrt(2.0 * eta)
-            Zt = plan.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, max(Ns), p)
-            inc_c = inc_c + lang * Zt[:m]
-            inc_ref = inc_ref + lang * plan.normals(DOMAIN_REFERENCE, SLOT_LANGEVIN, n, N_ref, p)
+            Zl = plan.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, n_sys, p)
+            Zl_ref = plan.normals(DOMAIN_REFERENCE, SLOT_LANGEVIN, n, N_ref, p)
 
-        new_tests = {}
-        for N in Ns:
-            Wt = tests[N]
-            t_scale = math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M)
-            h_t, r_t = drift_and_noise_root(Wt, Wt, model, pi, True)
-            inc = h_t * hyper.dt + sq_dt * diffusion_increment(r_t, t_scale, Zs[:N])
-            if eta > 0:
-                inc = inc + sq_dt * math.sqrt(2.0 * eta) * Zt[:N]
-            new_tests[N] = Wt + tw * inc
-        W_ref = W_ref + tw * inc_ref
-        W_comp = W_comp + tw * inc_c
-        tests = new_tests
-        for N in Ns:
-            sups[N] = max(sups[N], float(np.sum((tests[N][:m] - W_comp) ** 2)))
+        def system_step(W, cache, scale):
+            k = W.shape[0]
+            return euler_step(W, cache, model, pi, hyper.dt, tw, scale, Zs[:k],
+                              None if Zl is None else Zl[:k], eta)
+
+        cache_ref = field_cache(W_ref, model, pi)
+        W_comp = system_step(W_comp, cache_ref, mf_scale)
+        W_ref = euler_step(W_ref, cache_ref, model, pi, hyper.dt, tw, mf_scale, Zr, Zl_ref, eta)
+        tests = {N: system_step(W, field_cache(W, model, pi), test_scales[N])
+                 for N, W in tests.items()}
+        for N, W in tests.items():
+            sups[N] = max(sups[N], float(np.sum((W[:m] - W_comp) ** 2)))
     return sups
 
 
-def coupled_chaos_error_grid(
-    model, pi, hyper, Ns, m, N_ref, reps, plan, init, workers: int = 1
+def coupled_chaos_error(
+    model: ModelSpec,
+    pi: DataDistribution,
+    hyper: Hyperparams,
+    Ns,
+    m: int,
+    N_ref: int,
+    reps: int,
+    plan: NoisePlan,
+    init: InitSpec | None = None,
+    workers: int = 1,
 ) -> dict[int, ChaosErrorEstimate]:
-    """Coupling error for every N of a grid with shared noise streams."""
-    if N_ref < max(Ns):
-        raise ValueError("reference size must dominate every grid N")
+    """Coupling error between the interacting system and its mean-field limit.
+
+    Sznitman's synchronous coupling, for every N of the grid ``Ns`` (one N
+    is ``Ns=(N,)``): m mean-field companions share initial conditions and
+    Gaussian draws with test particles 1..m; their law argument is the
+    empirical law of an independent self-consistent reference ensemble of
+    size N_ref, which carries an O(N_ref^-1/2) proxy bias reported on each
+    estimate.  At p = 1 a uniform or dirac init gets a quantile-stratified
+    reference.  The ensemble second moments are guarded at every step.
+    """
+    Ns = tuple(Ns)
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     if m > min(Ns):
-        raise ValueError("m must not exceed the smallest grid N")
-    tasks = [(model, pi, hyper, tuple(Ns), m, N_ref, init, plan.child("rep", r))
-             for r in range(reps)]
+        raise ValueError(f"m={m} must not exceed the smallest grid N={min(Ns)}")
+    if N_ref < max(Ns):
+        raise ValueError(f"reference size N_ref={N_ref} must dominate every grid N (max {max(Ns)})")
+    if init is None:
+        init = InitSpec.uniform()
+    tasks = [(model, pi, hyper, Ns, m, N_ref, init, plan.child("rep", r)) for r in range(reps)]
     per_rep = _parallel_map(_coupled_grid_rep, tasks, workers)
     out = {}
     for N in Ns:
@@ -311,7 +343,7 @@ def chaos_rate_study(config: ChaosRateConfig, workers: int = 1) -> StudyReport:
     model, pi, init = config.problem.build()
     hyper = config.hyper
     plan = NoisePlan(config.seed)
-    ests = coupled_chaos_error_grid(
+    ests = coupled_chaos_error(
         model, pi, hyper, config.N_grid, config.m, config.N_ref, config.reps, plan, init,
         workers=workers,
     )

@@ -175,9 +175,9 @@ def mean_field_terms(
 
     ``W`` holds the evaluation points (n, p); ``mu`` is the population law.
     Returns (h, tilde_h, Sigma) with Sigma None unless requested; with
-    ``sigma_override`` set, Sigma is the constant matrix s * I.
+    ``sigma_override`` set, Sigma is the constant matrix s * I.  A given
+    ``cache`` stands in for ``mu``, which is then not read.
     """
-    mu = _as_measure(mu)
     W = _as_points(W, model.p)
     if cache is None:
         cache = field_cache(mu, model, pi)
@@ -200,9 +200,9 @@ def drift_and_noise_factor(
 
     F has shape (n, D, p) with F[:, j] = sqrt(pi_j) xi_j, so that
     sum_j F_j F_j^T = Sigma exactly: F^T z with z ~ N(0, I_D) has the law
-    of Sigma^(1/2) z' without forming Sigma or taking its root.
+    of Sigma^(1/2) z' without forming Sigma or taking its root.  A given
+    ``cache`` stands in for ``mu``, which is then not read.
     """
-    mu = _as_measure(mu)
     W = _as_points(W, model.p)
     if cache is None:
         cache = field_cache(mu, model, pi)

@@ -11,7 +11,6 @@ import pytest
 from chaoslab.dynamics import (
     InitSpec,
     TestFunction,
-    coupled_chaos_error,
     meanfield_ode_run,
     msgld_run,
     sgd_run,
@@ -25,6 +24,7 @@ from chaoslab.experiments import (
     TwoRegimeConfig,
     batch_sweep,
     chaos_rate_study,
+    coupled_chaos_error,
     gamma_sweep,
     sgd_sde_consistency_study,
     two_regime_study,
@@ -196,8 +196,8 @@ class TestCriterion4UpperBoundCompliance:
         model = make_model("tanh-dot", "square")
         pi = DataDistribution([DataAtom([1.0], 1.0, 1.0)])
         hyper = Hyperparams(alpha=0.0, beta=0.5, gamma=1.0, M=1, T=5.0, dt=0.02)
-        est = coupled_chaos_error(model, pi, hyper, N=16, m=4, N_ref=64, reps=2,
-                                  plan=NoisePlan(404), init=InitSpec.dirac([0.1]))
+        est = coupled_chaos_error(model, pi, hyper, Ns=(16,), m=4, N_ref=64, reps=2,
+                                  plan=NoisePlan(404), init=InitSpec.dirac([0.1]))[16]
         ok = est.value <= 10 * hyper.dt**2
         _report(4, "degenerate coupling", ok,
                 f"error={est.value:.2e} <= 10*dt^2={10 * hyper.dt ** 2:.1e}")

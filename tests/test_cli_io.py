@@ -308,6 +308,29 @@ class TestCliDispatch:
         out = json.loads((tmp_path / "out" / "metrics-seed0" / "distances.json").read_text())
         assert 0.5 < out["w2"] < 2.0
 
+    @pytest.mark.parametrize("bad_row, reason", [
+        ("0.3", "1 cells, header has 2"),
+        ("0.3,zero", "malformed cell"),
+        ("0.3,nan", "non-finite cell"),
+        ("inf,0.3", "non-finite cell"),
+    ])
+    def test_metrics_bad_sample_row_exits_config(self, tmp_path, capsys, bad_row, reason):
+        good = tmp_path / "a.csv"
+        good.write_text("w_1,w_2\n0.1,0.2\n0.4,0.5\n")
+        bad = tmp_path / "b.csv"
+        bad.write_text(f"w_1,w_2\n0.1,0.2\n{bad_row}\n")
+        cfg = {"samples_a": str(good), "samples_b": str(bad), "seed": 0}
+        assert self.run(tmp_path, "metrics", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{bad} line 3: {reason}" in err
+
+    def test_metrics_empty_sample_file_exits_config(self, tmp_path, capsys):
+        empty = tmp_path / "a.csv"
+        empty.write_text("w_1\n")
+        cfg = {"samples_a": str(empty), "samples_b": str(empty), "seed": 0}
+        assert self.run(tmp_path, "metrics", cfg) == EXIT_CONFIG
+        assert "has no rows" in capsys.readouterr().err
+
     def test_stationary_subcommand(self, tmp_path):
         cfg = {
             "problem": {"feature": "zero", "loss": "square", "penalty": 1.0},

@@ -9,7 +9,6 @@ from chaoslab.dynamics import (
     EnsembleDiverged,
     InitSpec,
     TestFunction,
-    coupled_chaos_error,
     interacting_sde_run,
     meanfield_ode_run,
     meanfield_sde_run,
@@ -18,6 +17,7 @@ from chaoslab.dynamics import (
     sgd_sde_gap,
     weak_form_residual,
 )
+from chaoslab.experiments import coupled_chaos_error
 from chaoslab.model import (
     DataAtom,
     DataDistribution,
@@ -197,24 +197,49 @@ class TestMeanFieldEngines:
 class TestCoupledChaosError:
     def test_degenerate_coupling_is_solver_exact(self):
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=1.0, dt=0.01)
-        est = coupled_chaos_error(TANH, SINGLE_ATOM, h, N=8, m=4, N_ref=16, reps=2,
-                                  plan=NoisePlan(9), init=InitSpec.dirac([0.1]))
+        est = coupled_chaos_error(TANH, SINGLE_ATOM, h, Ns=(8,), m=4, N_ref=16, reps=2,
+                                  plan=NoisePlan(9), init=InitSpec.dirac([0.1]))[8]
         assert est.value <= 10 * h.dt**2
 
     def test_error_decreases_with_n_on_average(self):
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=2.0, dt=0.04)
-        e_small = coupled_chaos_error(TANH, NOISY, h, N=16, m=4, N_ref=512, reps=8,
-                                      plan=NoisePlan(3).child("s"))
-        e_big = coupled_chaos_error(TANH, NOISY, h, N=256, m=4, N_ref=512, reps=8,
-                                    plan=NoisePlan(3).child("b"))
+        e_small = coupled_chaos_error(TANH, NOISY, h, Ns=(16,), m=4, N_ref=512, reps=8,
+                                      plan=NoisePlan(3).child("s"))[16]
+        e_big = coupled_chaos_error(TANH, NOISY, h, Ns=(256,), m=4, N_ref=512, reps=8,
+                                    plan=NoisePlan(3).child("b"))[256]
         assert e_big.value < e_small.value
 
     def test_reference_must_dominate(self):
         h = Hyperparams(T=1.0)
         with pytest.raises(ValueError):
-            coupled_chaos_error(TANH, NOISY, h, N=32, m=2, N_ref=16, reps=1, plan=NoisePlan(0))
+            coupled_chaos_error(TANH, NOISY, h, Ns=(32,), m=2, N_ref=16, reps=1, plan=NoisePlan(0))
         with pytest.raises(ValueError):
-            coupled_chaos_error(TANH, NOISY, h, N=8, m=16, N_ref=32, reps=1, plan=NoisePlan(0))
+            coupled_chaos_error(TANH, NOISY, h, Ns=(8,), m=16, N_ref=32, reps=1, plan=NoisePlan(0))
+
+    def test_one_n_equals_its_grid_entry(self):
+        # a one-N call is the grid harness at Ns=(N,): test particle rows,
+        # companions and the stratified p = 1 reference do not depend on the grid
+        h = Hyperparams(alpha=0.25, beta=1.0, gamma=0.7, M=2, T=0.4, dt=0.02, eta=0.1)
+        init = InitSpec.uniform(-0.5, 0.5)
+        one = coupled_chaos_error(TANH, NOISY, h, Ns=(16,), m=4, N_ref=64, reps=3,
+                                  plan=NoisePlan(21), init=init)
+        grid = coupled_chaos_error(TANH, NOISY, h, Ns=(16, 32), m=4, N_ref=64, reps=3,
+                                   plan=NoisePlan(21), init=init)
+        assert np.array_equal(one[16].per_rep, grid[16].per_rep)
+        assert one[16].value > 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_diverging_ensemble_reported_at_step_zero(self, workers):
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.02)
+        with pytest.raises(EnsembleDiverged) as info:
+            coupled_chaos_error(TANH, NOISY, h, Ns=(8,), m=2, N_ref=16, reps=2,
+                                plan=NoisePlan(0), init=InitSpec.dirac([2e4]), workers=workers)
+        assert info.value.step == 0
+
+    def test_reps_must_be_positive(self):
+        with pytest.raises(ValueError, match="reps"):
+            coupled_chaos_error(TANH, NOISY, Hyperparams(T=1.0), Ns=(8,), m=2, N_ref=16,
+                                reps=0, plan=NoisePlan(0))
 
 
 class TestWeakFormResidual:

@@ -9,7 +9,6 @@ from chaoslab.dynamics import (
     DOMAIN_REFERENCE,
     DOMAIN_SYSTEM,
     InitSpec,
-    coupled_chaos_error,
     diffusion_increment,
     drift_and_noise_root,
     interacting_sde_run,
@@ -19,7 +18,7 @@ from chaoslab.experiments import (
     ProblemConfig,
     SweepConfig,
     batch_sweep,
-    coupled_chaos_error_grid,
+    coupled_chaos_error,
 )
 from chaoslab.meanfield import EmpiricalMeasure, covariance_sigma, field_cache, mean_field_terms
 from chaoslab.model import DataAtom, DataDistribution, Hyperparams, gamma_scale, make_model, time_weight
@@ -49,7 +48,7 @@ class TestFactorIncrement:
         w = np.array([0.3, -0.5])
         n, scale, dt = 20_000, 0.7, 0.02
         W = np.tile(w, (n, 1))
-        _, root = drift_and_noise_root(W, mu, model, pi, True)
+        _, root = drift_and_noise_root(W, field_cache(mu, model, pi), model, pi, True)
         Z = NoisePlan(3).normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, 0, n, noise_width(model, pi))
         assert Z.shape == (n, 4)
         inc = math.sqrt(dt) * diffusion_increment(root, scale, Z)
@@ -67,8 +66,8 @@ class TestFactorIncrement:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = interacting_sde_run(model, pi, h, 64, init, NoisePlan(8), snapshot_times="all")
-            est = coupled_chaos_error(model, pi, h, N=8, m=2, N_ref=16, reps=2,
-                                      plan=NoisePlan(9), init=init)
+            est = coupled_chaos_error(model, pi, h, Ns=(8,), m=2, N_ref=16, reps=2,
+                                      plan=NoisePlan(9), init=init)[8]
         assert np.all(np.isfinite(traj.ensembles))
         assert np.ptp(traj.endpoint()) > 0.0
         assert np.isfinite(est.value) and est.value > 0.0
@@ -109,7 +108,7 @@ class TestScalarRootAtP1:
         Ns, m, N_ref = (4, 8), 2, 16
         init = InitSpec.uniform()
         plan = NoisePlan(6)
-        ests = coupled_chaos_error_grid(TANH, NOISY, h, Ns, m, N_ref, 1, plan, init)
+        ests = coupled_chaos_error(TANH, NOISY, h, Ns, m, N_ref, 1, plan, init)
 
         rep = plan.child("rep", 0)
         sq_dt = math.sqrt(h.dt)
