@@ -309,6 +309,9 @@ def _cmd_metrics(args, cfg: dict) -> int:
         raise ConfigError("metrics needs samples_a and samples_b paths", "samples_a")
     a = _load_samples(cfg["samples_a"])
     b = _load_samples(cfg["samples_b"])
+    if b.shape[1] != a.shape[1]:
+        raise ConfigError(f"samples_b has {b.shape[1]} w_ columns, samples_a has {a.shape[1]}",
+                          "samples_b")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out = {"n_a": len(a), "n_b": len(b), "p": a.shape[1]}
     out["w2"] = w2_ensembles(a, b, seed=seed)

@@ -13,8 +13,9 @@ Engines
   the intractable mean-field law.
 
 Every Euler-Maruyama engine, and the synchronous-coupling harness in
-``experiments``, advances its particles with ``euler_step``, which takes
-the driving law as its ``FieldCache``.
+``experiments``, advances its particles with ``euler_step``: one
+``RidgeBlock`` of the particles per step, and the driving law as its
+residual columns.  The horizon T must be a whole number of Euler steps dt.
 
 Iteration n of the discrete recursions is stamped with time
 n * gamma_scale(N); all engines share the counter-based NoisePlan, so runs
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .meanfield import FieldCache, drift_and_noise_factor, field_cache, mean_field_terms
+from .meanfield import RidgeBlock, drift_and_noise_factor, field_cache, mean_field_terms, ridge_block
 from .model import DataDistribution, Hyperparams, ModelSpec, gamma_scale, time_weight
 from .rng import NoisePlan, SLOT_DATA, SLOT_DIFFUSION, SLOT_INIT, SLOT_LANGEVIN
 
@@ -133,6 +134,8 @@ class InitSpec:
             s = np.asarray(self.samples, dtype=np.float64)
             if s.ndim == 1:
                 s = s[:, None]
+            if s.shape[1] != p:
+                raise ValueError(f"sample init has {s.shape[1]} columns, the model has p={p}")
             u = plan.uniforms(domain, SLOT_INIT, 0, n_rows)[ids]
             idx = np.minimum((u * s.shape[0]).astype(np.int64), s.shape[0] - 1)
             return s[idx]
@@ -166,8 +169,8 @@ class Trajectory:
         return self.ensembles[-1]
 
 
-def _snapshot_steps(n_steps: int, step_time: float, snapshot_times) -> np.ndarray:
-    """Map requested snapshot times onto step indices (0 and n_steps always kept)."""
+def _snapshot_steps(n_steps: int, step_time: float, snapshot_times, horizon: float) -> np.ndarray:
+    """Map requested snapshot times in [0, horizon] onto step indices (0 and n_steps always kept)."""
     if isinstance(snapshot_times, str) and snapshot_times == "all":
         return np.arange(n_steps + 1)
     if snapshot_times is None:
@@ -176,6 +179,8 @@ def _snapshot_steps(n_steps: int, step_time: float, snapshot_times) -> np.ndarra
         ts = np.linspace(0.0, n_steps * step_time, DEFAULT_SNAPSHOTS + 1)
     else:
         ts = np.asarray(snapshot_times, dtype=np.float64)
+        if not np.all((ts >= 0.0) & (ts <= horizon)):
+            raise ValueError(f"snapshot_times must lie in [0, T={horizon:g}], got {ts.tolist()}")
     idx = np.rint(ts / step_time).astype(np.int64)
     idx = np.clip(idx, 0, n_steps)
     return np.unique(np.concatenate([idx, [0, n_steps]]))
@@ -223,7 +228,7 @@ def _discrete_run(
     cum_w = np.cumsum(pi.weights)
     eta = hyper.eta if langevin else 0.0
 
-    snap_steps = _snapshot_steps(n_T, g, snapshot_times)
+    snap_steps = _snapshot_steps(n_T, g, snapshot_times, hyper.T)
     snaps = np.empty((len(snap_steps), N, model.p))
     snap_pos = 0
     if snap_steps[0] == 0:
@@ -284,8 +289,8 @@ def noise_width(model: ModelSpec, pi: DataDistribution, sigma_override: float | 
 
 
 def drift_and_noise_root(
-    W: np.ndarray,
-    cache: FieldCache,
+    W,
+    cache,
     model: ModelSpec,
     pi: DataDistribution,
     need_noise: bool,
@@ -293,8 +298,9 @@ def drift_and_noise_root(
 ):
     """Drift h (n, p) and noise root R (n, k, p) of one Euler-Maruyama step.
 
-    ``W`` holds the particles (n, p) and ``cache`` the ``field_cache`` of the
-    law that drives them.  R^T R = Sigma per particle, with k =
+    ``W`` holds the particles (n, p), or their RidgeBlock, and ``cache`` the
+    law that drives them: its ``field_cache``, or its residual columns
+    broadcastable to (D, n).  R^T R = Sigma per particle, with k =
     ``noise_width``; R is None when ``need_noise`` is false.  At p = 1, R is
     the scalar root sqrt(Sigma_00), which gives the W2-optimal synchronous
     coupling.  At p > 1 it is the exact rank-D factor sqrt(pi_j) xi_j, or
@@ -315,8 +321,11 @@ def drift_and_noise_root(
     return drift_and_noise_factor(W, None, model, pi, cache=cache)
 
 
-def diffusion_increment(root: np.ndarray, scale: float, Z: np.ndarray) -> np.ndarray:
-    """scale * R^T z per particle, for a root from ``drift_and_noise_root`` and Z (n, k)."""
+def diffusion_increment(root: np.ndarray, scale, Z: np.ndarray) -> np.ndarray:
+    """scale * R^T z per particle, for a root from ``drift_and_noise_root`` and Z (n, k).
+
+    ``scale`` is a float or a per-particle column (n, 1).
+    """
     if root.shape[2] == 1:
         # p = 1: (scale * sqrt(Sigma_00)) * z; tests/test_noise.py pins this rounding
         return scale * root[:, 0] * Z
@@ -324,32 +333,35 @@ def diffusion_increment(root: np.ndarray, scale: float, Z: np.ndarray) -> np.nda
 
 
 def euler_step(
-    W: np.ndarray,
-    cache: FieldCache,
+    block: RidgeBlock,
+    cache,
     model: ModelSpec,
     pi: DataDistribution,
     dt: float,
     tw: float,
-    scale: float,
+    scale,
     Z: np.ndarray | None,
     Z_lang: np.ndarray | None,
     eta: float,
     sigma_override: float | None = None,
 ) -> np.ndarray:
-    """One Euler-Maruyama step of the particles W (n, p) under the law in ``cache``.
+    """One Euler-Maruyama step of the particles W = block.W under the law in ``cache``.
 
     Returns W + tw (h dt + sqrt(dt) scale R^T Z + sqrt(dt) sqrt(2 eta) Z_lang),
     with R the noise root of ``drift_and_noise_root``, Z (n, noise_width) and
-    Z_lang (n, p).  The noise term is skipped when scale is 0 and the
+    Z_lang (n, p).  ``cache`` is the law's FieldCache or residual columns
+    broadcastable to (D, n), and ``scale`` a float or a per-particle column
+    (n, 1).  The noise term is skipped when every scale is 0 and the
     Langevin term when eta is 0; their draws may then be None.
     """
-    h, root = drift_and_noise_root(W, cache, model, pi, scale > 0, sigma_override)
+    noisy = bool((np.asarray(scale) > 0).any())
+    h, root = drift_and_noise_root(block, cache, model, pi, noisy, sigma_override)
     incr = h * dt
-    if scale > 0:
+    if noisy:
         incr = incr + math.sqrt(dt) * diffusion_increment(root, scale, Z)
     if eta > 0:
         incr = incr + math.sqrt(dt) * math.sqrt(2.0 * eta) * Z_lang
-    return W + tw * incr
+    return block.W + tw * incr
 
 
 def euler_run(
@@ -370,19 +382,18 @@ def euler_run(
     """Euler-Maruyama from W0 for an ensemble driven by its own empirical law.
 
     Each step is one ``euler_step`` with noise scale sigma_scale and the
-    time weight (t+1)^-alpha, drawing the particles' rows of the domain's
-    diffusion (when sigma_scale > 0) and Langevin (when eta > 0) blocks.
+    time weight (t+1)^-alpha, on one activation block of the ensemble,
+    drawing the particles' rows of the domain's diffusion (when
+    sigma_scale > 0) and Langevin (when eta > 0) blocks.
     """
-    if hyper.dt <= 0:
-        raise ValueError("dt must be > 0")
-    n_steps = int(round(hyper.T / hyper.dt))
+    n_steps = hyper.euler_steps()
     W = np.array(W0, dtype=np.float64)
     N, p = W.shape
     ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
     eta = hyper.eta
     width = noise_width(model, pi, sigma_override)
 
-    snap_steps = _snapshot_steps(n_steps, hyper.dt, snapshot_times) if n_steps else np.array([0])
+    snap_steps = _snapshot_steps(n_steps, hyper.dt, snapshot_times, hyper.T)
     snaps = np.empty((len(snap_steps), N, p))
     snap_pos = 0
     if snap_steps[0] == 0:
@@ -394,7 +405,8 @@ def euler_run(
         guard_moment(W, n, t, moment_ceiling)
         Z = _draws(plan, domain, SLOT_DIFFUSION, n, ids, width) if sigma_scale > 0 else None
         Z_lang = _draws(plan, domain, SLOT_LANGEVIN, n, ids, p) if eta > 0 else None
-        W = euler_step(W, field_cache(W, model, pi), model, pi, hyper.dt,
+        block = ridge_block(W, model, pi)
+        W = euler_step(block, field_cache(block, model, pi), model, pi, hyper.dt,
                        time_weight(t, hyper.alpha), sigma_scale, Z, Z_lang, eta, sigma_override)
 
         if snap_pos < len(snap_steps) and snap_steps[snap_pos] == n + 1:

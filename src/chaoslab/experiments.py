@@ -30,7 +30,7 @@ from .dynamics import (
     noise_width,
     sgd_run,
 )
-from .meanfield import field_cache
+from .meanfield import field_cache, ridge_block
 from .model import (
     DataAtom,
     DataDistribution,
@@ -237,56 +237,60 @@ class ChaosErrorEstimate:
 def _coupled_grid_rep(args) -> dict[int, float]:
     """One repetition of the coupling, sharing streams across the whole N grid.
 
-    The reference ensemble and the m companions are stepped once; row k of
-    each system-domain Gaussian block drives particle k of every test
+    The reference ensemble is stepped on its own.  The m companions and
+    every test system of the grid are stacked into one block and stepped
+    together: the companions' columns carry the reference's residuals,
+    each test segment its own, and every particle keeps its scale.  Row k
+    of each system-domain Gaussian block drives particle k of every test
     system and of the companions, so companion k replays test particle k
     and the error ratios across N concentrate (common random numbers).
     """
     model, pi, hyper, Ns, m, N_ref, init, plan = args
     p = model.p
-    n_steps = int(round(hyper.T / hyper.dt))
+    n_steps = hyper.euler_steps()
     n_sys = max(Ns)
 
     W_ref = _stratified_reference(init, N_ref, p)
     if W_ref is None:
         W_ref = init.draw(plan, DOMAIN_REFERENCE, np.arange(N_ref), p)
-    W_sys = init.draw(plan, DOMAIN_SYSTEM, np.arange(n_sys), p)
-    tests = {N: W_sys[:N].copy() for N in Ns}
-    W_comp = W_sys[:m].copy()
-    test_scales = {
-        N: math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M) for N in Ns
-    }
+    sizes = (m, *Ns)
+    edges = np.cumsum((0, *sizes))
+    rows = np.concatenate([np.arange(k) for k in sizes])  # each particle's draw row
+    W = init.draw(plan, DOMAIN_SYSTEM, np.arange(n_sys), p)[rows]
     mf_scale = meanfield_sigma_scale(hyper) if hyper.beta == 1.0 else 0.0
+    scales = np.repeat(
+        [mf_scale] + [math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M)
+                      for N in Ns],
+        sizes,
+    )[:, None]
+    heads = edges[1:-1, None] + np.arange(m)  # each test system's first m particles
     eta = hyper.eta
     width = noise_width(model, pi)
-    sups = {N: 0.0 for N in Ns}
+    sups = np.zeros(len(Ns))
 
     for n in range(n_steps):
         t = n * hyper.dt
         guard_moment(W_ref, n, t)
-        for W in tests.values():
-            guard_moment(W, n, t)
+        for a, b in zip(edges[1:-1], edges[2:]):
+            guard_moment(W[a:b], n, t)
         tw = time_weight(t, hyper.alpha)
-        Zs = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, n_sys, width)
+        Zs = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, n_sys, width)[rows]
         Zr = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, width) if mf_scale > 0 else None
         Zl = Zl_ref = None
         if eta > 0:
-            Zl = plan.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, n_sys, p)
+            Zl = plan.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, n_sys, p)[rows]
             Zl_ref = plan.normals(DOMAIN_REFERENCE, SLOT_LANGEVIN, n, N_ref, p)
 
-        def system_step(W, cache, scale):
-            k = W.shape[0]
-            return euler_step(W, cache, model, pi, hyper.dt, tw, scale, Zs[:k],
-                              None if Zl is None else Zl[:k], eta)
-
-        cache_ref = field_cache(W_ref, model, pi)
-        W_comp = system_step(W_comp, cache_ref, mf_scale)
-        W_ref = euler_step(W_ref, cache_ref, model, pi, hyper.dt, tw, mf_scale, Zr, Zl_ref, eta)
-        tests = {N: system_step(W, field_cache(W, model, pi), test_scales[N])
-                 for N, W in tests.items()}
-        for N, W in tests.items():
-            sups[N] = max(sups[N], float(np.sum((W[:m] - W_comp) ** 2)))
-    return sups
+        ref = ridge_block(W_ref, model, pi)
+        cache_ref = field_cache(ref, model, pi)
+        block = ridge_block(W, model, pi)
+        resid = field_cache(block, model, pi, sizes).residual_d1
+        resid[:, 0] = cache_ref.residual_d1  # the companions follow the reference's law
+        W_ref = euler_step(ref, cache_ref, model, pi, hyper.dt, tw, mf_scale, Zr, Zl_ref, eta)
+        W = euler_step(block, np.repeat(resid, sizes, axis=1), model, pi, hyper.dt, tw,
+                       scales, Zs, Zl, eta)
+        sups = np.maximum(sups, ((W[heads] - W[:m]) ** 2).sum(axis=(1, 2)))
+    return {N: float(v) for N, v in zip(Ns, sups)}
 
 
 def coupled_chaos_error(

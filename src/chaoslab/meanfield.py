@@ -6,9 +6,14 @@ weight given the population law mu, the per-sample noise field xi, its
 covariance Sigma, its exact rank-D factor and the symmetric PSD square
 root S.
 
-The hot path is ``mean_field_terms``: one reduction over the law ensemble
-produces the per-atom predictions (the FieldCache), after which drift and
-covariance for any number of evaluation points are plain vectorized sums.
+Every builtin feature is a ridge function F(w, x) = f(<w, x>), so one
+atom-major ``RidgeBlock`` of f and f' at X @ W.T (D, n) carries all a step
+needs: the law's per-atom predictions (the FieldCache) come from its f,
+and drift, covariance and noise factor at the points from its f'.  A law
+reaches the kernels only through its residual columns d1l(a(x_j), y_j),
+broadcastable to (D, n): one law is the (D, 1) case, and stacked systems
+give each point the column of its own law.  Sums over atoms run row by
+row, so a point's result does not depend on what it is stacked with.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from .model import DataAtom, DataDistribution, ModelSpec
 
 __all__ = [
     "EmpiricalMeasure",
+    "RidgeBlock",
+    "ridge_block",
     "FieldCache",
     "field_cache",
     "predict",
@@ -92,18 +99,67 @@ def _as_points(w, p: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class RidgeBlock:
+    """Points W and the ridge activation f, f' at X @ W.T, atom-major.
+
+    Row j of ``f`` and ``df`` belongs to atom j, column i to point i.  Every
+    kernel that takes points also takes their block, so one evaluation
+    serves a whole Euler step.
+    """
+
+    W: np.ndarray  # (n, p)
+    f: np.ndarray  # (D, n)
+    df: np.ndarray  # (D, n)
+
+
+def ridge_block(W, model: ModelSpec, pi: DataDistribution) -> RidgeBlock:
+    """The RidgeBlock of the points W (n, p): one evaluation of the feature's activation."""
+    W = _as_points(W, model.p)
+    # at p = 1 the broadcast product gives the matmul's exact products at a fraction of its cost
+    z = pi.xs * W.T if model.p == 1 else pi.xs @ W.T
+    f, df = model.feature.activation(z)
+    return RidgeBlock(W, f, df)
+
+
+@dataclass(frozen=True)
 class FieldCache:
-    """Per-atom predictions a(x) = mu[F(., x)] and residual derivatives d1l(a(x), y)."""
+    """Per-atom predictions a(x) = mu[F(., x)] and residual derivatives d1l(a(x), y).
 
-    predictions: np.ndarray  # (D,)
-    residual_d1: np.ndarray  # (D,)
+    Each field is (D,) for one law, or (D, k) for k stacked laws.
+    """
+
+    predictions: np.ndarray
+    residual_d1: np.ndarray
 
 
-def field_cache(mu, model: ModelSpec, pi: DataDistribution) -> FieldCache:
-    mu = _as_measure(mu)
-    vals = model.feature.value(mu.locations, pi.xs)  # (N, D)
-    preds = mu.weights @ vals
-    return FieldCache(preds, np.asarray(model.loss.d1(preds, pi.ys), dtype=np.float64))
+def field_cache(mu, model: ModelSpec, pi: DataDistribution, sizes=None) -> FieldCache:
+    """The FieldCache of the law mu: an ensemble, an EmpiricalMeasure or a RidgeBlock.
+
+    A block stands for the uniform law on its points and lends its f.  With
+    ``sizes`` its columns are consecutive ensembles of those sizes, each its
+    own uniform law, and both fields are (D, len(sizes)); a segment's
+    predictions equal, bit for bit, those of the segment's own block.
+    """
+    if isinstance(mu, RidgeBlock):
+        block, weights = mu, 1.0 / mu.f.shape[1]
+    elif sizes is not None:
+        raise ValueError("sizes needs the law as a RidgeBlock")
+    else:
+        mu = _as_measure(mu)
+        block, weights = ridge_block(mu.locations, model, pi), mu.weights
+    if sizes is None:
+        preds = (block.f * weights).sum(axis=1)
+        ys = pi.ys
+    else:
+        edges = np.cumsum((0, *sizes))
+        if edges[-1] != block.f.shape[1]:
+            raise ValueError(f"sizes add up to {edges[-1]}, the block has {block.f.shape[1]} points")
+        fw = block.f * np.repeat(1.0 / np.asarray(sizes, dtype=np.float64), sizes)
+        preds = np.empty((len(pi), len(sizes)))
+        for k, (a, b) in enumerate(zip(edges, edges[1:])):
+            preds[:, k] = fw[:, a:b].sum(axis=1)
+        ys = pi.ys[:, None]
+    return FieldCache(preds, np.asarray(model.loss.d1(preds, ys), dtype=np.float64))
 
 
 def predict(mu, model: ModelSpec, x: np.ndarray) -> float:
@@ -139,27 +195,32 @@ def per_sample_grad(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution
 
 
 def risk_gradient(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
-    """Gradient (N, p) of ``structural_risk`` with respect to the ensemble."""
-    W = _as_points(ensemble, model.p)
-    cache = field_cache(W, model, pi)
-    gF = model.feature.grad(W, pi.xs)  # (N, D, p)
-    coeff = pi.weights * cache.residual_d1  # (D,)
-    data = np.einsum("d,ndp->np", coeff, gF)
-    return (data + model.penalty.grad(W)) / W.shape[0]
+    """Gradient (N, p) of ``structural_risk`` with respect to the ensemble: -h(w_k, mu_N) / N."""
+    block = ridge_block(ensemble, model, pi)
+    h, _, _ = mean_field_terms(block, None, model, pi, cache=field_cache(block, model, pi))
+    return -h / block.W.shape[0]
 
 
-def _drift_terms(W: np.ndarray, cache: FieldCache, model: ModelSpec, pi: DataDistribution):
-    """Drift h, its bounded part tilde_h and the (n, D, p) feature-gradient block."""
-    gF = model.feature.grad(W, pi.xs)  # (n, D, p)
-    coeff = pi.weights * cache.residual_d1  # (D,)
-    th = -np.einsum("d,ndp->np", coeff, gF)
-    h = th - model.penalty.grad(W)
-    return h, th, gF
+def _block_and_law(W, mu, model: ModelSpec, pi: DataDistribution, cache):
+    """The points' RidgeBlock and the law's residual columns, broadcastable to (D, n)."""
+    block = W if isinstance(W, RidgeBlock) else ridge_block(W, model, pi)
+    if cache is None:
+        cache = field_cache(mu, model, pi)
+    r = cache.residual_d1 if isinstance(cache, FieldCache) else np.asarray(cache)
+    return block, (r[:, None] if r.ndim == 1 else r)
 
 
-def _noise_fields(th: np.ndarray, gF: np.ndarray, cache: FieldCache) -> np.ndarray:
-    """Per-atom noise fields xi_j = -tilde_h - d1l_j * gradF(., x_j), shape (n, D, p)."""
-    return -th[:, None, :] - cache.residual_d1[None, :, None] * gF
+def _ridge_drift(block: RidgeBlock, resid: np.ndarray, model: ModelSpec, pi: DataDistribution):
+    """Drift h, its bounded part tilde_h = -sum_j pi_j g_j, and the per-atom
+    gradient terms g_j = d1l_j f'(<w, x_j>) x_j, atom-major (D, n, p)."""
+    g = block.df[:, :, None] * (resid[:, :, None] * pi.xs[:, None, :])
+    th = -(pi.weights[:, None, None] * g).sum(axis=0)  # atom by atom, per point
+    return th - model.penalty.grad(block.W), th, g
+
+
+def _noise_factor(th: np.ndarray, g: np.ndarray, pi: DataDistribution) -> np.ndarray:
+    """The rank-D factor sqrt(pi_j) xi_j = -sqrt(pi_j) (tilde_h + g_j), atom-major (D, n, p)."""
+    return -np.sqrt(pi.weights)[:, None, None] * (th + g)
 
 
 def mean_field_terms(
@@ -169,47 +230,39 @@ def mean_field_terms(
     pi: DataDistribution,
     need_sigma: bool = False,
     sigma_override: float | None = None,
-    cache: FieldCache | None = None,
+    cache=None,
 ):
     """Drift h, bounded part tilde_h and (optionally) covariance Sigma.
 
-    ``W`` holds the evaluation points (n, p); ``mu`` is the population law.
-    Returns (h, tilde_h, Sigma) with Sigma None unless requested; with
-    ``sigma_override`` set, Sigma is the constant matrix s * I.  A given
-    ``cache`` stands in for ``mu``, which is then not read.
+    ``W`` holds the evaluation points (n, p), or their RidgeBlock; ``mu`` is
+    the population law.  Returns (h, tilde_h, Sigma) with Sigma None unless
+    requested; with ``sigma_override`` set, Sigma is the constant matrix
+    s * I.  A given ``cache`` stands in for ``mu``, which is then not read:
+    the law's FieldCache, or its residual columns broadcastable to (D, n).
     """
-    W = _as_points(W, model.p)
-    if cache is None:
-        cache = field_cache(mu, model, pi)
-    n, p = W.shape
-    h, th, gF = _drift_terms(W, cache, model, pi)
+    block, resid = _block_and_law(W, mu, model, pi, cache)
+    h, th, g = _ridge_drift(block, resid, model, pi)
     if not need_sigma:
         return h, th, None
+    n, p = block.W.shape
     if sigma_override is not None:
         sig = np.broadcast_to(sigma_override * np.eye(p), (n, p, p)).copy()
         return h, th, sig
-    xi = _noise_fields(th, gF, cache)
-    sig = np.einsum("d,ndp,ndq->npq", pi.weights, xi, xi)
-    return h, th, sig
+    F = _noise_factor(th, g, pi)
+    return h, th, (F[:, :, :, None] * F[:, :, None, :]).sum(axis=0)
 
 
-def drift_and_noise_factor(
-    W, mu, model: ModelSpec, pi: DataDistribution, cache: FieldCache | None = None
-):
-    """Drift h and the rank-D noise factor F, from one feature-gradient block.
+def drift_and_noise_factor(W, mu, model: ModelSpec, pi: DataDistribution, cache=None):
+    """Drift h and the rank-D noise factor F, from one activation block.
 
     F has shape (n, D, p) with F[:, j] = sqrt(pi_j) xi_j, so that
     sum_j F_j F_j^T = Sigma exactly: F^T z with z ~ N(0, I_D) has the law
-    of Sigma^(1/2) z' without forming Sigma or taking its root.  A given
-    ``cache`` stands in for ``mu``, which is then not read.
+    of Sigma^(1/2) z' without forming Sigma or taking its root.  ``W`` and
+    ``cache`` are read as in ``mean_field_terms``.
     """
-    W = _as_points(W, model.p)
-    if cache is None:
-        cache = field_cache(mu, model, pi)
-    h, th, gF = _drift_terms(W, cache, model, pi)
-    F = _noise_fields(th, gF, cache)
-    F *= np.sqrt(pi.weights)[None, :, None]
-    return h, F
+    block, resid = _block_and_law(W, mu, model, pi, cache)
+    h, th, g = _ridge_drift(block, resid, model, pi)
+    return h, _noise_factor(th, g, pi).transpose(1, 0, 2)
 
 
 def mean_field_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:

@@ -34,6 +34,7 @@ __all__ = [
     "two_point_distribution",
     "FEATURES",
     "LOSSES",
+    "RidgeFeature",
     "TanhDotFeature",
     "ZeroFeature",
     "LinearDotFeature",
@@ -132,7 +133,8 @@ class Hyperparams:
     M:     batch size, >= 1.
     eta:   Langevin temperature, >= 0 (0 recovers plain SGD).
     T:     time horizon, >= 0.
-    dt:    Euler step of the continuous-time engines, > 0.
+    dt:    Euler step of the continuous-time engines, > 0; they need T to be
+           a whole number of steps (``euler_steps``).
     """
 
     alpha: float = 0.0
@@ -158,6 +160,16 @@ class Hyperparams:
             raise ValueError(f"T must be >= 0, got {self.T}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+
+    def euler_steps(self) -> int:
+        """Number of Euler steps dt in the horizon T; raises unless T is a whole number of them."""
+        n = round(self.T / self.dt)
+        if abs(n * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
+            raise ValueError(
+                f"horizon T={self.T} is not a whole number of Euler steps dt={self.dt} "
+                f"(T/dt = {self.T / self.dt:.6g})"
+            )
+        return n
 
     def replace(self, **kw) -> "Hyperparams":
         from dataclasses import replace
@@ -197,18 +209,33 @@ def time_weight(t: float, alpha: float) -> float:
 # ----------------------------- feature maps -----------------------------
 
 
-class TanhDotFeature:
+class RidgeFeature:
+    """A ridge feature F(w, x) = f(<w, x>), given by ``activation``: z -> (f(z), f'(z)).
+
+    The population kernels evaluate ``activation`` once per step on the
+    atom-major pre-activations X @ W.T, a (D, n) block; ``value`` (n, D)
+    and ``grad`` (n, D, p) are the particle-major views the audit and the
+    single-atom kernels use.
+    """
+
+    def activation(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def value(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return self.activation(W @ X.T)[0]
+
+    def grad(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return self.activation(W @ X.T)[1][:, :, None] * X[None, :, :]
+
+
+class TanhDotFeature(RidgeFeature):
     """F(w, x) = tanh(<w, x>); requires p == d."""
 
     name = "tanh-dot"
 
-    def value(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.tanh(W @ X.T)
-
-    def grad(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        z = W @ X.T  # (n, D)
-        s = 1.0 - np.tanh(z) ** 2
-        return s[:, :, None] * X[None, :, :]
+    def activation(self, z):
+        t = np.tanh(z)
+        return t, 1.0 - t**2
 
     # Exact operator norms of the differentials, used by the hypothesis audit.
     def derivative_norms(self, w: np.ndarray, x: np.ndarray) -> tuple[float, float, float, float]:
@@ -225,16 +252,13 @@ class TanhDotFeature:
         return 1.0 + xn + _TANH_D2_MAX * xn * xn + _TANH_D3_MAX * xn * xn * xn
 
 
-class ZeroFeature:
+class ZeroFeature(RidgeFeature):
     """F identically zero; the pure-penalty / pure-noise test bed."""
 
     name = "zero"
 
-    def value(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.zeros((W.shape[0], X.shape[0]))
-
-    def grad(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.zeros((W.shape[0], X.shape[0], W.shape[1]))
+    def activation(self, z):
+        return np.zeros_like(z), np.zeros_like(z)
 
     def derivative_norms(self, w, x):
         return 0.0, 0.0, 0.0, 0.0
@@ -243,16 +267,13 @@ class ZeroFeature:
         return 1.0
 
 
-class LinearDotFeature:
+class LinearDotFeature(RidgeFeature):
     """F(w, x) = <w, x>.  Unbounded in w: violates the envelope bound by design."""
 
     name = "linear-dot"
 
-    def value(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return W @ X.T
-
-    def grad(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(X[None, :, :], (W.shape[0], X.shape[0], X.shape[1])).copy()
+    def activation(self, z):
+        return z, np.ones_like(z)
 
     def envelope(self, x: np.ndarray) -> float:
         return 1.0
@@ -356,7 +377,9 @@ class ModelSpec:
 
     Immutable after construction and safe to share across workers.  ``phi``
     and ``psi`` are the per-sample envelope functions; builtins ship closed
-    forms, custom models may pass anything >= 1.
+    forms, custom models may pass anything >= 1.  The population kernels
+    and engines need a ridge feature (one with ``activation``); the
+    hypothesis audit needs only ``value`` and ``grad``.
     """
 
     feature: object

@@ -331,6 +331,15 @@ class TestCliDispatch:
         assert self.run(tmp_path, "metrics", cfg) == EXIT_CONFIG
         assert "has no rows" in capsys.readouterr().err
 
+    def test_metrics_column_mismatch_exits_config(self, tmp_path, capsys):
+        one = tmp_path / "a.csv"
+        one.write_text("w_1\n0.1\n0.4\n")
+        two = tmp_path / "b.csv"
+        two.write_text("w_1,w_2\n0.1,0.2\n0.4,0.5\n")
+        cfg = {"samples_a": str(one), "samples_b": str(two), "seed": 0}
+        assert self.run(tmp_path, "metrics", cfg) == EXIT_CONFIG
+        assert "samples_b has 2 w_ columns, samples_a has 1" in capsys.readouterr().err
+
     def test_stationary_subcommand(self, tmp_path):
         cfg = {
             "problem": {"feature": "zero", "loss": "square", "penalty": 1.0},

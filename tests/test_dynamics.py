@@ -45,6 +45,48 @@ class TestInitSpec:
     def test_degenerate_uniform_box_allowed(self):
         assert InitSpec.uniform(0.5, 0.5).low == 0.5
 
+    def test_sample_columns_must_match_p(self):
+        init = InitSpec.from_samples(np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="p=1"):
+            init.draw(NoisePlan(0), 0, np.arange(4), 1)
+        assert init.draw(NoisePlan(0), 0, np.arange(4), 2).shape == (4, 2)
+
+
+class TestHorizon:
+    def test_whole_number_of_steps(self):
+        assert Hyperparams(T=5.0, dt=0.02).euler_steps() == 250
+        assert Hyperparams(T=5.0, dt=1e-3).euler_steps() == 5000
+        assert Hyperparams(T=0.0, dt=0.1).euler_steps() == 0
+
+    def test_partial_final_step_rejected(self):
+        # T = 1, dt = 0.3 used to stop at t = 0.9 without a word
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=1.0, dt=0.3)
+        with pytest.raises(ValueError, match=r"T=1\.0 .*dt=0\.3"):
+            interacting_sde_run(TANH, NOISY, h, 4, InitSpec.uniform(), NoisePlan(0))
+        with pytest.raises(ValueError, match=r"T=1\.0 .*dt=0\.3"):
+            coupled_chaos_error(TANH, NOISY, h, Ns=(8,), m=2, N_ref=16, reps=1, plan=NoisePlan(0))
+
+
+class TestSnapshotTimes:
+    H = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=1.0, dt=0.1)
+
+    @pytest.mark.parametrize("times", [[5.0], [-0.1], [0.5, 1.5], [math.nan]])
+    def test_outside_horizon_rejected(self, times):
+        with pytest.raises(ValueError, match="snapshot_times"):
+            interacting_sde_run(TANH, NOISY, self.H, 4, InitSpec.uniform(), NoisePlan(0),
+                                snapshot_times=times)
+        with pytest.raises(ValueError, match="snapshot_times"):
+            sgd_run(TANH, NOISY, self.H, 4, InitSpec.uniform(), NoisePlan(0), snapshot_times=times)
+
+    def test_horizon_itself_accepted(self):
+        traj = interacting_sde_run(TANH, NOISY, self.H, 4, InitSpec.uniform(), NoisePlan(0),
+                                   snapshot_times=[0.0, 0.5, 1.0])
+        np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0])
+        # the SGD grid (steps of gamma_scale = 0.3 here) ends at its last step within T
+        sgd = sgd_run(TANH, NOISY, self.H.replace(gamma=0.3), 4, InitSpec.uniform(), NoisePlan(0),
+                      snapshot_times=[1.0])
+        assert sgd.times[-1] <= 1.0
+
 
 class TestSgdRun:
     def test_single_particle_single_step(self):

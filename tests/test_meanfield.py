@@ -9,11 +9,14 @@ from chaoslab.meanfield import (
     EmpiricalMeasure,
     covariance_sigma,
     drift_and_noise_factor,
+    field_cache,
     g_envelope,
     mean_field_h,
+    mean_field_terms,
     noise_xi,
     per_sample_grad,
     predict,
+    ridge_block,
     risk_gradient,
     sqrt_psd,
     structural_risk,
@@ -217,6 +220,40 @@ class TestNoiseFactor:
             FF = np.einsum("ndp,ndq->npq", F, F)
             for i in range(6):
                 np.testing.assert_allclose(FF[i], covariance_sigma(W[i], mu, model, pi), atol=1e-12)
+
+
+class TestStackedLaws:
+    """Stacked ensembles in one block, each column driven by its own law."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_stack_equals_each_ensemble_alone(self, p):
+        rng = np.random.default_rng(30 + p)
+        model, pi = random_problem(rng, p=p)
+        sizes = (3, 17, 64, 33)
+        W = rng.standard_normal((sum(sizes), p))
+        block = ridge_block(W, model, pi)
+        stacked = field_cache(block, model, pi, sizes)
+        assert stacked.predictions.shape == (4, len(sizes))
+        resid = np.repeat(stacked.residual_d1, sizes, axis=1)
+        h, th, sig = mean_field_terms(block, None, model, pi, need_sigma=True, cache=resid)
+        # at p = 1 every sum over atoms or points is the segment's own, bit for bit
+        check = np.testing.assert_array_equal if p == 1 else (
+            lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15))
+        edges = np.cumsum((0, *sizes))
+        for k, (a, b) in enumerate(zip(edges, edges[1:])):
+            alone = field_cache(W[a:b], model, pi)
+            check(stacked.predictions[:, k], alone.predictions)
+            h1, th1, sig1 = mean_field_terms(W[a:b], W[a:b], model, pi, need_sigma=True)
+            check(h[a:b], h1)
+            check(th[a:b], th1)
+            check(sig[a:b], sig1)
+
+    def test_bad_sizes_rejected(self):
+        block = ridge_block(np.zeros((5, 1)), TANH, SYMMETRIC)
+        with pytest.raises(ValueError, match="sizes"):
+            field_cache(block, TANH, SYMMETRIC, (2, 2))
+        with pytest.raises(ValueError, match="RidgeBlock"):
+            field_cache(np.zeros((5, 1)), TANH, SYMMETRIC, (2, 3))
 
 
 class TestBoundedness:

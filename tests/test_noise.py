@@ -4,6 +4,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 from chaoslab.dynamics import (
     DOMAIN_REFERENCE,
@@ -20,8 +21,23 @@ from chaoslab.experiments import (
     batch_sweep,
     coupled_chaos_error,
 )
-from chaoslab.meanfield import EmpiricalMeasure, covariance_sigma, field_cache, mean_field_terms
-from chaoslab.model import DataAtom, DataDistribution, Hyperparams, gamma_scale, make_model, time_weight
+from chaoslab.meanfield import (
+    EmpiricalMeasure,
+    covariance_sigma,
+    drift_and_noise_factor,
+    field_cache,
+    mean_field_terms,
+)
+from chaoslab.model import (
+    DataAtom,
+    DataDistribution,
+    Hyperparams,
+    ModelSpec,
+    RidgeFeature,
+    gamma_scale,
+    make_model,
+    time_weight,
+)
 from chaoslab.rng import SLOT_DIFFUSION, NoisePlan
 
 TANH = make_model("tanh-dot", "square")
@@ -137,3 +153,64 @@ class TestScalarRootAtP1:
                 sups[N] = max(sups[N], float(np.sum((tests[N][:m] - W_comp) ** 2)))
         for N in Ns:
             assert ests[N].per_rep[0] == sups[N]
+
+
+class CountingFeature(RidgeFeature):
+    """Wraps a ridge feature and counts every evaluation, by kind."""
+
+    name = "counting"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {"activation": 0, "value": 0, "grad": 0}
+
+    def activation(self, z):
+        self.calls["activation"] += 1
+        return self.inner.activation(z)
+
+    def value(self, W, X):
+        self.calls["value"] += 1
+        return self.inner.value(W, X)
+
+    def grad(self, W, X):
+        self.calls["grad"] += 1
+        return self.inner.grad(W, X)
+
+    def envelope(self, x):
+        return self.inner.envelope(x)
+
+
+def counting_model(p):
+    base = make_model("tanh-dot", "square", 0.1, p=p)
+    return ModelSpec(feature=CountingFeature(base.feature), loss=base.loss,
+                     penalty=base.penalty, p=p)
+
+
+class TestOneActivationBlockPerStep:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_euler_run_evaluates_the_feature_once_per_step(self, p):
+        model = counting_model(p)
+        pi = ProblemConfig(p=p).build()[1]
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.02, eta=0.1)
+        interacting_sde_run(model, pi, h, 16, InitSpec.uniform(), NoisePlan(2))
+        assert model.feature.calls == {"activation": 10, "value": 0, "grad": 0}
+
+    def test_coupling_step_evaluates_two_blocks(self):
+        # the reference on its own, the companions and the whole N grid stacked
+        model = counting_model(1)
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.02)
+        coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=1, plan=NoisePlan(5))
+        assert model.feature.calls == {"activation": 2 * 10, "value": 0, "grad": 0}
+
+    def test_p2_increment_is_the_factor_applied_to_z(self):
+        model, pi, init = ProblemConfig(p=2, penalty=0.1).build()
+        N, h = 32, Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.02, dt=0.02)
+        plan = NoisePlan(14)
+        traj = interacting_sde_run(model, pi, h, N, InitSpec.uniform(-0.5, 0.5), plan,
+                                   snapshot_times="all")
+        W0 = traj.ensembles[0]
+        drift, F = drift_and_noise_factor(W0, W0, model, pi)
+        Z = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, 0, N, len(pi))
+        scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
+        want = W0 + drift * h.dt + math.sqrt(h.dt) * scale * np.einsum("ndp,nd->np", F, Z)
+        np.testing.assert_allclose(traj.ensembles[1], want, rtol=0.0, atol=1e-12)
