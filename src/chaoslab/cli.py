@@ -54,8 +54,20 @@ _ENGINES = {
 }
 
 
+# the discrete recursions step by their stepsize schedule and never read dt
+_DISCRETE_ENGINES = ("sgd", "msgld")
+
+
 def _hyper_from(cfg: dict) -> Hyperparams:
     return Hyperparams(**cfg.get("hyper", {}))
+
+
+def _check_euler_horizon(hyper: Hyperparams, field_name: str = "T") -> None:
+    """A horizon that is not a whole number of Euler steps dt is a config error."""
+    try:
+        hyper.euler_steps()
+    except ValueError as exc:
+        raise ConfigError(f"config field {field_name}: {exc}", field_name) from exc
 
 
 def _problem_from(cfg: dict) -> xp.ProblemConfig:
@@ -130,9 +142,13 @@ def _study_config(cfg: dict, cls, args, **extra):
     if args.seed is not None:
         kw["seed"] = args.seed
     try:
-        return cls(**kw)
+        config = cls(**kw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    # every study takes Euler steps unless its engine is a discrete recursion
+    if getattr(config, "engine", None) not in _DISCRETE_ENGINES:
+        _check_euler_horizon(config.hyper)
+    return config
 
 
 # ----------------------------- subcommands -----------------------------
@@ -147,8 +163,14 @@ def _cmd_simulate(args, cfg: dict) -> int:
     plan = NoisePlan(seed)
     snaps = args.snapshot_times if args.snapshot_times else cfg.get("snapshot_times")
     kw = {}
-    if engine in ("interacting-sde", "meanfield-ode", "meanfield-sde") and "sigma_override" in cfg:
-        kw["sigma_override"] = cfg["sigma_override"]
+    if engine in _DISCRETE_ENGINES:
+        if "sigma_override" in cfg:
+            raise ConfigError(f"sigma_override pins the diffusion covariance; engine {engine} has "
+                              "no diffusion term", "sigma_override")
+    else:
+        _check_euler_horizon(hyper)
+        if "sigma_override" in cfg:
+            kw["sigma_override"] = cfg["sigma_override"]
     traj = _ENGINES[engine](model, pi, hyper, N, init, plan, snapshot_times=snaps, **kw)
 
     out_dir = output_root(args.out) / f"simulate-seed{seed}"
@@ -202,6 +224,8 @@ def _cmd_stationary(args, cfg: dict) -> int:
     model, pi, _ = _resolve_problem(cfg)
     hyper = _hyper_from(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    horizon = cfg.get("horizon", 5.0)
+    _check_euler_horizon(hyper.replace(T=horizon), "horizon")
     lo = cfg.get("grid_lo", -4.0)
     hi = cfg.get("grid_hi", 4.0)
     n_cells = cfg.get("n_cells", 512)
@@ -216,7 +240,7 @@ def _cmd_stationary(args, cfg: dict) -> int:
     drift = stationarity_check(
         result.density, model, pi, hyper,
         N_ref=cfg.get("N_ref", 4096),
-        horizon=cfg.get("horizon", 5.0),
+        horizon=horizon,
         plan=NoisePlan(seed),
         sigma_override=cfg.get("sigma_override"),
     )

@@ -4,7 +4,8 @@ Engines
 -------
 - ``sgd_run`` / ``msgld_run``: the discrete recursions on iteration index n,
   with stepsize gamma * N^(beta-1) * (n + 1/gamma_scale)^(-alpha) per
-  particle and minibatches drawn from the data distribution.
+  particle (``stepsize_schedule / N``) and minibatches drawn from the data
+  distribution.
 - ``interacting_sde_run``: explicit Euler-Maruyama for the N-particle
   diffusion whose drift/noise are evaluated against the ensemble's own
   empirical law, with diffusion factor sqrt(gamma_scale(N)/M).
@@ -12,10 +13,12 @@ Engines
   evolved as a self-consistent ensemble whose empirical law stands in for
   the intractable mean-field law.
 
-Every Euler-Maruyama engine, and the synchronous-coupling harness in
-``experiments``, advances its particles with ``euler_step``: one
-``RidgeBlock`` of the particles per step, and the driving law as its
-residual columns.  The horizon T must be a whole number of Euler steps dt.
+Every engine, and the synchronous-coupling harness in ``experiments``,
+advances its particles with ``euler_step``: one ``RidgeBlock`` of the
+particles per step, and the driving law as its residual columns.  For the
+discrete recursions that law is the minibatch's, c_j / M for atom counts
+c_j, and the step has length stepsize and no diffusion term.  The horizon T
+of the Euler-Maruyama engines must be a whole number of Euler steps dt.
 
 Iteration n of the discrete recursions is stamped with time
 n * gamma_scale(N); all engines share the counter-based NoisePlan, so runs
@@ -31,7 +34,14 @@ from typing import Callable
 import numpy as np
 
 from .meanfield import RidgeBlock, drift_and_noise_factor, field_cache, mean_field_terms, ridge_block
-from .model import DataDistribution, Hyperparams, ModelSpec, gamma_scale, time_weight
+from .model import (
+    DataDistribution,
+    Hyperparams,
+    ModelSpec,
+    gamma_scale,
+    stepsize_schedule,
+    time_weight,
+)
 from .rng import NoisePlan, SLOT_DATA, SLOT_DIFFUSION, SLOT_INIT, SLOT_LANGEVIN
 
 __all__ = [
@@ -54,6 +64,7 @@ __all__ = [
     "euler_run",
     "guard_moment",
     "weak_form_residual",
+    "sgd_sde_endpoints",
     "sgd_sde_gap",
 ]
 
@@ -199,6 +210,23 @@ def guard_moment(W: np.ndarray, step: int, t: float, ceiling: float = DEFAULT_MO
         raise EnsembleDiverged(step, t, m2, ceiling)
 
 
+class _Snapshots:
+    """The ensembles (n_snap, N, p) of a run at the steps ``_snapshot_steps`` picks."""
+
+    def __init__(self, n_steps: int, step_time: float, snapshot_times, horizon: float, W0):
+        self.steps = _snapshot_steps(n_steps, step_time, snapshot_times, horizon)
+        self.times = self.steps * step_time
+        self.ensembles = np.empty((len(self.steps), *W0.shape))
+        self.ensembles[0] = W0  # step 0 is always kept
+        self._pos = 1
+
+    def record(self, n: int, W: np.ndarray):
+        """Keep W, the ensemble after step n, if n is a snapshot step."""
+        if self._pos < len(self.steps) and self.steps[self._pos] == n:
+            self.ensembles[self._pos] = W
+            self._pos += 1
+
+
 # ----------------------------- discrete recursions -----------------------------
 
 
@@ -226,49 +254,38 @@ def _discrete_run(
     ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
     W = init.draw(plan, DOMAIN_SYSTEM, ids, model.p)
     cum_w = np.cumsum(pi.weights)
+    # a u at or past a rounded-down cum_w[-1] goes to the last atom of positive weight
+    last = int(np.flatnonzero(pi.weights)[-1])
     eta = hyper.eta if langevin else 0.0
+    # a minibatch with atom counts c_j is the law c_j / M: as residual columns
+    # over pi, d1l_j c_j / (M pi_j), and 0 at atoms of weight 0
+    per_count = np.zeros(len(pi))
+    np.divide(1.0, hyper.M * pi.weights, out=per_count, where=pi.weights > 0)
 
-    snap_steps = _snapshot_steps(n_T, g, snapshot_times, hyper.T)
-    snaps = np.empty((len(snap_steps), N, model.p))
-    snap_pos = 0
-    if snap_steps[0] == 0:
-        snaps[0] = W
-        snap_pos = 1
-
+    snaps = _Snapshots(n_T, g, snapshot_times, hyper.T, W)
     for n in range(n_T):
         guard_moment(W, n, n * g, moment_ceiling)
-        stepsize = hyper.gamma * float(N) ** (hyper.beta - 1.0) * (n + 1.0 / g) ** (-hyper.alpha)
         u = plan.uniforms(DOMAIN_SYSTEM, SLOT_DATA, n, hyper.M)
-        batch = np.searchsorted(cum_w, u, side="right")
-        batch = np.minimum(batch, len(pi) - 1)
+        batch = np.minimum(np.searchsorted(cum_w, u, side="right"), last)
+        counts = np.bincount(batch, minlength=len(pi))
+        block = ridge_block(W, model, pi)
+        resid = field_cache(block, model, pi).residual_d1 * (counts * per_count)
+        Z_lang = _draws(plan, DOMAIN_SYSTEM, SLOT_LANGEVIN, n, ids, model.p) if eta > 0 else None
+        W = euler_step(block, resid, model, pi, stepsize_schedule(hyper, N, n) / N, 1.0, 0.0,
+                       None, Z_lang, eta)
+        snaps.record(n + 1, W)
 
-        cache = field_cache(W, model, pi)
-        r = cache.residual_d1[batch]  # (M,)
-        gF = model.feature.grad(W, pi.xs[batch])  # (N, M, p)
-        drift = -(gF * r[None, :, None]).mean(axis=1) - model.penalty.grad(W)
-        W = W + stepsize * drift
-        if eta > 0:
-            Z = _draws(plan, DOMAIN_SYSTEM, SLOT_LANGEVIN, n, ids, model.p)
-            W = W + math.sqrt(2.0 * eta * stepsize) * Z
-
-        if snap_pos < len(snap_steps) and snap_steps[snap_pos] == n + 1:
-            snaps[snap_pos] = W
-            snap_pos += 1
-
-    kind = "msgld" if langevin else "sgd"
-    return Trajectory(
-        kind=kind,
-        times=snap_steps * g,
-        ensembles=snaps,
-        hyper=hyper,
-        meta={"gamma_scale": g, "n_steps": n_T, "seed": plan.run_seed, "N": N},
-        model=model,
-        pi=pi,
-    )
+    meta = {"gamma_scale": g, "n_steps": n_T, "seed": plan.run_seed, "N": N}
+    return Trajectory("msgld" if langevin else "sgd", snaps.times, snaps.ensembles, hyper, meta,
+                      model, pi)
 
 
 def sgd_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
-    """Minibatch SGD on the structural risk; iteration n lives at time n*gamma_scale."""
+    """Minibatch SGD on the structural risk; iteration n lives at time n*gamma_scale.
+
+    Each iteration is one ``euler_step`` of length ``stepsize_schedule / N``
+    under the minibatch's law, with no diffusion term.
+    """
     return _discrete_run(model, pi, hyper, N, init, plan, langevin=False, **kw)
 
 
@@ -303,22 +320,19 @@ def drift_and_noise_root(
     broadcastable to (D, n).  R^T R = Sigma per particle, with k =
     ``noise_width``; R is None when ``need_noise`` is false.  At p = 1, R is
     the scalar root sqrt(Sigma_00), which gives the W2-optimal synchronous
-    coupling.  At p > 1 it is the exact rank-D factor sqrt(pi_j) xi_j, or
-    sqrt(s) I when Sigma is pinned to s I by ``sigma_override``.
+    coupling.  At p > 1 it is the exact rank-D factor sqrt(pi_j) xi_j.  When
+    ``sigma_override`` pins Sigma to s I, R is sqrt(s) I at every p.
     """
-    if not need_noise:
-        h, _, _ = mean_field_terms(W, None, model, pi, cache=cache)
-        return h, None
     p = model.p
-    if p == 1:
-        h, _, sigma = mean_field_terms(
-            W, None, model, pi, need_sigma=True, sigma_override=sigma_override, cache=cache
-        )
+    if need_noise and sigma_override is None:
+        if p > 1:
+            return drift_and_noise_factor(W, None, model, pi, cache=cache)
+        h, _, sigma = mean_field_terms(W, None, model, pi, need_sigma=True, cache=cache)
         return h, np.sqrt(np.clip(sigma[:, 0, 0], 0.0, None))[:, None, None]
-    if sigma_override is not None:
-        h, _, _ = mean_field_terms(W, None, model, pi, cache=cache)
-        return h, np.broadcast_to(math.sqrt(sigma_override) * np.eye(p), (h.shape[0], p, p))
-    return drift_and_noise_factor(W, None, model, pi, cache=cache)
+    h, _, _ = mean_field_terms(W, None, model, pi, cache=cache)
+    if not need_noise:
+        return h, None
+    return h, np.broadcast_to(math.sqrt(sigma_override) * np.eye(p), (h.shape[0], p, p))
 
 
 def diffusion_increment(root: np.ndarray, scale, Z: np.ndarray) -> np.ndarray:
@@ -393,13 +407,7 @@ def euler_run(
     eta = hyper.eta
     width = noise_width(model, pi, sigma_override)
 
-    snap_steps = _snapshot_steps(n_steps, hyper.dt, snapshot_times, hyper.T)
-    snaps = np.empty((len(snap_steps), N, p))
-    snap_pos = 0
-    if snap_steps[0] == 0:
-        snaps[0] = W
-        snap_pos = 1
-
+    snaps = _Snapshots(n_steps, hyper.dt, snapshot_times, hyper.T, W)
     for n in range(n_steps):
         t = n * hyper.dt
         guard_moment(W, n, t, moment_ceiling)
@@ -408,57 +416,36 @@ def euler_run(
         block = ridge_block(W, model, pi)
         W = euler_step(block, field_cache(block, model, pi), model, pi, hyper.dt,
                        time_weight(t, hyper.alpha), sigma_scale, Z, Z_lang, eta, sigma_override)
+        snaps.record(n + 1, W)
 
-        if snap_pos < len(snap_steps) and snap_steps[snap_pos] == n + 1:
-            snaps[snap_pos] = W
-            snap_pos += 1
-
-    meta = {
-        "sigma_scale": sigma_scale,
-        "sigma_override": sigma_override,
-        "n_steps": n_steps,
-        "seed": plan.run_seed,
-        "N": N,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    return Trajectory(
-        kind=kind,
-        times=snap_steps * hyper.dt,
-        ensembles=snaps,
-        hyper=hyper,
-        meta=meta,
-        model=model,
-        pi=pi,
-    )
+    meta = {"sigma_scale": sigma_scale, "sigma_override": sigma_override, "n_steps": n_steps,
+            "seed": plan.run_seed, "N": N, **(extra_meta or {})}
+    return Trajectory(kind, snaps.times, snaps.ensembles, hyper, meta, model, pi)
 
 
 # the benchmark's tracer (perfbench/spans.py) looks the engine up by this name
 _euler_run = euler_run
 
 
+def _drawn_run(model, pi, hyper, N, init, plan, domain, sigma_scale, kind, particle_ids=None,
+               **kw) -> Trajectory:
+    """``euler_run`` from N particles of ``init``, drawn on the domain's rows ``particle_ids``."""
+    if N < 1:
+        raise ValueError(f"the ensemble needs N >= 1 particles, got {N}")
+    ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
+    W0 = init.draw(plan, domain, ids, model.p)
+    return euler_run(model, pi, hyper, W0, plan, domain, sigma_scale, kind,
+                     particle_ids=particle_ids, **kw)
+
+
 def interacting_sde_run(
     model, pi, hyper, N, init, plan, snapshot_times=None, sigma_override=None, **kw
 ) -> Trajectory:
     """Euler-Maruyama for the N-particle diffusion with factor sqrt(gamma_scale/M)."""
-    ids = kw.get("particle_ids")
-    ids = np.arange(N) if ids is None else np.asarray(ids, dtype=np.int64)
-    W0 = init.draw(plan, DOMAIN_SYSTEM, ids, model.p)
     g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
-    return euler_run(
-        model,
-        pi,
-        hyper,
-        W0,
-        plan,
-        DOMAIN_SYSTEM,
-        sigma_scale=math.sqrt(g / hyper.M),
-        kind="interacting-sde",
-        snapshot_times=snapshot_times,
-        sigma_override=sigma_override,
-        extra_meta={"gamma_scale": g},
-        **kw,
-    )
+    return _drawn_run(model, pi, hyper, N, init, plan, DOMAIN_SYSTEM, math.sqrt(g / hyper.M),
+                      "interacting-sde", snapshot_times=snapshot_times,
+                      sigma_override=sigma_override, extra_meta={"gamma_scale": g}, **kw)
 
 
 def meanfield_sigma_scale(hyper: Hyperparams) -> float:
@@ -474,46 +461,18 @@ def meanfield_ode_run(
     The N_ref-particle ensemble evolves against its own empirical law, which
     is the runtime proxy for the mean-field law.
     """
-    if N_ref < 1:
-        raise ValueError("N_ref must be >= 1")
-    ids = np.arange(N_ref)
-    W0 = init.draw(plan, DOMAIN_REFERENCE, ids, model.p)
-    return euler_run(
-        model,
-        pi,
-        hyper,
-        W0,
-        plan,
-        DOMAIN_REFERENCE,
-        sigma_scale=0.0,
-        kind="meanfield-ode",
-        snapshot_times=snapshot_times,
-        sigma_override=sigma_override,
-        **kw,
-    )
+    return _drawn_run(model, pi, hyper, N_ref, init, plan, DOMAIN_REFERENCE, 0.0,
+                      "meanfield-ode", snapshot_times=snapshot_times,
+                      sigma_override=sigma_override, **kw)
 
 
 def meanfield_sde_run(
     model, pi, hyper, N_ref, init, plan, snapshot_times=None, sigma_override=None, **kw
 ) -> Trajectory:
     """Limit dynamics for beta = 1: diffusion factor sqrt(gamma^(1/(1-alpha))/M)."""
-    if N_ref < 1:
-        raise ValueError("N_ref must be >= 1")
-    ids = np.arange(N_ref)
-    W0 = init.draw(plan, DOMAIN_REFERENCE, ids, model.p)
-    return euler_run(
-        model,
-        pi,
-        hyper,
-        W0,
-        plan,
-        DOMAIN_REFERENCE,
-        sigma_scale=meanfield_sigma_scale(hyper),
-        kind="meanfield-sde",
-        snapshot_times=snapshot_times,
-        sigma_override=sigma_override,
-        **kw,
-    )
+    return _drawn_run(model, pi, hyper, N_ref, init, plan, DOMAIN_REFERENCE,
+                      meanfield_sigma_scale(hyper), "meanfield-sde", snapshot_times=snapshot_times,
+                      sigma_override=sigma_override, **kw)
 
 
 # ----------------------------- weak-form residual -----------------------------
@@ -614,6 +573,21 @@ def weak_form_residual(traj: Trajectory, test_fn: TestFunction) -> np.ndarray:
 # ----------------------------- SGD vs SDE diagnostic -----------------------------
 
 
+def sgd_sde_endpoints(model: ModelSpec, pi: DataDistribution, hyper: Hyperparams, N: int,
+                      init: InitSpec, plan: NoisePlan) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint ensembles at T of the discrete recursion and of its diffusion.
+
+    The recursion is MSGLD when eta > 0 (plain SGD otherwise), so both
+    engines carry the same Langevin temperature.  They run on the plan's
+    independent children "sgd" and "sde".
+    """
+    run = msgld_run if hyper.eta > 0 else sgd_run
+    t_sgd = run(model, pi, hyper, N, init, plan.child("sgd"), snapshot_times=[hyper.T])
+    t_sde = interacting_sde_run(model, pi, hyper, N, init, plan.child("sde"),
+                                snapshot_times=[hyper.T])
+    return t_sgd.endpoint(), t_sde.endpoint()
+
+
 def sgd_sde_gap(
     model: ModelSpec,
     pi: DataDistribution,
@@ -624,18 +598,11 @@ def sgd_sde_gap(
 ) -> float:
     """In-law endpoint gap between the discrete recursion and its diffusion.
 
-    Both engines run with independent noise streams; the returned value is
-    the Wasserstein-2 distance between the two endpoint empirical measures
-    (a distributional diagnostic, not a pathwise coupling).
+    The Wasserstein-2 distance between the two endpoint empirical measures
+    of ``sgd_sde_endpoints`` (a distributional diagnostic, not a pathwise
+    coupling).
     """
     from .metrics import w2_ensembles
 
-    init = init or InitSpec.uniform()
-    t_sgd = _discrete_run(
-        model, pi, hyper, N, init, plan.child("gap-sgd"), langevin=hyper.eta > 0,
-        snapshot_times=[hyper.T],
-    )
-    t_sde = interacting_sde_run(
-        model, pi, hyper, N, init, plan.child("gap-sde"), snapshot_times=[hyper.T]
-    )
-    return w2_ensembles(t_sgd.endpoint(), t_sde.endpoint(), seed=plan.run_seed)
+    sgd, sde = sgd_sde_endpoints(model, pi, hyper, N, init or InitSpec.uniform(), plan)
+    return w2_ensembles(sgd, sde, seed=plan.run_seed)

@@ -29,6 +29,7 @@ from .dynamics import (
     msgld_run,
     noise_width,
     sgd_run,
+    sgd_sde_endpoints,
 )
 from .meanfield import field_cache, ridge_block
 from .model import (
@@ -410,9 +411,10 @@ def _regime_task(args) -> float:
     hyper = config.hyper.replace(beta=beta)
     plan = NoisePlan(config.seed).child("regime", int(beta * 1000), s)
     if config.engine == "sgd" and init.kind == "dirac":
-        # All particles share the minibatch and start equal, so the whole
-        # ensemble rides one common trajectory: simulate a single particle
-        # with the equivalent stepsize gamma * N^(beta-1) (bitwise equal).
+        # All particles share the minibatch and start equal, so every
+        # particle of the N-run follows one common trajectory; a single
+        # particle with the equivalent stepsize gamma * N^(beta-1) matches
+        # it to rounding (its stepsize and predictions are formed from other floats).
         hyper1 = hyper.replace(beta=1.0, gamma=hyper.gamma * float(N) ** (hyper.beta - 1.0))
         traj = sgd_run(model, pi, hyper1, 1, init, plan, snapshot_times=[hyper.T])
         return float(traj.endpoint()[0, 0])
@@ -657,12 +659,8 @@ def _gap_task(args):
     """Endpoint samples of both engines for one repetition (independent noise)."""
     config, N, r = args
     model, pi, init = config.problem.build()
-    plan = NoisePlan(config.seed).child("gap", N, r)
-    t_sgd = sgd_run(model, pi, config.hyper, N, init, plan.child("sgd"),
-                    snapshot_times=[config.hyper.T])
-    t_sde = interacting_sde_run(model, pi, config.hyper, N, init, plan.child("sde"),
-                                snapshot_times=[config.hyper.T])
-    return t_sgd.endpoint(), t_sde.endpoint()
+    return sgd_sde_endpoints(model, pi, config.hyper, N, init,
+                             NoisePlan(config.seed).child("gap", N, r))
 
 
 def sgd_sde_consistency_study(config: ConsistencyConfig, workers: int = 1) -> StudyReport:

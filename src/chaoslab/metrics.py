@@ -50,7 +50,7 @@ def w2_1d(a, b) -> float:
     b = _flat_samples(b)
     if a.shape != b.shape:
         raise ValueError(f"sample counts differ: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.sqrt(np.mean((np.sort(a) - np.sort(b)) ** 2)))
+    return w2_1d_quantile(a, b)
 
 
 def w2_1d_quantile(a, b) -> float:

@@ -117,12 +117,10 @@ def _effective_variance(
     sigma_override: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drift h and effective diffusion variance sigma_bar at the cell centers."""
-    W = centers[:, None]
-    need = sigma_override is None
-    h, _, sigma = mean_field_terms(W, mu, model, pi, need_sigma=need)
-    base = sigma[:, 0, 0] if need else np.full(len(centers), float(sigma_override))
+    h, _, sigma = mean_field_terms(centers[:, None], mu, model, pi, need_sigma=True,
+                                   sigma_override=sigma_override)
     scale = hyper.gamma ** (1.0 / (1.0 - hyper.alpha)) / hyper.M
-    sigma_bar = scale * base + 2.0 * hyper.eta
+    sigma_bar = scale * sigma[:, 0, 0] + 2.0 * hyper.eta
     return h[:, 0], sigma_bar
 
 

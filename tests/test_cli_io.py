@@ -251,6 +251,38 @@ class TestCliDispatch:
         verdicts = json.loads((tmp_path / "out" / "two-regime-seed1" / "verdicts.json").read_text())
         assert verdicts["passed"] is None
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("simulate", {"engine": "interacting-sde", "N": 4}),
+        ("chaos-rate", {"N_grid": [4, 8, 16, 32], "m": 2, "N_ref": 64, "reps": 2}),
+    ])
+    def test_fractional_horizon_exits_config(self, tmp_path, capsys, command, cfg):
+        cfg = {**cfg, "hyper": {"T": 1.0, "dt": 0.3}, "seed": 1}
+        assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config field T" in err and "dt=0.3" in err
+
+    def test_stationary_fractional_horizon_exits_config(self, tmp_path, capsys):
+        cfg = {"problem": {"feature": "zero", "penalty": 1.0}, "hyper": {"dt": 0.3},
+               "sigma_override": 1.0, "horizon": 1.0, "seed": 1}
+        assert self.run(tmp_path, "stationary", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config field horizon" in err and "dt=0.3" in err
+
+    def test_sgd_regime_ignores_dt(self, tmp_path):
+        # the discrete recursions never take an Euler step
+        cfg = {"hyper": {"T": 1.0, "dt": 0.3, "gamma": 0.5}, "betas": [0.75, 1.0],
+               "N_grid": [16, 64], "seeds": 2, "seed": 1,
+               "problem": {"init_kind": "dirac", "init_w0": 0.0}}
+        assert self.run(tmp_path, "regime", cfg) == EXIT_OK
+
+    @pytest.mark.parametrize("engine", ["sgd", "msgld"])
+    def test_sigma_override_on_discrete_engine_exits_config(self, tmp_path, capsys, engine):
+        cfg = {"engine": engine, "N": 4, "sigma_override": 1.0, "seed": 1,
+               "hyper": {"T": 0.2, "gamma": 0.1}}
+        assert self.run(tmp_path, "simulate", cfg) == EXIT_CONFIG
+        assert "sigma_override" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_writes_outputs_and_manifest(self, tmp_path):
         cfg = {"hyper": {"T": 0.2, "dt": 0.05, "gamma": 0.5}, "N": 4,
                "engine": "interacting-sde", "seed": 1}

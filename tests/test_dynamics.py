@@ -1,6 +1,7 @@
 """Time-evolution engines, their couplings, and reproducibility contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from chaoslab.dynamics import (
     weak_form_residual,
 )
 from chaoslab.experiments import coupled_chaos_error
+from chaoslab.meanfield import field_cache
 from chaoslab.model import (
     DataAtom,
     DataDistribution,
@@ -25,7 +27,7 @@ from chaoslab.model import (
     gamma_scale,
     make_model,
 )
-from chaoslab.rng import NoisePlan
+from chaoslab.rng import SLOT_DATA, NoisePlan
 
 TANH = make_model("tanh-dot", "square")
 ZERO_FEAT = make_model("zero", "square")
@@ -122,6 +124,48 @@ class TestSgdRun:
         traj = sgd_run(TANH, NOISY, h, N, InitSpec.uniform(), NoisePlan(2), snapshot_times="all")
         n_t = math.floor(h.T / g)
         np.testing.assert_allclose(traj.times, np.arange(n_t + 1) * g, atol=1e-14)
+
+    def test_step_is_the_minibatch_mean_gradient(self):
+        # one step: -(1/M) sum_b d1l(a(x_b), y_b) f'(<w, x_b>) x_b - V'(w), times the stepsize
+        model = make_model("tanh-dot", "square", 0.1, p=2)
+        pi = DataDistribution([DataAtom([0.8, -0.3], 0.9, 0.1), DataAtom([-0.6, 0.5], -0.4, 0.3),
+                               DataAtom([1.0, 0.2], -0.2, 0.6)])
+        h = Hyperparams(alpha=0.3, beta=0.5, gamma=0.4, M=5, T=1.0)
+        N, plan = 6, NoisePlan(8)
+        traj = sgd_run(model, pi, h, N, InitSpec.uniform(-1.0, 1.0), plan, snapshot_times="all")
+        W = traj.ensembles[0]
+        u = plan.uniforms(0, SLOT_DATA, 0, h.M)  # DOMAIN_SYSTEM, step 0
+        batch = np.searchsorted(np.cumsum(pi.weights), u, side="right")
+        r = field_cache(W, model, pi).residual_d1[batch]
+        gF = model.feature.grad(W, pi.xs[batch])  # (N, M, p)
+        drift = -(gF * r[None, :, None]).mean(axis=1) - model.penalty.grad(W)
+        g = gamma_scale(h.alpha, h.beta, h.gamma, N)
+        stepsize = h.gamma * N ** (h.beta - 1.0) * (1.0 / g) ** (-h.alpha)
+        np.testing.assert_allclose(traj.ensembles[1], W + stepsize * drift, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("run", [sgd_run, msgld_run])
+    def test_zero_weight_atom_changes_nothing(self, run, where):
+        # the minibatch reweighting c_j / pi_j must not form 0/0 at the new atom
+        atoms = list(NOISY.atoms)
+        atoms.insert(where, DataAtom([0.3], 5.0, 0.0))
+        h = Hyperparams(alpha=0.2, beta=0.5, gamma=0.2, M=3, T=1.0, eta=0.3)
+        init = InitSpec.uniform(-0.5, 0.5)
+        base = run(TANH, NOISY, h, 8, init, NoisePlan(4), snapshot_times="all")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            padded = run(TANH, DataDistribution(atoms), h, 8, init, NoisePlan(4),
+                         snapshot_times="all")
+        np.testing.assert_allclose(padded.ensembles, base.ensembles, rtol=0, atol=1e-12)
+
+    def test_dirac_start_keeps_every_particle_equal(self):
+        # a shared minibatch and a common start: the ensemble is one trajectory
+        h = Hyperparams(alpha=0.0, beta=0.75, gamma=0.5, M=2, T=2.0)
+        traj = sgd_run(TANH, NOISY, h, 64, InitSpec.dirac([0.1]), NoisePlan(3),
+                       snapshot_times="all")
+        assert traj.ensembles[-1, 0, 0] != 0.1
+        np.testing.assert_array_equal(traj.ensembles, np.broadcast_to(
+            traj.ensembles[:, :1], traj.ensembles.shape))
 
     def test_horizon_shorter_than_one_step_reported(self):
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.1)

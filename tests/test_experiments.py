@@ -1,7 +1,11 @@
 """Study orchestration: determinism, verdict wiring, degenerate grids."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from chaoslab.dynamics import interacting_sde_run, msgld_run
 from chaoslab.experiments import (
     ChaosRateConfig,
     ConsistencyConfig,
@@ -19,7 +23,9 @@ from chaoslab.experiments import (
     two_term_bound,
     two_regime_study,
 )
+from chaoslab.metrics import w2_ensembles
 from chaoslab.model import Hyperparams
+from chaoslab.rng import NoisePlan
 
 FAST_HYPER = Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=1.0, dt=0.05)
 
@@ -118,6 +124,16 @@ class TestTwoRegimeStudy:
         rep = two_regime_study(self.fast_config(
             problem=ProblemConfig(labels="single", init_kind="dirac", init_w0=0.0)))
         assert all(r["deviation"] == 0.0 for r in rep.tables["deviations"])
+
+    def test_single_particle_shortcut_matches_the_n_run(self):
+        # sgd from a dirac init simulates one particle; msgld at eta = 0 runs
+        # the same recursion with all N particles, which stay equal
+        cfg = self.fast_config(N_grid=(64, 4096), seeds=3, statistic="particle0")
+        short = two_regime_study(cfg).tables["deviations"]
+        full = two_regime_study(replace(cfg, engine="msgld")).tables["deviations"]
+        for key in ("mean_stat", "deviation"):
+            np.testing.assert_allclose([r[key] for r in short], [r[key] for r in full],
+                                       rtol=1e-12, atol=0)
 
     def test_seed_floor(self):
         with pytest.raises(ValueError):
@@ -219,6 +235,27 @@ class TestConsistencyStudy:
         rep = sgd_sde_consistency_study(cfg)
         assert len(rep.tables["gaps"]) == 2
         assert rep.verdict("gap_decreasing") is not None
+
+    def test_langevin_pairs_msgld_with_the_diffusion(self):
+        # at eta > 0 the discrete side of each pair is MSGLD, at the diffusion's temperature
+        cfg = ConsistencyConfig(
+            problem=ProblemConfig(labels="realizable", init_low=-2.0, init_high=2.0),
+            hyper=Hyperparams(alpha=0.0, beta=1.0, gamma=0.1, M=1, T=1.0, dt=0.1, eta=0.2),
+            N_grid=(16, 32),
+            reps=2,
+            seed=3,
+        )
+        rows = sgd_sde_consistency_study(cfg).tables["gaps"]
+        model, pi, init = cfg.problem.build()
+        T = cfg.hyper.T
+        for row in rows:
+            plans = [NoisePlan(cfg.seed).child("gap", row["N"], r) for r in range(cfg.reps)]
+            sgd = [msgld_run(model, pi, cfg.hyper, row["N"], init, plan.child("sgd"),
+                             snapshot_times=[T]).endpoint() for plan in plans]
+            sde = [interacting_sde_run(model, pi, cfg.hyper, row["N"], init, plan.child("sde"),
+                                       snapshot_times=[T]).endpoint() for plan in plans]
+            assert row["gap"] == w2_ensembles(np.concatenate(sgd), np.concatenate(sde),
+                                              seed=cfg.seed)
 
     def test_needs_two_reps(self):
         with pytest.raises(ValueError):

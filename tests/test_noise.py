@@ -13,7 +13,9 @@ from chaoslab.dynamics import (
     diffusion_increment,
     drift_and_noise_root,
     interacting_sde_run,
+    msgld_run,
     noise_width,
+    sgd_run,
 )
 from chaoslab.experiments import (
     ProblemConfig,
@@ -194,6 +196,17 @@ class TestOneActivationBlockPerStep:
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.02, eta=0.1)
         interacting_sde_run(model, pi, h, 16, InitSpec.uniform(), NoisePlan(2))
         assert model.feature.calls == {"activation": 10, "value": 0, "grad": 0}
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("run", [sgd_run, msgld_run])
+    def test_discrete_run_evaluates_the_feature_once_per_step(self, run, p):
+        # the minibatch reaches the drift as residual columns of the same block
+        model = counting_model(p)
+        pi = ProblemConfig(p=p).build()[1]
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=2, T=2.5, eta=0.1)
+        n_steps = run(model, pi, h, 16, InitSpec.uniform(), NoisePlan(2)).meta["n_steps"]
+        assert n_steps == 5
+        assert model.feature.calls == {"activation": n_steps, "value": 0, "grad": 0}
 
     def test_coupling_step_evaluates_two_blocks(self):
         # the reference on its own, the companions and the whole N grid stacked
