@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .io import (
 from .metrics import w2_1d, w2_ensembles, w2_sliced
 from .model import Hyperparams, check_assumptions, gamma_scale, make_model
 from .rng import NoisePlan
-from .stationary import GridDensity1D, fixed_point_iterate, stationarity_check
+from .stationary import GridDensity1D, NonEllipticNoise, fixed_point_iterate, stationarity_check
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -62,10 +62,11 @@ def _hyper_from(cfg: dict) -> Hyperparams:
     return Hyperparams(**cfg.get("hyper", {}))
 
 
-def _check_euler_horizon(hyper: Hyperparams, field_name: str = "T") -> None:
-    """A horizon that is not a whole number of Euler steps dt is a config error."""
+def _check_horizon(hyper: Hyperparams, field_name: str = "T", N: int | None = None) -> None:
+    """A horizon that is not a whole number of Euler steps dt, or with N particles
+    shorter than one step of the discrete recursion, is a config error."""
     try:
-        hyper.euler_steps()
+        hyper.euler_steps() if N is None else hyper.sgd_steps(N)
     except ValueError as exc:
         raise ConfigError(f"config field {field_name}: {exc}", field_name) from exc
 
@@ -81,12 +82,18 @@ def _problem_from(cfg: dict) -> xp.ProblemConfig:
 
 
 def _resolve_problem(cfg: dict):
-    """Model/data/init from the config; a dataset path overrides the synthetic atoms."""
+    """Model/data/init from the config; a dataset path overrides the synthetic atoms
+    and ``sigma_override`` sets the model's noise model."""
     problem = _problem_from(cfg)
     model, pi, init = problem.build()
     if "dataset" in cfg:
         pi = load_dataset(cfg["dataset"])
         model = make_model(problem.feature, problem.loss, problem.penalty, p=pi.d)
+    if "sigma_override" in cfg:
+        try:
+            model = replace(model, sigma_override=cfg["sigma_override"])
+        except ValueError as exc:
+            raise ConfigError(f"config field sigma_override: {exc}", "sigma_override") from exc
     return model, pi, init
 
 
@@ -126,28 +133,24 @@ def _finish_study(report: xp.StudyReport, args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _study_config(cfg: dict, cls, args, **extra):
-    """Assemble a study config dataclass from the JSON dict + CLI overrides."""
-    kw = dict(extra)
+def _study_config(cfg: dict, cls):
+    """Assemble a study config dataclass from the JSON dict (the seed flag is already in it)."""
+    unread = sorted(set(cfg) - set(cls.__dataclass_fields__))
+    if unread:
+        raise ConfigError(f"config fields {', '.join(unread)}: this study does not read them",
+                          unread[0])
+    kw = {key: tuple(v) if isinstance(v, list) else v for key, v in cfg.items()}
     if "problem" in cfg:
         kw["problem"] = _problem_from(cfg)
     if "hyper" in cfg:
         kw["hyper"] = _hyper_from(cfg)
-    for key in cls.__dataclass_fields__:
-        if key in ("problem", "hyper") or key in kw:
-            continue
-        if key in cfg:
-            v = cfg[key]
-            kw[key] = tuple(v) if isinstance(v, list) else v
-    if args.seed is not None:
-        kw["seed"] = args.seed
     try:
         config = cls(**kw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     # every study takes Euler steps unless its engine is a discrete recursion
     if getattr(config, "engine", None) not in _DISCRETE_ENGINES:
-        _check_euler_horizon(config.hyper)
+        _check_horizon(config.hyper)
     return config
 
 
@@ -162,16 +165,17 @@ def _cmd_simulate(args, cfg: dict) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     plan = NoisePlan(seed)
     snaps = args.snapshot_times if args.snapshot_times else cfg.get("snapshot_times")
-    kw = {}
     if engine in _DISCRETE_ENGINES:
-        if "sigma_override" in cfg:
+        if model.sigma_override is not None:
             raise ConfigError(f"sigma_override pins the diffusion covariance; engine {engine} has "
                               "no diffusion term", "sigma_override")
+        _check_horizon(hyper, N=N)
     else:
-        _check_euler_horizon(hyper)
-        if "sigma_override" in cfg:
-            kw["sigma_override"] = cfg["sigma_override"]
-    traj = _ENGINES[engine](model, pi, hyper, N, init, plan, snapshot_times=snaps, **kw)
+        _check_horizon(hyper)
+    if snaps is not None and not all(0.0 <= t <= hyper.T for t in snaps):
+        raise ConfigError(f"config field snapshot_times: every time must lie in [0, T={hyper.T:g}], "
+                          f"got {list(snaps)}", "snapshot_times")
+    traj = _ENGINES[engine](model, pi, hyper, N, init, plan, snapshot_times=snaps)
 
     out_dir = output_root(args.out) / f"simulate-seed{seed}"
     g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
@@ -190,59 +194,52 @@ def _cmd_simulate(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_chaos_rate(args, cfg: dict) -> int:
-    config = _study_config(cfg, xp.ChaosRateConfig, args)
-    return _finish_study(xp.chaos_rate_study(config, workers=args.workers), args, cfg)
+# subcommand -> (config dataclass, name of its study in experiments)
+_STUDIES = {
+    "chaos-rate": (xp.ChaosRateConfig, "chaos_rate_study"),
+    "regime": (xp.TwoRegimeConfig, "two_regime_study"),
+    "gamma-sweep": (xp.SweepConfig, "gamma_sweep"),
+    "batch-sweep": (xp.SweepConfig, "batch_sweep"),
+    "histograms": (xp.HistogramConfig, "histogram_convergence_study"),
+    "consistency": (xp.ConsistencyConfig, "sgd_sde_consistency_study"),
+}
 
 
-def _cmd_regime(args, cfg: dict) -> int:
-    config = _study_config(cfg, xp.TwoRegimeConfig, args)
-    return _finish_study(xp.two_regime_study(config, workers=args.workers), args, cfg)
-
-
-def _cmd_gamma_sweep(args, cfg: dict) -> int:
-    config = _study_config(cfg, xp.SweepConfig, args)
-    return _finish_study(xp.gamma_sweep(config, workers=args.workers), args, cfg)
-
-
-def _cmd_batch_sweep(args, cfg: dict) -> int:
-    config = _study_config(cfg, xp.SweepConfig, args)
-    return _finish_study(xp.batch_sweep(config, workers=args.workers), args, cfg)
-
-
-def _cmd_histograms(args, cfg: dict) -> int:
-    config = _study_config(cfg, xp.HistogramConfig, args)
-    return _finish_study(xp.histogram_convergence_study(config, workers=args.workers), args, cfg)
-
-
-def _cmd_consistency(args, cfg: dict) -> int:
-    config = _study_config(cfg, xp.ConsistencyConfig, args)
-    return _finish_study(xp.sgd_sde_consistency_study(config, workers=args.workers), args, cfg)
+def _cmd_study(args, cfg: dict) -> int:
+    cls, study = _STUDIES[args.command]
+    config = _study_config(cfg, cls)
+    # looked up at call time, so a wrapper installed on experiments is the one called
+    return _finish_study(getattr(xp, study)(config, workers=args.workers), args, cfg)
 
 
 def _cmd_stationary(args, cfg: dict) -> int:
     model, pi, _ = _resolve_problem(cfg)
+    if model.p != 1:
+        raise ConfigError(f"config field problem.p: the stationary map is defined for p = 1, "
+                          f"got p={model.p}", "problem.p")
     hyper = _hyper_from(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     horizon = cfg.get("horizon", 5.0)
-    _check_euler_horizon(hyper.replace(T=horizon), "horizon")
-    lo = cfg.get("grid_lo", -4.0)
-    hi = cfg.get("grid_hi", 4.0)
-    n_cells = cfg.get("n_cells", 512)
-    mu0 = GridDensity1D.gaussian(0.0, 1.0, lo, hi, n_cells)
-    result = fixed_point_iterate(
-        mu0, model, pi, hyper,
-        tol=cfg.get("tol", 1e-8),
-        max_iter=cfg.get("max_iter", 200),
-        damping=cfg.get("damping", 0.5),
-        sigma_override=cfg.get("sigma_override"),
-    )
+    _check_horizon(hyper.replace(T=horizon), "horizon")
+    try:
+        mu0 = GridDensity1D.gaussian(0.0, 1.0, cfg.get("grid_lo", -4.0), cfg.get("grid_hi", 4.0),
+                                     cfg.get("n_cells", 512))
+    except ValueError as exc:
+        raise ConfigError(f"config fields grid_lo/grid_hi: {exc}", "grid_lo") from exc
+    try:
+        result = fixed_point_iterate(
+            mu0, model, pi, hyper,
+            tol=cfg.get("tol", 1e-8),
+            max_iter=cfg.get("max_iter", 200),
+            damping=cfg.get("damping", 0.5),
+        )
+    except NonEllipticNoise as exc:
+        raise ConfigError(f"config fields sigma_override/hyper.eta: {exc}", "sigma_override") from exc
     drift = stationarity_check(
         result.density, model, pi, hyper,
         N_ref=cfg.get("N_ref", 4096),
         horizon=horizon,
         plan=NoisePlan(seed),
-        sigma_override=cfg.get("sigma_override"),
     )
     out_dir = output_root(args.out) / f"stationary-seed{seed}"
     manifest = RunManifest.start("stationary", cfg, seed, derived={
@@ -280,6 +277,9 @@ def _cmd_check_assumptions(args, cfg: dict) -> int:
         rng = np.random.default_rng(seed)
         probes = list(rng.uniform(-2, 2, size=(16, model.p)))
     else:
+        if not probes or any(len(q) != model.p for q in probes):
+            raise ConfigError(f"config field probes: needs one or more points of length "
+                              f"p={model.p}, got {probes}", "probes")
         probes = [np.asarray(q, dtype=np.float64) for q in probes]
     report = check_assumptions(model, pi, probes, seed=seed)
     out_dir = output_root(args.out) / f"check-assumptions-seed{seed}"
@@ -356,12 +356,7 @@ def _cmd_metrics(args, cfg: dict) -> int:
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "chaos-rate": _cmd_chaos_rate,
-    "regime": _cmd_regime,
-    "gamma-sweep": _cmd_gamma_sweep,
-    "batch-sweep": _cmd_batch_sweep,
-    "histograms": _cmd_histograms,
-    "consistency": _cmd_consistency,
+    **dict.fromkeys(_STUDIES, _cmd_study),
     "stationary": _cmd_stationary,
     "check-assumptions": _cmd_check_assumptions,
     "metrics": _cmd_metrics,

@@ -15,10 +15,13 @@ Engines
 
 Every engine, and the synchronous-coupling harness in ``experiments``,
 advances its particles with ``euler_step``: one ``RidgeBlock`` of the
-particles per step, and the driving law as its residual columns.  For the
-discrete recursions that law is the minibatch's, c_j / M for atom counts
-c_j, and the step has length stepsize and no diffusion term.  The horizon T
-of the Euler-Maruyama engines must be a whole number of Euler steps dt.
+particles per step, and the driving law as its FieldCache or residual
+columns.  For the discrete recursions that law is the minibatch's, c_j / M
+for atom counts c_j, and the step has length stepsize and no diffusion
+term.  The horizon T of the Euler-Maruyama engines must be a whole number
+of Euler steps dt.  The noise model, and so the noise root and its width,
+is the ``ModelSpec``'s (``meanfield.drift_and_noise_root``); the discrete
+recursions have no diffusion term and refuse a model that pins one.
 
 Iteration n of the discrete recursions is stamped with time
 n * gamma_scale(N); all engines share the counter-based NoisePlan, so runs
@@ -33,7 +36,14 @@ from typing import Callable
 
 import numpy as np
 
-from .meanfield import RidgeBlock, drift_and_noise_factor, field_cache, mean_field_terms, ridge_block
+from .meanfield import (
+    RidgeBlock,
+    drift_and_noise_root,
+    field_cache,
+    mean_field_terms,
+    noise_width,
+    ridge_block,
+)
 from .model import (
     DataDistribution,
     Hyperparams,
@@ -57,8 +67,6 @@ __all__ = [
     "meanfield_ode_run",
     "meanfield_sde_run",
     "meanfield_sigma_scale",
-    "noise_width",
-    "drift_and_noise_root",
     "diffusion_increment",
     "euler_step",
     "euler_run",
@@ -244,13 +252,11 @@ def _discrete_run(
 ) -> Trajectory:
     if N < 1:
         raise ValueError("N must be >= 1")
+    if model.sigma_override is not None:
+        raise ValueError("the discrete recursions have no diffusion term for the model's "
+                         f"sigma_override={model.sigma_override} to pin")
     g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
-    n_T = int(math.floor(hyper.T / g + 1e-12))
-    if n_T == 0:
-        raise ValueError(
-            f"horizon T={hyper.T} is shorter than one SGD step gamma_scale={g:.6g}; "
-            "nothing to run"
-        )
+    n_T = hyper.sgd_steps(N)
     ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
     W = init.draw(plan, DOMAIN_SYSTEM, ids, model.p)
     cum_w = np.cumsum(pi.weights)
@@ -297,44 +303,6 @@ def msgld_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
 # ----------------------------- Euler-Maruyama engines -----------------------------
 
 
-def noise_width(model: ModelSpec, pi: DataDistribution, sigma_override: float | None = None) -> int:
-    """Standard normals per particle that one diffusion increment consumes.
-
-    D (the number of atoms) for the rank-D factor at p > 1, else p.
-    """
-    return len(pi) if model.p > 1 and sigma_override is None else model.p
-
-
-def drift_and_noise_root(
-    W,
-    cache,
-    model: ModelSpec,
-    pi: DataDistribution,
-    need_noise: bool,
-    sigma_override: float | None = None,
-):
-    """Drift h (n, p) and noise root R (n, k, p) of one Euler-Maruyama step.
-
-    ``W`` holds the particles (n, p), or their RidgeBlock, and ``cache`` the
-    law that drives them: its ``field_cache``, or its residual columns
-    broadcastable to (D, n).  R^T R = Sigma per particle, with k =
-    ``noise_width``; R is None when ``need_noise`` is false.  At p = 1, R is
-    the scalar root sqrt(Sigma_00), which gives the W2-optimal synchronous
-    coupling.  At p > 1 it is the exact rank-D factor sqrt(pi_j) xi_j.  When
-    ``sigma_override`` pins Sigma to s I, R is sqrt(s) I at every p.
-    """
-    p = model.p
-    if need_noise and sigma_override is None:
-        if p > 1:
-            return drift_and_noise_factor(W, None, model, pi, cache=cache)
-        h, _, sigma = mean_field_terms(W, None, model, pi, need_sigma=True, cache=cache)
-        return h, np.sqrt(np.clip(sigma[:, 0, 0], 0.0, None))[:, None, None]
-    h, _, _ = mean_field_terms(W, None, model, pi, cache=cache)
-    if not need_noise:
-        return h, None
-    return h, np.broadcast_to(math.sqrt(sigma_override) * np.eye(p), (h.shape[0], p, p))
-
-
 def diffusion_increment(root: np.ndarray, scale, Z: np.ndarray) -> np.ndarray:
     """scale * R^T z per particle, for a root from ``drift_and_noise_root`` and Z (n, k).
 
@@ -348,7 +316,7 @@ def diffusion_increment(root: np.ndarray, scale, Z: np.ndarray) -> np.ndarray:
 
 def euler_step(
     block: RidgeBlock,
-    cache,
+    law,
     model: ModelSpec,
     pi: DataDistribution,
     dt: float,
@@ -357,19 +325,18 @@ def euler_step(
     Z: np.ndarray | None,
     Z_lang: np.ndarray | None,
     eta: float,
-    sigma_override: float | None = None,
 ) -> np.ndarray:
-    """One Euler-Maruyama step of the particles W = block.W under the law in ``cache``.
+    """One Euler-Maruyama step of the particles W = block.W under ``law``.
 
     Returns W + tw (h dt + sqrt(dt) scale R^T Z + sqrt(dt) sqrt(2 eta) Z_lang),
     with R the noise root of ``drift_and_noise_root``, Z (n, noise_width) and
-    Z_lang (n, p).  ``cache`` is the law's FieldCache or residual columns
+    Z_lang (n, p).  ``law`` is a FieldCache or residual columns
     broadcastable to (D, n), and ``scale`` a float or a per-particle column
     (n, 1).  The noise term is skipped when every scale is 0 and the
     Langevin term when eta is 0; their draws may then be None.
     """
     noisy = bool((np.asarray(scale) > 0).any())
-    h, root = drift_and_noise_root(block, cache, model, pi, noisy, sigma_override)
+    h, root = drift_and_noise_root(block, law, model, pi, noisy)
     incr = h * dt
     if noisy:
         incr = incr + math.sqrt(dt) * diffusion_increment(root, scale, Z)
@@ -388,10 +355,8 @@ def euler_run(
     sigma_scale: float,
     kind: str,
     snapshot_times=None,
-    sigma_override: float | None = None,
     particle_ids: np.ndarray | None = None,
     moment_ceiling: float = DEFAULT_MOMENT_CEILING,
-    extra_meta: dict | None = None,
 ) -> Trajectory:
     """Euler-Maruyama from W0 for an ensemble driven by its own empirical law.
 
@@ -405,7 +370,7 @@ def euler_run(
     N, p = W.shape
     ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
     eta = hyper.eta
-    width = noise_width(model, pi, sigma_override)
+    width = noise_width(model, pi)
 
     snaps = _Snapshots(n_steps, hyper.dt, snapshot_times, hyper.T, W)
     for n in range(n_steps):
@@ -415,11 +380,11 @@ def euler_run(
         Z_lang = _draws(plan, domain, SLOT_LANGEVIN, n, ids, p) if eta > 0 else None
         block = ridge_block(W, model, pi)
         W = euler_step(block, field_cache(block, model, pi), model, pi, hyper.dt,
-                       time_weight(t, hyper.alpha), sigma_scale, Z, Z_lang, eta, sigma_override)
+                       time_weight(t, hyper.alpha), sigma_scale, Z, Z_lang, eta)
         snaps.record(n + 1, W)
 
-    meta = {"sigma_scale": sigma_scale, "sigma_override": sigma_override, "n_steps": n_steps,
-            "seed": plan.run_seed, "N": N, **(extra_meta or {})}
+    meta = {"sigma_scale": sigma_scale, "sigma_override": model.sigma_override,
+            "n_steps": n_steps, "seed": plan.run_seed, "N": N}
     return Trajectory(kind, snaps.times, snaps.ensembles, hyper, meta, model, pi)
 
 
@@ -438,14 +403,13 @@ def _drawn_run(model, pi, hyper, N, init, plan, domain, sigma_scale, kind, parti
                      particle_ids=particle_ids, **kw)
 
 
-def interacting_sde_run(
-    model, pi, hyper, N, init, plan, snapshot_times=None, sigma_override=None, **kw
-) -> Trajectory:
+def interacting_sde_run(model, pi, hyper, N, init, plan, snapshot_times=None, **kw) -> Trajectory:
     """Euler-Maruyama for the N-particle diffusion with factor sqrt(gamma_scale/M)."""
     g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
-    return _drawn_run(model, pi, hyper, N, init, plan, DOMAIN_SYSTEM, math.sqrt(g / hyper.M),
-                      "interacting-sde", snapshot_times=snapshot_times,
-                      sigma_override=sigma_override, extra_meta={"gamma_scale": g}, **kw)
+    traj = _drawn_run(model, pi, hyper, N, init, plan, DOMAIN_SYSTEM, math.sqrt(g / hyper.M),
+                      "interacting-sde", snapshot_times=snapshot_times, **kw)
+    traj.meta["gamma_scale"] = g
+    return traj
 
 
 def meanfield_sigma_scale(hyper: Hyperparams) -> float:
@@ -453,26 +417,21 @@ def meanfield_sigma_scale(hyper: Hyperparams) -> float:
     return math.sqrt(hyper.gamma ** (1.0 / (1.0 - hyper.alpha)) / hyper.M)
 
 
-def meanfield_ode_run(
-    model, pi, hyper, N_ref, init, plan, snapshot_times=None, sigma_override=None, **kw
-) -> Trajectory:
+def meanfield_ode_run(model, pi, hyper, N_ref, init, plan, snapshot_times=None, **kw) -> Trajectory:
     """Limit dynamics for beta < 1: drift only (plus sqrt(2*eta) noise if eta > 0).
 
     The N_ref-particle ensemble evolves against its own empirical law, which
     is the runtime proxy for the mean-field law.
     """
     return _drawn_run(model, pi, hyper, N_ref, init, plan, DOMAIN_REFERENCE, 0.0,
-                      "meanfield-ode", snapshot_times=snapshot_times,
-                      sigma_override=sigma_override, **kw)
+                      "meanfield-ode", snapshot_times=snapshot_times, **kw)
 
 
-def meanfield_sde_run(
-    model, pi, hyper, N_ref, init, plan, snapshot_times=None, sigma_override=None, **kw
-) -> Trajectory:
+def meanfield_sde_run(model, pi, hyper, N_ref, init, plan, snapshot_times=None, **kw) -> Trajectory:
     """Limit dynamics for beta = 1: diffusion factor sqrt(gamma^(1/(1-alpha))/M)."""
     return _drawn_run(model, pi, hyper, N_ref, init, plan, DOMAIN_REFERENCE,
                       meanfield_sigma_scale(hyper), "meanfield-sde", snapshot_times=snapshot_times,
-                      sigma_override=sigma_override, **kw)
+                      **kw)
 
 
 # ----------------------------- weak-form residual -----------------------------
@@ -524,7 +483,8 @@ def weak_form_residual(traj: Trajectory, test_fn: TestFunction) -> np.ndarray:
                   - integral of 1/2 (s+1)^-2alpha mean Tr(Cov_eff hess f) |
 
     where Cov_eff = sigma_scale^2 Sigma(w, law_s) + 2 eta I is the effective
-    diffusion covariance the engine actually used (the trace coefficient is
+    diffusion covariance the engine actually used, under the noise model of
+    ``traj.model`` (the trace coefficient is
     the Ito-consistent one; see README).  Integrals use the trapezoid rule
     on the trajectory's stored grid, so record every step for sharp checks.
     """
@@ -534,7 +494,6 @@ def weak_form_residual(traj: Trajectory, test_fn: TestFunction) -> np.ndarray:
         raise ValueError("trajectory lacks model/data context (was it loaded from disk?)")
     model, pi, hyper = traj.model, traj.pi, traj.hyper
     sigma_scale = float(traj.meta.get("sigma_scale", 0.0))
-    sigma_override = traj.meta.get("sigma_override")
     eta = hyper.eta
     diffusive = sigma_scale > 0 or eta > 0
     if diffusive and test_fn.hess is None:
@@ -547,9 +506,8 @@ def weak_form_residual(traj: Trajectory, test_fn: TestFunction) -> np.ndarray:
         W = traj.ensembles[i]
         t = traj.times[i]
         fbar[i] = float(np.mean(test_fn.value(W)))
-        h, _, sigma = mean_field_terms(
-            W, W, model, pi, need_sigma=sigma_scale > 0, sigma_override=sigma_override
-        )
+        h, _, sigma = mean_field_terms(W, field_cache(W, model, pi), model, pi,
+                                       need_sigma=sigma_scale > 0)
         drift = float(np.mean(np.sum(h * test_fn.grad(W), axis=1)))
         term = time_weight(float(t), hyper.alpha) * drift
         if diffusive:

@@ -27,11 +27,10 @@ from .dynamics import (
     meanfield_sde_run,
     meanfield_sigma_scale,
     msgld_run,
-    noise_width,
     sgd_run,
     sgd_sde_endpoints,
 )
-from .meanfield import field_cache, ridge_block
+from .meanfield import field_cache, noise_width, ridge_block
 from .model import (
     DataAtom,
     DataDistribution,

@@ -9,15 +9,20 @@ root S.
 Every builtin feature is a ridge function F(w, x) = f(<w, x>), so one
 atom-major ``RidgeBlock`` of f and f' at X @ W.T (D, n) carries all a step
 needs: the law's per-atom predictions (the FieldCache) come from its f,
-and drift, covariance and noise factor at the points from its f'.  A law
-reaches the kernels only through its residual columns d1l(a(x_j), y_j),
-broadcastable to (D, n): one law is the (D, 1) case, and stacked systems
-give each point the column of its own law.  Sums over atoms run row by
-row, so a point's result does not depend on what it is stacked with.
+and drift, covariance and noise root at the points from its f'.
+
+A kernel takes the law one way: as its ``FieldCache``, or as its residual
+columns d1l(a(x_j), y_j) broadcastable to (D, n).  One law is the (D, 1)
+case, and stacked systems give each point the column of its own law.  A
+caller that holds an ensemble calls ``field_cache`` once.  Sums over atoms
+run row by row, so a point's result does not depend on what it is stacked
+with.  The noise model is the ``ModelSpec``'s: Sigma(w, mu), or s I when
+its ``sigma_override`` is s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +42,8 @@ __all__ = [
     "mean_field_h",
     "tilde_h",
     "mean_field_terms",
-    "drift_and_noise_factor",
+    "noise_width",
+    "drift_and_noise_root",
     "noise_xi",
     "covariance_sigma",
     "sqrt_psd",
@@ -197,16 +203,17 @@ def per_sample_grad(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution
 def risk_gradient(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
     """Gradient (N, p) of ``structural_risk`` with respect to the ensemble: -h(w_k, mu_N) / N."""
     block = ridge_block(ensemble, model, pi)
-    h, _, _ = mean_field_terms(block, None, model, pi, cache=field_cache(block, model, pi))
+    h, _, _ = mean_field_terms(block, field_cache(block, model, pi), model, pi)
     return -h / block.W.shape[0]
 
 
-def _block_and_law(W, mu, model: ModelSpec, pi: DataDistribution, cache):
+def _block_and_law(W, law, model: ModelSpec, pi: DataDistribution):
     """The points' RidgeBlock and the law's residual columns, broadcastable to (D, n)."""
     block = W if isinstance(W, RidgeBlock) else ridge_block(W, model, pi)
-    if cache is None:
-        cache = field_cache(mu, model, pi)
-    r = cache.residual_d1 if isinstance(cache, FieldCache) else np.asarray(cache)
+    r = law.residual_d1 if isinstance(law, FieldCache) else np.asarray(law)
+    if r.shape[0] != len(pi):
+        raise ValueError(f"a law's residual columns need one row per atom ({len(pi)}), "
+                         f"got shape {r.shape}")
     return block, (r[:, None] if r.ndim == 1 else r)
 
 
@@ -223,59 +230,70 @@ def _noise_factor(th: np.ndarray, g: np.ndarray, pi: DataDistribution) -> np.nda
     return -np.sqrt(pi.weights)[:, None, None] * (th + g)
 
 
-def mean_field_terms(
-    W,
-    mu,
-    model: ModelSpec,
-    pi: DataDistribution,
-    need_sigma: bool = False,
-    sigma_override: float | None = None,
-    cache=None,
-):
+def mean_field_terms(W, law, model: ModelSpec, pi: DataDistribution, need_sigma: bool = False):
     """Drift h, bounded part tilde_h and (optionally) covariance Sigma.
 
-    ``W`` holds the evaluation points (n, p), or their RidgeBlock; ``mu`` is
-    the population law.  Returns (h, tilde_h, Sigma) with Sigma None unless
-    requested; with ``sigma_override`` set, Sigma is the constant matrix
-    s * I.  A given ``cache`` stands in for ``mu``, which is then not read:
-    the law's FieldCache, or its residual columns broadcastable to (D, n).
+    ``W`` holds the evaluation points (n, p), or their RidgeBlock, and
+    ``law`` the population law as its FieldCache or its residual columns
+    broadcastable to (D, n).  Returns (h, tilde_h, Sigma) with Sigma None
+    unless requested; under the model's ``sigma_override`` s, Sigma is the
+    constant matrix s * I.
     """
-    block, resid = _block_and_law(W, mu, model, pi, cache)
+    block, resid = _block_and_law(W, law, model, pi)
     h, th, g = _ridge_drift(block, resid, model, pi)
     if not need_sigma:
         return h, th, None
     n, p = block.W.shape
-    if sigma_override is not None:
-        sig = np.broadcast_to(sigma_override * np.eye(p), (n, p, p)).copy()
-        return h, th, sig
+    if model.sigma_override is not None:
+        return h, th, np.broadcast_to(model.sigma_override * np.eye(p), (n, p, p)).copy()
     F = _noise_factor(th, g, pi)
     return h, th, (F[:, :, :, None] * F[:, :, None, :]).sum(axis=0)
 
 
-def drift_and_noise_factor(W, mu, model: ModelSpec, pi: DataDistribution, cache=None):
-    """Drift h and the rank-D noise factor F, from one activation block.
+def noise_width(model: ModelSpec, pi: DataDistribution) -> int:
+    """Standard normals per particle that one diffusion increment consumes.
 
-    F has shape (n, D, p) with F[:, j] = sqrt(pi_j) xi_j, so that
-    sum_j F_j F_j^T = Sigma exactly: F^T z with z ~ N(0, I_D) has the law
-    of Sigma^(1/2) z' without forming Sigma or taking its root.  ``W`` and
-    ``cache`` are read as in ``mean_field_terms``.
+    D (the number of atoms) for the rank-D factor at p > 1, else p.
     """
-    block, resid = _block_and_law(W, mu, model, pi, cache)
-    h, th, g = _ridge_drift(block, resid, model, pi)
-    return h, _noise_factor(th, g, pi).transpose(1, 0, 2)
+    return len(pi) if model.p > 1 and model.sigma_override is None else model.p
+
+
+def drift_and_noise_root(W, law, model: ModelSpec, pi: DataDistribution, need_noise: bool):
+    """Drift h (n, p) and noise root R (n, k, p) of one Euler-Maruyama step.
+
+    ``W`` and ``law`` are read as in ``mean_field_terms``.  R^T R = Sigma per
+    particle, with k = ``noise_width``; R is None when ``need_noise`` is
+    false.  At p = 1, R is the scalar root sqrt(Sigma_00), which gives the
+    W2-optimal synchronous coupling.  At p > 1 it is the exact rank-D factor
+    R[:, j] = sqrt(pi_j) xi_j: R^T z with z ~ N(0, I_D) has the law of
+    Sigma^(1/2) z' without forming Sigma or taking its root.  Under the
+    model's ``sigma_override`` s, R is sqrt(s) I at every p.
+    """
+    p, s = model.p, model.sigma_override
+    if need_noise and s is None:
+        if p > 1:
+            block, resid = _block_and_law(W, law, model, pi)
+            h, th, g = _ridge_drift(block, resid, model, pi)
+            return h, _noise_factor(th, g, pi).transpose(1, 0, 2)
+        h, _, sigma = mean_field_terms(W, law, model, pi, need_sigma=True)
+        return h, np.sqrt(np.clip(sigma[:, 0, 0], 0.0, None))[:, None, None]
+    h, _, _ = mean_field_terms(W, law, model, pi)
+    if not need_noise:
+        return h, None
+    return h, np.broadcast_to(math.sqrt(s) * np.eye(p), (h.shape[0], p, p))
 
 
 def mean_field_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
     """Mean drift field h(w, mu) = tilde_h(w, mu) - gradV(w)."""
     single = np.asarray(w).ndim == 1
-    h, _, _ = mean_field_terms(w, mu, model, pi)
+    h, _, _ = mean_field_terms(w, field_cache(mu, model, pi), model, pi)
     return h[0] if single else h
 
 
 def tilde_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
     """Penalty-free part of the drift; this is what the noise field centers on."""
     single = np.asarray(w).ndim == 1
-    _, th, _ = mean_field_terms(w, mu, model, pi)
+    _, th, _ = mean_field_terms(w, field_cache(mu, model, pi), model, pi)
     return th[0] if single else th
 
 
@@ -295,7 +313,7 @@ def noise_xi(w, mu, model: ModelSpec, pi: DataDistribution, atom) -> np.ndarray:
 def covariance_sigma(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
     """Gradient-noise covariance Sigma(w, mu), a p x p PSD matrix."""
     w = np.asarray(w, dtype=np.float64).reshape(-1)
-    _, _, sig = mean_field_terms(w, mu, model, pi, need_sigma=True)
+    _, _, sig = mean_field_terms(w, field_cache(mu, model, pi), model, pi, need_sigma=True)
     return sig[0]
 
 

@@ -171,6 +171,16 @@ class Hyperparams:
             )
         return n
 
+    def sgd_steps(self, N: int) -> int:
+        """Iterations floor(T / gamma_scale(N)) of the discrete recursion; raises when there are none."""
+        g = gamma_scale(self.alpha, self.beta, self.gamma, N)
+        n = int(math.floor(self.T / g + 1e-12))
+        if n == 0:
+            raise ValueError(
+                f"horizon T={self.T} is shorter than one SGD step gamma_scale={g:.6g}; nothing to run"
+            )
+        return n
+
     def replace(self, **kw) -> "Hyperparams":
         from dataclasses import replace
 
@@ -380,6 +390,10 @@ class ModelSpec:
     forms, custom models may pass anything >= 1.  The population kernels
     and engines need a ridge feature (one with ``activation``); the
     hypothesis audit needs only ``value`` and ``grad``.
+
+    ``sigma_override`` is the noise model: None takes the gradient-noise
+    covariance Sigma(w, mu) of the problem, a number s >= 0 pins it to s I
+    for every kernel and diffusion engine.
     """
 
     feature: object
@@ -389,10 +403,14 @@ class ModelSpec:
     phi: Callable[[np.ndarray], float] = None  # type: ignore[assignment]
     psi: Callable[[float], float] = None  # type: ignore[assignment]
     name: str = "custom"
+    sigma_override: float | None = None
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("parameter dimension must be >= 1")
+        s = self.sigma_override
+        if s is not None and not (math.isfinite(s) and s >= 0):
+            raise ValueError(f"sigma_override must be finite and >= 0, got {s}")
         if self.phi is None:
             object.__setattr__(self, "phi", self.feature.envelope)
         if self.psi is None:

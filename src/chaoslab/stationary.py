@@ -2,8 +2,8 @@
 
 For the one-dimensional mean-field diffusion with drift h(., mu) and
 diffusion variance sigma_bar(., mu) = gamma^(1/(1-alpha)) Sigma(., mu) / M
-(+ 2 eta when the Langevin channel is on), the candidate stationary density
-given a frozen law mu is
+(+ 2 eta when the Langevin channel is on), with Sigma under the model's
+noise model, the candidate stationary density given a frozen law mu is
 
     rho_mu(w)  proportional to  sigma_bar(w, mu)^-1
                * exp( 2 * integral_0^w  h(u, mu) / sigma_bar(u, mu) du ).
@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DOMAIN_REFERENCE, euler_run, meanfield_sigma_scale
-from .meanfield import EmpiricalMeasure, mean_field_terms
+from .meanfield import EmpiricalMeasure, FieldCache, field_cache, mean_field_terms
 from .model import DataDistribution, Hyperparams, ModelSpec
 from .rng import NoisePlan, SLOT_INIT
 
 __all__ = [
+    "NonEllipticNoise",
     "GridDensity1D",
     "FixedPointResult",
     "map_H",
@@ -38,6 +39,10 @@ __all__ = [
 _SIGMA_FLOOR = 1e-12
 _BOUNDARY_FRACTION = 1e-12
 _MAX_EXPANSIONS = 16
+
+
+class NonEllipticNoise(ValueError):
+    """The effective diffusion variance falls below the floor somewhere on the grid."""
 
 
 @dataclass(frozen=True)
@@ -110,15 +115,13 @@ def l1_distance(a: GridDensity1D, b: GridDensity1D) -> float:
 
 def _effective_variance(
     centers: np.ndarray,
-    mu: EmpiricalMeasure,
+    law: FieldCache,
     model: ModelSpec,
     pi: DataDistribution,
     hyper: Hyperparams,
-    sigma_override: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drift h and effective diffusion variance sigma_bar at the cell centers."""
-    h, _, sigma = mean_field_terms(centers[:, None], mu, model, pi, need_sigma=True,
-                                   sigma_override=sigma_override)
+    h, _, sigma = mean_field_terms(centers[:, None], law, model, pi, need_sigma=True)
     scale = hyper.gamma ** (1.0 / (1.0 - hyper.alpha)) / hyper.M
     sigma_bar = scale * sigma[:, 0, 0] + 2.0 * hyper.eta
     return h[:, 0], sigma_bar
@@ -128,17 +131,16 @@ def _density_on_grid(
     lo: float,
     hi: float,
     n_cells: int,
-    mu: EmpiricalMeasure,
+    law: FieldCache,
     model: ModelSpec,
     pi: DataDistribution,
     hyper: Hyperparams,
-    sigma_override: float | None,
 ) -> GridDensity1D:
     centers = lo + (np.arange(n_cells) + 0.5) * (hi - lo) / n_cells
-    h, sigma_bar = _effective_variance(centers, mu, model, pi, hyper, sigma_override)
+    h, sigma_bar = _effective_variance(centers, law, model, pi, hyper)
     if np.any(sigma_bar < _SIGMA_FLOOR):
         k = int(np.argmin(sigma_bar))
-        raise ValueError(
+        raise NonEllipticNoise(
             f"effective diffusion variance {sigma_bar[k]:.3e} below floor at w={centers[k]:.4g}; "
             "the fixed-point map needs uniformly elliptic noise"
         )
@@ -156,7 +158,6 @@ def map_H(
     model: ModelSpec,
     pi: DataDistribution,
     hyper: Hyperparams,
-    sigma_override: float | None = None,
 ) -> GridDensity1D:
     """One application of the stationary-density map to a grid density.
 
@@ -167,10 +168,10 @@ def map_H(
     """
     if model.p != 1:
         raise ValueError("the stationary map is defined for parameter dimension p = 1")
-    measure = mu.as_measure()
+    law = field_cache(mu.as_measure(), model, pi)
     lo, hi, n = mu.lo, mu.hi, mu.n_cells
     for _ in range(_MAX_EXPANSIONS):
-        out = _density_on_grid(lo, hi, n, measure, model, pi, hyper, sigma_override)
+        out = _density_on_grid(lo, hi, n, law, model, pi, hyper)
         peak = float(out.values.max())
         if max(out.values[0], out.values[-1]) <= _BOUNDARY_FRACTION * peak:
             return out
@@ -195,7 +196,6 @@ def fixed_point_iterate(
     tol: float = 1e-8,
     max_iter: int = 100,
     damping: float = 1.0,
-    sigma_override: float | None = None,
 ) -> FixedPointResult:
     """Damped fixed-point iteration mu <- (1-damping) mu + damping H(mu).
 
@@ -209,7 +209,7 @@ def fixed_point_iterate(
     history: list[float] = []
     iterations = 0
     for _ in range(max_iter):
-        image = map_H(mu, model, pi, hyper, sigma_override)
+        image = map_H(mu, model, pi, hyper)
         resid = l1_distance(mu, image)
         history.append(resid)
         if resid <= tol:
@@ -219,7 +219,7 @@ def fixed_point_iterate(
         mixed = (1.0 - damping) * prev + damping * image.values
         mu = GridDensity1D(image.lo, image.hi, image.n_cells, mixed)
         iterations += 1
-    image = map_H(mu, model, pi, hyper, sigma_override)
+    image = map_H(mu, model, pi, hyper)
     resid = l1_distance(mu, image)
     history.append(resid)
     return FixedPointResult(mu, iterations, resid, history, resid <= tol)
@@ -233,7 +233,6 @@ def stationarity_check(
     N_ref: int,
     horizon: float,
     plan: NoisePlan,
-    sigma_override: float | None = None,
 ) -> float:
     """Wasserstein drift of the diffusion started from a candidate stationary law.
 
@@ -256,7 +255,6 @@ def stationarity_check(
         sigma_scale=meanfield_sigma_scale(hyper),
         kind="meanfield-sde",
         snapshot_times=[horizon],
-        sigma_override=sigma_override,
     )
     samples = np.sort(traj.endpoint()[:, 0])
     levels = (np.arange(N_ref) + 0.5) / N_ref

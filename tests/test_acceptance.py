@@ -5,6 +5,8 @@ run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -244,17 +246,18 @@ class TestCriterion6Regularization:
 
 class TestCriterion7Stationary:
     def test_fixed_point_and_drift(self):
-        model = make_model("zero", "square", 1.0)  # V = w^2/2, drift -w
+        # V = w^2/2, drift -w
+        model = replace(make_model("zero", "square", 1.0), sigma_override=1.0)
         pi = DataDistribution([DataAtom([1.0], 0.0, 1.0)])
         hyper = Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=5.0, dt=1e-3)
         start = GridDensity1D.gaussian(0.5, 2.0, -6.0, 6.0, 2048)
         res = fixed_point_iterate(start, model, pi, hyper, tol=1e-10, max_iter=10,
-                                  damping=1.0, sigma_override=1.0)
+                                  damping=1.0)
         analytic = GridDensity1D.gaussian(0.0, 0.5, res.density.lo, res.density.hi,
                                           res.density.n_cells)
         l1 = l1_distance(res.density, analytic)
         drift = stationarity_check(res.density, model, pi, hyper, 4096, 5.0,
-                                   NoisePlan(707), sigma_override=1.0)
+                                   NoisePlan(707))
         ok = res.converged and l1 <= 1e-3 and drift <= 0.05
         _report(7, "stationary fixed point", ok,
                 f"L1 to analytic={l1:.2e} (<= 1e-3), W2 drift={drift:.4f} (<= 0.05)")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chaoslab
-from chaoslab.cli import EXIT_CONFIG, EXIT_OK, cli_dispatch
+from chaoslab.cli import _STUDIES, EXIT_CONFIG, EXIT_OK, _study_config, cli_dispatch
 from chaoslab.dynamics import InitSpec, Trajectory, interacting_sde_run
 from chaoslab.io import (
     ConfigError,
@@ -58,12 +58,23 @@ class TestConfigSchema:
             load_config(path)
 
 
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
 class TestShippedConfigs:
     def test_all_example_configs_validate(self):
         configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
         assert len(configs) >= 8
         for path in configs:
             load_config(path)
+
+    @pytest.mark.parametrize("command, name", [
+        ("chaos-rate", "chaos-rate.json"), ("regime", "regime.json"),
+        ("gamma-sweep", "sweep.json"), ("batch-sweep", "sweep.json"),
+        ("histograms", "histograms.json"), ("consistency", "consistency.json"),
+    ])
+    def test_study_configs_hold_only_keys_their_study_reads(self, command, name):
+        _study_config(load_config(CONFIGS / name), _STUDIES[command][0])
 
 
 class TestDatasetIO:
@@ -274,6 +285,29 @@ class TestCliDispatch:
                "N_grid": [16, 64], "seeds": 2, "seed": 1,
                "problem": {"init_kind": "dirac", "init_w0": 0.0}}
         assert self.run(tmp_path, "regime", cfg) == EXIT_OK
+
+    def test_study_rejects_keys_it_does_not_read(self, tmp_path, capsys):
+        cfg = {"dataset": "d.csv", "sigma_override": 1.0, "engine": "sgd", "N": 8,
+               "N_grid": [16, 64], "reps": 2, "seed": 1}
+        assert self.run(tmp_path, "consistency", cfg) == EXIT_CONFIG
+        assert "config fields N, dataset, engine, sigma_override:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("stationary", {"problem": {"p": 2}, "sigma_override": 1.0}, "field problem.p"),
+        ("stationary", {"grid_lo": 1.0, "sigma_override": 1.0}, "fields grid_lo/grid_hi"),
+        ("stationary", {"problem": {"feature": "zero", "penalty": 1.0}},
+         "fields sigma_override/hyper.eta"),
+        ("check-assumptions", {"probes": [[1.0, 2.0]]}, "field probes"),
+        ("check-assumptions", {"probes": []}, "field probes"),
+        ("simulate", {"engine": "sgd", "N": 4, "hyper": {"T": 0.01, "gamma": 0.5}}, "field T"),
+        ("simulate", {"engine": "interacting-sde", "N": 4, "hyper": {"T": 0.2, "dt": 0.05},
+                      "snapshot_times": [9]}, "field snapshot_times"),
+    ])
+    def test_bad_input_exits_config_naming_the_field(self, tmp_path, capsys, command, cfg, field):
+        assert self.run(tmp_path, command, {**cfg, "seed": 1}) == EXIT_CONFIG
+        assert f"config {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("engine", ["sgd", "msgld"])
     def test_sigma_override_on_discrete_engine_exits_config(self, tmp_path, capsys, engine):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,8 +234,8 @@ class TestInteractingSde:
         # checked on 1e5 increments
         s2, gamma, M, N = 2.0, 0.8, 2, 128
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=gamma, M=M, T=8.0, dt=0.01)
-        traj = interacting_sde_run(ZERO_FEAT, SINGLE_ATOM, h, N, InitSpec.dirac([0.0]),
-                                   NoisePlan(5), snapshot_times="all", sigma_override=s2)
+        traj = interacting_sde_run(replace(ZERO_FEAT, sigma_override=s2), SINGLE_ATOM, h, N,
+                                   InitSpec.dirac([0.0]), NoisePlan(5), snapshot_times="all")
         inc = np.diff(traj.ensembles[:, :, 0], axis=0).ravel()
         assert inc.size >= 10**5
         want = gamma / M * s2 * h.dt
@@ -261,8 +262,8 @@ class TestMeanFieldEngines:
         h = Hyperparams(alpha=0.25, beta=1.0, gamma=1.0, M=1, T=0.5, dt=0.01)
         a = meanfield_ode_run(TANH, NOISY, h, 16, InitSpec.uniform(), NoisePlan(6),
                               snapshot_times="all")
-        b = meanfield_sde_run(TANH, NOISY, h, 16, InitSpec.uniform(), NoisePlan(6),
-                              snapshot_times="all", sigma_override=0.0)
+        b = meanfield_sde_run(replace(TANH, sigma_override=0.0), NOISY, h, 16, InitSpec.uniform(),
+                              NoisePlan(6), snapshot_times="all")
         np.testing.assert_array_equal(a.ensembles, b.ensembles)
 
     def test_dirac_init_ode_stays_collapsed(self):

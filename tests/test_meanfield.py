@@ -8,7 +8,7 @@ import pytest
 from chaoslab.meanfield import (
     EmpiricalMeasure,
     covariance_sigma,
-    drift_and_noise_factor,
+    drift_and_noise_root,
     field_cache,
     g_envelope,
     mean_field_h,
@@ -214,7 +214,7 @@ class TestNoiseFactor:
             model, pi = random_problem(rng, p=p, n_atoms=4)
             W = rng.standard_normal((6, p))
             mu = EmpiricalMeasure(rng.standard_normal((5, p)))
-            h, F = drift_and_noise_factor(W, mu, model, pi)
+            h, F = drift_and_noise_root(W, field_cache(mu, model, pi), model, pi, True)
             assert F.shape == (6, 4, p)
             np.testing.assert_array_equal(h, mean_field_h(W, mu, model, pi))
             FF = np.einsum("ndp,ndq->npq", F, F)
@@ -235,7 +235,7 @@ class TestStackedLaws:
         stacked = field_cache(block, model, pi, sizes)
         assert stacked.predictions.shape == (4, len(sizes))
         resid = np.repeat(stacked.residual_d1, sizes, axis=1)
-        h, th, sig = mean_field_terms(block, None, model, pi, need_sigma=True, cache=resid)
+        h, th, sig = mean_field_terms(block, resid, model, pi, need_sigma=True)
         # at p = 1 every sum over atoms or points is the segment's own, bit for bit
         check = np.testing.assert_array_equal if p == 1 else (
             lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15))
@@ -243,10 +243,18 @@ class TestStackedLaws:
         for k, (a, b) in enumerate(zip(edges, edges[1:])):
             alone = field_cache(W[a:b], model, pi)
             check(stacked.predictions[:, k], alone.predictions)
-            h1, th1, sig1 = mean_field_terms(W[a:b], W[a:b], model, pi, need_sigma=True)
+            h1, th1, sig1 = mean_field_terms(W[a:b], alone, model, pi, need_sigma=True)
             check(h[a:b], h1)
             check(th[a:b], th1)
             check(sig[a:b], sig1)
+
+    def test_an_ensemble_is_not_a_law(self):
+        # the law is its FieldCache or residual columns, one row per atom
+        W = np.zeros((5, 1))
+        with pytest.raises(ValueError, match="one row per atom"):
+            mean_field_terms(W, W, TANH, SYMMETRIC)
+        h, _, _ = mean_field_terms(W, field_cache(W, TANH, SYMMETRIC), TANH, SYMMETRIC)
+        assert h.shape == (5, 1)
 
     def test_bad_sizes_rejected(self):
         block = ridge_block(np.zeros((5, 1)), TANH, SYMMETRIC)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,8 @@ from chaoslab.dynamics import (
     DOMAIN_SYSTEM,
     InitSpec,
     diffusion_increment,
-    drift_and_noise_root,
     interacting_sde_run,
     msgld_run,
-    noise_width,
     sgd_run,
 )
 from chaoslab.experiments import (
@@ -26,9 +25,10 @@ from chaoslab.experiments import (
 from chaoslab.meanfield import (
     EmpiricalMeasure,
     covariance_sigma,
-    drift_and_noise_factor,
+    drift_and_noise_root,
     field_cache,
     mean_field_terms,
+    noise_width,
 )
 from chaoslab.model import (
     DataAtom,
@@ -41,6 +41,7 @@ from chaoslab.model import (
     time_weight,
 )
 from chaoslab.rng import SLOT_DIFFUSION, NoisePlan
+from chaoslab.stationary import GridDensity1D, map_H
 
 TANH = make_model("tanh-dot", "square")
 NOISY = DataDistribution([
@@ -114,7 +115,8 @@ class TestScalarRootAtP1:
         W = init.draw(NoisePlan(4), DOMAIN_SYSTEM, np.arange(N), 1)
         want = [W]
         for n in range(10):
-            hn, _, sig = mean_field_terms(W, W, TANH, NOISY, need_sigma=True)
+            hn, _, sig = mean_field_terms(W, field_cache(W, TANH, NOISY), TANH, NOISY,
+                                          need_sigma=True)
             Z = NoisePlan(4).normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, N, 1)
             incr = hn * h.dt + math.sqrt(h.dt) * scalar_root_increment(sig, scale, Z)
             W = W + time_weight(n * h.dt, h.alpha) * incr
@@ -140,14 +142,14 @@ class TestScalarRootAtP1:
             cache = field_cache(W_ref, TANH, NOISY)
             Zs = rep.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, max(Ns), 1)
             Zr = rep.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, 1)
-            h_ref, _, s_ref = mean_field_terms(W_ref, W_ref, TANH, NOISY, True, cache=cache)
-            h_c, _, s_c = mean_field_terms(W_comp, W_ref, TANH, NOISY, True, cache=cache)
+            h_ref, _, s_ref = mean_field_terms(W_ref, cache, TANH, NOISY, True)
+            h_c, _, s_c = mean_field_terms(W_comp, cache, TANH, NOISY, True)
             inc_ref = h_ref * h.dt + sq_dt * scalar_root_increment(s_ref, mf_scale, Zr)
             inc_c = h_c * h.dt + sq_dt * scalar_root_increment(s_c, mf_scale, Zs[:m])
             for N in Ns:
                 Wt = tests[N]
                 t_scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
-                h_t, _, s_t = mean_field_terms(Wt, Wt, TANH, NOISY, True)
+                h_t, _, s_t = mean_field_terms(Wt, field_cache(Wt, TANH, NOISY), TANH, NOISY, True)
                 tests[N] = Wt + (h_t * h.dt + sq_dt * scalar_root_increment(s_t, t_scale, Zs[:N]))
             W_ref = W_ref + inc_ref
             W_comp = W_comp + inc_c
@@ -222,8 +224,48 @@ class TestOneActivationBlockPerStep:
         traj = interacting_sde_run(model, pi, h, N, InitSpec.uniform(-0.5, 0.5), plan,
                                    snapshot_times="all")
         W0 = traj.ensembles[0]
-        drift, F = drift_and_noise_factor(W0, W0, model, pi)
+        drift, F = drift_and_noise_root(W0, field_cache(W0, model, pi), model, pi, True)
         Z = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, 0, N, len(pi))
         scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
         want = W0 + drift * h.dt + math.sqrt(h.dt) * scale * np.einsum("ndp,nd->np", F, Z)
         np.testing.assert_allclose(traj.ensembles[1], want, rtol=0.0, atol=1e-12)
+
+
+class TestNoiseModel:
+    """sigma_override is a field of the model, read by every kernel and engine."""
+
+    # zero feature + V = w^2/2: drift -w, and Sigma pinned to s = 0.5
+    PINNED = replace(make_model("zero", "square", 1.0), sigma_override=0.5)
+    PI = DataDistribution([DataAtom([1.0], 0.0, 1.0)])
+    HYPER = Hyperparams(alpha=0.0, beta=1.0, gamma=0.8, M=2, T=0.01, dt=0.01, eta=0.05)
+    # effective diffusion variance: scale * s + 2 eta, scale = gamma / M at alpha = 0, beta = 1
+    SIGMA_BAR = 0.8 / 2 * 0.5 + 2 * 0.05
+
+    @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
+    def test_invalid_override_rejected(self, s):
+        base = make_model("tanh-dot", "square")
+        with pytest.raises(ValueError, match="sigma_override"):
+            ModelSpec(base.feature, base.loss, base.penalty, 1, sigma_override=s)
+
+    @pytest.mark.parametrize("run", [sgd_run, msgld_run])
+    def test_discrete_recursions_refuse_an_override(self, run):
+        with pytest.raises(ValueError, match="sigma_override"):
+            run(self.PINNED, self.PI, self.HYPER, 4, InitSpec.uniform(), NoisePlan(1))
+
+    def test_one_model_pins_every_kernel(self):
+        mu = EmpiricalMeasure(np.array([[0.3], [-0.2]]))
+        np.testing.assert_array_equal(covariance_sigma([0.7], mu, self.PINNED, self.PI), [[0.5]])
+
+        # the stationary density of dW = -w dt + sqrt(sigma_bar) dB is N(0, sigma_bar / 2)
+        start = GridDensity1D.gaussian(0.0, 1.0, -6.0, 6.0, 2048)
+        out = map_H(start, self.PINNED, self.PI, self.HYPER)
+        assert out.moment(2) == pytest.approx(self.SIGMA_BAR / 2, rel=1e-4)
+
+        # one Euler step from the origin: W_1 ~ N(0, dt sigma_bar), over 20 000 particles
+        N = 20_000
+        traj = interacting_sde_run(self.PINNED, self.PI, self.HYPER, N, InitSpec.dirac([0.0]),
+                                   NoisePlan(8))
+        assert traj.meta["sigma_override"] == 0.5
+        want = self.HYPER.dt * self.SIGMA_BAR
+        se = want * math.sqrt(2.0 / (N - 1))
+        assert abs(traj.endpoint()[:, 0].var() - want) <= 3 * se

@@ -1,6 +1,7 @@
 """Stationary fixed-point map on 1-D grid densities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from chaoslab.stationary import (
 # zero feature + V = w^2/2 gives the pure drift dW = -w dt; with a constant
 # diffusion override s^2 the stationary law is the Gaussian N(0, s^2/2)
 OU_MODEL = make_model("zero", "square", 1.0)
+OU_PINNED = replace(OU_MODEL, sigma_override=1.0)
 OU_PI = DataDistribution([DataAtom([1.0], 0.0, 1.0)])
 OU_HYPER = Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=5.0, dt=1e-3)
 
@@ -51,24 +53,24 @@ class TestGridDensity:
 
 class TestMapH:
     def test_constant_map_gives_analytic_gaussian(self):
-        out = map_H(ou_start(), OU_MODEL, OU_PI, OU_HYPER, sigma_override=1.0)
+        out = map_H(ou_start(), OU_PINNED, OU_PI, OU_HYPER)
         ana = GridDensity1D.gaussian(0.0, 0.5, out.lo, out.hi, out.n_cells)
         assert l1_distance(out, ana) <= 1e-6
         dens0 = float(np.interp(0.0, out.centers, out.values))
         assert dens0 == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-4)  # 0.56419
 
     def test_output_is_normalized(self):
-        out = map_H(ou_start(), OU_MODEL, OU_PI, OU_HYPER, sigma_override=1.0)
+        out = map_H(ou_start(), OU_PINNED, OU_PI, OU_HYPER)
         assert out.integral() == pytest.approx(1.0, abs=1e-8)
 
     def test_constant_map_idempotent(self):
-        h1 = map_H(ou_start(), OU_MODEL, OU_PI, OU_HYPER, sigma_override=1.0)
-        h2 = map_H(h1, OU_MODEL, OU_PI, OU_HYPER, sigma_override=1.0)
+        h1 = map_H(ou_start(), OU_PINNED, OU_PI, OU_HYPER)
+        h2 = map_H(h1, OU_PINNED, OU_PI, OU_HYPER)
         assert l1_distance(h1, h2) <= 1e-10
 
     def test_gaussian_tail_domination(self):
         # log density below a fitted quadratic envelope in the tails
-        out = map_H(ou_start(), OU_MODEL, OU_PI, OU_HYPER, sigma_override=1.0)
+        out = map_H(ou_start(), OU_PINNED, OU_PI, OU_HYPER)
         w = out.centers
         inside = out.values > out.values.max() * 1e-10
         logv = np.log(out.values[inside])
@@ -80,7 +82,7 @@ class TestMapH:
         # L1 error against the analytic output shrinks ~ n_cells^-2
         errs = {}
         for n in (256, 512, 1024):
-            out = map_H(ou_start(n), OU_MODEL, OU_PI, OU_HYPER, sigma_override=1.0)
+            out = map_H(ou_start(n), OU_PINNED, OU_PI, OU_HYPER)
             ana = GridDensity1D.gaussian(0.0, 0.5, out.lo, out.hi, 4 * out.n_cells)
             errs[n] = l1_distance(out, ana)
         assert errs[512] < errs[256]
@@ -96,13 +98,13 @@ class TestMapH:
     def test_p_must_be_one(self):
         model2 = make_model("tanh-dot", "square", 1.0, p=2)
         with pytest.raises(ValueError, match="p = 1"):
-            map_H(ou_start(), model2, OU_PI, OU_HYPER, sigma_override=1.0)
+            map_H(ou_start(), replace(model2, sigma_override=1.0), OU_PI, OU_HYPER)
 
 
 class TestFixedPoint:
     def test_constant_map_converges_in_one_iteration(self):
-        res = fixed_point_iterate(ou_start(), OU_MODEL, OU_PI, OU_HYPER,
-                                  tol=1e-10, max_iter=10, damping=1.0, sigma_override=1.0)
+        res = fixed_point_iterate(ou_start(), OU_PINNED, OU_PI, OU_HYPER,
+                                  tol=1e-10, max_iter=10, damping=1.0)
         assert res.converged
         assert res.iterations == 1
         assert res.residual <= 1e-10
@@ -118,41 +120,35 @@ class TestFixedPoint:
         assert all(b <= a * (1 + 1e-9) for a, b in zip(res.history, res.history[1:]))
 
     def test_zero_tolerance_exhausts_iterations(self):
-        res = fixed_point_iterate(ou_start(512), OU_MODEL, OU_PI, OU_HYPER,
-                                  tol=0.0, max_iter=5, damping=0.7, sigma_override=1.0)
+        res = fixed_point_iterate(ou_start(512), OU_PINNED, OU_PI, OU_HYPER,
+                                  tol=0.0, max_iter=5, damping=0.7)
         assert res.iterations == 5
         assert res.residual > 0.0
         assert len(res.history) == 6
 
     def test_invalid_damping(self):
         with pytest.raises(ValueError):
-            fixed_point_iterate(ou_start(512), OU_MODEL, OU_PI, OU_HYPER, damping=0.0,
-                                sigma_override=1.0)
+            fixed_point_iterate(ou_start(512), OU_PINNED, OU_PI, OU_HYPER, damping=0.0)
 
 
 class TestStationarityCheck:
     def fixed_point(self):
-        return fixed_point_iterate(ou_start(), OU_MODEL, OU_PI, OU_HYPER,
-                                   tol=1e-10, max_iter=5, damping=1.0,
-                                   sigma_override=1.0).density
+        return fixed_point_iterate(ou_start(), OU_PINNED, OU_PI, OU_HYPER,
+                                   tol=1e-10, max_iter=5, damping=1.0).density
 
     def test_drift_small_from_the_fixed_point(self):
         mu = self.fixed_point()
-        drift = stationarity_check(mu, OU_MODEL, OU_PI, OU_HYPER, 4096, 5.0, NoisePlan(0),
-                                   sigma_override=1.0)
+        drift = stationarity_check(mu, OU_PINNED, OU_PI, OU_HYPER, 4096, 5.0, NoisePlan(0))
         assert drift <= 0.05
 
     def test_zero_horizon_gives_sampling_baseline(self):
         mu = self.fixed_point()
-        base = stationarity_check(mu, OU_MODEL, OU_PI, OU_HYPER, 4096, 0.0, NoisePlan(0),
-                                  sigma_override=1.0)
+        base = stationarity_check(mu, OU_PINNED, OU_PI, OU_HYPER, 4096, 0.0, NoisePlan(0))
         assert 0.0 < base <= 0.05
 
     def test_far_start_drifts_more(self):
         mu = self.fixed_point()
-        near = stationarity_check(mu, OU_MODEL, OU_PI, OU_HYPER, 2048, 2.0, NoisePlan(0),
-                                  sigma_override=1.0)
+        near = stationarity_check(mu, OU_PINNED, OU_PI, OU_HYPER, 2048, 2.0, NoisePlan(0))
         shifted = GridDensity1D.gaussian(3.0, 0.5, -9.0, 9.0, 2048)
-        far = stationarity_check(shifted, OU_MODEL, OU_PI, OU_HYPER, 2048, 2.0, NoisePlan(0),
-                                 sigma_override=1.0)
+        far = stationarity_check(shifted, OU_PINNED, OU_PI, OU_HYPER, 2048, 2.0, NoisePlan(0))
         assert far > near
