@@ -133,12 +133,28 @@ def _finish_study(report: xp.StudyReport, args, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _reject_unread(cfg: dict, reads, what: str) -> None:
+    """A config key outside ``reads`` is a config error naming every such key."""
+    unread = sorted(set(cfg) - set(reads))
+    if unread:
+        raise ConfigError(f"config fields {', '.join(unread)}: {what} does not read them",
+                          unread[0])
+
+
+# the keys each subcommand that is not a study reads
+_READS = {
+    "simulate": ("problem", "dataset", "sigma_override", "seed", "hyper", "engine", "N",
+                 "snapshot_times"),
+    "stationary": ("problem", "dataset", "sigma_override", "seed", "hyper", "horizon", "grid_lo",
+                   "grid_hi", "n_cells", "tol", "max_iter", "damping", "N_ref"),
+    "check-assumptions": ("problem", "dataset", "seed", "probes"),
+    "metrics": ("samples_a", "samples_b", "seed", "reps"),
+}
+
+
 def _study_config(cfg: dict, cls):
     """Assemble a study config dataclass from the JSON dict (the seed flag is already in it)."""
-    unread = sorted(set(cfg) - set(cls.__dataclass_fields__))
-    if unread:
-        raise ConfigError(f"config fields {', '.join(unread)}: this study does not read them",
-                          unread[0])
+    _reject_unread(cfg, cls.__dataclass_fields__, "this study")
     kw = {key: tuple(v) if isinstance(v, list) else v for key, v in cfg.items()}
     if "problem" in cfg:
         kw["problem"] = _problem_from(cfg)
@@ -215,8 +231,10 @@ def _cmd_study(args, cfg: dict) -> int:
 def _cmd_stationary(args, cfg: dict) -> int:
     model, pi, _ = _resolve_problem(cfg)
     if model.p != 1:
-        raise ConfigError(f"config field problem.p: the stationary map is defined for p = 1, "
-                          f"got p={model.p}", "problem.p")
+        # with a dataset the dimension is its number of x_ columns
+        field_name = "dataset" if "dataset" in cfg else "problem.p"
+        raise ConfigError(f"config field {field_name}: the stationary map is defined for p = 1, "
+                          f"got p={model.p}", field_name)
     hyper = _hyper_from(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     horizon = cfg.get("horizon", 5.0)
@@ -392,6 +410,8 @@ def cli_dispatch(argv: list[str]) -> int:
         cfg = load_config(args.config) if args.config else {}
         if args.seed is not None:
             cfg["seed"] = args.seed
+        if args.command in _READS:
+            _reject_unread(cfg, _READS[args.command], args.command)
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

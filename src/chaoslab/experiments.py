@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ from .model import (
 )
 from .rng import NoisePlan, SLOT_DIFFUSION, SLOT_LANGEVIN
 from .metrics import fit_rate, histogram_rows, w2_1d_quantile, w2_ensembles
+from .stationary import GRID_LAW_CELLS, grid_law_path
 
 __all__ = [
     "Verdict",
@@ -120,12 +122,26 @@ def _budget_warning(report: StudyReport, budget_s: float | None, t0: float):
         )
 
 
+@contextmanager
+def _pool_map(workers: int):
+    """An order-preserving map on one process pool of ``workers``, serial at 1;
+    its results are bitwise-identical at any width."""
+    if workers <= 1:
+        yield lambda fn, tasks: [fn(t) for t in tasks]
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield lambda fn, tasks: list(pool.map(fn, tasks))
+
+
 def _parallel_map(fn, tasks, workers: int):
     """Order-preserving map, optionally on a process pool (bitwise-identical)."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    with _pool_map(workers if len(tasks) > 1 else 1) as pmap:
+        return pmap(fn, tasks)
+
+
+def _call(task):
+    fn, *args = task
+    return fn(*args)
 
 
 # ----------------------------- synthetic problems -----------------------------
@@ -223,7 +239,17 @@ def _stratified_reference(init: InitSpec, n: int, p: int) -> np.ndarray | None:
 
 @dataclass
 class ChaosErrorEstimate:
-    """Monte Carlo estimate of E[sup_t sum_{k<=m} ||W_t^{k,N} - W_t^{k,*}||^2]."""
+    """Monte Carlo estimate of E[sup_t sum_{k<=m} ||W_t^{k,N} - W_t^{k,*}||^2].
+
+    ``reference`` names the law the companions W^{k,*} read: ``"grid"``, the
+    grid law of the Euler scheme (p = 1, with noise); ``"stratified-path"``,
+    the stratified particle reference, deterministic and stepped once per
+    study; or ``"particle"``, a reference ensemble of N_ref particles
+    stepped in every rep.  ``ref_bias_scale`` sizes the reference's own
+    error: the largest gap between the grid paths at GRID_LAW_CELLS and half
+    as many cells for ``"grid"``, the O(N_ref^-1/2) proxy bias otherwise.
+    ``reference_note`` says why a grid law was tried and not used, if so.
+    """
 
     value: float
     stderr: float
@@ -231,33 +257,57 @@ class ChaosErrorEstimate:
     N: int
     m: int
     N_ref: int
-    ref_bias_scale: float  # O(N_ref^-1/2) proxy bias of the reference law
+    ref_bias_scale: float
+    reference: str
+    reference_note: str = ""
 
 
-def _coupled_grid_rep(args) -> dict[int, float]:
+def _particle_reference(model, pi, hyper, W_ref, plan, sigma_scale):
+    """The residual row of the self-consistent reference ensemble W_ref at each Euler step.
+
+    Draws its noise on the reference domain of ``plan``; with no diffusion
+    (sigma_scale and eta 0) it draws nothing and ``plan`` may be None.
+    """
+    eta = hyper.eta
+    width = noise_width(model, pi)
+    N_ref, p = W_ref.shape
+    for n in range(hyper.euler_steps()):
+        t = n * hyper.dt
+        guard_moment(W_ref, n, t)
+        Z = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, width) if sigma_scale > 0 else None
+        Zl = plan.normals(DOMAIN_REFERENCE, SLOT_LANGEVIN, n, N_ref, p) if eta > 0 else None
+        ref = ridge_block(W_ref, model, pi)
+        cache = field_cache(ref, model, pi)
+        yield cache.residual_d1
+        W_ref = euler_step(ref, cache, model, pi, hyper.dt, time_weight(t, hyper.alpha),
+                           sigma_scale, Z, Zl, eta)
+
+
+def _coupled_grid_rep(model, pi, hyper, Ns, m, N_ref, init, plan, path) -> dict[int, float]:
     """One repetition of the coupling, sharing streams across the whole N grid.
 
-    The reference ensemble is stepped on its own.  The m companions and
-    every test system of the grid are stacked into one block and stepped
-    together: the companions' columns carry the reference's residuals,
-    each test segment its own, and every particle keeps its scale.  Row k
+    The m companions and every test system of the grid are stacked into one
+    block and stepped together: the companions' columns carry the
+    reference law's residuals, row n of ``path``, each test segment its own,
+    and every particle keeps its scale.  With ``path`` None the reference is
+    a particle ensemble stepped here, on the rep's reference domain.  Row k
     of each system-domain Gaussian block drives particle k of every test
     system and of the companions, so companion k replays test particle k
     and the error ratios across N concentrate (common random numbers).
     """
-    model, pi, hyper, Ns, m, N_ref, init, plan = args
     p = model.p
-    n_steps = hyper.euler_steps()
     n_sys = max(Ns)
+    mf_scale = _companion_scale(hyper)
+    if path is None:
+        W_ref = _stratified_reference(init, N_ref, p)
+        if W_ref is None:
+            W_ref = init.draw(plan, DOMAIN_REFERENCE, np.arange(N_ref), p)
+        path = _particle_reference(model, pi, hyper, W_ref, plan, mf_scale)
 
-    W_ref = _stratified_reference(init, N_ref, p)
-    if W_ref is None:
-        W_ref = init.draw(plan, DOMAIN_REFERENCE, np.arange(N_ref), p)
     sizes = (m, *Ns)
     edges = np.cumsum((0, *sizes))
     rows = np.concatenate([np.arange(k) for k in sizes])  # each particle's draw row
     W = init.draw(plan, DOMAIN_SYSTEM, np.arange(n_sys), p)[rows]
-    mf_scale = meanfield_sigma_scale(hyper) if hyper.beta == 1.0 else 0.0
     scales = np.repeat(
         [mf_scale] + [math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M)
                       for N in Ns],
@@ -268,29 +318,65 @@ def _coupled_grid_rep(args) -> dict[int, float]:
     width = noise_width(model, pi)
     sups = np.zeros(len(Ns))
 
-    for n in range(n_steps):
+    for n, law in enumerate(path):
         t = n * hyper.dt
-        guard_moment(W_ref, n, t)
         for a, b in zip(edges[1:-1], edges[2:]):
             guard_moment(W[a:b], n, t)
-        tw = time_weight(t, hyper.alpha)
         Zs = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, n_sys, width)[rows]
-        Zr = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, width) if mf_scale > 0 else None
-        Zl = Zl_ref = None
-        if eta > 0:
-            Zl = plan.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, n_sys, p)[rows]
-            Zl_ref = plan.normals(DOMAIN_REFERENCE, SLOT_LANGEVIN, n, N_ref, p)
-
-        ref = ridge_block(W_ref, model, pi)
-        cache_ref = field_cache(ref, model, pi)
+        Zl = plan.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, n_sys, p)[rows] if eta > 0 else None
         block = ridge_block(W, model, pi)
         resid = field_cache(block, model, pi, sizes).residual_d1
-        resid[:, 0] = cache_ref.residual_d1  # the companions follow the reference's law
-        W_ref = euler_step(ref, cache_ref, model, pi, hyper.dt, tw, mf_scale, Zr, Zl_ref, eta)
-        W = euler_step(block, np.repeat(resid, sizes, axis=1), model, pi, hyper.dt, tw,
-                       scales, Zs, Zl, eta)
+        resid[:, 0] = law  # the companions follow the reference law
+        W = euler_step(block, np.repeat(resid, sizes, axis=1), model, pi, hyper.dt,
+                       time_weight(t, hyper.alpha), scales, Zs, Zl, eta)
         sups = np.maximum(sups, ((W[heads] - W[:m]) ** 2).sum(axis=(1, 2)))
     return {N: float(v) for N, v in zip(Ns, sups)}
+
+
+def _companion_scale(hyper: Hyperparams) -> float:
+    """Diffusion factor of the companions' limit: the mean-field one at beta = 1, else 0."""
+    return meanfield_sigma_scale(hyper) if hyper.beta == 1.0 else 0.0
+
+
+# the grid law stands in for the reference unless mass reaches its window's
+# edges, or more than this share of it moves by Gaussians narrower than a cell
+_GRID_EDGE_TOL = 1e-12
+_GRID_UNRESOLVED_TOL = 1e-2
+
+
+def _companion_law(model, pi, hyper, init, N_ref, pmap):
+    """The companions' law for a whole study: (path or None, reference, ref_bias_scale, note).
+
+    A (n_steps, D) residual path when the law is one for every rep: the
+    grid law at p = 1 with noise and a uniform or dirac init, the
+    stratified particle reference stepped once without noise.  None leaves
+    the reference to each rep.  ``pmap`` runs the grid law on its two grids
+    side by side.
+    """
+    mf_scale = _companion_scale(hyper)
+    n_steps = hyper.euler_steps()
+    noisy = mf_scale > 0 or hyper.eta > 0
+    particle_bias = N_ref**-0.5
+    if model.p == 1 and noisy and init.kind in ("uniform", "dirac"):
+        # the law on half as many cells sizes the grid's error
+        law, half = pmap(_call, [(grid_law_path, model, pi, hyper, init, mf_scale, cells)
+                                 for cells in (GRID_LAW_CELLS, GRID_LAW_CELLS // 2)])
+        if law.edge_mass <= _GRID_EDGE_TOL and law.unresolved_mass <= _GRID_UNRESOLVED_TOL:
+            path = law.residual_d1[:n_steps]
+            gap = np.abs(path - half.residual_d1[:n_steps]).max(initial=0.0)  # T = 0: no rows
+            return path, "grid", float(gap), ""
+        return None, "particle", particle_bias, (
+            f"grid law not used (edge mass {law.edge_mass:.3g}, tolerance {_GRID_EDGE_TOL:g}; "
+            f"mass moved by Gaussians narrower than a cell {law.unresolved_mass:.3g}, tolerance "
+            f"{_GRID_UNRESOLVED_TOL:g}): a particle reference of N_ref={N_ref} ran in every rep"
+        )
+    W_ref = _stratified_reference(init, N_ref, model.p)
+    if not noisy and W_ref is not None:
+        path = np.empty((n_steps, len(pi)))
+        for n, row in enumerate(_particle_reference(model, pi, hyper, W_ref, None, 0.0)):
+            path[n] = row
+        return path, "stratified-path", particle_bias, ""
+    return None, "particle", particle_bias, ""
 
 
 def coupled_chaos_error(
@@ -309,11 +395,23 @@ def coupled_chaos_error(
 
     Sznitman's synchronous coupling, for every N of the grid ``Ns`` (one N
     is ``Ns=(N,)``): m mean-field companions share initial conditions and
-    Gaussian draws with test particles 1..m; their law argument is the
-    empirical law of an independent self-consistent reference ensemble of
-    size N_ref, which carries an O(N_ref^-1/2) proxy bias reported on each
-    estimate.  At p = 1 a uniform or dirac init gets a quantile-stratified
-    reference.  The ensemble second moments are guarded at every step.
+    Gaussian draws with test particles 1..m, and their law argument is a
+    reference law, one of three (``ChaosErrorEstimate.reference``):
+
+    - at p = 1 with noise (beta = 1 or eta > 0) and a uniform or dirac
+      init, the grid law of the Euler scheme (``stationary.grid_law_path``),
+      computed once per study; its grid error, the largest gap to the path
+      on half as many cells, is the estimate's ``ref_bias_scale``.  If mass
+      reaches the grid's window, or the grid does not resolve the noise,
+      the study falls back to the particle reference and says so;
+    - at p = 1 without noise and with a uniform or dirac init, the
+      self-consistent reference of N_ref particles started at the init's
+      quantile midpoints (stratified), which is deterministic and stepped
+      once per study;
+    - otherwise a reference ensemble of N_ref particles drawn and stepped in
+      every rep, with an O(N_ref^-1/2) proxy bias.
+
+    The ensemble second moments are guarded at every step.
     """
     Ns = tuple(Ns)
     if reps < 1:
@@ -324,14 +422,16 @@ def coupled_chaos_error(
         raise ValueError(f"reference size N_ref={N_ref} must dominate every grid N (max {max(Ns)})")
     if init is None:
         init = InitSpec.uniform()
-    tasks = [(model, pi, hyper, Ns, m, N_ref, init, plan.child("rep", r)) for r in range(reps)]
-    per_rep = _parallel_map(_coupled_grid_rep, tasks, workers)
+    with _pool_map(workers) as pmap:
+        path, reference, bias, note = _companion_law(model, pi, hyper, init, N_ref, pmap)
+        per_rep = pmap(_call, [(_coupled_grid_rep, model, pi, hyper, Ns, m, N_ref, init,
+                                plan.child("rep", r), path) for r in range(reps)])
     out = {}
     for N in Ns:
         vals = np.array([d[N] for d in per_rep])
         stderr = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         out[N] = ChaosErrorEstimate(
-            float(vals.mean()), stderr, vals, N, m, N_ref, N_ref**-0.5
+            float(vals.mean()), stderr, vals, N, m, N_ref, bias, reference, note
         )
     return out
 
@@ -359,6 +459,11 @@ def chaos_rate_study(config: ChaosRateConfig, workers: int = 1) -> StudyReport:
              "bound": two_term_bound(N, hyper.alpha, hyper.beta, hyper.M),
              "ref_bias_scale": e.ref_bias_scale}
         )
+    e = ests[config.N_grid[0]]
+    reference = {"grid": f"grid law of the Euler scheme ({GRID_LAW_CELLS} cells)",
+                 "stratified-path": f"stratified particle reference (N_ref={config.N_ref}), "
+                                    "stepped once",
+                 "particle": f"particle reference (N_ref={config.N_ref}) in every rep"}[e.reference]
     fit = fit_rate([(r["N"], r["error"], r["stderr"]) for r in rows])
     C = rows[0]["error"] / rows[0]["bound"]
     # the anchor margin is 1 by construction; forming it by division anyway
@@ -369,7 +474,8 @@ def chaos_rate_study(config: ChaosRateConfig, workers: int = 1) -> StudyReport:
 
     verdicts = [
         Verdict.le("slope", fit.slope, config.slope_threshold,
-                   note=f"log-log fit over N={list(config.N_grid)}, r2={fit.r2:.3f}"),
+                   note=f"log-log fit over N={list(config.N_grid)}, r2={fit.r2:.3f}; "
+                        f"companions' law: {reference}"),
         Verdict.ge("upper_bound_compliance", compliance, 1.0,
                    note="min over N of C*bound(N)/error(N), C calibrated at smallest N; "
                         f"non-anchor margins {[round(m, 3) for m in margins]}"),
@@ -378,9 +484,11 @@ def chaos_rate_study(config: ChaosRateConfig, workers: int = 1) -> StudyReport:
     ]
     report = StudyReport(
         study_id="chaos-rate",
-        config={**asdict(config), "fit_slope": fit.slope, "fit_r2": fit.r2},
+        config={**asdict(config), "fit_slope": fit.slope, "fit_r2": fit.r2,
+                "reference": e.reference},
         tables={"errors": rows},
         verdicts=verdicts,
+        warnings=[e.reference_note] if e.reference_note else [],
     )
     _budget_warning(report, config.budget_s, t0)
     return report

@@ -14,6 +14,7 @@ ensemble lives in its own domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,14 @@ def _mix64(*values: int) -> int:
     return acc
 
 
+@lru_cache(maxsize=4096)
+def _philox_key(run_seed: int, domain: int, slot: int) -> np.ndarray:
+    """The Philox key of the streams (run_seed, domain, slot), read-only and built once."""
+    key = np.array([_mix64(run_seed, domain), _mix64(slot, run_seed)], dtype=np.uint64)
+    key.flags.writeable = False
+    return key
+
+
 @dataclass(frozen=True)
 class NoisePlan:
     """Addressable, order-independent random streams for one run."""
@@ -47,10 +56,8 @@ class NoisePlan:
     run_seed: int
 
     def _generator(self, domain: int, slot: int, step: int) -> np.random.Generator:
-        key = np.array(
-            [_mix64(self.run_seed, domain), _mix64(slot, self.run_seed)], dtype=np.uint64
-        )
         counter = np.array([0, 0, int(step) & _MASK64, 1], dtype=np.uint64)
+        key = _philox_key(self.run_seed, domain, slot)
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
     def normals(self, domain: int, slot: int, step: int, n: int, p: int) -> np.ndarray:

@@ -12,6 +12,10 @@ A stationary law is a fixed point of mu -> rho_mu.  The map is iterated
 with damping (existence of a fixed point is guaranteed, contraction is
 not), and the result is validated by simulating the diffusion from the
 candidate and measuring the Wasserstein drift of the endpoint law.
+
+``grid_law_path`` evolves the law of the Euler-discretized mean-field
+diffusion itself on a grid of cells, step by step: the deterministic
+reference law the coupling companions read at p = 1.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DOMAIN_REFERENCE, euler_run, meanfield_sigma_scale
-from .meanfield import EmpiricalMeasure, FieldCache, field_cache, mean_field_terms
-from .model import DataDistribution, Hyperparams, ModelSpec
+from .dynamics import DOMAIN_REFERENCE, InitSpec, euler_run, meanfield_sigma_scale
+from .meanfield import EmpiricalMeasure, FieldCache, field_cache, mean_field_terms, ridge_block
+from .model import DataDistribution, Hyperparams, ModelSpec, time_weight
 from .rng import NoisePlan, SLOT_INIT
 
 __all__ = [
@@ -34,6 +38,12 @@ __all__ = [
     "fixed_point_iterate",
     "stationarity_check",
     "l1_distance",
+    "GRID_LAW_CELLS",
+    "GRID_LAW_WINDOW",
+    "GRID_LAW_BAND_SD",
+    "GridLawPath",
+    "grid_law_path",
+    "normal_cdf",
 ]
 
 _SIGMA_FLOOR = 1e-12
@@ -259,3 +269,217 @@ def stationarity_check(
     samples = np.sort(traj.endpoint()[:, 0])
     levels = (np.arange(N_ref) + 0.5) / N_ref
     return float(np.sqrt(np.mean((samples - mu_star.ppf(levels)) ** 2)))
+
+
+# ----------------------------- law of the Euler scheme on a grid -----------------------------
+
+GRID_LAW_CELLS = 512
+GRID_LAW_WINDOW = (-3.0, 3.0)
+GRID_LAW_BAND_SD = 8.0
+# a transition narrower than this many cells is a point mass at its mean, moved to the mean's cell
+_SD_FLOOR_CELLS = 1e-12
+# band edges per block of one transition: keeps its temporaries under malloc's mmap threshold
+_BAND_BLOCK = 8192
+
+# Cephes ndtr with x = z / sqrt(2): erf(x) = x T(x^2) / U(x^2) on |x| < 1, and
+# erfc(x) = exp(-x^2) P(x) / Q(x) on 1 <= x < 8, exp(-x^2) R(x) / S(x) beyond
+# (leading coefficients first; U, Q and S are monic)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    y = coefs[0] * x
+    y += coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _p1evl(x: np.ndarray, coefs) -> np.ndarray:
+    y = x + coefs[0]
+    for c in coefs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erfc_tail(x: np.ndarray, num, den) -> np.ndarray:
+    """0.5 erfc(x) for x >= 1 by one of the exp(-x^2) num(x) / den(x) branches."""
+    return 0.5 * np.exp(-x * x) * _polevl(x, num) / _p1evl(x, den)
+
+
+def normal_cdf(z) -> np.ndarray:
+    """Standard normal CDF with numpy alone (Cephes ``ndtr``'s rational approximations).
+
+    Each rational branch is evaluated only on the entries that reach it.
+    """
+    x = np.asarray(z, dtype=np.float64) * math.sqrt(0.5)
+    ax = np.abs(x)
+    out = np.empty_like(x)
+    inner = ax < 1.0
+    xi = x[inner]
+    zz = xi * xi
+    out[inner] = 0.5 + 0.5 * (xi * _polevl(zz, _ERF_T) / _p1evl(zz, _ERF_U))
+    for sel, num, den in ((~inner & (ax < 8.0), _ERFC_P, _ERFC_Q), (ax >= 8.0, _ERFC_R, _ERFC_S)):
+        if sel.any():
+            tail = _erfc_tail(ax[sel], num, den)
+            out[sel] = np.where(x[sel] > 0, 1.0 - tail, tail)
+    return out
+
+
+@dataclass(frozen=True)
+class GridLawPath:
+    """The law of an Euler scheme at every step, as masses on the centers of a 1-D grid.
+
+    Rows of ``predictions`` and ``residual_d1`` are the steps 0..n_steps (times
+    0, dt, ..., T); ``masses`` is the law at T.  ``edge_mass`` is the mass that
+    reached past the window, at the start or in a step, and was folded into
+    the end cells; ``unresolved_mass`` is the largest mass, over the steps,
+    moved by a Gaussian narrower than a cell.
+    """
+
+    lo: float
+    hi: float
+    predictions: np.ndarray  # (n_steps + 1, D)
+    residual_d1: np.ndarray  # (n_steps + 1, D)
+    masses: np.ndarray  # (n_cells,)
+    edge_mass: float
+    unresolved_mass: float
+
+    @property
+    def centers(self) -> np.ndarray:
+        n = self.masses.shape[0]
+        return self.lo + (np.arange(n) + 0.5) * (self.hi - self.lo) / n
+
+
+def _grid_init(init: InitSpec, lo: float, hi: float, n_cells: int):
+    """Window, cell masses and outside mass of a uniform or dirac init.
+
+    A uniform box gets its exact cell overlaps.  A point mass shifts the
+    window so that it sits on a cell center.  Mass outside the window goes
+    to the end cells.
+    """
+    dx = (hi - lo) / n_cells
+    if init.kind == "uniform" and init.high > init.low:
+        cdf = np.clip((lo + np.arange(n_cells + 1) * dx - init.low) / (init.high - init.low),
+                      0.0, 1.0)
+        outside = float(cdf[0] + (1.0 - cdf[-1]))
+        cdf[0], cdf[-1] = 0.0, 1.0
+        return lo, hi, np.diff(cdf), outside
+    if init.kind == "uniform":
+        w0 = float(init.low)
+    elif init.kind == "dirac":
+        w = np.asarray(init.w0, dtype=np.float64).reshape(-1)
+        if w.shape != (1,):
+            raise ValueError(f"the grid law needs a dirac init in dimension 1, got {w.shape[0]}")
+        w0 = float(w[0])
+    else:
+        raise ValueError(f"the grid law needs a uniform or dirac init, got {init.kind!r}")
+    k = math.floor((w0 - lo) / dx)
+    shift = w0 - (lo + (k + 0.5) * dx)
+    masses = np.zeros(n_cells)
+    masses[min(max(k, 0), n_cells - 1)] = 1.0
+    return lo + shift, hi + shift, masses, 0.0 if 0 <= k < n_cells else 1.0
+
+
+def _transition(masses: np.ndarray, means: np.ndarray, sd: np.ndarray, lo: float, dx: float):
+    """Masses after cell i's mass moves to N(means_i, sd_i^2); and the mass folded at the edges.
+
+    Each Gaussian is integrated over the cells of its own band, the cells
+    within GRID_LAW_BAND_SD sd of its mean plus one, by differences of its
+    CDF; the band's outer edges are -inf and +inf, so its end cells take
+    the tails and mass is conserved.  Bands sit end to end in flat arrays,
+    one edge per entry, a block of cells at a time.
+    """
+    n_cells = masses.shape[0]
+    K = np.ceil(GRID_LAW_BAND_SD / dx * sd).astype(np.int64) + 1
+    first = np.floor((means - lo) / dx).astype(np.int64) - K  # each band's first cell
+    z0 = (lo + first * dx - means) / sd
+    dz = dx / sd
+    n_edges = 2 * K + 2
+    ends = np.cumsum(n_edges)
+    out = np.zeros(n_cells + 2)  # out[0] and out[-1] take what leaves the window
+    a = 0
+    while a < n_cells:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - n_edges[a] + _BAND_BLOCK, "right")))
+        counts = n_edges[a:b]
+        stops = np.cumsum(counts)
+        row = np.repeat(np.arange(a, b), counts)
+        j = np.arange(stops[-1]) - np.repeat(stops - counts, counts)  # edge offset in its band
+        cdf = normal_cdf(z0[row] + j * dz[row])
+        cdf[stops - counts] = 0.0
+        cdf[stops - 1] = 1.0
+        moved = np.diff(cdf)  # entry e: the cell between edges e and e + 1 of its band
+        moved[stops[:-1] - 1] = 0.0  # from a band's last edge to the next band's first
+        moved *= masses[row[:-1]]
+        target = np.clip(first[row[:-1]] + j[:-1], -1, n_cells) + 1
+        out += np.bincount(target, weights=moved, minlength=n_cells + 2)
+        a = b
+    new = out[1:-1]
+    new[0] += out[0]
+    new[-1] += out[-1]
+    return new, float(out[0] + out[-1])
+
+
+def grid_law_path(
+    model: ModelSpec,
+    pi: DataDistribution,
+    hyper: Hyperparams,
+    init: InitSpec,
+    sigma_scale: float,
+    n_cells: int = GRID_LAW_CELLS,
+) -> GridLawPath:
+    """Law of the Euler-discretized McKean-Vlasov equation at p = 1, on a grid.
+
+    A Markov-chain approximation (Kushner & Dupuis): the law is masses on
+    the ``n_cells`` centers of GRID_LAW_WINDOW, and each step sends the mass of
+    cell i to N(c_i + tw h_i dt, tw^2 dt (sigma_scale^2 Sigma_00,i + 2 eta)),
+    the Euler step of a particle at c_i, with tw = (t + 1)^-alpha and h,
+    Sigma the drift and noise of the law at the cell centers
+    (``mean_field_terms`` on the centers' RidgeBlock, under the model's
+    noise model).  The per-atom predictions of the law at each step are the
+    field path a particle driven by that law reads.  The only error is the
+    grid's: compare paths at ``n_cells`` and ``n_cells // 2`` to size it.
+    """
+    if model.p != 1:
+        raise ValueError(f"the grid law is defined for p = 1, got p={model.p}")
+    if n_cells < 4:
+        raise ValueError("need at least 4 grid cells")
+    lo, hi, masses, edge_mass = _grid_init(init, *GRID_LAW_WINDOW, n_cells)
+    dx = (hi - lo) / n_cells
+    centers = lo + (np.arange(n_cells) + 0.5) * dx
+    block = ridge_block(centers[:, None], model, pi)
+    n_steps = hyper.euler_steps()
+    preds = np.empty((n_steps + 1, len(pi)))
+    resid = np.empty_like(preds)
+    unresolved = 0.0
+    for n in range(n_steps + 1):
+        preds[n] = (block.f * masses).sum(axis=1)
+        resid[n] = model.loss.d1(preds[n], pi.ys)
+        if n == n_steps:
+            break
+        h, _, sigma = mean_field_terms(block, resid[n], model, pi, need_sigma=sigma_scale > 0)
+        var = np.full(n_cells, 2.0 * hyper.eta)
+        if sigma_scale > 0:
+            var += sigma_scale**2 * np.clip(sigma[:, 0, 0], 0.0, None)
+        tw = time_weight(n * hyper.dt, hyper.alpha)
+        sd = tw * np.sqrt(hyper.dt * var)
+        unresolved = max(unresolved, float(masses[sd < dx].sum()))
+        masses, left = _transition(masses, centers + tw * hyper.dt * h[:, 0],
+                                   np.maximum(sd, _SD_FLOOR_CELLS * dx), lo, dx)
+        edge_mass += left
+    return GridLawPath(lo, hi, preds, resid, masses, edge_mass, unresolved)

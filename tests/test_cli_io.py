@@ -76,6 +76,17 @@ class TestShippedConfigs:
     def test_study_configs_hold_only_keys_their_study_reads(self, command, name):
         _study_config(load_config(CONFIGS / name), _STUDIES[command][0])
 
+    # simulate with N = 4096 is the benchmark's override of the shipped config
+    @pytest.mark.parametrize("command, name, overrides", [
+        ("simulate", "simulate.json", {}), ("simulate", "simulate.json", {"N": 4096}),
+        ("stationary", "stationary.json", {}), ("check-assumptions", "check-assumptions.json", {}),
+    ])
+    def test_the_other_subcommands_run_their_shipped_configs(self, tmp_path, command, name,
+                                                             overrides):
+        cfg_path = tmp_path / name
+        cfg_path.write_text(json.dumps({**load_config(CONFIGS / name), **overrides}))
+        assert cli_dispatch([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+
 
 class TestDatasetIO:
     def test_weights_normalized(self, tmp_path):
@@ -292,6 +303,29 @@ class TestCliDispatch:
         assert self.run(tmp_path, "consistency", cfg) == EXIT_CONFIG
         assert "config fields N, dataset, engine, sigma_override:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg, unread", [
+        ("check-assumptions", {"N_grid": [4, 8], "engine": "sgd", "sigma_override": 1.0},
+         "N_grid, engine, sigma_override"),
+        ("simulate", {"N_ref": 99, "reps": 3, "N": 4}, "N_ref, reps"),
+        ("stationary", {"engine": "sgd", "snapshot_times": [0.1], "sigma_override": 1.0},
+         "engine, snapshot_times"),
+        ("metrics", {"samples_a": "a.csv", "samples_b": "b.csv", "N": 4}, "N"),
+    ])
+    def test_subcommand_rejects_keys_it_does_not_read(self, tmp_path, capsys, command, cfg,
+                                                      unread):
+        assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
+        assert f"config fields {unread}: {command} does not read them" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_stationary_names_the_dataset_whose_dimension_is_not_one(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x_1,x_2,y\n0.5,1.0,1.0\n-0.5,0.0,-1.0\n")
+        cfg = {"dataset": str(data), "sigma_override": 1.0}
+        assert self.run(tmp_path, "stationary", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config field dataset: the stationary map is defined for p = 1, got p=2" in err
+        assert "problem.p" not in err
 
     @pytest.mark.parametrize("command, cfg, field", [
         ("stationary", {"problem": {"p": 2}, "sigma_override": 1.0}, "field problem.p"),

@@ -323,6 +323,13 @@ class TestCoupledChaosError:
                                 plan=NoisePlan(0), init=InitSpec.dirac([2e4]), workers=workers)
         assert info.value.step == 0
 
+    @pytest.mark.parametrize("beta, reference", [(1.0, "grid"), (0.5, "stratified-path")])
+    def test_zero_horizon_has_zero_error(self, beta, reference):
+        est = coupled_chaos_error(TANH, NOISY, Hyperparams(beta=beta, T=0.0), Ns=(8,), m=2,
+                                  N_ref=16, reps=2, plan=NoisePlan(1))[8]
+        assert est.reference == reference
+        assert est.value == 0.0
+
     def test_reps_must_be_positive(self):
         with pytest.raises(ValueError, match="reps"):
             coupled_chaos_error(TANH, NOISY, Hyperparams(T=1.0), Ns=(8,), m=2, N_ref=16,

@@ -1,10 +1,15 @@
 """Study orchestration: determinism, verdict wiring, degenerate grids."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaoslab
 from chaoslab.dynamics import interacting_sde_run, msgld_run
 from chaoslab.experiments import (
     ChaosRateConfig,
@@ -95,6 +100,36 @@ class TestChaosRateStudy:
     def test_budget_warning(self):
         rep = chaos_rate_study(fast_chaos_config(budget_s=1e-9))
         assert any("budget" in w for w in rep.warnings)
+
+    def test_names_its_reference(self):
+        rep = chaos_rate_study(fast_chaos_config())
+        assert rep.config["reference"] == "grid"
+        assert "grid law" in rep.verdict("slope").note
+        assert rep.warnings == []
+        assert all(r["ref_bias_scale"] < 1e-3 for r in rep.tables["errors"])
+
+    def test_grid_law_past_its_window_falls_back_and_says_so(self):
+        # a point mass at w0 = 3.5 starts outside the grid's window [-3, 3]
+        rep = chaos_rate_study(fast_chaos_config(
+            problem=ProblemConfig(labels="noisy", init_kind="dirac", init_w0=3.5)))
+        assert rep.config["reference"] == "particle"
+        assert len(rep.warnings) == 1 and "grid law not used (edge mass 1" in rep.warnings[0]
+        assert all(r["ref_bias_scale"] == 128**-0.5 for r in rep.tables["errors"])
+
+    def test_study_loads_no_scipy(self):
+        # the grid law's CDF is numpy's own: scipy would add ~20 MiB to the run
+        code = ("import sys\n"
+                "from chaoslab.experiments import ChaosRateConfig, ProblemConfig, chaos_rate_study\n"
+                "from chaoslab.model import Hyperparams\n"
+                "rep = chaos_rate_study(ChaosRateConfig(hyper=Hyperparams(T=0.2, dt=0.02), "
+                "N_grid=(8, 16, 32, 64), m=2, N_ref=64, reps=2))\n"
+                "assert rep.config['reference'] == 'grid'\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(chaoslab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
     def test_beta_zero_slope(self):
         # both bound terms are 1/N at beta=0: the fitted slope clears -0.7

@@ -17,10 +17,13 @@ from chaoslab.dynamics import (
     sgd_run,
 )
 from chaoslab.experiments import (
+    ChaosRateConfig,
     ProblemConfig,
     SweepConfig,
     batch_sweep,
+    chaos_rate_study,
     coupled_chaos_error,
+    two_term_bound,
 )
 from chaoslab.meanfield import (
     EmpiricalMeasure,
@@ -41,7 +44,7 @@ from chaoslab.model import (
     time_weight,
 )
 from chaoslab.rng import SLOT_DIFFUSION, NoisePlan
-from chaoslab.stationary import GridDensity1D, map_H
+from chaoslab.stationary import GRID_LAW_CELLS, GridDensity1D, grid_law_path, map_H
 
 TANH = make_model("tanh-dot", "square")
 NOISY = DataDistribution([
@@ -124,39 +127,129 @@ class TestScalarRootAtP1:
         np.testing.assert_array_equal(traj.ensembles, np.stack(want))
 
     def test_coupled_grid_rep(self):
+        # a gaussian init has no stratification: the reference is N_ref particles
+        # drawn on the reference domain and stepped in the rep
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.7, M=1, T=0.2, dt=0.02)
+        Ns, m, N_ref = (4, 8), 2, 16
+        init = InitSpec.gaussian(0.0, 0.3)
+        plan = NoisePlan(6)
+        ests = coupled_chaos_error(TANH, NOISY, h, Ns, m, N_ref, 1, plan, init)
+
+        rep = plan.child("rep", 0)
+        W_ref = init.draw(rep, DOMAIN_REFERENCE, np.arange(N_ref), 1)
+        laws = particle_reference_laws(h, W_ref, rep)
+        sups = hand_rolled_rep(h, Ns, m, init, rep, laws)
+        for N in Ns:
+            assert ests[N].reference == "particle"
+            assert ests[N].per_rep[0] == sups[N]
+
+    def test_coupled_grid_rep_on_the_grid_law(self):
+        # a uniform init at beta = 1: the companions read the grid law's residual path
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.7, M=1, T=0.2, dt=0.02)
         Ns, m, N_ref = (4, 8), 2, 16
         init = InitSpec.uniform()
         plan = NoisePlan(6)
         ests = coupled_chaos_error(TANH, NOISY, h, Ns, m, N_ref, 1, plan, init)
 
-        rep = plan.child("rep", 0)
-        sq_dt = math.sqrt(h.dt)
-        mf_scale = math.sqrt(h.gamma / h.M)
-        W_ref = (init.low + (init.high - init.low) * (np.arange(N_ref) + 0.5) / N_ref)[:, None]
-        W_sys = init.draw(rep, DOMAIN_SYSTEM, np.arange(max(Ns)), 1)
-        tests = {N: W_sys[:N].copy() for N in Ns}
-        W_comp = W_sys[:m].copy()
-        sups = {N: 0.0 for N in Ns}
-        for n in range(10):  # alpha = 0: every time weight is 1
-            cache = field_cache(W_ref, TANH, NOISY)
-            Zs = rep.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, max(Ns), 1)
-            Zr = rep.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, 1)
-            h_ref, _, s_ref = mean_field_terms(W_ref, cache, TANH, NOISY, True)
-            h_c, _, s_c = mean_field_terms(W_comp, cache, TANH, NOISY, True)
-            inc_ref = h_ref * h.dt + sq_dt * scalar_root_increment(s_ref, mf_scale, Zr)
-            inc_c = h_c * h.dt + sq_dt * scalar_root_increment(s_c, mf_scale, Zs[:m])
-            for N in Ns:
-                Wt = tests[N]
-                t_scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
-                h_t, _, s_t = mean_field_terms(Wt, field_cache(Wt, TANH, NOISY), TANH, NOISY, True)
-                tests[N] = Wt + (h_t * h.dt + sq_dt * scalar_root_increment(s_t, t_scale, Zs[:N]))
-            W_ref = W_ref + inc_ref
-            W_comp = W_comp + inc_c
-            for N in Ns:
-                sups[N] = max(sups[N], float(np.sum((tests[N][:m] - W_comp) ** 2)))
+        law = grid_law_path(TANH, NOISY, h, init, math.sqrt(h.gamma / h.M))
+        sups = hand_rolled_rep(h, Ns, m, init, plan.child("rep", 0), law.residual_d1)
+        half = grid_law_path(TANH, NOISY, h, init, math.sqrt(h.gamma / h.M), GRID_LAW_CELLS // 2)
+        gap = float(np.abs(law.residual_d1[:10] - half.residual_d1[:10]).max())
         for N in Ns:
+            assert ests[N].reference == "grid"
             assert ests[N].per_rep[0] == sups[N]
+            assert ests[N].ref_bias_scale == gap
+
+
+def companion_scale(h):
+    return math.sqrt(h.gamma / h.M) if h.beta == 1.0 else 0.0
+
+
+def particle_reference_laws(h, W_ref, rep, model=TANH, pi=NOISY):
+    """The residual rows of a reference ensemble stepped on its own, with the
+    rep's reference-domain draws when it has noise."""
+    laws = []
+    for n in range(h.euler_steps()):
+        cache = field_cache(W_ref, model, pi)
+        laws.append(cache.residual_d1)
+        drift, _, sig = mean_field_terms(W_ref, cache, model, pi, True)
+        incr = drift * h.dt
+        if companion_scale(h) > 0:
+            Zr = rep.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, len(W_ref), 1)
+            incr = incr + math.sqrt(h.dt) * scalar_root_increment(sig, companion_scale(h), Zr)
+        W_ref = W_ref + time_weight(n * h.dt, h.alpha) * incr
+    return laws
+
+
+def hand_rolled_rep(h, Ns, m, init, rep, laws, model=TANH, pi=NOISY):
+    """Sup over the steps of the companions' squared gaps to each test system's
+    first m particles, the companions reading the residual row laws[n] at step n."""
+    sq_dt = math.sqrt(h.dt)
+    W_sys = init.draw(rep, DOMAIN_SYSTEM, np.arange(max(Ns)), 1)
+    tests = {N: W_sys[:N].copy() for N in Ns}
+    W_comp = W_sys[:m].copy()
+    sups = {N: 0.0 for N in Ns}
+    for n in range(h.euler_steps()):
+        tw = time_weight(n * h.dt, h.alpha)
+        Zs = rep.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, max(Ns), 1)
+        h_c, _, s_c = mean_field_terms(W_comp, laws[n], model, pi, True)
+        inc_c = h_c * h.dt + sq_dt * scalar_root_increment(s_c, companion_scale(h), Zs[:m])
+        for N in Ns:
+            Wt = tests[N]
+            t_scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
+            h_t, _, s_t = mean_field_terms(Wt, field_cache(Wt, model, pi), model, pi, True)
+            inc_t = h_t * h.dt + sq_dt * scalar_root_increment(s_t, t_scale, Zs[:N])
+            tests[N] = Wt + tw * inc_t
+        W_comp = W_comp + tw * inc_c
+        for N in Ns:
+            sups[N] = max(sups[N], float(np.sum((tests[N][:m] - W_comp) ** 2)))
+    return sups
+
+
+class TestSharedReference:
+    """The companions' law is computed once per study where it is the same in every rep."""
+
+    def test_deterministic_reference_gives_the_per_rep_tables(self):
+        # beta < 1, eta = 0, uniform init: the stratified reference is one
+        # deterministic path; the tables equal those of a reference stepped in every rep
+        config = ChaosRateConfig(
+            problem=ProblemConfig(labels="noisy", init_low=-0.5, init_high=0.5),
+            hyper=Hyperparams(alpha=0.25, beta=0.5, gamma=0.7, M=1, T=0.2, dt=0.02),
+            N_grid=(4, 8, 16, 32), m=2, N_ref=64, reps=3, seed=12)
+        model, pi, init = config.problem.build()
+        W_ref = (-0.5 + (np.arange(64) + 0.5) / 64)[:, None]
+        laws = particle_reference_laws(config.hyper, W_ref, None, model, pi)
+        plan = NoisePlan(config.seed)
+        per_rep = [hand_rolled_rep(config.hyper, config.N_grid, config.m, init,
+                                   plan.child("rep", r), laws, model, pi)
+                   for r in range(config.reps)]
+        rows = []
+        for N in config.N_grid:
+            vals = np.array([d[N] for d in per_rep])
+            rows.append({"N": N, "error": float(vals.mean()),
+                         "stderr": float(vals.std(ddof=1) / math.sqrt(config.reps)),
+                         "bound": two_term_bound(N, 0.25, 0.5, 1), "ref_bias_scale": 64**-0.5})
+        report = chaos_rate_study(config, workers=2)
+        assert report.config["reference"] == "stratified-path"
+        assert report.tables == {"errors": rows}
+
+    def test_deterministic_reference_is_stepped_once_per_study(self):
+        model = counting_model(1)
+        h = Hyperparams(alpha=0.0, beta=0.5, gamma=0.5, M=1, T=0.2, dt=0.02)
+        est = coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=3,
+                                  plan=NoisePlan(5))
+        assert est[4].reference == "stratified-path"
+        # 10 steps of the reference, once, and 10 steps of the stacked block per rep
+        assert model.feature.calls == {"activation": 10 + 3 * 10, "value": 0, "grad": 0}
+
+    def test_grid_law_evaluates_the_feature_once_per_grid(self):
+        model = counting_model(1)
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.02)
+        est = coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=3,
+                                  plan=NoisePlan(5))
+        assert est[4].reference == "grid"
+        # the centers of the grid and of the half grid, and the stacked block per step
+        assert model.feature.calls == {"activation": 2 + 3 * 10, "value": 0, "grad": 0}
 
 
 class CountingFeature(RidgeFeature):
@@ -211,10 +304,12 @@ class TestOneActivationBlockPerStep:
         assert model.feature.calls == {"activation": n_steps, "value": 0, "grad": 0}
 
     def test_coupling_step_evaluates_two_blocks(self):
-        # the reference on its own, the companions and the whole N grid stacked
+        # the reference on its own (a particle ensemble stepped in the rep, as a
+        # gaussian init has no grid law), the companions and the whole N grid stacked
         model = counting_model(1)
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.02)
-        coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=1, plan=NoisePlan(5))
+        coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=1, plan=NoisePlan(5),
+                            init=InitSpec.gaussian(0.0, 0.3))
         assert model.feature.calls == {"activation": 2 * 10, "value": 0, "grad": 0}
 
     def test_p2_increment_is_the_factor_applied_to_z(self):

@@ -1,6 +1,9 @@
 """Counter-based noise streams: addressing, prefix stability, independence."""
 
+import pickle
+
 import numpy as np
+import pytest
 
 from chaoslab.rng import (
     NoisePlan,
@@ -48,6 +51,44 @@ class TestAddressing:
         draws = np.stack([plan.normals(0, SLOT_DIFFUSION, s, 2, 1)[:, 0] for s in range(4000)])
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert abs(corr) < 0.05
+
+
+M64 = (1 << 64) - 1
+
+
+def splitmix_fold(*values):
+    """The key words' mixing function, written out independently of chaoslab.rng."""
+    acc = 0x243F6A8885A308D3
+    for v in values:
+        acc = (acc + (v & M64) + 0x9E3779B97F4A7C15) & M64
+        acc = ((acc ^ (acc >> 30)) * 0xBF58476D1CE4E5B9) & M64
+        acc = ((acc ^ (acc >> 27)) * 0x94D049BB133111EB) & M64
+        acc ^= acc >> 31
+    return acc
+
+
+class TestKeys:
+    @pytest.mark.parametrize("seed, domain, slot, step", [
+        (0, 0, SLOT_DIFFUSION, 0), (123, 1, SLOT_LANGEVIN, 249), (2**63 + 5, 0, SLOT_DATA, 7),
+    ])
+    def test_draws_follow_the_hand_built_key(self, seed, domain, slot, step):
+        key = np.array([splitmix_fold(seed, domain), splitmix_fold(slot, seed)], dtype=np.uint64)
+        counter = np.array([0, 0, step, 1], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(counter=counter, key=key))
+        plan = NoisePlan(seed)
+        for _ in range(2):  # the second call reads the cached key
+            got = plan.normals(domain, slot, step, 5, 2)
+            np.testing.assert_array_equal(got, np.random.Generator(
+                np.random.Philox(counter=counter, key=key)).standard_normal((5, 2)))
+        np.testing.assert_array_equal(plan.uniforms(domain, slot, step, 4), want.random(4))
+
+    def test_plan_pickles_and_compares_equal(self):
+        plan = NoisePlan(77).child("rep", 3)
+        plan.normals(0, SLOT_DIFFUSION, 0, 2, 1)
+        back = pickle.loads(pickle.dumps(plan))
+        assert back == plan and hash(back) == hash(plan)
+        np.testing.assert_array_equal(back.normals(0, SLOT_DIFFUSION, 4, 3, 1),
+                                      plan.normals(0, SLOT_DIFFUSION, 4, 3, 1))
 
 
 class TestChildren:

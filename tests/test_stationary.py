@@ -6,13 +6,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chaoslab.dynamics import DOMAIN_REFERENCE, InitSpec, euler_run, meanfield_sigma_scale
+from chaoslab.experiments import ProblemConfig
+from chaoslab.meanfield import field_cache
 from chaoslab.model import DataAtom, DataDistribution, Hyperparams, make_model, two_point_distribution
 from chaoslab.rng import NoisePlan
 from chaoslab.stationary import (
+    GRID_LAW_CELLS,
+    GRID_LAW_WINDOW,
     GridDensity1D,
     fixed_point_iterate,
+    grid_law_path,
     l1_distance,
     map_H,
+    normal_cdf,
     stationarity_check,
 )
 
@@ -152,3 +159,71 @@ class TestStationarityCheck:
         shifted = GridDensity1D.gaussian(3.0, 0.5, -9.0, 9.0, 2048)
         far = stationarity_check(shifted, OU_PINNED, OU_PI, OU_HYPER, 2048, 2.0, NoisePlan(0))
         assert far > near
+
+
+class TestGridLaw:
+    MODEL, PI, INIT = ProblemConfig(labels="noisy").build()
+    HYPER = Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=1.0, dt=0.02)
+
+    def test_normal_cdf_matches_scipy(self):
+        from scipy.special import ndtr
+
+        z = np.concatenate([np.linspace(-37.0, 37.0, 148_001), [-8.0, -1.0, 0.0, 1.0, 8.0]])
+        got, want = normal_cdf(z), ndtr(z)
+        assert np.abs(got - want).max() <= 2.3e-16
+        assert np.all(np.abs(got - want) <= 6e-16 * want)  # relative, in the lower tail too
+
+    def test_mass_is_conserved_and_the_edge_mass_reported(self):
+        law = grid_law_path(self.MODEL, self.PI, self.HYPER, self.INIT, 1.0)
+        assert law.masses.shape == (GRID_LAW_CELLS,)
+        assert (law.lo, law.hi) == GRID_LAW_WINDOW
+        assert law.predictions.shape == law.residual_d1.shape == (51, 4)
+        assert abs(law.masses.sum() - 1.0) <= 1e-12
+        assert law.edge_mass <= 1e-30
+        # half of the init box lies past the window's edge at 3: that mass, and
+        # what the steps carry past it, is folded into the end cell and reported
+        edge = grid_law_path(self.MODEL, self.PI, self.HYPER, InitSpec.uniform(2.6, 3.4), 1.0)
+        assert abs(edge.masses.sum() - 1.0) <= 1e-12
+        assert edge.edge_mass > 0.5
+
+    def test_predictions_match_a_large_stratified_reference(self):
+        # an off-center init, strong noise and a fast-decaying time weight, so that
+        # the noise and its time weight move the predictions
+        model, pi, init = ProblemConfig(labels="noisy", init_low=0.6, init_high=1.4).build()
+        h = Hyperparams(alpha=0.75, beta=1.0, gamma=2.0, M=1, T=0.3, dt=0.02, eta=0.05)
+        s = meanfield_sigma_scale(h)
+        law = grid_law_path(model, pi, h, init, s)
+        assert law.edge_mass <= 1e-12
+        n_ref = 65536
+        W0 = (0.6 + 0.8 * (np.arange(n_ref) + 0.5) / n_ref)[:, None]
+        traj = euler_run(model, pi, h, W0, NoisePlan(3), DOMAIN_REFERENCE, s, "meanfield-sde",
+                         snapshot_times="all")
+        preds = np.stack([field_cache(W, model, pi).predictions for W in traj.ensembles])
+        assert np.abs(preds - law.predictions).max() <= 2 * n_ref**-0.5
+        # without the Sigma noise the law misses by more than that
+        drift_only = grid_law_path(model, pi, h, init, 0.0)
+        assert np.abs(preds - drift_only.predictions).max() > 4 * n_ref**-0.5
+
+    def test_dirac_init_sits_on_a_cell_center(self):
+        law = grid_law_path(self.MODEL, self.PI, self.HYPER.replace(T=0.02), InitSpec.dirac([0.3]),
+                            1.0)
+        assert np.abs(law.centers - 0.3).min() <= 1e-15
+        np.testing.assert_allclose(law.predictions[0], np.tanh(0.3 * self.PI.xs[:, 0]),
+                                   rtol=0, atol=1e-15)
+        outside = grid_law_path(self.MODEL, self.PI, self.HYPER.replace(T=0.02),
+                                InitSpec.dirac([5.0]), 1.0)
+        assert outside.edge_mass >= 1.0
+
+    def test_noise_free_transitions_are_unresolved(self):
+        # one atom: Sigma = 0, so without Langevin noise every Gaussian is a point
+        single = DataDistribution([DataAtom([1.0], 1.0, 1.0)])
+        law = grid_law_path(self.MODEL, single, self.HYPER, InitSpec.dirac([0.1]), 1.0)
+        assert law.unresolved_mass == 1.0
+        noisy = grid_law_path(self.MODEL, single, self.HYPER.replace(eta=0.1),
+                              InitSpec.dirac([0.1]), 1.0)
+        assert noisy.unresolved_mass == 0.0
+
+    def test_needs_p_one(self):
+        model, pi, init = ProblemConfig(p=2).build()
+        with pytest.raises(ValueError, match="p = 1"):
+            grid_law_path(model, pi, self.HYPER, init, 1.0)
