@@ -11,8 +11,10 @@ into exit code 1; config errors exit 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +33,14 @@ from .io import (
     load_config,
     load_dataset,
     output_root,
+    parse_config,
     save_trajectory,
     trajectory_to_csv,
     write_csv,
     write_json,
 )
 from .metrics import w2_1d, w2_ensembles, w2_sliced
-from .model import Hyperparams, check_assumptions, gamma_scale, make_model
+from .model import Hyperparams, check_assumptions, gamma_scale, make_model, require
 from .rng import NoisePlan
 from .stationary import GridDensity1D, NonEllipticNoise, fixed_point_iterate, stationarity_check
 
@@ -54,46 +57,16 @@ _ENGINES = {
 }
 
 
-# the discrete recursions step by their stepsize schedule and never read dt
-_DISCRETE_ENGINES = ("sgd", "msgld")
-
-
-def _hyper_from(cfg: dict) -> Hyperparams:
-    return Hyperparams(**cfg.get("hyper", {}))
-
-
-def _check_horizon(hyper: Hyperparams, field_name: str = "T", N: int | None = None) -> None:
-    """A horizon that is not a whole number of Euler steps dt, or with N particles
-    shorter than one step of the discrete recursion, is a config error."""
-    try:
-        hyper.euler_steps() if N is None else hyper.sgd_steps(N)
-    except ValueError as exc:
-        raise ConfigError(f"config field {field_name}: {exc}", field_name) from exc
-
-
-def _problem_from(cfg: dict) -> xp.ProblemConfig:
-    """The config's problem; building it up front turns bad atoms or init boxes into config errors."""
-    problem = xp.ProblemConfig(**cfg.get("problem", {}))
-    try:
-        problem.build()
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"config field problem: {exc}", "problem") from exc
-    return problem
-
-
-def _resolve_problem(cfg: dict):
-    """Model/data/init from the config; a dataset path overrides the synthetic atoms
-    and ``sigma_override`` sets the model's noise model."""
-    problem = _problem_from(cfg)
-    model, pi, init = problem.build()
-    if "dataset" in cfg:
-        pi = load_dataset(cfg["dataset"])
+def _resolve_problem(config):
+    """Model/data/init of a simulate, stationary or check-assumptions config; a dataset
+    path overrides the synthetic atoms and ``sigma_override`` sets the model's noise model."""
+    model, pi, init = config.problem.build()
+    if config.dataset is not None:
+        pi = load_dataset(config.dataset)
+        problem = config.problem
         model = make_model(problem.feature, problem.loss, problem.penalty, p=pi.d)
-    if "sigma_override" in cfg:
-        try:
-            model = replace(model, sigma_override=cfg["sigma_override"])
-        except ValueError as exc:
-            raise ConfigError(f"config field sigma_override: {exc}", "sigma_override") from exc
+    if getattr(config, "sigma_override", None) is not None:
+        model = replace(model, sigma_override=config.sigma_override)
     return model, pi, init
 
 
@@ -133,65 +106,99 @@ def _finish_study(report: xp.StudyReport, args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _reject_unread(cfg: dict, reads, what: str) -> None:
-    """A config key outside ``reads`` is a config error naming every such key."""
-    unread = sorted(set(cfg) - set(reads))
-    if unread:
-        raise ConfigError(f"config fields {', '.join(unread)}: {what} does not read them",
-                          unread[0])
+# ----------------------------- configs -----------------------------
+# each subcommand's keys, defaults and ranges (the studies' are in experiments)
 
 
-# the keys each subcommand that is not a study reads
-_READS = {
-    "simulate": ("problem", "dataset", "sigma_override", "seed", "hyper", "engine", "N",
-                 "snapshot_times"),
-    "stationary": ("problem", "dataset", "sigma_override", "seed", "hyper", "horizon", "grid_lo",
-                   "grid_hi", "n_cells", "tol", "max_iter", "damping", "N_ref"),
-    "check-assumptions": ("problem", "dataset", "seed", "probes"),
-    "metrics": ("samples_a", "samples_b", "seed", "reps"),
-}
+@dataclass(frozen=True)
+class SimulateConfig:
+    problem: xp.ProblemConfig = xp.ProblemConfig()
+    hyper: Hyperparams = Hyperparams()
+    dataset: str | None = None
+    sigma_override: float | None = None
+    seed: int = 0
+    engine: str = "sgd"
+    N: int = 64
+    snapshot_times: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        require(self.engine in _ENGINES, "engine", f"be one of {', '.join(_ENGINES)}", self.engine)
+        require(self.N >= 1, "N", "be >= 1", self.N)
+        require(self.snapshot_times is None
+                or all(0.0 <= t <= self.hyper.T for t in self.snapshot_times),
+                "snapshot_times", f"lie in [0, T={self.hyper.T:g}]", self.snapshot_times)
+        require(self.sigma_override is None or 0 <= self.sigma_override < math.inf,
+                "sigma_override", "be finite and >= 0", self.sigma_override)
+        if self.engine in ("sgd", "msgld"):  # the discrete recursions never read dt
+            require(self.sigma_override is None, "sigma_override", f"be unset: engine "
+                    f"{self.engine} has no diffusion term to pin", self.sigma_override)
+            self.hyper.sgd_steps(self.N)
+        else:
+            self.hyper.euler_steps()
 
 
-def _study_config(cfg: dict, cls):
-    """Assemble a study config dataclass from the JSON dict (the seed flag is already in it)."""
-    _reject_unread(cfg, cls.__dataclass_fields__, "this study")
-    kw = {key: tuple(v) if isinstance(v, list) else v for key, v in cfg.items()}
-    if "problem" in cfg:
-        kw["problem"] = _problem_from(cfg)
-    if "hyper" in cfg:
-        kw["hyper"] = _hyper_from(cfg)
-    try:
-        config = cls(**kw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    # every study takes Euler steps unless its engine is a discrete recursion
-    if getattr(config, "engine", None) not in _DISCRETE_ENGINES:
-        _check_horizon(config.hyper)
-    return config
+@dataclass(frozen=True)
+class StationaryConfig:
+    problem: xp.ProblemConfig = xp.ProblemConfig()
+    hyper: Hyperparams = Hyperparams()
+    dataset: str | None = None
+    sigma_override: float | None = None
+    seed: int = 0
+    horizon: float = 5.0
+    grid_lo: float = -4.0
+    grid_hi: float = 4.0
+    n_cells: int = 512
+    tol: float = 1e-8
+    max_iter: int = 200
+    damping: float = 0.5
+    N_ref: int = 4096
+
+    def __post_init__(self):
+        require(self.horizon >= 0, "horizon", "be >= 0", self.horizon)
+        require(self.n_cells >= 4, "n_cells", "be >= 4", self.n_cells)
+        require(self.tol >= 0, "tol", "be >= 0", self.tol)
+        require(self.max_iter >= 1, "max_iter", "be >= 1", self.max_iter)
+        require(0 < self.damping <= 1, "damping", "lie in (0, 1]", self.damping)
+        require(self.N_ref >= 1, "N_ref", "be >= 1", self.N_ref)
+        require(self.sigma_override is None or 0 <= self.sigma_override < math.inf,
+                "sigma_override", "be finite and >= 0", self.sigma_override)
+        try:
+            self.hyper.replace(T=self.horizon).euler_steps()
+        except ConfigError as exc:
+            raise ConfigError(str(exc), "horizon") from exc
+
+
+@dataclass(frozen=True)
+class CheckAssumptionsConfig:
+    problem: xp.ProblemConfig = xp.ProblemConfig()
+    dataset: str | None = None
+    seed: int = 0
+    probes: tuple[tuple[float, ...], ...] | None = None  # each of length p, checked on the model
+
+
+@dataclass(frozen=True)
+class MetricsConfig:
+    samples_a: str | None = None
+    samples_b: str | None = None
+    seed: int = 0
+    reps: int = 64  # projections of the sliced distance
+
+    def __post_init__(self):
+        if self.samples_a is None or self.samples_b is None:
+            raise ConfigError("metrics needs samples_a and samples_b paths", "samples_a")
+        require(self.reps >= 1, "reps", "be >= 1", self.reps)
 
 
 # ----------------------------- subcommands -----------------------------
 
 
-def _cmd_simulate(args, cfg: dict) -> int:
-    model, pi, init = _resolve_problem(cfg)
-    hyper = _hyper_from(cfg)
-    engine = cfg.get("engine", "sgd")
-    N = cfg.get("N", 64)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+def _cmd_simulate(args, cfg: dict, config: SimulateConfig) -> int:
+    if args.snapshot_times:
+        config = replace(config, snapshot_times=tuple(args.snapshot_times))
+    model, pi, init = _resolve_problem(config)
+    hyper, engine, N, seed = config.hyper, config.engine, config.N, config.seed
     plan = NoisePlan(seed)
-    snaps = args.snapshot_times if args.snapshot_times else cfg.get("snapshot_times")
-    if engine in _DISCRETE_ENGINES:
-        if model.sigma_override is not None:
-            raise ConfigError(f"sigma_override pins the diffusion covariance; engine {engine} has "
-                              "no diffusion term", "sigma_override")
-        _check_horizon(hyper, N=N)
-    else:
-        _check_horizon(hyper)
-    if snaps is not None and not all(0.0 <= t <= hyper.T for t in snaps):
-        raise ConfigError(f"config field snapshot_times: every time must lie in [0, T={hyper.T:g}], "
-                          f"got {list(snaps)}", "snapshot_times")
-    traj = _ENGINES[engine](model, pi, hyper, N, init, plan, snapshot_times=snaps)
+    traj = _ENGINES[engine](model, pi, hyper, N, init, plan, snapshot_times=config.snapshot_times)
 
     out_dir = output_root(args.out) / f"simulate-seed{seed}"
     g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
@@ -210,52 +217,35 @@ def _cmd_simulate(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-# subcommand -> (config dataclass, name of its study in experiments)
-_STUDIES = {
-    "chaos-rate": (xp.ChaosRateConfig, "chaos_rate_study"),
-    "regime": (xp.TwoRegimeConfig, "two_regime_study"),
-    "gamma-sweep": (xp.SweepConfig, "gamma_sweep"),
-    "batch-sweep": (xp.SweepConfig, "batch_sweep"),
-    "histograms": (xp.HistogramConfig, "histogram_convergence_study"),
-    "consistency": (xp.ConsistencyConfig, "sgd_sde_consistency_study"),
-}
-
-
-def _cmd_study(args, cfg: dict) -> int:
-    cls, study = _STUDIES[args.command]
-    config = _study_config(cfg, cls)
+def _cmd_study(study: str, args, cfg: dict, config) -> int:
     # looked up at call time, so a wrapper installed on experiments is the one called
     return _finish_study(getattr(xp, study)(config, workers=args.workers), args, cfg)
 
 
-def _cmd_stationary(args, cfg: dict) -> int:
-    model, pi, _ = _resolve_problem(cfg)
+def _cmd_stationary(args, cfg: dict, config: StationaryConfig) -> int:
+    model, pi, _ = _resolve_problem(config)
     if model.p != 1:
         # with a dataset the dimension is its number of x_ columns
-        field_name = "dataset" if "dataset" in cfg else "problem.p"
+        field_name = "dataset" if config.dataset is not None else "problem.p"
         raise ConfigError(f"config field {field_name}: the stationary map is defined for p = 1, "
                           f"got p={model.p}", field_name)
-    hyper = _hyper_from(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    horizon = cfg.get("horizon", 5.0)
-    _check_horizon(hyper.replace(T=horizon), "horizon")
+    hyper, seed, horizon = config.hyper, config.seed, config.horizon
     try:
-        mu0 = GridDensity1D.gaussian(0.0, 1.0, cfg.get("grid_lo", -4.0), cfg.get("grid_hi", 4.0),
-                                     cfg.get("n_cells", 512))
+        mu0 = GridDensity1D.gaussian(0.0, 1.0, config.grid_lo, config.grid_hi, config.n_cells)
     except ValueError as exc:
         raise ConfigError(f"config fields grid_lo/grid_hi: {exc}", "grid_lo") from exc
     try:
         result = fixed_point_iterate(
             mu0, model, pi, hyper,
-            tol=cfg.get("tol", 1e-8),
-            max_iter=cfg.get("max_iter", 200),
-            damping=cfg.get("damping", 0.5),
+            tol=config.tol,
+            max_iter=config.max_iter,
+            damping=config.damping,
         )
     except NonEllipticNoise as exc:
         raise ConfigError(f"config fields sigma_override/hyper.eta: {exc}", "sigma_override") from exc
     drift = stationarity_check(
         result.density, model, pi, hyper,
-        N_ref=cfg.get("N_ref", 4096),
+        N_ref=config.N_ref,
         horizon=horizon,
         plan=NoisePlan(seed),
     )
@@ -287,10 +277,9 @@ def _cmd_stationary(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_check_assumptions(args, cfg: dict) -> int:
-    model, pi, _ = _resolve_problem(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    probes = cfg.get("probes")
+def _cmd_check_assumptions(args, cfg: dict, config: CheckAssumptionsConfig) -> int:
+    model, pi, _ = _resolve_problem(config)
+    seed, probes = config.seed, config.probes
     if probes is None:
         rng = np.random.default_rng(seed)
         probes = list(rng.uniform(-2, 2, size=(16, model.p)))
@@ -346,21 +335,19 @@ def _load_samples(path: str) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _cmd_metrics(args, cfg: dict) -> int:
-    if "samples_a" not in cfg or "samples_b" not in cfg:
-        raise ConfigError("metrics needs samples_a and samples_b paths", "samples_a")
-    a = _load_samples(cfg["samples_a"])
-    b = _load_samples(cfg["samples_b"])
+def _cmd_metrics(args, cfg: dict, config: MetricsConfig) -> int:
+    a = _load_samples(config.samples_a)
+    b = _load_samples(config.samples_b)
     if b.shape[1] != a.shape[1]:
         raise ConfigError(f"samples_b has {b.shape[1]} w_ columns, samples_a has {a.shape[1]}",
                           "samples_b")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = config.seed
     out = {"n_a": len(a), "n_b": len(b), "p": a.shape[1]}
     out["w2"] = w2_ensembles(a, b, seed=seed)
     if a.shape == b.shape and a.shape[1] == 1:
         out["w2_1d"] = w2_1d(a[:, 0], b[:, 0])
     if a.shape == b.shape and a.shape[1] > 1:
-        sl = w2_sliced(a, b, n_proj=cfg.get("reps", 64), seed=seed)
+        sl = w2_sliced(a, b, n_proj=config.reps, seed=seed)
         out["w2_sliced"] = sl.value
         out["w2_sliced_stderr"] = sl.stderr
     out_dir = output_root(args.out) / f"metrics-seed{seed}"
@@ -372,12 +359,18 @@ def _cmd_metrics(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+# subcommand -> (config dataclass, handler)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    **dict.fromkeys(_STUDIES, _cmd_study),
-    "stationary": _cmd_stationary,
-    "check-assumptions": _cmd_check_assumptions,
-    "metrics": _cmd_metrics,
+    "simulate": (SimulateConfig, _cmd_simulate),
+    "chaos-rate": (xp.ChaosRateConfig, partial(_cmd_study, "chaos_rate_study")),
+    "regime": (xp.TwoRegimeConfig, partial(_cmd_study, "two_regime_study")),
+    "gamma-sweep": (xp.SweepConfig, partial(_cmd_study, "gamma_sweep")),
+    "batch-sweep": (xp.SweepConfig, partial(_cmd_study, "batch_sweep")),
+    "histograms": (xp.HistogramConfig, partial(_cmd_study, "histogram_convergence_study")),
+    "consistency": (xp.ConsistencyConfig, partial(_cmd_study, "sgd_sde_consistency_study")),
+    "stationary": (StationaryConfig, _cmd_stationary),
+    "check-assumptions": (CheckAssumptionsConfig, _cmd_check_assumptions),
+    "metrics": (MetricsConfig, _cmd_metrics),
 }
 
 
@@ -410,9 +403,9 @@ def cli_dispatch(argv: list[str]) -> int:
         cfg = load_config(args.config) if args.config else {}
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.command in _READS:
-            _reject_unread(cfg, _READS[args.command], args.command)
-        return _COMMANDS[args.command](args, cfg)
+        cls, run = _COMMANDS[args.command]
+        # the manifest echoes the raw dict; the command runs on its dataclass
+        return run(args, cfg, parse_config(cls, cfg, args.command))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

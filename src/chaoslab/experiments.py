@@ -33,12 +33,15 @@ from .dynamics import (
 )
 from .meanfield import field_cache, noise_width, ridge_block
 from .model import (
+    FEATURES,
+    LOSSES,
     DataAtom,
     DataDistribution,
     Hyperparams,
     ModelSpec,
     gamma_scale,
     make_model,
+    require,
     time_weight,
 )
 from .rng import NoisePlan, SLOT_DIFFUSION, SLOT_LANGEVIN
@@ -133,12 +136,6 @@ def _pool_map(workers: int):
         yield lambda fn, tasks: list(pool.map(fn, tasks))
 
 
-def _parallel_map(fn, tasks, workers: int):
-    """Order-preserving map, optionally on a process pool (bitwise-identical)."""
-    with _pool_map(workers if len(tasks) > 1 else 1) as pmap:
-        return pmap(fn, tasks)
-
-
 def _call(task):
     fn, *args = task
     return fn(*args)
@@ -168,6 +165,21 @@ class ProblemConfig:
     init_high: float = 0.04
     init_w0: float = 0.0
 
+    def __post_init__(self):
+        # every field is checked here, so build() cannot fail
+        require(self.feature in FEATURES, "feature", f"be one of {', '.join(FEATURES)}",
+                self.feature)
+        require(self.loss in LOSSES, "loss", f"be one of {', '.join(LOSSES)}", self.loss)
+        make_model(self.feature, self.loss, self.penalty, p=self.p)  # checks penalty and p
+        require(self.labels in ("noisy", "realizable", "single"), "labels",
+                "be noisy, realizable or single", self.labels)
+        require(self.init_kind in ("uniform", "dirac"), "init_kind", "be uniform or dirac",
+                self.init_kind)
+        require(self.init_kind == "dirac" or self.init_low <= self.init_high, "init_low",
+                f"be <= init_high={self.init_high}", self.init_low)
+        for name in ("teacher", "init_low", "init_high", "init_w0"):
+            require(math.isfinite(getattr(self, name)), name, "be finite", getattr(self, name))
+
     def build(self) -> tuple[ModelSpec, DataDistribution, InitSpec]:
         model = make_model(self.feature, self.loss, self.penalty, p=self.p)
         if self.labels == "noisy":
@@ -183,17 +195,13 @@ class ProblemConfig:
                 DataAtom([x] * self.p, float(np.tanh(float(np.dot(w_star, [x] * self.p)))), 0.25)
                 for x in (0.7, -0.7, 1.3, -1.3)
             ]
-        elif self.labels == "single":
+        else:  # single
             atoms = [DataAtom([1.0] * self.p, 1.0, 1.0)]
-        else:
-            raise ValueError(f"unknown label scheme {self.labels!r}")
         pi = DataDistribution(atoms)
         if self.init_kind == "uniform":
             init = InitSpec.uniform(self.init_low, self.init_high)
-        elif self.init_kind == "dirac":
+        else:  # dirac
             init = InitSpec.dirac([self.init_w0] * self.p)
-        else:
-            raise ValueError(f"unknown init kind {self.init_kind!r}")
         return model, pi, init
 
 
@@ -214,11 +222,17 @@ class ChaosRateConfig:
     budget_s: float | None = None
 
     def __post_init__(self):
-        if len(self.N_grid) < 4:
-            raise ValueError("need an N grid with at least 4 sizes")
+        require(len(self.N_grid) >= 4 and min(self.N_grid) >= 1, "N_grid",
+                "hold at least 4 sizes, each >= 1", self.N_grid)
         ratios = [self.N_grid[i + 1] / self.N_grid[i] for i in range(len(self.N_grid) - 1)]
-        if max(ratios) / min(ratios) > 1.0 + 1e-9:
-            raise ValueError("N grid must be geometrically spaced")
+        require(max(ratios) / min(ratios) <= 1.0 + 1e-9, "N_grid", "be geometrically spaced",
+                self.N_grid)
+        require(self.m >= 1, "m", "be >= 1", self.m)
+        require(self.N_ref >= 1, "N_ref", "be >= 1", self.N_ref)
+        require(self.reps >= 1, "reps", "be >= 1", self.reps)
+        require(self.endpoint_ratio > 0, "endpoint_ratio", "be > 0", self.endpoint_ratio)
+        require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
+        self.hyper.euler_steps()
 
 
 def _stratified_reference(init: InitSpec, n: int, p: int) -> np.ndarray | None:
@@ -505,11 +519,22 @@ class TwoRegimeConfig:
     N_grid: tuple[int, ...] = (4096, 65536, 1048576)
     seeds: int = 16
     seed: int = 7
-    engine: str = "sgd"  # or "msgld"
-    statistic: str = "ensemble_mean"  # or "particle0"
+    engine: str = "sgd"
+    statistic: str = "ensemble_mean"
     ratio_threshold: float = 0.3
     floor_jitter: float = 0.5  # relative change of the beta=1 deviation, two largest N
     budget_s: float | None = None
+
+    def __post_init__(self):
+        require(min(self.N_grid, default=0) >= 1, "N_grid", "be one or more sizes >= 1", self.N_grid)
+        require(all(0.0 <= b <= 1.0 for b in self.betas), "betas", "lie in [0, 1]", self.betas)
+        require(self.seeds >= 2, "seeds", "be >= 2 to measure a deviation", self.seeds)
+        require(self.engine in ("sgd", "msgld"), "engine", "be sgd or msgld", self.engine)
+        require(self.statistic in ("ensemble_mean", "particle0"), "statistic",
+                "be ensemble_mean or particle0", self.statistic)
+        require(self.ratio_threshold > 0, "ratio_threshold", "be > 0", self.ratio_threshold)
+        require(self.floor_jitter > 0, "floor_jitter", "be > 0", self.floor_jitter)
+        require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
 
 
 def _regime_task(args) -> float:
@@ -535,15 +560,16 @@ def _regime_task(args) -> float:
 
 def two_regime_study(config: TwoRegimeConfig, workers: int = 1) -> StudyReport:
     """Across-seed deviation of the endpoint statistic: vanishing vs stable noise."""
-    if config.seeds < 2:
-        raise ValueError("need at least 2 seeds to measure a deviation")
     t0 = time.time()
+    tasks = [(config, beta, N, s)
+             for beta in config.betas for N in config.N_grid for s in range(config.seeds)]
+    with _pool_map(workers) as pmap:
+        per_task = np.array(pmap(_regime_task, tasks))
+    per_task = per_task.reshape(len(config.betas), len(config.N_grid), config.seeds)
     rows = []
     devs: dict[tuple[float, int], float] = {}
-    for beta in config.betas:
-        for N in config.N_grid:
-            tasks = [(config, beta, N, s) for s in range(config.seeds)]
-            stats = np.array(_parallel_map(_regime_task, tasks, workers))
+    for beta, per_beta in zip(config.betas, per_task):
+        for N, stats in zip(config.N_grid, per_beta):
             dev = float(stats.std(ddof=1))
             devs[(beta, N)] = dev
             rows.append({"beta": beta, "N": N, "deviation": dev,
@@ -600,6 +626,14 @@ class SweepConfig:
     seed: int = 29
     budget_s: float | None = None
 
+    def __post_init__(self):
+        require(all(g > 0 for g in self.gammas), "gammas", "be > 0", self.gammas)
+        require(all(b >= 1 for b in self.batches), "batches", "be >= 1", self.batches)
+        require(self.N_ref >= 1, "N_ref", "be >= 1", self.N_ref)
+        require(self.reps >= 1, "reps", "be >= 1", self.reps)
+        require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
+        self.hyper.euler_steps()
+
 
 def _sweep_task(args) -> float:
     config, key, value, r = args
@@ -619,10 +653,11 @@ def _sweep_task(args) -> float:
 
 def _limit_sweep(config: SweepConfig, key: str, values, workers: int) -> StudyReport:
     t0 = time.time()
+    with _pool_map(workers) as pmap:
+        per_task = np.array(pmap(_sweep_task, [(config, key, v, r)
+                                                for v in values for r in range(config.reps)]))
     rows = []
-    for v in values:
-        tasks = [(config, key, v, r) for r in range(config.reps)]
-        ws = np.array(_parallel_map(_sweep_task, tasks, workers))
+    for v, ws in zip(values, per_task.reshape(len(values), config.reps)):
         stderr = float(ws.std(ddof=1) / math.sqrt(config.reps)) if config.reps > 1 else 0.0
         rows.append({key: v, "w2_to_ode_limit": float(ws.mean()), "stderr": stderr})
 
@@ -673,6 +708,18 @@ class HistogramConfig:
     seed: int = 17
     budget_s: float | None = None
 
+    def __post_init__(self):
+        require(len(self.N_grid) >= 3 and min(self.N_grid) >= 1, "N_grid",
+                "hold at least 3 sizes, each >= 1", self.N_grid)
+        require(all(0.0 <= b <= 1.0 for b in self.betas), "betas", "lie in [0, 1]", self.betas)
+        require(self.n_bins >= 2, "n_bins", "be >= 2", self.n_bins)
+        require(self.reps >= 1, "reps", "be >= 1", self.reps)
+        require(self.engine in ("interacting-sde", "sgd"), "engine", "be interacting-sde or sgd",
+                self.engine)
+        require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
+        if self.engine == "interacting-sde":  # SGD steps by its stepsize schedule, not dt
+            self.hyper.euler_steps()
+
 
 def _hist_task(args):
     """Endpoint first coordinates of one (beta, N) grid point.
@@ -703,12 +750,11 @@ def _hist_task(args):
 
 def histogram_convergence_study(config: HistogramConfig, workers: int = 1) -> StudyReport:
     """Endpoint weight histograms across N per beta, and the two-regime split."""
-    if len(config.N_grid) < 3:
-        raise ValueError("need an N grid with at least 3 sizes")
     t0 = time.time()
     endpoints: dict[tuple[float, int], np.ndarray] = {}
     tasks = [(config, beta, N) for beta in config.betas for N in config.N_grid]
-    results = _parallel_map(_hist_task, tasks, workers)
+    with _pool_map(workers) as pmap:
+        results = pmap(_hist_task, tasks)
     for (c, beta, N), w in zip(tasks, results):
         endpoints[(beta, N)] = w
 
@@ -761,6 +807,14 @@ class ConsistencyConfig:
     decrease_factor: float = 0.7
     budget_s: float | None = None
 
+    def __post_init__(self):
+        require(len(self.N_grid) >= 2 and min(self.N_grid) >= 1, "N_grid",
+                "hold at least 2 sizes, each >= 1", self.N_grid)
+        require(self.reps >= 2, "reps", "be >= 2 to pool and estimate stderr", self.reps)
+        require(self.decrease_factor > 0, "decrease_factor", "be > 0", self.decrease_factor)
+        require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
+        self.hyper.euler_steps()
+
 
 def _gap_task(args):
     """Endpoint samples of both engines for one repetition (independent noise)."""
@@ -779,15 +833,13 @@ def sgd_sde_consistency_study(config: ConsistencyConfig, workers: int = 1) -> St
     the per-particle laws are what the two engines share.  The stderr comes
     from the half-split pooled gaps.
     """
-    if len(config.N_grid) < 2:
-        raise ValueError("need at least 2 grid sizes")
-    if config.reps < 2:
-        raise ValueError("need at least 2 reps to pool and estimate stderr")
     t0 = time.time()
+    with _pool_map(workers) as pmap:
+        per_task = pmap(_gap_task, [(config, N, r) for N in config.N_grid
+                                    for r in range(config.reps)])
     rows = []
-    for N in config.N_grid:
-        tasks = [(config, N, r) for r in range(config.reps)]
-        ends = _parallel_map(_gap_task, tasks, workers)
+    for i, N in enumerate(config.N_grid):
+        ends = per_task[i * config.reps:(i + 1) * config.reps]
         sgd_all = np.concatenate([e[0] for e in ends])
         sde_all = np.concatenate([e[1] for e in ends])
         gap = w2_ensembles(sgd_all, sde_all, seed=config.seed)

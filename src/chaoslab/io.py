@@ -1,4 +1,4 @@
-"""Configuration schema, dataset ingestion, persistence, and run manifests.
+"""Config loading, dataset ingestion, persistence, and run manifests.
 
 Formats: JSON for configs and verdicts (human-diffable), CSV for tables
 (plot-ready, full-precision reprs that re-parse bitwise), and a checksummed
@@ -16,21 +16,22 @@ import json
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from .dynamics import Trajectory
-from .model import DataAtom, DataDistribution, Hyperparams
+from .model import ConfigError, DataAtom, DataDistribution, Hyperparams
 
 __all__ = [
     "ConfigError",
     "RunManifest",
     "load_config",
-    "validate_config",
+    "parse_config",
     "load_dataset",
     "save_dataset",
     "save_trajectory",
@@ -39,113 +40,58 @@ __all__ = [
     "write_csv",
     "write_json",
     "output_root",
-    "CONFIG_SCHEMA",
 ]
 
 _MAGIC = b"CHAOSTRJ"
 _VERSION = 1
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration; carries the offending field when known."""
+# ----------------------------- configs -----------------------------
 
-    def __init__(self, message: str, field_name: str | None = None):
-        super().__init__(message)
-        self.field_name = field_name
+# each scalar annotation: the JSON type it takes, and the Python types json.load gives it
+_SCALARS = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str)}
 
 
-# ----------------------------- config schema -----------------------------
+def parse_config(cls, raw: dict, command: str, where: str = ""):
+    """The config dataclass ``cls``, its schema, built from the JSON object ``raw``.
 
-_HYPER_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "alpha": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "beta": {"type": "number", "minimum": 0, "maximum": 1},
-        "gamma": {"type": "number", "exclusiveMinimum": 0},
-        "M": {"type": "integer", "minimum": 1},
-        "eta": {"type": "number", "minimum": 0},
-        "T": {"type": "number", "minimum": 0},
-        "dt": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-_PROBLEM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "feature": {"type": "string"},
-        "loss": {"type": "string"},
-        "penalty": {"type": "number", "minimum": 0},
-        "p": {"type": "integer", "minimum": 1},
-        "labels": {"enum": ["noisy", "realizable", "single"]},
-        "teacher": {"type": "number"},
-        "init_kind": {"enum": ["uniform", "dirac"]},
-        "init_low": {"type": "number"},
-        "init_high": {"type": "number"},
-        "init_w0": {"type": "number"},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "chaoslab run configuration",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "hyper": _HYPER_SCHEMA,
-        "problem": _PROBLEM_SCHEMA,
-        "dataset": {"type": "string"},
-        "engine": {"enum": ["sgd", "msgld", "interacting-sde", "meanfield-ode", "meanfield-sde"]},
-        "statistic": {"enum": ["ensemble_mean", "particle0"]},
-        "N": {"type": "integer", "minimum": 1},
-        "N_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-        "N_ref": {"type": "integer", "minimum": 1},
-        "m": {"type": "integer", "minimum": 1},
-        "reps": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "seeds": {"type": "integer", "minimum": 2},
-        "betas": {"type": "array", "items": {"type": "number", "minimum": 0, "maximum": 1}},
-        "gammas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-        "batches": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "snapshot_times": {"type": "array", "items": {"type": "number", "minimum": 0}},
-        "sigma_override": {"type": "number", "minimum": 0},
-        "n_bins": {"type": "integer", "minimum": 2},
-        "n_cells": {"type": "integer", "minimum": 4},
-        "grid_lo": {"type": "number"},
-        "grid_hi": {"type": "number"},
-        "tol": {"type": "number", "minimum": 0},
-        "max_iter": {"type": "integer", "minimum": 1},
-        "damping": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "horizon": {"type": "number", "minimum": 0},
-        "slope_threshold": {"type": "number"},
-        "endpoint_ratio": {"type": "number", "exclusiveMinimum": 0},
-        "ratio_threshold": {"type": "number", "exclusiveMinimum": 0},
-        "decrease_factor": {"type": "number", "exclusiveMinimum": 0},
-        "budget_s": {"type": "number", "exclusiveMinimum": 0},
-        "probes": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-        "samples_a": {"type": "string"},
-        "samples_b": {"type": "string"},
-    },
-}
-
-
-def validate_config(cfg: dict) -> dict:
-    """Schema-validate a raw config dict; unknown keys are rejected."""
+    An unknown key, a JSON type that does not fit the field's annotation, or
+    a value ``__post_init__`` rejects is a ConfigError naming the field (nested
+    ones as ``hyper.alpha``).  An ``int`` takes a whole number (never a bool), a
+    ``tuple`` a JSON array; values are passed on as JSON gives them."""
+    hints = typing.get_type_hints(cls)
+    unread = sorted(where + key for key in set(raw) - {f.name for f in fields(cls)})
+    if unread:
+        raise ConfigError(f"config fields {', '.join(unread)}: {command} does not read them",
+                          unread[0])
+    kw = {key: _json_value(hints[key], value, where + key, command) for key, value in raw.items()}
     try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(q) for q in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}", path) from exc
-    if "hyper" in cfg:
-        try:
-            Hyperparams(**cfg["hyper"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config field hyper: {exc}", "hyper") from exc
-    return cfg
+        return cls(**kw)
+    except ConfigError as exc:
+        name = where + exc.field_name
+        raise ConfigError(f"config field {name}: {exc}", name) from exc
+
+
+def _json_value(tp, value, name: str, command: str):
+    """``value`` checked against the annotation ``tp`` of the field ``name``."""
+    if isinstance(tp, types.UnionType):  # X | None
+        if value is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    if is_dataclass(tp) and isinstance(value, dict):
+        return parse_config(tp, value, command, f"{name}.")
+    if typing.get_origin(tp) is tuple and isinstance(value, list):
+        item = typing.get_args(tp)[0]
+        return tuple(_json_value(item, v, f"{name}.{i}", command) for i, v in enumerate(value))
+    kind, accepted = _SCALARS.get(tp, ("array" if typing.get_origin(tp) is tuple else "object", ()))
+    whole = isinstance(value, float) and value.is_integer()
+    if not isinstance(value, bool) and (isinstance(value, accepted) or tp is int and whole):
+        return value
+    raise ConfigError(f"config field {name}: {value!r} is not of type '{kind}'", name)
 
 
 def load_config(path: str | Path) -> dict:
+    """The JSON object of a config file; ``parse_config`` checks it against a subcommand's class."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
@@ -153,7 +99,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    return validate_config(cfg)
+    return cfg
 
 
 # ----------------------------- datasets -----------------------------

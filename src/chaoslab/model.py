@@ -20,6 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "ConfigError",
+    "require",
     "DataAtom",
     "DataDistribution",
     "Hyperparams",
@@ -120,6 +122,23 @@ def two_point_distribution(x0, y0, x1, y1, w0=0.5) -> DataDistribution:
     )
 
 
+# ----------------------------- config checks -----------------------------
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration; carries the offending field when known."""
+
+    def __init__(self, message: str, field_name: str | None = None):
+        super().__init__(message)
+        self.field_name = field_name
+
+
+def require(ok: bool, field_name: str, rule: str, value) -> None:
+    """Unless ``ok``, a ConfigError "<field_name> must <rule>, got <value>" naming the field."""
+    if not ok:
+        raise ConfigError(f"{field_name} must {rule}, got {value}", field_name)
+
+
 # ----------------------------- hyperparameters -----------------------------
 
 
@@ -146,39 +165,29 @@ class Hyperparams:
     dt: float = 1e-2
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if self.T < 0:
-            raise ValueError(f"T must be >= 0, got {self.T}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        require(0.0 <= self.alpha < 1.0, "alpha", "lie in [0, 1)", self.alpha)
+        require(0.0 <= self.beta <= 1.0, "beta", "lie in [0, 1]", self.beta)
+        require(self.gamma > 0, "gamma", "be > 0", self.gamma)
+        require(self.M >= 1, "M", "be >= 1", self.M)
+        require(self.eta >= 0, "eta", "be >= 0", self.eta)
+        require(self.T >= 0, "T", "be >= 0", self.T)
+        require(self.dt > 0, "dt", "be > 0", self.dt)
 
     def euler_steps(self) -> int:
-        """Number of Euler steps dt in the horizon T; raises unless T is a whole number of them."""
+        """Number of Euler steps dt in the horizon T; a ConfigError unless it is a whole number."""
         n = round(self.T / self.dt)
         if abs(n * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
-            raise ValueError(
-                f"horizon T={self.T} is not a whole number of Euler steps dt={self.dt} "
-                f"(T/dt = {self.T / self.dt:.6g})"
-            )
+            raise ConfigError(f"horizon T={self.T} is not a whole number of Euler steps "
+                              f"dt={self.dt} (T/dt = {self.T / self.dt:.6g})", "T")
         return n
 
     def sgd_steps(self, N: int) -> int:
-        """Iterations floor(T / gamma_scale(N)) of the discrete recursion; raises when there are none."""
+        """Iterations floor(T / gamma_scale(N)) of the discrete recursion; a ConfigError if none."""
         g = gamma_scale(self.alpha, self.beta, self.gamma, N)
         n = int(math.floor(self.T / g + 1e-12))
         if n == 0:
-            raise ValueError(
-                f"horizon T={self.T} is shorter than one SGD step gamma_scale={g:.6g}; nothing to run"
-            )
+            raise ConfigError(f"horizon T={self.T} is shorter than one SGD step "
+                              f"gamma_scale={g:.6g}; nothing to run", "T")
         return n
 
     def replace(self, **kw) -> "Hyperparams":
@@ -406,11 +415,9 @@ class ModelSpec:
     sigma_override: float | None = None
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("parameter dimension must be >= 1")
+        require(self.p >= 1, "p", "be >= 1", self.p)
         s = self.sigma_override
-        if s is not None and not (math.isfinite(s) and s >= 0):
-            raise ValueError(f"sigma_override must be finite and >= 0, got {s}")
+        require(s is None or math.isfinite(s) and s >= 0, "sigma_override", "be finite and >= 0", s)
         if self.phi is None:
             object.__setattr__(self, "phi", self.feature.envelope)
         if self.psi is None:
@@ -432,8 +439,9 @@ def make_model(
 ) -> ModelSpec:
     """Build a ModelSpec from the builtin registry.
 
-    ``penalty`` is the quadratic strength lam; 0 selects the zero penalty.
+    ``penalty`` is the quadratic strength lam >= 0; 0 selects the zero penalty.
     """
+    require(penalty >= 0, "penalty", "be >= 0", penalty)
     if feature not in FEATURES:
         raise KeyError(f"unknown feature {feature!r}; choose from {sorted(FEATURES)}")
     if loss not in LOSSES:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,17 +11,17 @@ import numpy as np
 import pytest
 
 import chaoslab
-from chaoslab.cli import _STUDIES, EXIT_CONFIG, EXIT_OK, _study_config, cli_dispatch
+from chaoslab.cli import _COMMANDS, EXIT_CONFIG, EXIT_OK, SimulateConfig, cli_dispatch
 from chaoslab.dynamics import InitSpec, Trajectory, interacting_sde_run
 from chaoslab.io import (
     ConfigError,
     load_config,
     load_dataset,
     load_trajectory,
+    parse_config,
     save_dataset,
     save_trajectory,
     trajectory_to_csv,
-    validate_config,
     write_csv,
 )
 from chaoslab.model import Hyperparams, make_model, two_point_distribution
@@ -38,11 +39,11 @@ def small_trajectory():
 class TestConfigSchema:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
-            validate_config({"hyperr": {}})
+            parse_config(SimulateConfig, {"hyperr": {}}, "simulate")
 
     def test_alpha_one_rejected_with_field_name(self):
         with pytest.raises(ConfigError) as err:
-            validate_config({"hyper": {"alpha": 1.0}})
+            parse_config(SimulateConfig, {"hyper": {"alpha": 1.0}}, "simulate")
         assert "alpha" in str(err.value)
 
     def test_valid_config_roundtrip(self, tmp_path):
@@ -66,7 +67,9 @@ class TestShippedConfigs:
         configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
         assert len(configs) >= 8
         for path in configs:
-            load_config(path)
+            # each subcommand that reads the config; sweep.json feeds both sweeps
+            for command in ("gamma-sweep", "batch-sweep") if path.stem == "sweep" else (path.stem,):
+                parse_config(_COMMANDS[command][0], load_config(path), command)
 
     @pytest.mark.parametrize("command, name", [
         ("chaos-rate", "chaos-rate.json"), ("regime", "regime.json"),
@@ -74,7 +77,7 @@ class TestShippedConfigs:
         ("histograms", "histograms.json"), ("consistency", "consistency.json"),
     ])
     def test_study_configs_hold_only_keys_their_study_reads(self, command, name):
-        _study_config(load_config(CONFIGS / name), _STUDIES[command][0])
+        parse_config(_COMMANDS[command][0], load_config(CONFIGS / name), command)
 
     # simulate with N = 4096 is the benchmark's override of the shipped config
     @pytest.mark.parametrize("command, name, overrides", [
@@ -226,9 +229,11 @@ class TestCsvWriter:
         assert got[0][0] == 1 / 3 and got[1][1] == 123.456e300
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is imported only inside w2_exact; a fresh interpreter shows it
-    code = "import sys, chaoslab.cli; print('scipy' in sys.modules)"
+# scipy is imported only inside w2_exact, and the config dataclasses are the
+# only config schema; a fresh interpreter shows both
+@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+def test_cli_import_leaves_scipy_out(module):
+    code = f"import sys, chaoslab.cli; print({module!r} in sys.modules)"
     src = str(Path(chaoslab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -290,6 +295,15 @@ class TestCliDispatch:
         err = capsys.readouterr().err
         assert "config field horizon" in err and "dt=0.3" in err
 
+    def test_regime_floor_threshold_is_read_from_the_config(self, tmp_path):
+        cfg = {"hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "betas": [1.0], "N_grid": [16, 64],
+               "seeds": 2, "seed": 1, "floor_jitter": 0.4,
+               "problem": {"init_kind": "dirac", "init_w0": 0.0}}
+        assert self.run(tmp_path, "regime", cfg) == EXIT_OK
+        verdicts = json.loads((tmp_path / "out" / "two-regime-seed1" / "verdicts.json").read_text())
+        floor = next(v for v in verdicts["verdicts"] if v["name"] == "floor_beta_1")
+        assert floor["threshold"] == 0.4
+
     def test_sgd_regime_ignores_dt(self, tmp_path):
         # the discrete recursions never take an Euler step
         cfg = {"hyper": {"T": 1.0, "dt": 0.3, "gamma": 0.5}, "betas": [0.75, 1.0],
@@ -337,10 +351,73 @@ class TestCliDispatch:
         ("simulate", {"engine": "sgd", "N": 4, "hyper": {"T": 0.01, "gamma": 0.5}}, "field T"),
         ("simulate", {"engine": "interacting-sde", "N": 4, "hyper": {"T": 0.2, "dt": 0.05},
                       "snapshot_times": [9]}, "field snapshot_times"),
+        # engines the study does not run
+        ("regime", {"engine": "meanfield-ode", "hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5},
+                    "betas": [1.0], "N_grid": [16], "seeds": 2}, "field engine"),
+        ("histograms", {"engine": "msgld", "hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5},
+                        "betas": [1.0], "N_grid": [16, 32, 64], "reps": 1}, "field engine"),
     ])
     def test_bad_input_exits_config_naming_the_field(self, tmp_path, capsys, command, cfg, field):
         assert self.run(tmp_path, command, {**cfg, "seed": 1}) == EXIT_CONFIG
         assert f"config {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # one row per config key: a value that breaks the key's type, range or enum,
+    # given to a subcommand that reads the key
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("simulate", {"hyper": {"alpha": 1.0}}, "alpha"),
+        ("simulate", {"hyper": {"beta": 1.5}}, "beta"),
+        ("simulate", {"hyper": {"gamma": 0}}, "gamma"),
+        ("simulate", {"hyper": {"M": 0.5}}, "M"),
+        ("simulate", {"hyper": {"eta": -0.1}}, "eta"),
+        ("simulate", {"hyper": {"T": -1.0}}, "T"),
+        ("simulate", {"hyper": {"dt": 0}}, "dt"),
+        ("simulate", {"problem": {"feature": 3}}, "feature"),
+        ("check-assumptions", {"problem": {"loss": ["square"]}}, "loss"),
+        ("simulate", {"problem": {"penalty": -0.5}}, "penalty"),
+        ("check-assumptions", {"problem": {"p": 0}}, "p"),
+        ("chaos-rate", {"problem": {"labels": "bogus"}}, "labels"),
+        ("regime", {"problem": {"teacher": "high"}}, "teacher"),
+        ("histograms", {"problem": {"init_kind": "gauss"}}, "init_kind"),
+        ("consistency", {"problem": {"init_low": "a"}}, "init_low"),
+        ("gamma-sweep", {"problem": {"init_high": None}}, "init_high"),
+        ("batch-sweep", {"problem": {"init_w0": True}}, "init_w0"),
+        ("simulate", {"dataset": 3}, "dataset"),
+        ("simulate", {"engine": "euler"}, "engine"),
+        ("regime", {"statistic": "median"}, "statistic"),
+        ("simulate", {"N": 0}, "N"),
+        ("regime", {"N_grid": [0]}, "N_grid"),
+        ("gamma-sweep", {"N_ref": 0}, "N_ref"),
+        ("chaos-rate", {"m": 0}, "m"),
+        ("histograms", {"reps": 0}, "reps"),
+        ("simulate", {"seed": "7"}, "seed"),
+        ("regime", {"seeds": 1}, "seeds"),
+        ("histograms", {"betas": [1.5]}, "betas"),
+        ("gamma-sweep", {"gammas": [0]}, "gammas"),
+        ("batch-sweep", {"batches": [0]}, "batches"),
+        ("simulate", {"snapshot_times": [-1.0]}, "snapshot_times"),
+        ("stationary", {"sigma_override": -1.0}, "sigma_override"),
+        ("histograms", {"n_bins": 1}, "n_bins"),
+        ("stationary", {"n_cells": 3}, "n_cells"),
+        ("stationary", {"grid_lo": "a"}, "grid_lo"),
+        ("stationary", {"grid_hi": None}, "grid_hi"),
+        ("stationary", {"tol": -1.0}, "tol"),
+        ("stationary", {"max_iter": 0}, "max_iter"),
+        ("stationary", {"damping": 1.5}, "damping"),
+        ("stationary", {"horizon": -1.0}, "horizon"),
+        ("chaos-rate", {"slope_threshold": "steep"}, "slope_threshold"),
+        ("chaos-rate", {"endpoint_ratio": 0}, "endpoint_ratio"),
+        ("regime", {"ratio_threshold": 0}, "ratio_threshold"),
+        ("consistency", {"decrease_factor": 0}, "decrease_factor"),
+        ("consistency", {"budget_s": 0}, "budget_s"),
+        ("check-assumptions", {"probes": [[1.0, "a"]]}, "probes"),
+        ("metrics", {"samples_a": 3, "samples_b": "b.csv"}, "samples_a"),
+        ("metrics", {"samples_a": "a.csv", "samples_b": ["b.csv"]}, "samples_b"),
+    ])
+    def test_config_key_boundary(self, tmp_path, capsys, command, cfg, key):
+        assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.search(rf"config fields? \S*\b{key}\b", err), err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("engine", ["sgd", "msgld"])

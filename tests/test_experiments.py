@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import chaoslab
+import chaoslab.experiments as xp
 from chaoslab.dynamics import interacting_sde_run, msgld_run
 from chaoslab.experiments import (
     ChaosRateConfig,
@@ -47,6 +48,22 @@ def fast_chaos_config(**kw):
     )
     base.update(kw)
     return ChaosRateConfig(**base)
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("cls, kw, field", [
+        (ChaosRateConfig, {"m": 0}, "m"),
+        (ChaosRateConfig, {"reps": 0}, "reps"),
+        (ChaosRateConfig, {"N_ref": -3}, "N_ref"),
+        (HistogramConfig, {"n_bins": 0}, "n_bins"),
+        (TwoRegimeConfig, {"engine": "meanfield-ode"}, "engine"),
+        (TwoRegimeConfig, {"statistic": "median"}, "statistic"),
+        (HistogramConfig, {"engine": "msgld"}, "engine"),
+        (ProblemConfig, {"penalty": -0.5}, "penalty"),
+    ])
+    def test_out_of_range_value_names_the_field(self, cls, kw, field):
+        with pytest.raises(ValueError, match=rf"^{field} must "):
+            cls(**kw)
 
 
 class TestVerdict:
@@ -169,6 +186,21 @@ class TestTwoRegimeStudy:
         for key in ("mean_stat", "deviation"):
             np.testing.assert_allclose([r[key] for r in short], [r[key] for r in full],
                                        rtol=1e-12, atol=0)
+
+    def test_one_pool_for_the_whole_study(self, monkeypatch):
+        cfg = self.fast_config(N_grid=(16, 64), seeds=3)
+        serial = two_regime_study(cfg, workers=1)
+        starts = []
+
+        class CountingPool(xp.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", CountingPool)
+        pooled = two_regime_study(cfg, workers=2)
+        assert len(starts) == 1
+        assert pooled.tables == serial.tables
 
     def test_seed_floor(self):
         with pytest.raises(ValueError):

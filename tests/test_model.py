@@ -209,6 +209,11 @@ class TestBuiltins:
         with pytest.raises(KeyError):
             make_model("relu", "square")
 
+    @pytest.mark.parametrize("kw, field", [({"penalty": -0.5}, "penalty"), ({"p": 0}, "p")])
+    def test_out_of_range_arguments_name_the_field(self, kw, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be >="):
+            make_model("tanh-dot", "square", **kw)
+
     def test_loss_derivative_envelope_bound(self):
         # |d1 l(yhat, y)| <= 2 Psi(y) max(1, |yhat|) for builtins
         rng = np.random.default_rng(11)
