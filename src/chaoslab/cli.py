@@ -89,9 +89,9 @@ def _report_outputs(report: xp.StudyReport, out_dir: Path, manifest: RunManifest
     return files
 
 
-def _finish_study(report: xp.StudyReport, args, cfg: dict) -> int:
-    out_dir = output_root(args.out) / f"{report.study_id}-seed{cfg.get('seed', 0)}"
-    manifest = RunManifest.start(report.study_id, cfg, cfg.get("seed", 0))
+def _finish_study(report: xp.StudyReport, args, cfg: dict, seed: int) -> int:
+    out_dir = output_root(args.out) / f"{report.study_id}-seed{seed}"
+    manifest = RunManifest.start(report.study_id, cfg, seed)
     _report_outputs(report, out_dir, manifest)
     for v in report.verdicts:
         status = "PASS" if v.passed else ("n/a" if v.passed is None else "FAIL")
@@ -219,7 +219,7 @@ def _cmd_simulate(args, cfg: dict, config: SimulateConfig) -> int:
 
 def _cmd_study(study: str, args, cfg: dict, config) -> int:
     # looked up at call time, so a wrapper installed on experiments is the one called
-    return _finish_study(getattr(xp, study)(config, workers=args.workers), args, cfg)
+    return _finish_study(getattr(xp, study)(config, workers=args.workers), args, cfg, config.seed)
 
 
 def _cmd_stationary(args, cfg: dict, config: StationaryConfig) -> int:
@@ -389,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=1, help="process-pool width")
         sp.add_argument("--strict", action="store_true",
                         help="exit 1 when a verdict fails or none applies")
-        sp.add_argument("--snapshot-times", type=float, nargs="+", default=None)
+    sub.choices["simulate"].add_argument("--snapshot-times", type=float, nargs="+", default=None)
     return parser
 
 

@@ -166,7 +166,11 @@ class InitSpec:
 
 @dataclass
 class Trajectory:
-    """Snapshots of an ensemble along a time grid starting at 0."""
+    """Snapshots of an ensemble along a time grid starting at 0.
+
+    ``law_path`` (n_steps, D), set by ``euler_run``, holds the residual
+    column the ensemble's own law gave each step; it is not saved to disk.
+    """
 
     kind: str
     times: np.ndarray  # (n_snap,)
@@ -175,6 +179,7 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
     model: ModelSpec | None = None
     pi: DataDistribution | None = None
+    law_path: np.ndarray | None = None
 
     @property
     def n_particles(self) -> int:
@@ -363,7 +368,8 @@ def euler_run(
     Each step is one ``euler_step`` with noise scale sigma_scale and the
     time weight (t+1)^-alpha, on one activation block of the ensemble,
     drawing the particles' rows of the domain's diffusion (when
-    sigma_scale > 0) and Langevin (when eta > 0) blocks.
+    sigma_scale > 0) and Langevin (when eta > 0) blocks.  The law each step
+    read is kept as the trajectory's ``law_path``.
     """
     n_steps = hyper.euler_steps()
     W = np.array(W0, dtype=np.float64)
@@ -371,6 +377,7 @@ def euler_run(
     ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
     eta = hyper.eta
     width = noise_width(model, pi)
+    law_path = np.empty((n_steps, len(pi)))
 
     snaps = _Snapshots(n_steps, hyper.dt, snapshot_times, hyper.T, W)
     for n in range(n_steps):
@@ -379,13 +386,15 @@ def euler_run(
         Z = _draws(plan, domain, SLOT_DIFFUSION, n, ids, width) if sigma_scale > 0 else None
         Z_lang = _draws(plan, domain, SLOT_LANGEVIN, n, ids, p) if eta > 0 else None
         block = ridge_block(W, model, pi)
-        W = euler_step(block, field_cache(block, model, pi), model, pi, hyper.dt,
-                       time_weight(t, hyper.alpha), sigma_scale, Z, Z_lang, eta)
+        cache = field_cache(block, model, pi)
+        law_path[n] = cache.residual_d1
+        W = euler_step(block, cache, model, pi, hyper.dt, time_weight(t, hyper.alpha),
+                       sigma_scale, Z, Z_lang, eta)
         snaps.record(n + 1, W)
 
     meta = {"sigma_scale": sigma_scale, "sigma_override": model.sigma_override,
             "n_steps": n_steps, "seed": plan.run_seed, "N": N}
-    return Trajectory(kind, snaps.times, snaps.ensembles, hyper, meta, model, pi)
+    return Trajectory(kind, snaps.times, snaps.ensembles, hyper, meta, model, pi, law_path)
 
 
 # the benchmark's tracer (perfbench/spans.py) looks the engine up by this name

@@ -21,6 +21,7 @@ from .dynamics import (
     DOMAIN_REFERENCE,
     DOMAIN_SYSTEM,
     InitSpec,
+    euler_run,
     euler_step,
     guard_moment,
     interacting_sde_run,
@@ -227,8 +228,12 @@ class ChaosRateConfig:
         ratios = [self.N_grid[i + 1] / self.N_grid[i] for i in range(len(self.N_grid) - 1)]
         require(max(ratios) / min(ratios) <= 1.0 + 1e-9, "N_grid", "be geometrically spaced",
                 self.N_grid)
-        require(self.m >= 1, "m", "be >= 1", self.m)
-        require(self.N_ref >= 1, "N_ref", "be >= 1", self.N_ref)
+        # coupled_chaos_error's bounds: companion k replays test particle k of every
+        # system, and the reference is at least as large as every system
+        require(1 <= self.m <= min(self.N_grid), "m",
+                f"lie in [1, smallest N={min(self.N_grid)}]", self.m)
+        require(self.N_ref >= max(self.N_grid), "N_ref", f"be >= largest N={max(self.N_grid)}",
+                self.N_ref)
         require(self.reps >= 1, "reps", "be >= 1", self.reps)
         require(self.endpoint_ratio > 0, "endpoint_ratio", "be > 0", self.endpoint_ratio)
         require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
@@ -255,13 +260,12 @@ def _stratified_reference(init: InitSpec, n: int, p: int) -> np.ndarray | None:
 class ChaosErrorEstimate:
     """Monte Carlo estimate of E[sup_t sum_{k<=m} ||W_t^{k,N} - W_t^{k,*}||^2].
 
-    ``reference`` names the law the companions W^{k,*} read: ``"grid"``, the
-    grid law of the Euler scheme (p = 1, with noise); ``"stratified-path"``,
-    the stratified particle reference, deterministic and stepped once per
-    study; or ``"particle"``, a reference ensemble of N_ref particles
-    stepped in every rep.  ``ref_bias_scale`` sizes the reference's own
-    error: the largest gap between the grid paths at GRID_LAW_CELLS and half
-    as many cells for ``"grid"``, the O(N_ref^-1/2) proxy bias otherwise.
+    ``reference`` names the law the companions W^{k,*} read, one path per
+    study: ``"grid"``, the grid law of the Euler scheme (p = 1, with noise),
+    or ``"particle"``, a reference ensemble of N_ref particles.
+    ``ref_bias_scale`` sizes the reference's own error: the largest gap
+    between the grid paths at GRID_LAW_CELLS and half as many cells for
+    ``"grid"``, the O(N_ref^-1/2) proxy bias for ``"particle"``.
     ``reference_note`` says why a grid law was tried and not used, if so.
     """
 
@@ -276,48 +280,20 @@ class ChaosErrorEstimate:
     reference_note: str = ""
 
 
-def _particle_reference(model, pi, hyper, W_ref, plan, sigma_scale):
-    """The residual row of the self-consistent reference ensemble W_ref at each Euler step.
-
-    Draws its noise on the reference domain of ``plan``; with no diffusion
-    (sigma_scale and eta 0) it draws nothing and ``plan`` may be None.
-    """
-    eta = hyper.eta
-    width = noise_width(model, pi)
-    N_ref, p = W_ref.shape
-    for n in range(hyper.euler_steps()):
-        t = n * hyper.dt
-        guard_moment(W_ref, n, t)
-        Z = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, N_ref, width) if sigma_scale > 0 else None
-        Zl = plan.normals(DOMAIN_REFERENCE, SLOT_LANGEVIN, n, N_ref, p) if eta > 0 else None
-        ref = ridge_block(W_ref, model, pi)
-        cache = field_cache(ref, model, pi)
-        yield cache.residual_d1
-        W_ref = euler_step(ref, cache, model, pi, hyper.dt, time_weight(t, hyper.alpha),
-                           sigma_scale, Z, Zl, eta)
-
-
-def _coupled_grid_rep(model, pi, hyper, Ns, m, N_ref, init, plan, path) -> dict[int, float]:
+def _coupled_grid_rep(model, pi, hyper, Ns, m, init, plan, path) -> dict[int, float]:
     """One repetition of the coupling, sharing streams across the whole N grid.
 
     The m companions and every test system of the grid are stacked into one
     block and stepped together: the companions' columns carry the
     reference law's residuals, row n of ``path``, each test segment its own,
-    and every particle keeps its scale.  With ``path`` None the reference is
-    a particle ensemble stepped here, on the rep's reference domain.  Row k
-    of each system-domain Gaussian block drives particle k of every test
-    system and of the companions, so companion k replays test particle k
-    and the error ratios across N concentrate (common random numbers).
+    and every particle keeps its scale.  Row k of each system-domain
+    Gaussian block drives particle k of every test system and of the
+    companions, so companion k replays test particle k and the error ratios
+    across N concentrate (common random numbers).
     """
     p = model.p
     n_sys = max(Ns)
     mf_scale = _companion_scale(hyper)
-    if path is None:
-        W_ref = _stratified_reference(init, N_ref, p)
-        if W_ref is None:
-            W_ref = init.draw(plan, DOMAIN_REFERENCE, np.arange(N_ref), p)
-        path = _particle_reference(model, pi, hyper, W_ref, plan, mf_scale)
-
     sizes = (m, *Ns)
     edges = np.cumsum((0, *sizes))
     rows = np.concatenate([np.arange(k) for k in sizes])  # each particle's draw row
@@ -358,20 +334,20 @@ _GRID_EDGE_TOL = 1e-12
 _GRID_UNRESOLVED_TOL = 1e-2
 
 
-def _companion_law(model, pi, hyper, init, N_ref, pmap):
-    """The companions' law for a whole study: (path or None, reference, ref_bias_scale, note).
+def _companion_law(model, pi, hyper, init, N_ref, plan, pmap):
+    """The companions' law for a whole study: (path, reference, ref_bias_scale, note).
 
-    A (n_steps, D) residual path when the law is one for every rep: the
-    grid law at p = 1 with noise and a uniform or dirac init, the
-    stratified particle reference stepped once without noise.  None leaves
-    the reference to each rep.  ``pmap`` runs the grid law on its two grids
-    side by side.
+    The path is the (n_steps, D) residual row of the law at each Euler step:
+    the grid law at p = 1 with noise and a uniform or dirac init, else the
+    ``euler_run`` of a reference ensemble of N_ref particles, started at
+    the init's quantile midpoints where ``_stratified_reference`` allows
+    and otherwise drawn, with its noise, on the plan's reference domain.
+    ``pmap`` runs the grid law on its two grids side by side.
     """
     mf_scale = _companion_scale(hyper)
-    n_steps = hyper.euler_steps()
-    noisy = mf_scale > 0 or hyper.eta > 0
-    particle_bias = N_ref**-0.5
-    if model.p == 1 and noisy and init.kind in ("uniform", "dirac"):
+    note = ""
+    if model.p == 1 and (mf_scale > 0 or hyper.eta > 0) and init.kind in ("uniform", "dirac"):
+        n_steps = hyper.euler_steps()
         # the law on half as many cells sizes the grid's error
         law, half = pmap(_call, [(grid_law_path, model, pi, hyper, init, mf_scale, cells)
                                  for cells in (GRID_LAW_CELLS, GRID_LAW_CELLS // 2)])
@@ -379,18 +355,17 @@ def _companion_law(model, pi, hyper, init, N_ref, pmap):
             path = law.residual_d1[:n_steps]
             gap = np.abs(path - half.residual_d1[:n_steps]).max(initial=0.0)  # T = 0: no rows
             return path, "grid", float(gap), ""
-        return None, "particle", particle_bias, (
+        note = (
             f"grid law not used (edge mass {law.edge_mass:.3g}, tolerance {_GRID_EDGE_TOL:g}; "
             f"mass moved by Gaussians narrower than a cell {law.unresolved_mass:.3g}, tolerance "
-            f"{_GRID_UNRESOLVED_TOL:g}): a particle reference of N_ref={N_ref} ran in every rep"
+            f"{_GRID_UNRESOLVED_TOL:g}): a particle reference of N_ref={N_ref} ran instead"
         )
     W_ref = _stratified_reference(init, N_ref, model.p)
-    if not noisy and W_ref is not None:
-        path = np.empty((n_steps, len(pi)))
-        for n, row in enumerate(_particle_reference(model, pi, hyper, W_ref, None, 0.0)):
-            path[n] = row
-        return path, "stratified-path", particle_bias, ""
-    return None, "particle", particle_bias, ""
+    if W_ref is None:
+        W_ref = init.draw(plan, DOMAIN_REFERENCE, np.arange(N_ref), model.p)
+    ref = euler_run(model, pi, hyper, W_ref, plan, DOMAIN_REFERENCE, mf_scale,
+                    "meanfield-reference", snapshot_times=[hyper.T])
+    return ref.law_path, "particle", N_ref**-0.5, note
 
 
 def coupled_chaos_error(
@@ -410,20 +385,19 @@ def coupled_chaos_error(
     Sznitman's synchronous coupling, for every N of the grid ``Ns`` (one N
     is ``Ns=(N,)``): m mean-field companions share initial conditions and
     Gaussian draws with test particles 1..m, and their law argument is a
-    reference law, one of three (``ChaosErrorEstimate.reference``):
+    reference law computed once per study, one of two
+    (``ChaosErrorEstimate.reference``):
 
     - at p = 1 with noise (beta = 1 or eta > 0) and a uniform or dirac
-      init, the grid law of the Euler scheme (``stationary.grid_law_path``),
-      computed once per study; its grid error, the largest gap to the path
-      on half as many cells, is the estimate's ``ref_bias_scale``.  If mass
-      reaches the grid's window, or the grid does not resolve the noise,
-      the study falls back to the particle reference and says so;
-    - at p = 1 without noise and with a uniform or dirac init, the
-      self-consistent reference of N_ref particles started at the init's
-      quantile midpoints (stratified), which is deterministic and stepped
-      once per study;
-    - otherwise a reference ensemble of N_ref particles drawn and stepped in
-      every rep, with an O(N_ref^-1/2) proxy bias.
+      init, the grid law of the Euler scheme (``stationary.grid_law_path``);
+      its grid error, the largest gap to the path on half as many cells, is
+      the estimate's ``ref_bias_scale``.  If mass reaches the grid's window,
+      or the grid does not resolve the noise, the study falls back to the
+      particle reference and says so;
+    - otherwise the self-consistent reference of N_ref particles, started
+      at the init's quantile midpoints at p = 1 with a uniform or dirac
+      init (stratified) and drawn otherwise, with an O(N_ref^-1/2) proxy
+      bias.
 
     The ensemble second moments are guarded at every step.
     """
@@ -437,8 +411,8 @@ def coupled_chaos_error(
     if init is None:
         init = InitSpec.uniform()
     with _pool_map(workers) as pmap:
-        path, reference, bias, note = _companion_law(model, pi, hyper, init, N_ref, pmap)
-        per_rep = pmap(_call, [(_coupled_grid_rep, model, pi, hyper, Ns, m, N_ref, init,
+        path, reference, bias, note = _companion_law(model, pi, hyper, init, N_ref, plan, pmap)
+        per_rep = pmap(_call, [(_coupled_grid_rep, model, pi, hyper, Ns, m, init,
                                 plan.child("rep", r), path) for r in range(reps)])
     out = {}
     for N in Ns:
@@ -475,9 +449,7 @@ def chaos_rate_study(config: ChaosRateConfig, workers: int = 1) -> StudyReport:
         )
     e = ests[config.N_grid[0]]
     reference = {"grid": f"grid law of the Euler scheme ({GRID_LAW_CELLS} cells)",
-                 "stratified-path": f"stratified particle reference (N_ref={config.N_ref}), "
-                                    "stepped once",
-                 "particle": f"particle reference (N_ref={config.N_ref}) in every rep"}[e.reference]
+                 "particle": f"particle reference (N_ref={config.N_ref})"}[e.reference]
     fit = fit_rate([(r["N"], r["error"], r["stderr"]) for r in rows])
     C = rows[0]["error"] / rows[0]["bound"]
     # the anchor margin is 1 by construction; forming it by division anyway

@@ -149,6 +149,7 @@ class TestTrajectoryIO:
         np.testing.assert_array_equal(back.ensembles, traj.ensembles)
         assert back.kind == traj.kind
         assert back.hyper == traj.hyper
+        assert traj.law_path.shape == (2, 2) and back.law_path is None  # not saved
 
     def test_truncated_file_rejected(self, tmp_path):
         traj = small_trajectory()
@@ -356,6 +357,10 @@ class TestCliDispatch:
                     "betas": [1.0], "N_grid": [16], "seeds": 2}, "field engine"),
         ("histograms", {"engine": "msgld", "hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5},
                         "betas": [1.0], "N_grid": [16, 32, 64], "reps": 1}, "field engine"),
+        # sizes the coupling harness refuses: more companions than the smallest
+        # system has particles, a reference smaller than the largest system
+        ("chaos-rate", {"N_grid": [4, 8, 16, 32], "m": 8}, "field m"),
+        ("chaos-rate", {"N_ref": 16}, "field N_ref"),
     ])
     def test_bad_input_exits_config_naming_the_field(self, tmp_path, capsys, command, cfg, field):
         assert self.run(tmp_path, command, {**cfg, "seed": 1}) == EXIT_CONFIG
@@ -462,6 +467,28 @@ class TestCliDispatch:
         first = table.read_bytes()
         assert self.run(tmp_path, "chaos-rate", cfg) == EXIT_OK
         assert table.read_bytes() == first
+
+    def test_study_without_seed_writes_the_seed_it_ran(self, tmp_path):
+        # ChaosRateConfig's default seed is 123
+        cfg = {"hyper": {"T": 0.2, "dt": 0.1, "gamma": 1.0},
+               "N_grid": [4, 8, 16, 32], "m": 2, "N_ref": 64, "reps": 2}
+        assert self.run(tmp_path, "chaos-rate", cfg) == EXIT_OK
+        assert [d.name for d in (tmp_path / "out").iterdir()] == ["chaos-rate-seed123"]
+        manifest = json.loads((tmp_path / "out" / "chaos-rate-seed123" / "manifest.json").read_text())
+        assert manifest["seed"] == 123
+
+    @pytest.mark.parametrize("command", ["check-assumptions", "chaos-rate", "stationary", "metrics"])
+    def test_snapshot_times_flag_is_simulate_only(self, tmp_path, capsys, command):
+        assert self.run(tmp_path, command, {}, "--snapshot-times", "99") == EXIT_CONFIG
+        assert "unrecognized arguments: --snapshot-times" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_snapshot_times_flag_reaches_simulate(self, tmp_path):
+        cfg = {"hyper": {"T": 0.2, "dt": 0.05, "gamma": 0.5}, "N": 4,
+               "engine": "interacting-sde", "seed": 1}
+        assert self.run(tmp_path, "simulate", cfg, "--snapshot-times", "0.1") == EXIT_OK
+        traj = load_trajectory(tmp_path / "out" / "simulate-seed1" / "trajectory.bin")
+        assert traj.times.tolist() == [0.0, 0.1, 0.2]
 
     def test_strict_verdict_failure_exit_one(self, tmp_path):
         # an impossible slope threshold forces a verdict failure

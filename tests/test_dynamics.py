@@ -19,7 +19,7 @@ from chaoslab.dynamics import (
     sgd_sde_gap,
     weak_form_residual,
 )
-from chaoslab.experiments import coupled_chaos_error
+from chaoslab.experiments import ProblemConfig, coupled_chaos_error
 from chaoslab.meanfield import field_cache
 from chaoslab.model import (
     DataAtom,
@@ -89,6 +89,21 @@ class TestSnapshotTimes:
         sgd = sgd_run(TANH, NOISY, self.H.replace(gamma=0.3), 4, InitSpec.uniform(), NoisePlan(0),
                       snapshot_times=[1.0])
         assert sgd.times[-1] <= 1.0
+
+
+class TestLawPath:
+    """``euler_run`` keeps the residual column each step read: the companions' particle law."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_each_row_is_the_field_cache_of_that_steps_ensemble(self, p):
+        model, pi, init = ProblemConfig(p=p).build()
+        h = Hyperparams(alpha=0.25, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.02, eta=0.05)
+        traj = meanfield_sde_run(model, pi, h, 32, InitSpec.uniform(-0.5, 0.5), NoisePlan(3),
+                                 snapshot_times="all")
+        assert traj.law_path.shape == (10, len(pi))
+        for n in range(10):
+            want = field_cache(traj.ensembles[n], model, pi).residual_d1
+            np.testing.assert_array_equal(traj.law_path[n], want)
 
 
 class TestSgdRun:
@@ -323,7 +338,7 @@ class TestCoupledChaosError:
                                 plan=NoisePlan(0), init=InitSpec.dirac([2e4]), workers=workers)
         assert info.value.step == 0
 
-    @pytest.mark.parametrize("beta, reference", [(1.0, "grid"), (0.5, "stratified-path")])
+    @pytest.mark.parametrize("beta, reference", [(1.0, "grid"), (0.5, "particle")])
     def test_zero_horizon_has_zero_error(self, beta, reference):
         est = coupled_chaos_error(TANH, NOISY, Hyperparams(beta=beta, T=0.0), Ns=(8,), m=2,
                                   N_ref=16, reps=2, plan=NoisePlan(1))[8]

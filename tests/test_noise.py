@@ -104,6 +104,18 @@ class TestFactorIncrement:
         pooled = batch_sweep(config, workers=2)
         assert serial.tables == pooled.tables
 
+    def test_chaos_rate_p2_worker_invariant(self):
+        # p = 2 has no grid law: the particle reference is one euler_run per study
+        config = ChaosRateConfig(
+            problem=ProblemConfig(p=2),
+            hyper=Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=0.2, dt=0.02),
+            N_grid=(4, 8, 16, 32), m=2, N_ref=64, reps=3, seed=5,
+        )
+        serial = chaos_rate_study(config, workers=1)
+        pooled = chaos_rate_study(config, workers=2)
+        assert serial.config["reference"] == "particle"
+        assert serial.tables == pooled.tables
+
 
 class TestScalarRootAtP1:
     """p = 1 keeps the scalar root sqrt(Sigma_00), bit for bit."""
@@ -128,17 +140,16 @@ class TestScalarRootAtP1:
 
     def test_coupled_grid_rep(self):
         # a gaussian init has no stratification: the reference is N_ref particles
-        # drawn on the reference domain and stepped in the rep
+        # drawn on the study plan's reference domain and stepped once per study
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.7, M=1, T=0.2, dt=0.02)
         Ns, m, N_ref = (4, 8), 2, 16
         init = InitSpec.gaussian(0.0, 0.3)
         plan = NoisePlan(6)
         ests = coupled_chaos_error(TANH, NOISY, h, Ns, m, N_ref, 1, plan, init)
 
-        rep = plan.child("rep", 0)
-        W_ref = init.draw(rep, DOMAIN_REFERENCE, np.arange(N_ref), 1)
-        laws = particle_reference_laws(h, W_ref, rep)
-        sups = hand_rolled_rep(h, Ns, m, init, rep, laws)
+        W_ref = init.draw(plan, DOMAIN_REFERENCE, np.arange(N_ref), 1)
+        laws = particle_reference_laws(h, W_ref, plan)
+        sups = hand_rolled_rep(h, Ns, m, init, plan.child("rep", 0), laws)
         for N in Ns:
             assert ests[N].reference == "particle"
             assert ests[N].per_rep[0] == sups[N]
@@ -165,9 +176,9 @@ def companion_scale(h):
     return math.sqrt(h.gamma / h.M) if h.beta == 1.0 else 0.0
 
 
-def particle_reference_laws(h, W_ref, rep, model=TANH, pi=NOISY):
+def particle_reference_laws(h, W_ref, plan, model=TANH, pi=NOISY):
     """The residual rows of a reference ensemble stepped on its own, with the
-    rep's reference-domain draws when it has noise."""
+    plan's reference-domain draws when it has noise."""
     laws = []
     for n in range(h.euler_steps()):
         cache = field_cache(W_ref, model, pi)
@@ -175,7 +186,7 @@ def particle_reference_laws(h, W_ref, rep, model=TANH, pi=NOISY):
         drift, _, sig = mean_field_terms(W_ref, cache, model, pi, True)
         incr = drift * h.dt
         if companion_scale(h) > 0:
-            Zr = rep.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, len(W_ref), 1)
+            Zr = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, len(W_ref), 1)
             incr = incr + math.sqrt(h.dt) * scalar_root_increment(sig, companion_scale(h), Zr)
         W_ref = W_ref + time_weight(n * h.dt, h.alpha) * incr
     return laws
@@ -207,11 +218,11 @@ def hand_rolled_rep(h, Ns, m, init, rep, laws, model=TANH, pi=NOISY):
 
 
 class TestSharedReference:
-    """The companions' law is computed once per study where it is the same in every rep."""
+    """The companions' law is computed once per study, and every rep reads it."""
 
     def test_deterministic_reference_gives_the_per_rep_tables(self):
         # beta < 1, eta = 0, uniform init: the stratified reference is one
-        # deterministic path; the tables equal those of a reference stepped in every rep
+        # deterministic path; the tables equal those of a hand-rolled reference and reps
         config = ChaosRateConfig(
             problem=ProblemConfig(labels="noisy", init_low=-0.5, init_high=0.5),
             hyper=Hyperparams(alpha=0.25, beta=0.5, gamma=0.7, M=1, T=0.2, dt=0.02),
@@ -230,7 +241,7 @@ class TestSharedReference:
                          "stderr": float(vals.std(ddof=1) / math.sqrt(config.reps)),
                          "bound": two_term_bound(N, 0.25, 0.5, 1), "ref_bias_scale": 64**-0.5})
         report = chaos_rate_study(config, workers=2)
-        assert report.config["reference"] == "stratified-path"
+        assert report.config["reference"] == "particle"
         assert report.tables == {"errors": rows}
 
     def test_deterministic_reference_is_stepped_once_per_study(self):
@@ -238,7 +249,7 @@ class TestSharedReference:
         h = Hyperparams(alpha=0.0, beta=0.5, gamma=0.5, M=1, T=0.2, dt=0.02)
         est = coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=3,
                                   plan=NoisePlan(5))
-        assert est[4].reference == "stratified-path"
+        assert est[4].reference == "particle"
         # 10 steps of the reference, once, and 10 steps of the stacked block per rep
         assert model.feature.calls == {"activation": 10 + 3 * 10, "value": 0, "grad": 0}
 
@@ -304,13 +315,14 @@ class TestOneActivationBlockPerStep:
         assert model.feature.calls == {"activation": n_steps, "value": 0, "grad": 0}
 
     def test_coupling_step_evaluates_two_blocks(self):
-        # the reference on its own (a particle ensemble stepped in the rep, as a
-        # gaussian init has no grid law), the companions and the whole N grid stacked
+        # the reference on its own (a particle ensemble, as a gaussian init has no
+        # grid law), stepped once per study, then per rep the companions and the
+        # whole N grid stacked
         model = counting_model(1)
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.02)
-        coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=1, plan=NoisePlan(5),
+        coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=3, plan=NoisePlan(5),
                             init=InitSpec.gaussian(0.0, 0.3))
-        assert model.feature.calls == {"activation": 2 * 10, "value": 0, "grad": 0}
+        assert model.feature.calls == {"activation": 10 + 3 * 10, "value": 0, "grad": 0}
 
     def test_p2_increment_is_the_factor_applied_to_z(self):
         model, pi, init = ProblemConfig(p=2, penalty=0.1).build()
