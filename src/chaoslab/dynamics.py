@@ -206,13 +206,15 @@ def _snapshot_steps(n_steps: int, step_time: float, snapshot_times, horizon: flo
         if not np.all((ts >= 0.0) & (ts <= horizon)):
             raise ValueError(f"snapshot_times must lie in [0, T={horizon:g}], got {ts.tolist()}")
     idx = np.rint(ts / step_time).astype(np.int64)
-    idx = np.clip(idx, 0, n_steps)
-    return np.unique(np.concatenate([idx, [0, n_steps]]))
+    idx = np.sort(np.concatenate([np.clip(idx, 0, n_steps), [0, n_steps]]))
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]  # np.unique would import numpy.ma
 
 
-def _draws(plan: NoisePlan, domain: int, slot: int, step: int, ids: np.ndarray, p: int) -> np.ndarray:
-    block = plan.normals(domain, slot, step, int(ids.max()) + 1, p)
-    return block[ids]
+def _draws(plan: NoisePlan, domain: int, slot: int, step: int, rows, p: int) -> np.ndarray:
+    """Rows ``rows`` (ids) of the (domain, slot, step) Gaussian block, or its first ``rows`` (an int)."""
+    if isinstance(rows, int):
+        return plan.normals(domain, slot, step, rows, p)
+    return plan.normals(domain, slot, step, int(rows.max()) + 1, p)[rows]
 
 
 def guard_moment(W: np.ndarray, step: int, t: float, ceiling: float = DEFAULT_MOMENT_CEILING):
@@ -249,44 +251,60 @@ def _discrete_run(
     hyper: Hyperparams,
     N: int,
     init: InitSpec,
-    plan: NoisePlan,
+    plan,
     langevin: bool,
     snapshot_times=None,
     particle_ids: np.ndarray | None = None,
     moment_ceiling: float = DEFAULT_MOMENT_CEILING,
 ) -> Trajectory:
+    """The recursion for k independent systems of N particles, one per plan of
+    ``plan`` (a NoisePlan is k = 1), stacked in plan order in one block.
+
+    System s draws its start, minibatches and Langevin noise on its own plan,
+    is driven by its own minibatch's law, and has its own moment guard; at
+    p = 1 its rows equal, bit for bit, those of its lone run.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if model.sigma_override is not None:
         raise ValueError("the discrete recursions have no diffusion term for the model's "
                          f"sigma_override={model.sigma_override} to pin")
+    plans = (plan,) if isinstance(plan, NoisePlan) else tuple(plan)
+    k, D = len(plans), len(pi)
     g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
     n_T = hyper.sgd_steps(N)
     ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
-    W = init.draw(plan, DOMAIN_SYSTEM, ids, model.p)
+    rows = int(N) if particle_ids is None else ids
+    W = np.concatenate([init.draw(pl, DOMAIN_SYSTEM, ids, model.p) for pl in plans])
+    sizes = None if k == 1 else [N] * k  # one law is the (D, 1) case
     cum_w = np.cumsum(pi.weights)
     # a u at or past a rounded-down cum_w[-1] goes to the last atom of positive weight
     last = int(np.flatnonzero(pi.weights)[-1])
     eta = hyper.eta if langevin else 0.0
     # a minibatch with atom counts c_j is the law c_j / M: as residual columns
     # over pi, d1l_j c_j / (M pi_j), and 0 at atoms of weight 0
-    per_count = np.zeros(len(pi))
-    np.divide(1.0, hyper.M * pi.weights, out=per_count, where=pi.weights > 0)
+    per_count = np.zeros((D, 1))
+    np.divide(1.0, hyper.M * pi.weights[:, None], out=per_count, where=pi.weights[:, None] > 0)
+    # system s's atom counts sit at s * D + j in one bincount
+    offsets = D * np.arange(k)[:, None]
 
     snaps = _Snapshots(n_T, g, snapshot_times, hyper.T, W)
     for n in range(n_T):
-        guard_moment(W, n, n * g, moment_ceiling)
-        u = plan.uniforms(DOMAIN_SYSTEM, SLOT_DATA, n, hyper.M)
-        batch = np.minimum(np.searchsorted(cum_w, u, side="right"), last)
-        counts = np.bincount(batch, minlength=len(pi))
+        for s in range(k):
+            guard_moment(W[s * N:(s + 1) * N], n, n * g, moment_ceiling)
+        u = np.stack([pl.uniforms(DOMAIN_SYSTEM, SLOT_DATA, n, hyper.M) for pl in plans])
+        batch = np.minimum(np.searchsorted(cum_w, u, side="right"), last) + offsets
+        counts = np.bincount(batch.ravel(), minlength=k * D).reshape(k, D).T
         block = ridge_block(W, model, pi)
-        resid = field_cache(block, model, pi).residual_d1 * (counts * per_count)
-        Z_lang = _draws(plan, DOMAIN_SYSTEM, SLOT_LANGEVIN, n, ids, model.p) if eta > 0 else None
-        W = euler_step(block, resid, model, pi, stepsize_schedule(hyper, N, n) / N, 1.0, 0.0,
-                       None, Z_lang, eta)
+        resid = field_cache(block, model, pi, sizes).residual_d1.reshape(D, k) * (counts * per_count)
+        Z_lang = np.concatenate([_draws(pl, DOMAIN_SYSTEM, SLOT_LANGEVIN, n, rows, model.p)
+                                 for pl in plans]) if eta > 0 else None
+        W = euler_step(block, np.repeat(resid, N, axis=1) if k > 1 else resid, model, pi,
+                       stepsize_schedule(hyper, N, n) / N, 1.0, 0.0, None, Z_lang, eta)
         snaps.record(n + 1, W)
 
-    meta = {"gamma_scale": g, "n_steps": n_T, "seed": plan.run_seed, "N": N}
+    seed = plans[0].run_seed if k == 1 else [pl.run_seed for pl in plans]
+    meta = {"gamma_scale": g, "n_steps": n_T, "seed": seed, "N": N}
     return Trajectory("msgld" if langevin else "sgd", snaps.times, snaps.ensembles, hyper, meta,
                       model, pi)
 
@@ -295,7 +313,9 @@ def sgd_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
     """Minibatch SGD on the structural risk; iteration n lives at time n*gamma_scale.
 
     Each iteration is one ``euler_step`` of length ``stepsize_schedule / N``
-    under the minibatch's law, with no diffusion term.
+    under the minibatch's law, with no diffusion term.  ``plan`` may be a
+    sequence of plans: then it runs that many independent systems of N
+    particles in one block, system s in rows s * N to (s + 1) * N.
     """
     return _discrete_run(model, pi, hyper, N, init, plan, langevin=False, **kw)
 
@@ -311,6 +331,7 @@ def msgld_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
 def diffusion_increment(root: np.ndarray, scale, Z: np.ndarray) -> np.ndarray:
     """scale * R^T z per particle, for a root from ``drift_and_noise_root`` and Z (n, k).
 
+    The root is (n, k, p), or (1, k, p) when every particle shares it;
     ``scale`` is a float or a per-particle column (n, 1).
     """
     if root.shape[2] == 1:
@@ -344,9 +365,9 @@ def euler_step(
     h, root = drift_and_noise_root(block, law, model, pi, noisy)
     incr = h * dt
     if noisy:
-        incr = incr + math.sqrt(dt) * diffusion_increment(root, scale, Z)
+        incr += math.sqrt(dt) * diffusion_increment(root, scale, Z)
     if eta > 0:
-        incr = incr + math.sqrt(dt) * math.sqrt(2.0 * eta) * Z_lang
+        incr += math.sqrt(dt) * math.sqrt(2.0 * eta) * Z_lang
     return block.W + tw * incr
 
 
@@ -374,7 +395,7 @@ def euler_run(
     n_steps = hyper.euler_steps()
     W = np.array(W0, dtype=np.float64)
     N, p = W.shape
-    ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
+    rows = N if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
     eta = hyper.eta
     width = noise_width(model, pi)
     law_path = np.empty((n_steps, len(pi)))
@@ -383,8 +404,8 @@ def euler_run(
     for n in range(n_steps):
         t = n * hyper.dt
         guard_moment(W, n, t, moment_ceiling)
-        Z = _draws(plan, domain, SLOT_DIFFUSION, n, ids, width) if sigma_scale > 0 else None
-        Z_lang = _draws(plan, domain, SLOT_LANGEVIN, n, ids, p) if eta > 0 else None
+        Z = _draws(plan, domain, SLOT_DIFFUSION, n, rows, width) if sigma_scale > 0 else None
+        Z_lang = _draws(plan, domain, SLOT_LANGEVIN, n, rows, p) if eta > 0 else None
         block = ridge_block(W, model, pi)
         cache = field_cache(block, model, pi)
         law_path[n] = cache.residual_d1

@@ -509,34 +509,43 @@ class TwoRegimeConfig:
         require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
 
 
-def _regime_task(args) -> float:
-    config, beta, N, s = args
+def _regime_shortcut(config: TwoRegimeConfig) -> bool:
+    """Whether the study's N-runs reduce to one particle: sgd from a dirac init."""
+    return config.engine == "sgd" and config.problem.init_kind == "dirac"
+
+
+def _regime_task(args) -> list[float]:
+    """The endpoint statistic of the (beta, N) runs of the given seeds."""
+    config, beta, N, seeds = args
     model, pi, init = config.problem.build()
     hyper = config.hyper.replace(beta=beta)
-    plan = NoisePlan(config.seed).child("regime", int(beta * 1000), s)
-    if config.engine == "sgd" and init.kind == "dirac":
+    plans = [NoisePlan(config.seed).child("regime", int(beta * 1000), s) for s in seeds]
+    if _regime_shortcut(config):
         # All particles share the minibatch and start equal, so every
         # particle of the N-run follows one common trajectory; a single
         # particle with the equivalent stepsize gamma * N^(beta-1) matches
         # it to rounding (its stepsize and predictions are formed from other floats).
+        # The seeds' particles run as one stacked block, each on its own plan.
         hyper1 = hyper.replace(beta=1.0, gamma=hyper.gamma * float(N) ** (hyper.beta - 1.0))
-        traj = sgd_run(model, pi, hyper1, 1, init, plan, snapshot_times=[hyper.T])
-        return float(traj.endpoint()[0, 0])
+        traj = sgd_run(model, pi, hyper1, 1, init, plans, snapshot_times=[hyper.T])
+        return traj.endpoint()[:, 0].tolist()
     run = msgld_run if config.engine == "msgld" else sgd_run
-    traj = run(model, pi, hyper, N, init, plan, snapshot_times=[hyper.T])
-    W = traj.endpoint()
-    if config.statistic == "particle0":
-        return float(W[0, 0])
-    return float(W[:, 0].mean())
+    stats = []
+    for plan in plans:
+        W = run(model, pi, hyper, N, init, plan, snapshot_times=[hyper.T]).endpoint()
+        stats.append(float(W[0, 0]) if config.statistic == "particle0" else float(W[:, 0].mean()))
+    return stats
 
 
 def two_regime_study(config: TwoRegimeConfig, workers: int = 1) -> StudyReport:
     """Across-seed deviation of the endpoint statistic: vanishing vs stable noise."""
     t0 = time.time()
-    tasks = [(config, beta, N, s)
-             for beta in config.betas for N in config.N_grid for s in range(config.seeds)]
+    seeds = range(config.seeds)
+    groups = [tuple(seeds)] if _regime_shortcut(config) else [(s,) for s in seeds]
+    tasks = [(config, beta, N, group)
+             for beta in config.betas for N in config.N_grid for group in groups]
     with _pool_map(workers) as pmap:
-        per_task = np.array(pmap(_regime_task, tasks))
+        per_task = np.array([stat for stats in pmap(_regime_task, tasks) for stat in stats])
     per_task = per_task.reshape(len(config.betas), len(config.N_grid), config.seeds)
     rows = []
     devs: dict[tuple[float, int], float] = {}

@@ -9,7 +9,9 @@ root S.
 Every builtin feature is a ridge function F(w, x) = f(<w, x>), so one
 atom-major ``RidgeBlock`` of f and f' at X @ W.T (D, n) carries all a step
 needs: the law's per-atom predictions (the FieldCache) come from its f,
-and drift, covariance and noise root at the points from its f'.
+and drift, covariance and noise root at the points from its f'.  The
+zero feature's block carries no activation: its predictions are 0 and its
+per-atom gradient terms are formed once per law column, not per point.
 
 A kernel takes the law one way: as its ``FieldCache``, or as its residual
 columns d1l(a(x_j), y_j) broadcastable to (D, n).  One law is the (D, 1)
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataAtom, DataDistribution, ModelSpec
+from .model import DataAtom, DataDistribution, ModelSpec, ZeroFeature
 
 __all__ = [
     "EmpiricalMeasure",
@@ -110,17 +112,19 @@ class RidgeBlock:
 
     Row j of ``f`` and ``df`` belongs to atom j, column i to point i.  Every
     kernel that takes points also takes their block, so one evaluation
-    serves a whole Euler step.
+    serves a whole Euler step.  Both are None for the zero feature.
     """
 
     W: np.ndarray  # (n, p)
-    f: np.ndarray  # (D, n)
-    df: np.ndarray  # (D, n)
+    f: np.ndarray | None  # (D, n)
+    df: np.ndarray | None  # (D, n)
 
 
 def ridge_block(W, model: ModelSpec, pi: DataDistribution) -> RidgeBlock:
     """The RidgeBlock of the points W (n, p): one evaluation of the feature's activation."""
     W = _as_points(W, model.p)
+    if isinstance(model.feature, ZeroFeature):
+        return RidgeBlock(W, None, None)
     # at p = 1 the broadcast product gives the matmul's exact products at a fraction of its cost
     z = pi.xs * W.T if model.p == 1 else pi.xs @ W.T
     f, df = model.feature.activation(z)
@@ -147,24 +151,28 @@ def field_cache(mu, model: ModelSpec, pi: DataDistribution, sizes=None) -> Field
     predictions equal, bit for bit, those of the segment's own block.
     """
     if isinstance(mu, RidgeBlock):
-        block, weights = mu, 1.0 / mu.f.shape[1]
+        block, weights = mu, 1.0 / mu.W.shape[0]
     elif sizes is not None:
         raise ValueError("sizes needs the law as a RidgeBlock")
     else:
         mu = _as_measure(mu)
         block, weights = ridge_block(mu.locations, model, pi), mu.weights
     if sizes is None:
-        preds = (block.f * weights).sum(axis=1)
         ys = pi.ys
     else:
         edges = np.cumsum((0, *sizes))
-        if edges[-1] != block.f.shape[1]:
-            raise ValueError(f"sizes add up to {edges[-1]}, the block has {block.f.shape[1]} points")
+        if edges[-1] != block.W.shape[0]:
+            raise ValueError(f"sizes add up to {edges[-1]}, the block has {block.W.shape[0]} points")
+        ys = pi.ys[:, None]
+    if block.f is None:  # the zero feature predicts 0 under every law
+        preds = np.zeros((len(pi),) if sizes is None else (len(pi), len(sizes)))
+    elif sizes is None:
+        preds = (block.f * weights).sum(axis=1)
+    else:
         fw = block.f * np.repeat(1.0 / np.asarray(sizes, dtype=np.float64), sizes)
         preds = np.empty((len(pi), len(sizes)))
         for k, (a, b) in enumerate(zip(edges, edges[1:])):
             preds[:, k] = fw[:, a:b].sum(axis=1)
-        ys = pi.ys[:, None]
     return FieldCache(preds, np.asarray(model.loss.d1(preds, ys), dtype=np.float64))
 
 
@@ -219,9 +227,17 @@ def _block_and_law(W, law, model: ModelSpec, pi: DataDistribution):
 
 def _ridge_drift(block: RidgeBlock, resid: np.ndarray, model: ModelSpec, pi: DataDistribution):
     """Drift h, its bounded part tilde_h = -sum_j pi_j g_j, and the per-atom
-    gradient terms g_j = d1l_j f'(<w, x_j>) x_j, atom-major (D, n, p)."""
-    g = block.df[:, :, None] * (resid[:, :, None] * pi.xs[:, None, :])
+    gradient terms g_j = d1l_j f'(<w, x_j>) x_j, atom-major (D, n, p).
+
+    For the zero feature g_j = 0 * (d1l_j x_j), a signed zero as the
+    generic product gives, is formed once per law column, and tilde_h is
+    broadcast to the points, read-only.
+    """
+    zero = block.df is None
+    g = (0.0 if zero else block.df[:, :, None]) * (resid[:, :, None] * pi.xs[:, None, :])
     th = -(pi.weights[:, None, None] * g).sum(axis=0)  # atom by atom, per point
+    if zero:
+        th = np.broadcast_to(th, block.W.shape)
     return th - model.penalty.grad(block.W), th, g
 
 
@@ -267,7 +283,8 @@ def drift_and_noise_root(W, law, model: ModelSpec, pi: DataDistribution, need_no
     W2-optimal synchronous coupling.  At p > 1 it is the exact rank-D factor
     R[:, j] = sqrt(pi_j) xi_j: R^T z with z ~ N(0, I_D) has the law of
     Sigma^(1/2) z' without forming Sigma or taking its root.  Under the
-    model's ``sigma_override`` s, R is sqrt(s) I at every p.
+    model's ``sigma_override`` s, R is sqrt(s) I at every p, one (1, p, p)
+    root that every particle shares.
     """
     p, s = model.p, model.sigma_override
     if need_noise and s is None:
@@ -280,7 +297,7 @@ def drift_and_noise_root(W, law, model: ModelSpec, pi: DataDistribution, need_no
     h, _, _ = mean_field_terms(W, law, model, pi)
     if not need_noise:
         return h, None
-    return h, np.broadcast_to(math.sqrt(s) * np.eye(p), (h.shape[0], p, p))
+    return h, math.sqrt(s) * np.eye(p)[None]
 
 
 def mean_field_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:

@@ -62,7 +62,8 @@ def w2_1d_quantile(a, b) -> float:
     a = np.sort(_flat_samples(a))
     b = np.sort(_flat_samples(b))
     na, nb = len(a), len(b)
-    cuts = np.unique(np.concatenate([np.arange(1, na) / na, np.arange(1, nb) / nb, [0.0, 1.0]]))
+    cuts = np.sort(np.concatenate([np.arange(1, na) / na, np.arange(1, nb) / nb, [0.0, 1.0]]))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]  # np.unique would import numpy.ma
     widths = np.diff(cuts)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     qa = a[np.minimum((mids * na).astype(np.int64), na - 1)]

@@ -9,6 +9,11 @@ Rows within one (domain, slot, step) block are the particle ids: row k of a
 block is the same no matter how many rows are generated, so a companion
 particle can replay exactly the draws of test particle k while a reference
 ensemble lives in its own domain.
+
+Each (run_seed, domain, slot) is one Philox stream, built once per process
+and kept in a bounded cache; a draw addresses its step by setting the
+stream's counter, which gives the draws of a generator freshly built at
+that counter, bit for bit (Salmon et al., SC 2011).
 """
 
 from __future__ import annotations
@@ -41,24 +46,40 @@ def _mix64(*values: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=4096)
-def _philox_key(run_seed: int, domain: int, slot: int) -> np.ndarray:
-    """The Philox key of the streams (run_seed, domain, slot), read-only and built once."""
+# Streams kept alive at once; each, a Philox with its Generator and state, is under 2 KiB.
+_STREAM_CACHE = 256
+
+
+@lru_cache(maxsize=_STREAM_CACHE)
+def _stream(run_seed: int, domain: int, slot: int) -> tuple[np.random.Generator, dict]:
+    """The Generator of the streams (run_seed, domain, slot) and the Philox state
+    that addresses them: set the counter's step word and assign it to jump."""
     key = np.array([_mix64(run_seed, domain), _mix64(slot, run_seed)], dtype=np.uint64)
-    key.flags.writeable = False
-    return key
+    gen = np.random.Generator(np.random.Philox(key=key))
+    # an empty buffer, so the next draw is the first block of the counter
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.array([0, 0, 0, 1], dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
+    return gen, state
 
 
 @dataclass(frozen=True)
 class NoisePlan:
-    """Addressable, order-independent random streams for one run."""
+    """Addressable, order-independent random streams for one run.
+
+    A plan holds only its seed, so it pickles as that; the streams it reads
+    are shared by every plan of the same seed in the process and are set to
+    the addressed step before each draw (one thread draws at a time).
+    """
 
     run_seed: int
 
     def _generator(self, domain: int, slot: int, step: int) -> np.random.Generator:
-        counter = np.array([0, 0, int(step) & _MASK64, 1], dtype=np.uint64)
-        key = _philox_key(self.run_seed, domain, slot)
-        return np.random.Generator(np.random.Philox(counter=counter, key=key))
+        gen, state = _stream(self.run_seed, domain, slot)
+        state["state"]["counter"][2] = int(step) & _MASK64
+        gen.bit_generator.state = state
+        return gen
 
     def normals(self, domain: int, slot: int, step: int, n: int, p: int) -> np.ndarray:
         """Standard Gaussians of shape (n, p); row k belongs to particle id k."""

@@ -468,7 +468,7 @@ def grid_law_path(
     resid = np.empty_like(preds)
     unresolved = 0.0
     for n in range(n_steps + 1):
-        preds[n] = (block.f * masses).sum(axis=1)
+        preds[n] = 0.0 if block.f is None else (block.f * masses).sum(axis=1)
         resid[n] = model.loss.d1(preds[n], pi.ys)
         if n == n_steps:
             break

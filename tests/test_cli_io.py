@@ -305,6 +305,18 @@ class TestCliDispatch:
         floor = next(v for v in verdicts["verdicts"] if v["name"] == "floor_beta_1")
         assert floor["threshold"] == 0.4
 
+    def test_regime_tables_equal_at_one_and_two_workers(self, tmp_path):
+        cfg = {"hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "betas": [0.75, 1.0],
+               "N_grid": [16, 64, 256], "seeds": 4, "seed": 1,
+               "problem": {"init_kind": "dirac", "init_w0": 0.0}}
+        tables = []
+        for workers in ("1", "2"):
+            (tmp_path / workers).mkdir()
+            assert self.run(tmp_path / workers, "regime", cfg, "--workers", workers) == EXIT_OK
+            tables.append((tmp_path / workers / "out" / "two-regime-seed1" / "deviations.csv")
+                          .read_bytes())
+        assert tables[0] == tables[1]
+
     def test_sgd_regime_ignores_dt(self, tmp_path):
         # the discrete recursions never take an Euler step
         cfg = {"hyper": {"T": 1.0, "dt": 0.3, "gamma": 0.5}, "betas": [0.75, 1.0],

@@ -1,12 +1,17 @@
 """Time-evolution engines, their couplings, and reproducibility contracts."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaoslab
 from chaoslab.dynamics import (
     EnsembleDiverged,
     InitSpec,
@@ -229,6 +234,65 @@ class TestMsgldRun:
         z = plan.normals(0, 1, 0, 1, 1)[0, 0]  # DOMAIN_SYSTEM, SLOT_LANGEVIN, step 0
         want = 0.0 + gamma * 1.0 + math.sqrt(2 * eta * gamma) * z
         assert traj.ensembles[1][0, 0] == pytest.approx(want, abs=1e-15)
+
+
+class TestStackedSystems:
+    """k independent systems of the discrete recursion stepped as one block."""
+
+    PLANS = [NoisePlan(40).child("system", s) for s in range(4)]
+
+    @pytest.mark.parametrize("run, eta", [(sgd_run, 0.0), (msgld_run, 0.3)])
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_each_system_equals_its_lone_run(self, run, eta, N):
+        h = Hyperparams(alpha=0.2, beta=0.75, gamma=0.4, M=3, T=1.0, eta=eta)
+        stacked = run(TANH, NOISY, h, N, InitSpec.uniform(-1.0, 1.0), self.PLANS,
+                      snapshot_times="all")
+        assert stacked.ensembles.shape[1] == len(self.PLANS) * N
+        for s, plan in enumerate(self.PLANS):
+            lone = run(TANH, NOISY, h, N, InitSpec.uniform(-1.0, 1.0), plan, snapshot_times="all")
+            np.testing.assert_array_equal(stacked.ensembles[:, s * N:(s + 1) * N], lone.ensembles)
+
+    def test_guard_raises_exactly_when_a_lone_run_would(self):
+        # the weights grow from near 0, so the systems cross a ceiling at different steps
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=10.0)
+        init = InitSpec.uniform(-0.2, 0.2)
+        path = sgd_run(TANH, NOISY, h, 1, init, self.PLANS, snapshot_times="all").ensembles
+        squares = np.sort(path[:-1].ravel() ** 2)  # the guard reads the state before each step
+        for ceiling in (*np.quantile(squares, [0.1, 0.5, 0.75, 0.9, 0.99]), squares[-1]):
+            lone = []
+            for plan in self.PLANS:
+                try:
+                    sgd_run(TANH, NOISY, h, 1, init, plan, moment_ceiling=ceiling)
+                except EnsembleDiverged as e:
+                    lone.append(e)
+            if not lone:
+                sgd_run(TANH, NOISY, h, 1, init, self.PLANS, moment_ceiling=ceiling)
+                continue
+            first = min(lone, key=lambda e: e.step)  # min keeps the first system on a tie
+            with pytest.raises(EnsembleDiverged) as got:
+                sgd_run(TANH, NOISY, h, 1, init, self.PLANS, moment_ceiling=ceiling)
+            assert (got.value.step, got.value.value) == (first.step, first.value)
+
+
+def test_run_and_w2_leave_numpy_ma_out():
+    # np.unique imports numpy.ma, about 20 ms in every process that calls it
+    code = ("import sys\n"
+            "from chaoslab.dynamics import InitSpec, interacting_sde_run\n"
+            "from chaoslab.metrics import w2_1d_quantile\n"
+            "from chaoslab.model import Hyperparams, make_model, two_point_distribution\n"
+            "from chaoslab.rng import NoisePlan\n"
+            "pi = two_point_distribution([1.0], 1.0, [-1.0], -0.5)\n"
+            "h = Hyperparams(T=0.5, dt=0.05)\n"
+            "t = interacting_sde_run(make_model(), pi, h, 8, InitSpec.uniform(), NoisePlan(1),\n"
+            "                        snapshot_times=[0.1, 0.1, 0.5])\n"
+            "assert len(t.times) == 3\n"
+            "w2_1d_quantile(t.ensembles[0], t.endpoint()[:5])\n"
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(chaoslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestInteractingSde:

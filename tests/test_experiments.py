@@ -11,7 +11,7 @@ import pytest
 
 import chaoslab
 import chaoslab.experiments as xp
-from chaoslab.dynamics import interacting_sde_run, msgld_run
+from chaoslab.dynamics import interacting_sde_run, msgld_run, sgd_run
 from chaoslab.experiments import (
     ChaosRateConfig,
     ConsistencyConfig,
@@ -186,6 +186,23 @@ class TestTwoRegimeStudy:
         for key in ("mean_stat", "deviation"):
             np.testing.assert_allclose([r[key] for r in short], [r[key] for r in full],
                                        rtol=1e-12, atol=0)
+
+    def test_stacked_seeds_equal_their_lone_runs(self):
+        # the shortcut steps a (beta, N) pair's seeds as one block; each must be its lone run
+        cfg = self.fast_config(N_grid=(64, 4096), seeds=5)
+        rows = two_regime_study(cfg).tables["deviations"]
+        model, pi, init = cfg.problem.build()
+        want = []
+        for beta in cfg.betas:
+            for N in cfg.N_grid:
+                hyper1 = cfg.hyper.replace(beta=1.0, gamma=cfg.hyper.gamma * float(N) ** (beta - 1.0))
+                stats = np.array([
+                    sgd_run(model, pi, hyper1, 1, init,
+                            NoisePlan(cfg.seed).child("regime", int(beta * 1000), s),
+                            snapshot_times=[cfg.hyper.T]).endpoint()[0, 0]
+                    for s in range(cfg.seeds)])
+                want.append((float(stats.mean()), float(stats.std(ddof=1))))
+        assert [(r["mean_stat"], r["deviation"]) for r in rows] == want
 
     def test_one_pool_for_the_whole_study(self, monkeypatch):
         cfg = self.fast_config(N_grid=(16, 64), seeds=3)

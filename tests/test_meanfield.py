@@ -1,10 +1,12 @@
 """Mean-field kernels: drift, noise field, covariance, and their identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chaoslab.dynamics import InitSpec, euler_run
 from chaoslab.meanfield import (
     EmpiricalMeasure,
     covariance_sigma,
@@ -25,13 +27,17 @@ from chaoslab.meanfield import (
 from chaoslab.model import (
     DataAtom,
     DataDistribution,
+    Hyperparams,
     ModelSpec,
+    RidgeFeature,
     SquareLoss,
     TanhDotFeature,
     ZeroPenalty,
     make_model,
     two_point_distribution,
 )
+from chaoslab.rng import NoisePlan
+from chaoslab.stationary import grid_law_path
 
 TANH = make_model("tanh-dot", "square")
 SINGLE_ATOM = DataDistribution([DataAtom([1.0], 1.0, 1.0)])
@@ -262,6 +268,96 @@ class TestStackedLaws:
             field_cache(block, TANH, SYMMETRIC, (2, 2))
         with pytest.raises(ValueError, match="RidgeBlock"):
             field_cache(np.zeros((5, 1)), TANH, SYMMETRIC, (2, 3))
+
+
+class ZerosFeature(RidgeFeature):
+    """The zero feature as a generic activation, so the kernels take their general path."""
+
+    def activation(self, z):
+        return np.zeros_like(z), np.zeros_like(z)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))  # -0.0 == 0.0 would hide them
+
+
+ZERO_PROBLEMS = [
+    # (p, penalty, labels): a zero penalty leaves tilde_h's signed zero in h
+    (1, 0.0, (1.0, -1.0)), (1, 0.5, (0.3, 0.7)), (2, 0.0, (1.0, -1.0)), (2, 0.5, (0.3, -0.7)),
+]
+
+
+def zero_problem(p, penalty, labels, sigma_override=None):
+    """The zero feature's model, the same model on the generic path, data and points."""
+    zero = replace(make_model("zero", "square", penalty, p=p), sigma_override=sigma_override)
+    xs = [np.full(p, 0.8), np.linspace(-0.6, 0.4, p), np.full(p, -1.0)]
+    pi = DataDistribution([DataAtom(x, y, w) for x, y, w in
+                           zip(xs, (*labels, -labels[0]), (0.5, 0.3, 0.2))])
+    W = np.vstack([np.zeros((2, p)), np.random.default_rng(p).standard_normal((5, p))])
+    return zero, replace(zero, feature=ZerosFeature()), pi, W
+
+
+class TestZeroFeatureBlock:
+    """The zero feature skips its activation block and gives the generic path's bits."""
+
+    def test_block_carries_no_activation(self):
+        zero, generic, pi, W = zero_problem(1, 0.0, (1.0, -1.0))
+        block = ridge_block(W, zero, pi)
+        assert block.f is None and block.df is None
+        assert ridge_block(W, generic, pi).f.shape == (len(pi), W.shape[0])
+        assert_same_bits(field_cache(block, zero, pi, (3, 4)).residual_d1,
+                         field_cache(ridge_block(W, generic, pi), generic, pi, (3, 4)).residual_d1)
+
+    @pytest.mark.parametrize("p, penalty, labels", ZERO_PROBLEMS)
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_mean_field_terms(self, p, penalty, labels, stacked):
+        zero, generic, pi, W = zero_problem(p, penalty, labels)
+        caches = [field_cache(W, m, pi) for m in (zero, generic)]
+        assert_same_bits(caches[0].residual_d1, caches[1].residual_d1)
+        law = np.outer(caches[0].residual_d1, np.linspace(-1, 1, len(W))) if stacked else caches[0]
+        for need_sigma in (False, True):
+            got = mean_field_terms(ridge_block(W, zero, pi), law, zero, pi, need_sigma)
+            want = mean_field_terms(ridge_block(W, generic, pi), law, generic, pi, need_sigma)
+            for a, b in zip(got, want):
+                if b is None:
+                    assert a is None
+                else:
+                    assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("p, penalty, labels", ZERO_PROBLEMS)
+    @pytest.mark.parametrize("sigma_override", [None, 0.3])
+    def test_drift_and_noise_root(self, p, penalty, labels, sigma_override):
+        zero, generic, pi, W = zero_problem(p, penalty, labels, sigma_override)
+        law = field_cache(W, generic, pi)
+        for need_noise in (False, True):
+            h, root = drift_and_noise_root(ridge_block(W, zero, pi), law, zero, pi, need_noise)
+            h1, root1 = drift_and_noise_root(ridge_block(W, generic, pi), law, generic, pi,
+                                             need_noise)
+            assert_same_bits(h, h1)
+            if need_noise:
+                assert_same_bits(root, root1)
+
+    @pytest.mark.parametrize("p, penalty, labels", ZERO_PROBLEMS)
+    @pytest.mark.parametrize("sigma_override", [None, 0.3])
+    def test_euler_run(self, p, penalty, labels, sigma_override):
+        zero, generic, pi, W = zero_problem(p, penalty, labels, sigma_override)
+        hyper = Hyperparams(alpha=0.25, T=0.5, dt=0.01, eta=0.05)
+        runs = [euler_run(m, pi, hyper, W, NoisePlan(4), 0, 0.7, "meanfield-sde",
+                          snapshot_times="all") for m in (zero, generic)]
+        assert runs[0].law_path.shape == (50, len(pi))
+        assert_same_bits(runs[0].ensembles, runs[1].ensembles)
+        assert_same_bits(runs[0].law_path, runs[1].law_path)
+
+    @pytest.mark.parametrize("sigma_override", [None, 0.3])
+    def test_grid_law_path(self, sigma_override):
+        zero, generic, pi, _ = zero_problem(1, 0.5, (0.3, 0.7), sigma_override)
+        hyper = Hyperparams(T=0.2, dt=0.02, eta=0.05)
+        laws = [grid_law_path(m, pi, hyper, InitSpec.uniform(-0.5, 0.5), 0.7, n_cells=64)
+                for m in (zero, generic)]
+        for field in ("predictions", "residual_d1", "masses"):
+            assert_same_bits(getattr(laws[0], field), getattr(laws[1], field))
 
 
 class TestBoundedness:

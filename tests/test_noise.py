@@ -359,6 +359,20 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="sigma_override"):
             run(self.PINNED, self.PI, self.HYPER, 4, InitSpec.uniform(), NoisePlan(1))
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_the_pinned_root_is_shared_by_every_particle(self, p):
+        # one (1, p, p) root gives the increments the per-particle root gives
+        model = replace(make_model("tanh-dot", "square", p=p), sigma_override=0.5)
+        pi = DataDistribution([DataAtom(np.linspace(-1, 1, p), 0.3, 1.0)])
+        rng = np.random.default_rng(p)
+        W, Z = rng.standard_normal((6, p)), rng.standard_normal((6, p))
+        _, root = drift_and_noise_root(W, field_cache(W, model, pi), model, pi, True)
+        assert root.shape == (1, p, p)
+        np.testing.assert_array_equal(root[0], math.sqrt(0.5) * np.eye(p))
+        for scale in (0.7, np.linspace(0.1, 1.0, 6)[:, None]):
+            np.testing.assert_array_equal(diffusion_increment(root, scale, Z),
+                                          diffusion_increment(np.repeat(root, 6, axis=0), scale, Z))
+
     def test_one_model_pins_every_kernel(self):
         mu = EmpiricalMeasure(np.array([[0.3], [-0.2]]))
         np.testing.assert_array_equal(covariance_sigma([0.7], mu, self.PINNED, self.PI), [[0.5]])

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from chaoslab import rng
 from chaoslab.rng import (
     NoisePlan,
     SLOT_DATA,
@@ -89,6 +90,65 @@ class TestKeys:
         assert back == plan and hash(back) == hash(plan)
         np.testing.assert_array_equal(back.normals(0, SLOT_DIFFUSION, 4, 3, 1),
                                       plan.normals(0, SLOT_DIFFUSION, 4, 3, 1))
+
+
+def fresh(seed, domain, slot, step):
+    """A generator built for the one address, as every draw did before streams were kept."""
+    key = np.array([splitmix_fold(seed, domain), splitmix_fold(slot, seed)], dtype=np.uint64)
+    counter = np.array([0, 0, step, 1], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+class TestReusedStreams:
+    """A kept stream addressed by its counter draws what a fresh generator draws."""
+
+    def test_shuffled_steps_on_interleaved_streams(self):
+        plan = NoisePlan(2024)
+        steps = np.random.default_rng(0).permutation(40).tolist() + [2**63 + 1, 3, 3]
+        addresses = [(0, SLOT_DIFFUSION), (1, SLOT_DIFFUSION), (0, SLOT_DATA), (1, SLOT_LANGEVIN)]
+        for i, step in enumerate(steps):
+            domain, slot = addresses[i % len(addresses)]
+            n = 1 + (7 * i) % 13
+            np.testing.assert_array_equal(plan.normals(domain, slot, step, n, 2),
+                                          fresh(2024, domain, slot, step).standard_normal((n, 2)))
+            np.testing.assert_array_equal(plan.uniforms(domain, slot, step, n),
+                                          fresh(2024, domain, slot, step).random(n))
+
+    def test_odd_lengths_leave_no_buffered_words(self):
+        # 3 uniforms leave a word of the Philox block unread; the next draw must not use it
+        plan = NoisePlan(5)
+        for step in (0, 1, 0):
+            plan.uniforms(0, SLOT_DATA, step, 3)
+            np.testing.assert_array_equal(plan.uniforms(0, SLOT_DATA, step + 1, 5),
+                                          fresh(5, 0, SLOT_DATA, step + 1).random(5))
+
+    def test_zero_row_draws(self):
+        plan = NoisePlan(8)
+        assert plan.normals(0, SLOT_DIFFUSION, 2, 0, 3).shape == (0, 3)
+        assert plan.uniforms(0, SLOT_DATA, 2, 0).shape == (0,)
+        np.testing.assert_array_equal(plan.normals(0, SLOT_DIFFUSION, 2, 4, 3),
+                                      fresh(8, 0, SLOT_DIFFUSION, 2).standard_normal((4, 3)))
+
+    def test_plan_pickles_without_its_streams(self):
+        plan = NoisePlan(77).child("rep", 1)
+        plan.normals(0, SLOT_DIFFUSION, 9, 16, 1)
+        blob = pickle.dumps(plan)
+        assert blob == pickle.dumps(NoisePlan(plan.run_seed))
+        back = pickle.loads(blob)
+        for step in (9, 0, 9):
+            np.testing.assert_array_equal(back.normals(0, SLOT_DIFFUSION, step, 5, 1),
+                                          fresh(plan.run_seed, 0, SLOT_DIFFUSION, step)
+                                          .standard_normal((5, 1)))
+
+    def test_the_stream_cache_is_bounded(self):
+        for seed in range(rng._STREAM_CACHE + 40):
+            NoisePlan(seed).uniforms(seed % 2, SLOT_DATA, 0, 1)
+        info = rng._stream.cache_info()
+        assert info.maxsize == rng._STREAM_CACHE <= 1024
+        assert info.currsize <= rng._STREAM_CACHE
+        # an evicted stream is rebuilt with the same draws
+        np.testing.assert_array_equal(NoisePlan(0).uniforms(0, SLOT_DATA, 3, 6),
+                                      fresh(0, 0, SLOT_DATA, 3).random(6))
 
 
 class TestChildren:
