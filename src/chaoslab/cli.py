@@ -5,7 +5,8 @@ One subcommand per study plus ``simulate`` (single engine run),
 and ``metrics`` (distances between stored sample sets).  Every run writes
 its outputs plus a replayable manifest under the output directory; with
 ``--strict`` a failed verdict, or a study with no applicable verdict, turns
-into exit code 1; config errors exit 2.
+into exit code 1; config errors exit 2.  A diverged study reports a failing
+``diverged`` verdict; a diverged ``simulate`` or ``stationary`` exits 1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import experiments as xp
 from .dynamics import (
+    EnsembleDiverged,
     interacting_sde_run,
     meanfield_ode_run,
     meanfield_sde_run,
@@ -412,6 +414,9 @@ def cli_dispatch(argv: list[str]) -> int:
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except EnsembleDiverged as exc:  # a study reports it as a verdict; a single run has no report
+        print(f"diverged: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
 
 
 def main() -> None:

@@ -1,10 +1,14 @@
 """Desk-scale studies on synthetic models, with machine-checkable verdicts.
 
-Each study takes a config dataclass, runs the relevant engines over a grid,
-and emits a ``StudyReport``: config echo, CSV-serializable metric tables,
-and named verdicts (measured value, threshold, pass/fail).  Reports are
-deterministic given (config, seed); grid points and repetitions can run on
-a process pool without changing a single bit of the output.
+Each study takes a config dataclass and emits a ``StudyReport``: config
+echo, CSV-serializable metric tables, and named verdicts (measured value,
+threshold, pass/fail).  A study is declared by how it collects its results
+(a task function and its tasks, or a callable given the pool's map) and a
+pure ``(config, results) -> Findings`` step; ``run_study`` owns the clock,
+the budget warning, the one process pool and divergence: a task whose
+ensemble crosses the moment ceiling turns the report into one failing
+``diverged`` verdict with no tables.  Reports are deterministic given
+(config, seed), bit for bit at any pool width.
 """
 
 from __future__ import annotations
@@ -14,12 +18,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import (
     DOMAIN_REFERENCE,
     DOMAIN_SYSTEM,
+    EnsembleDiverged,
     InitSpec,
     euler_run,
     euler_step,
@@ -52,6 +59,8 @@ from .stationary import GRID_LAW_CELLS, grid_law_path
 __all__ = [
     "Verdict",
     "StudyReport",
+    "Findings",
+    "run_study",
     "ProblemConfig",
     "ChaosRateConfig",
     "TwoRegimeConfig",
@@ -118,28 +127,60 @@ class StudyReport:
         raise KeyError(name)
 
 
-def _budget_warning(report: StudyReport, budget_s: float | None, t0: float):
-    report.elapsed_s = time.time() - t0
-    if budget_s is not None and report.elapsed_s > budget_s:
-        report.warnings.append(
-            f"wall clock {report.elapsed_s:.1f}s exceeded budget {budget_s:.1f}s"
-        )
+class Findings(NamedTuple):
+    """What a study's pure step makes of its results."""
+
+    tables: dict[str, list[dict]]
+    verdicts: list[Verdict]
+    config_extras: dict = {}
+    warnings: tuple[str, ...] = ()
 
 
 @contextmanager
 def _pool_map(workers: int):
     """An order-preserving map on one process pool of ``workers``, serial at 1;
-    its results are bitwise-identical at any width."""
+    its results are bitwise-identical at any width.  A task that diverges
+    raises its ``EnsembleDiverged`` with a note naming the task."""
     if workers <= 1:
-        yield lambda fn, tasks: [fn(t) for t in tasks]
+        yield lambda fn, tasks: _in_order(fn, tasks, map(fn, tasks))
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn, tasks: list(pool.map(fn, tasks))
+        yield lambda fn, tasks: _in_order(fn, tasks, pool.map(fn, tasks))
 
 
-def _call(task):
-    fn, *args = task
-    return fn(*args)
+def _in_order(fn, tasks, results) -> list:
+    out = []
+    for task in tasks:
+        try:
+            out.append(next(results))
+        except EnsembleDiverged as exc:
+            exc.add_note(f"in task {task!r} of {getattr(fn, 'func', fn).__name__}")
+            raise
+    return out
+
+
+def run_study(study_id: str, config, workers: int, collect, judge) -> StudyReport:
+    """Collect a study's results on one pool of ``workers`` and judge them:
+    ``collect`` is a ``(task function, tasks)`` pair or a callable given the
+    pool's map, and ``judge(config, results)`` returns the ``Findings``."""
+    t0 = time.time()
+    try:
+        with _pool_map(workers) as pmap:
+            results = collect(pmap) if callable(collect) else pmap(*collect)
+    except EnsembleDiverged as exc:
+        where = "; ".join(getattr(exc, "__notes__", ())) or "outside the mapped tasks"
+        found = Findings({}, [Verdict.le("diverged", exc.value, exc.ceiling, note=(
+            f"ensemble second moment over its ceiling {where} at step {exc.step} (t={exc.t:.6g})"
+        ))])
+    else:
+        found = judge(config, results)
+    report = StudyReport(study_id, {**asdict(config), **found.config_extras}, found.tables,
+                         found.verdicts, list(found.warnings), time.time() - t0)
+    if config.budget_s is not None and report.elapsed_s > config.budget_s:
+        report.warnings.append(
+            f"wall clock {report.elapsed_s:.1f}s exceeded budget {config.budget_s:.1f}s"
+        )
+    return report
 
 
 # ----------------------------- synthetic problems -----------------------------
@@ -280,8 +321,8 @@ class ChaosErrorEstimate:
     reference_note: str = ""
 
 
-def _coupled_grid_rep(model, pi, hyper, Ns, m, init, plan, path) -> dict[int, float]:
-    """One repetition of the coupling, sharing streams across the whole N grid.
+def _coupled_grid_rep(model, pi, hyper, Ns, m, init, plan, path, r) -> dict[int, float]:
+    """Repetition r of the coupling, sharing streams across the whole N grid.
 
     The m companions and every test system of the grid are stacked into one
     block and stepped together: the companions' columns carry the
@@ -292,6 +333,7 @@ def _coupled_grid_rep(model, pi, hyper, Ns, m, init, plan, path) -> dict[int, fl
     across N concentrate (common random numbers).
     """
     p = model.p
+    plan = plan.child("rep", r)
     n_sys = max(Ns)
     mf_scale = _companion_scale(hyper)
     sizes = (m, *Ns)
@@ -349,8 +391,8 @@ def _companion_law(model, pi, hyper, init, N_ref, plan, pmap):
     if model.p == 1 and (mf_scale > 0 or hyper.eta > 0) and init.kind in ("uniform", "dirac"):
         n_steps = hyper.euler_steps()
         # the law on half as many cells sizes the grid's error
-        law, half = pmap(_call, [(grid_law_path, model, pi, hyper, init, mf_scale, cells)
-                                 for cells in (GRID_LAW_CELLS, GRID_LAW_CELLS // 2)])
+        law, half = pmap(partial(grid_law_path, model, pi, hyper, init, mf_scale),
+                         (GRID_LAW_CELLS, GRID_LAW_CELLS // 2))
         if law.edge_mass <= _GRID_EDGE_TOL and law.unresolved_mass <= _GRID_UNRESOLVED_TOL:
             path = law.residual_d1[:n_steps]
             gap = np.abs(path - half.residual_d1[:n_steps]).max(initial=0.0)  # T = 0: no rows
@@ -363,8 +405,12 @@ def _companion_law(model, pi, hyper, init, N_ref, plan, pmap):
     W_ref = _stratified_reference(init, N_ref, model.p)
     if W_ref is None:
         W_ref = init.draw(plan, DOMAIN_REFERENCE, np.arange(N_ref), model.p)
-    ref = euler_run(model, pi, hyper, W_ref, plan, DOMAIN_REFERENCE, mf_scale,
-                    "meanfield-reference", snapshot_times=[hyper.T])
+    try:
+        ref = euler_run(model, pi, hyper, W_ref, plan, DOMAIN_REFERENCE, mf_scale,
+                        "meanfield-reference", snapshot_times=[hyper.T])
+    except EnsembleDiverged as exc:
+        exc.add_note(f"in the companions' particle reference (N_ref={N_ref})")
+        raise
     return ref.law_path, "particle", N_ref**-0.5, note
 
 
@@ -401,19 +447,22 @@ def coupled_chaos_error(
 
     The ensemble second moments are guarded at every step.
     """
-    Ns = tuple(Ns)
+    with _pool_map(workers) as pmap:
+        return _coupling_estimates(model, pi, hyper, tuple(Ns), m, N_ref, reps, plan,
+                                   InitSpec.uniform() if init is None else init, pmap)
+
+
+def _coupling_estimates(model, pi, hyper, Ns, m, N_ref, reps, plan, init, pmap):
+    """``coupled_chaos_error`` on the map ``pmap``: the reference law, then the reps."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if m > min(Ns):
         raise ValueError(f"m={m} must not exceed the smallest grid N={min(Ns)}")
     if N_ref < max(Ns):
         raise ValueError(f"reference size N_ref={N_ref} must dominate every grid N (max {max(Ns)})")
-    if init is None:
-        init = InitSpec.uniform()
-    with _pool_map(workers) as pmap:
-        path, reference, bias, note = _companion_law(model, pi, hyper, init, N_ref, plan, pmap)
-        per_rep = pmap(_call, [(_coupled_grid_rep, model, pi, hyper, Ns, m, init,
-                                plan.child("rep", r), path) for r in range(reps)])
+    path, reference, bias, note = _companion_law(model, pi, hyper, init, N_ref, plan, pmap)
+    per_rep = pmap(partial(_coupled_grid_rep, model, pi, hyper, Ns, m, init, plan, path),
+                   range(reps))
     out = {}
     for N in Ns:
         vals = np.array([d[N] for d in per_rep])
@@ -431,22 +480,17 @@ def two_term_bound(N: float, alpha: float, beta: float, M: int) -> float:
 
 def chaos_rate_study(config: ChaosRateConfig, workers: int = 1) -> StudyReport:
     """Rate fit and upper-bound compliance of the coupling error over an N grid."""
-    t0 = time.time()
     model, pi, init = config.problem.build()
+    collect = partial(_coupling_estimates, model, pi, config.hyper, config.N_grid, config.m,
+                      config.N_ref, config.reps, NoisePlan(config.seed), init)
+    return run_study("chaos-rate", config, workers, collect, _chaos_rate_findings)
+
+
+def _chaos_rate_findings(config: ChaosRateConfig, ests) -> Findings:
     hyper = config.hyper
-    plan = NoisePlan(config.seed)
-    ests = coupled_chaos_error(
-        model, pi, hyper, config.N_grid, config.m, config.N_ref, config.reps, plan, init,
-        workers=workers,
-    )
-    rows = []
-    for N in config.N_grid:
-        e = ests[N]
-        rows.append(
-            {"N": N, "error": e.value, "stderr": e.stderr,
+    rows = [{"N": N, "error": ests[N].value, "stderr": ests[N].stderr,
              "bound": two_term_bound(N, hyper.alpha, hyper.beta, hyper.M),
-             "ref_bias_scale": e.ref_bias_scale}
-        )
+             "ref_bias_scale": ests[N].ref_bias_scale} for N in config.N_grid]
     e = ests[config.N_grid[0]]
     reference = {"grid": f"grid law of the Euler scheme ({GRID_LAW_CELLS} cells)",
                  "particle": f"particle reference (N_ref={config.N_ref})"}[e.reference]
@@ -468,16 +512,9 @@ def chaos_rate_study(config: ChaosRateConfig, workers: int = 1) -> StudyReport:
         Verdict.ge("endpoint_ratio", ratio, config.endpoint_ratio,
                    note="error(N_min)/error(N_max)"),
     ]
-    report = StudyReport(
-        study_id="chaos-rate",
-        config={**asdict(config), "fit_slope": fit.slope, "fit_r2": fit.r2,
-                "reference": e.reference},
-        tables={"errors": rows},
-        verdicts=verdicts,
-        warnings=[e.reference_note] if e.reference_note else [],
-    )
-    _budget_warning(report, config.budget_s, t0)
-    return report
+    return Findings({"errors": rows}, verdicts,
+                    {"fit_slope": fit.slope, "fit_r2": fit.r2, "reference": e.reference},
+                    (e.reference_note,) if e.reference_note else ())
 
 
 # ----------------------------- two-regime study -----------------------------
@@ -514,9 +551,9 @@ def _regime_shortcut(config: TwoRegimeConfig) -> bool:
     return config.engine == "sgd" and config.problem.init_kind == "dirac"
 
 
-def _regime_task(args) -> list[float]:
+def _regime_task(config: TwoRegimeConfig, task) -> list[float]:
     """The endpoint statistic of the (beta, N) runs of the given seeds."""
-    config, beta, N, seeds = args
+    beta, N, seeds = task
     model, pi, init = config.problem.build()
     hyper = config.hyper.replace(beta=beta)
     plans = [NoisePlan(config.seed).child("regime", int(beta * 1000), s) for s in seeds]
@@ -539,14 +576,15 @@ def _regime_task(args) -> list[float]:
 
 def two_regime_study(config: TwoRegimeConfig, workers: int = 1) -> StudyReport:
     """Across-seed deviation of the endpoint statistic: vanishing vs stable noise."""
-    t0 = time.time()
     seeds = range(config.seeds)
     groups = [tuple(seeds)] if _regime_shortcut(config) else [(s,) for s in seeds]
-    tasks = [(config, beta, N, group)
-             for beta in config.betas for N in config.N_grid for group in groups]
-    with _pool_map(workers) as pmap:
-        per_task = np.array([stat for stats in pmap(_regime_task, tasks) for stat in stats])
-    per_task = per_task.reshape(len(config.betas), len(config.N_grid), config.seeds)
+    tasks = [(beta, N, group) for beta in config.betas for N in config.N_grid for group in groups]
+    return run_study("two-regime", config, workers, (partial(_regime_task, config), tasks),
+                     _regime_findings)
+
+
+def _regime_findings(config: TwoRegimeConfig, per_task) -> Findings:
+    per_task = np.concatenate(per_task).reshape(len(config.betas), len(config.N_grid), -1)
     rows = []
     devs: dict[tuple[float, int], float] = {}
     for beta, per_beta in zip(config.betas, per_task):
@@ -561,36 +599,22 @@ def two_regime_study(config: TwoRegimeConfig, workers: int = 1) -> StudyReport:
     for beta in config.betas:
         if beta < 1.0:
             d0, d1 = devs[(beta, n_lo)], devs[(beta, n_hi)]
-            verdicts.append(
-                Verdict.le(f"shrinks_beta_{beta}", d1, d0,
-                           note=f"deviation at N={n_hi} vs N={n_lo}")
-            )
+            verdicts.append(Verdict.le(f"shrinks_beta_{beta}", d1, d0,
+                                       note=f"deviation at N={n_hi} vs N={n_lo}"))
     if 1.0 in config.betas and len(config.N_grid) >= 2:
         n_2nd = config.N_grid[-2]
         d_a, d_b = devs[(1.0, n_2nd)], devs[(1.0, n_hi)]
         jitter = abs(d_a - d_b) / max(d_a, d_b) if max(d_a, d_b) > 0 else 0.0
-        verdicts.append(
-            Verdict.le("floor_beta_1", jitter, config.floor_jitter,
-                       note=f"relative change of deviation between N={n_2nd} and N={n_hi}")
-        )
-    if 1.0 in config.betas:
-        others = [b for b in config.betas if b < 1.0]
-        if others:
-            b = max(others)
-            denom = devs[(1.0, n_hi)]
-            ratio = devs[(b, n_hi)] / denom if denom > 0 else math.inf
-            verdicts.append(
-                Verdict.le("deviation_ratio", ratio, config.ratio_threshold,
-                           note=f"dev(beta={b})/dev(beta=1.0) at N={n_hi}")
-            )
-    report = StudyReport(
-        study_id="two-regime",
-        config=asdict(config),
-        tables={"deviations": rows},
-        verdicts=verdicts,
-    )
-    _budget_warning(report, config.budget_s, t0)
-    return report
+        verdicts.append(Verdict.le(
+            "floor_beta_1", jitter, config.floor_jitter,
+            note=f"relative change of deviation between N={n_2nd} and N={n_hi}"))
+    others = [b for b in config.betas if b < 1.0]
+    if 1.0 in config.betas and others:
+        b, denom = max(others), devs[(1.0, n_hi)]
+        ratio = devs[(b, n_hi)] / denom if denom > 0 else math.inf
+        verdicts.append(Verdict.le("deviation_ratio", ratio, config.ratio_threshold,
+                                   note=f"dev(beta={b})/dev(beta=1.0) at N={n_hi}"))
+    return Findings({"deviations": rows}, verdicts)
 
 
 # ----------------------------- gamma / batch sweeps -----------------------------
@@ -616,13 +640,11 @@ class SweepConfig:
         self.hyper.euler_steps()
 
 
-def _sweep_task(args) -> float:
-    config, key, value, r = args
+def _sweep_task(config: SweepConfig, task) -> float:
+    key, value, r = task
     model, pi, init = config.problem.build()
-    if key == "gamma":
-        hyper = config.hyper.replace(gamma=value)
-    else:
-        hyper = config.hyper.replace(M=int(value))
+    h = config.hyper
+    hyper = h.replace(gamma=value) if key == "gamma" else h.replace(M=int(value))
     plan = NoisePlan(config.seed).child("sweep", key, int(value * 1000), r)
     sde = meanfield_sde_run(model, pi, hyper, config.N_ref, init, plan,
                             snapshot_times=[hyper.T])
@@ -633,35 +655,26 @@ def _sweep_task(args) -> float:
 
 
 def _limit_sweep(config: SweepConfig, key: str, values, workers: int) -> StudyReport:
-    t0 = time.time()
-    with _pool_map(workers) as pmap:
-        per_task = np.array(pmap(_sweep_task, [(config, key, v, r)
-                                                for v in values for r in range(config.reps)]))
+    tasks = [(key, v, r) for v in values for r in range(config.reps)]
+    return run_study(f"{key}-sweep", config, workers, (partial(_sweep_task, config), tasks),
+                     partial(_sweep_findings, key, values))
+
+
+def _sweep_findings(key: str, values, config: SweepConfig, per_task) -> Findings:
     rows = []
-    for v, ws in zip(values, per_task.reshape(len(values), config.reps)):
+    for v, ws in zip(values, np.array(per_task).reshape(len(values), config.reps)):
         stderr = float(ws.std(ddof=1) / math.sqrt(config.reps)) if config.reps > 1 else 0.0
         rows.append({key: v, "w2_to_ode_limit": float(ws.mean()), "stderr": stderr})
 
-    verdicts = []
     if len(rows) < 2:
-        verdicts.append(Verdict.not_applicable(
-            "nonincreasing", f"degenerate single-{key} grid; monotonicity not applicable"))
-    else:
-        worst = -math.inf
-        for prev, cur in zip(rows, rows[1:]):
-            excess = cur["w2_to_ode_limit"] - (prev["w2_to_ode_limit"] + 2 * cur["stderr"])
-            worst = max(worst, excess)
-        verdicts.append(Verdict.le("nonincreasing", worst, 0.0,
-                                   note="each step <= previous + 2*stderr"))
-        verdicts.append(Verdict.le("final_vs_first", rows[-1]["w2_to_ode_limit"],
-                                   0.5 * rows[0]["w2_to_ode_limit"],
-                                   note="last distance <= half of the first"))
-    report = StudyReport(
-        study_id=f"{key}-sweep", config=asdict(config),
-        tables={"distances": rows}, verdicts=verdicts,
-    )
-    _budget_warning(report, config.budget_s, t0)
-    return report
+        return Findings({"distances": rows}, [Verdict.not_applicable(
+            "nonincreasing", f"degenerate single-{key} grid; monotonicity not applicable")])
+    d = [r["w2_to_ode_limit"] for r in rows]
+    worst = max([-math.inf] + [b - (a + 2 * r["stderr"]) for a, b, r in zip(d, d[1:], rows[1:])])
+    verdicts = [Verdict.le("nonincreasing", worst, 0.0, note="each step <= previous + 2*stderr"),
+                Verdict.le("final_vs_first", d[-1], 0.5 * d[0],
+                           note="last distance <= half of the first")]
+    return Findings({"distances": rows}, verdicts)
 
 
 def gamma_sweep(config: SweepConfig, workers: int = 1) -> StudyReport:
@@ -702,7 +715,7 @@ class HistogramConfig:
             self.hyper.euler_steps()
 
 
-def _hist_task(args):
+def _hist_task(config: HistogramConfig, task):
     """Endpoint first coordinates of one (beta, N) grid point.
 
     With the diffusion engine (independent noise per particle) a single
@@ -712,7 +725,7 @@ def _hist_task(args):
     sequence (that randomness IS the second regime), so only the pooled
     per-particle law converges.
     """
-    config, beta, N = args
+    beta, N = task
     model, pi, init = config.problem.build()
     hyper = config.hyper.replace(beta=beta)
     if config.engine == "interacting-sde":
@@ -731,26 +744,21 @@ def _hist_task(args):
 
 def histogram_convergence_study(config: HistogramConfig, workers: int = 1) -> StudyReport:
     """Endpoint weight histograms across N per beta, and the two-regime split."""
-    t0 = time.time()
-    endpoints: dict[tuple[float, int], np.ndarray] = {}
-    tasks = [(config, beta, N) for beta in config.betas for N in config.N_grid]
-    with _pool_map(workers) as pmap:
-        results = pmap(_hist_task, tasks)
-    for (c, beta, N), w in zip(tasks, results):
-        endpoints[(beta, N)] = w
+    tasks = [(beta, N) for beta in config.betas for N in config.N_grid]
+    return run_study("histograms", config, workers, (partial(_hist_task, config), tasks),
+                     _hist_findings)
 
+
+def _hist_findings(config: HistogramConfig, results) -> Findings:
+    endpoints = dict(zip([(beta, N) for beta in config.betas for N in config.N_grid], results))
     tables: dict[str, list[dict]] = {}
     rows = []
     for beta in config.betas:
         for N in config.N_grid:
-            tables[f"hist_beta{beta}_N{N}"] = histogram_rows(
-                endpoints[(beta, N)], n_bins=config.n_bins
-            )
+            tables[f"hist_beta{beta}_N{N}"] = histogram_rows(endpoints[(beta, N)], config.n_bins)
         for Na, Nb in zip(config.N_grid, config.N_grid[1:]):
-            rows.append({
-                "beta": beta, "N_a": Na, "N_b": Nb,
-                "w2": w2_1d_quantile(endpoints[(beta, Na)], endpoints[(beta, Nb)]),
-            })
+            rows.append({"beta": beta, "N_a": Na, "N_b": Nb,
+                         "w2": w2_1d_quantile(endpoints[(beta, Na)], endpoints[(beta, Nb)])})
     tables["consecutive_w2"] = rows
 
     verdicts = []
@@ -765,14 +773,9 @@ def histogram_convergence_study(config: HistogramConfig, workers: int = 1) -> St
         d_sep = w2_1d_quantile(endpoints[(0.75, n_top)], endpoints[(1.0, n_top)])
         verdicts.append(Verdict.le("two_regime_separation", d_mid, d_sep,
                                    note="limits for beta<1 agree; beta=1 differs"))
-        tables["regime_separation"] = [
-            {"pair": "0.5-0.75", "w2": d_mid}, {"pair": "0.75-1.0", "w2": d_sep}
-        ]
-    report = StudyReport(
-        study_id="histograms", config=asdict(config), tables=tables, verdicts=verdicts,
-    )
-    _budget_warning(report, config.budget_s, t0)
-    return report
+        tables["regime_separation"] = [{"pair": "0.5-0.75", "w2": d_mid},
+                                       {"pair": "0.75-1.0", "w2": d_sep}]
+    return Findings(tables, verdicts)
 
 
 # ----------------------------- SGD vs SDE consistency -----------------------------
@@ -797,9 +800,9 @@ class ConsistencyConfig:
         self.hyper.euler_steps()
 
 
-def _gap_task(args):
+def _gap_task(config: ConsistencyConfig, task):
     """Endpoint samples of both engines for one repetition (independent noise)."""
-    config, N, r = args
+    N, r = task
     model, pi, init = config.problem.build()
     return sgd_sde_endpoints(model, pi, config.hyper, N, init,
                              NoisePlan(config.seed).child("gap", N, r))
@@ -814,33 +817,23 @@ def sgd_sde_consistency_study(config: ConsistencyConfig, workers: int = 1) -> St
     the per-particle laws are what the two engines share.  The stderr comes
     from the half-split pooled gaps.
     """
-    t0 = time.time()
-    with _pool_map(workers) as pmap:
-        per_task = pmap(_gap_task, [(config, N, r) for N in config.N_grid
-                                    for r in range(config.reps)])
-    rows = []
+    tasks = [(N, r) for N in config.N_grid for r in range(config.reps)]
+    return run_study("consistency", config, workers, (partial(_gap_task, config), tasks),
+                     _gap_findings)
+
+
+def _gap_findings(config: ConsistencyConfig, per_task) -> Findings:
+    def pooled_gap(ends):
+        return w2_ensembles(np.concatenate([e[0] for e in ends]),
+                            np.concatenate([e[1] for e in ends]), seed=config.seed)
+
+    rows, half = [], config.reps // 2
     for i, N in enumerate(config.N_grid):
         ends = per_task[i * config.reps:(i + 1) * config.reps]
-        sgd_all = np.concatenate([e[0] for e in ends])
-        sde_all = np.concatenate([e[1] for e in ends])
-        gap = w2_ensembles(sgd_all, sde_all, seed=config.seed)
-        half = config.reps // 2
-        g1 = w2_ensembles(np.concatenate([e[0] for e in ends[:half]]),
-                          np.concatenate([e[1] for e in ends[:half]]), seed=config.seed)
-        g2 = w2_ensembles(np.concatenate([e[0] for e in ends[half:]]),
-                          np.concatenate([e[1] for e in ends[half:]]), seed=config.seed)
-        stderr = 0.5 * abs(g1 - g2)
-        rows.append({"N": N, "gap": float(gap), "stderr": float(stderr)})
-
-    worst = -math.inf
-    for prev, cur in zip(rows, rows[1:]):
-        excess = cur["gap"] - (config.decrease_factor * prev["gap"] + 2 * cur["stderr"])
-        worst = max(worst, excess)
+        stderr = 0.5 * abs(pooled_gap(ends[:half]) - pooled_gap(ends[half:]))
+        rows.append({"N": N, "gap": float(pooled_gap(ends)), "stderr": float(stderr)})
+    worst = max([-math.inf] + [b["gap"] - (config.decrease_factor * a["gap"] + 2 * b["stderr"])
+                               for a, b in zip(rows, rows[1:])])
     verdicts = [Verdict.le("gap_decreasing", worst, 0.0,
                            note=f"gap(N_next) <= {config.decrease_factor}*gap(N) + 2*stderr")]
-    report = StudyReport(
-        study_id="consistency", config=asdict(config),
-        tables={"gaps": rows}, verdicts=verdicts,
-    )
-    _budget_warning(report, config.budget_s, t0)
-    return report
+    return Findings({"gaps": rows}, verdicts)

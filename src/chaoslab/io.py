@@ -322,12 +322,9 @@ def _code_version() -> str:
             return out.stdout.strip()
     except (OSError, subprocess.SubprocessError):
         pass
-    from importlib.metadata import version, PackageNotFoundError
+    from . import __version__
 
-    try:
-        return "chaoslab-" + version("chaoslab")
-    except PackageNotFoundError:
-        return "chaoslab-unknown"
+    return "chaoslab-" + __version__
 
 
 def output_root(cli_out: str | None) -> Path:

@@ -76,6 +76,8 @@ class EmpiricalMeasure:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (locs.shape[0],):
                 raise ValueError("weights must match the number of locations")
+            if not (np.isfinite(w).all() and (w >= 0).all()):
+                raise ValueError(f"weights must be finite and >= 0, got {w}")
             s = float(w.sum())
             if abs(s - 1.0) > 1e-10:
                 raise ValueError(f"weights must sum to 1, got {s}")

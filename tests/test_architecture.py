@@ -49,3 +49,38 @@ def test_no_function_takes_the_noise_model_or_a_cache(trees):
                     if arg is not None and arg.arg in ("sigma_override", "cache"):
                         offences.append(f"{name}:{node.lineno} takes {arg.arg}")
     assert offences == []
+
+
+def _enclosing_functions(trees, matches) -> set[str]:
+    """``module:function`` of every node ``matches`` accepts, ``module:<module>`` at top level."""
+    found = set()
+
+    def visit(module, node, where):
+        if matches(node):
+            found.add(f"{module}:{where}")
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else where
+            visit(module, child, inner)
+
+    for module, tree in trees.items():
+        visit(module, tree, "<module>")
+    return found
+
+
+def _named(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_only_the_pool_map_starts_a_process_pool(trees):
+    # one pool per study call, started in one place
+    assert _enclosing_functions(trees, lambda n: _named(n, "ProcessPoolExecutor")) == {
+        "experiments.py:_pool_map"}
+
+
+def test_only_the_study_runner_builds_a_report(trees):
+    # every study hands its tasks and its verdict step to run_study
+    builds = _enclosing_functions(
+        trees, lambda n: isinstance(n, ast.Call) and _named(n.func, "StudyReport"))
+    assert builds == {"experiments.py:run_study"}

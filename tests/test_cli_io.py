@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chaoslab
-from chaoslab.cli import _COMMANDS, EXIT_CONFIG, EXIT_OK, SimulateConfig, cli_dispatch
+from chaoslab.cli import _COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, SimulateConfig, cli_dispatch
 from chaoslab.dynamics import InitSpec, Trajectory, interacting_sde_run
 from chaoslab.io import (
     ConfigError,
@@ -242,6 +242,22 @@ def test_cli_import_leaves_scipy_out(module):
     assert out.stdout.strip() == "False"
 
 
+def test_code_version_without_git_is_the_package_version(tmp_path):
+    # no git on PATH: the version comes from chaoslab.__version__, not importlib.metadata
+    code = ("import sys; from chaoslab.io import RunManifest; "
+            "print(RunManifest.start('simulate', {}, 0).code_version, "
+            "'importlib.metadata' in sys.modules)")
+    src = str(Path(chaoslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PATH": str(tmp_path), "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, cwd=tmp_path)
+    assert out.stdout.split() == ["chaoslab-0.1.0", "False"]
+
+
+# an init box this far out crosses the moment ceiling at the first step
+DIVERGING_BOX = {"init_low": 19000.0, "init_high": 20000.0}
+
+
 class TestCliDispatch:
     def run(self, tmp_path, command, cfg, *extra):
         cfg_path = tmp_path / "cfg.json"
@@ -458,6 +474,32 @@ class TestCliDispatch:
         assert set(manifest["outputs"]) == {"trajectory.bin", "trajectory.csv"}
         traj = load_trajectory(out / "trajectory.bin")
         assert traj.n_particles == 4
+
+    def test_diverged_simulate_exits_one_with_one_line(self, tmp_path, capsys):
+        cfg = {"hyper": {"T": 0.2, "dt": 0.05, "gamma": 0.5}, "N": 4,
+               "engine": "interacting-sde", "seed": 1, "problem": DIVERGING_BOX}
+        assert self.run(tmp_path, "simulate", cfg) == EXIT_VERDICT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("diverged: ensemble second moment")
+        assert "exceeded ceiling" in err and "at step 0 (t=0)" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_diverged_study_writes_a_failing_verdict(self, tmp_path, capsys, workers):
+        cfg = {"hyper": {"T": 0.2, "dt": 0.05}, "gammas": [1.0, 0.5], "N_ref": 16, "reps": 2,
+               "seed": 1, "problem": DIVERGING_BOX}
+        assert self.run(tmp_path, "gamma-sweep", cfg, "--workers", workers, "--strict") == 1
+        assert self.run(tmp_path, "gamma-sweep", cfg, "--workers", workers) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "[gamma-sweep] diverged: FAIL" in captured.out
+        out = tmp_path / "out" / "gamma-sweep-seed1"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "verdicts.json"]
+        verdicts = json.loads((out / "verdicts.json").read_text())
+        assert verdicts["passed"] is False
+        [v] = verdicts["verdicts"]
+        assert v["name"] == "diverged" and v["passed"] is False and v["threshold"] == 1e8
+        assert "in task ('gamma', 1.0, 0) of _sweep_task at step 0 (t=0)" in v["note"]
 
     def test_check_assumptions_clean_model_exit_zero(self, tmp_path):
         cfg = {"problem": {"feature": "tanh-dot", "loss": "square"}, "seed": 2}

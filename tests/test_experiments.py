@@ -11,7 +11,7 @@ import pytest
 
 import chaoslab
 import chaoslab.experiments as xp
-from chaoslab.dynamics import interacting_sde_run, msgld_run, sgd_run
+from chaoslab.dynamics import EnsembleDiverged, interacting_sde_run, msgld_run, sgd_run
 from chaoslab.experiments import (
     ChaosRateConfig,
     ConsistencyConfig,
@@ -344,3 +344,73 @@ class TestConsistencyStudy:
     def test_needs_two_reps(self):
         with pytest.raises(ValueError):
             sgd_sde_consistency_study(ConsistencyConfig(reps=1))
+
+
+TINY = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.05)
+TINY_SGD = TINY.replace(T=1.0, dt=0.1)  # a few SGD steps at N = 8
+TINY_STUDIES = {
+    "chaos_rate_study": ChaosRateConfig(hyper=TINY, N_grid=(4, 8, 16, 32), m=2, N_ref=32,
+                                        reps=2, seed=1),
+    "two_regime_study": TwoRegimeConfig(hyper=TINY_SGD, N_grid=(8, 16), seeds=2, seed=1),
+    "gamma_sweep": SweepConfig(hyper=TINY, gammas=(1.0, 0.5), N_ref=16, reps=2, seed=1),
+    "batch_sweep": SweepConfig(hyper=TINY, batches=(1, 4), N_ref=16, reps=2, seed=1),
+    "histogram_convergence_study": HistogramConfig(hyper=TINY, N_grid=(8, 16, 32), seed=1),
+    "sgd_sde_consistency_study": ConsistencyConfig(hyper=TINY_SGD, N_grid=(8, 16), reps=2,
+                                                   seed=1),
+}
+
+
+def _diverges_at_step_2(task):
+    raise EnsembleDiverged(2, 0.1, np.inf, 1e8)
+
+
+class TestStudyRunner:
+    @pytest.mark.parametrize("study", sorted(TINY_STUDIES))
+    def test_one_pool_per_study_call_and_none_when_serial(self, monkeypatch, study):
+        starts = []
+
+        class CountingPool(xp.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", CountingPool)
+        serial = getattr(xp, study)(TINY_STUDIES[study], workers=1)
+        assert starts == []
+        pooled = getattr(xp, study)(TINY_STUDIES[study], workers=2)
+        assert starts == [1]
+        assert pooled.tables == serial.tables
+        assert [(v.measured, v.note) for v in pooled.verdicts] == \
+            [(v.measured, v.note) for v in serial.verdicts]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_diverged_task_is_a_failing_verdict_naming_it(self, workers):
+        cfg = TINY_STUDIES["gamma_sweep"]
+        rep = xp.run_study("s", cfg, workers, (_diverges_at_step_2, [("gamma", 0.5, 1)]), None)
+        assert rep.tables == {}
+        [v] = rep.verdicts
+        assert (v.name, v.op, v.passed, v.threshold) == ("diverged", "<=", False, 1e8)
+        assert v.note == ("ensemble second moment over its ceiling in task ('gamma', 0.5, 1) "
+                          "of _diverges_at_step_2 at step 2 (t=0.1)")
+        assert rep.passed is False
+
+    def test_divergence_outside_the_tasks_is_reported_too(self):
+        def collect(pmap):
+            raise EnsembleDiverged(0, 0.0, 4e8, 1e8)
+
+        rep = xp.run_study("s", TINY_STUDIES["gamma_sweep"], 1, collect, None)
+        assert rep.verdict("diverged").note == (
+            "ensemble second moment over its ceiling outside the mapped tasks at step 0 (t=0)")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_diverged_particle_reference_is_named(self, workers):
+        # a point mass far outside the grid law's window falls back to the particle
+        # reference, which crosses the ceiling at its first step
+        cfg = replace(TINY_STUDIES["chaos_rate_study"],
+                      problem=ProblemConfig(init_kind="dirac", init_w0=20000.0))
+        rep = chaos_rate_study(cfg, workers=workers)
+        assert rep.tables == {} and rep.warnings == []
+        assert [v.name for v in rep.verdicts] == ["diverged"]
+        assert rep.verdicts[0].measured == 4e8
+        assert "in the companions' particle reference (N_ref=32) at step 0 (t=0)" in \
+            rep.verdicts[0].note

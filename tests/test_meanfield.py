@@ -70,6 +70,12 @@ class TestPredict:
         assert predict(mu, TANH, [1.0]) == pytest.approx(expected, abs=1e-15)
         assert predict(mu, TANH, [1.0]) == pytest.approx(0.6836327054524381, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights", [[math.nan, math.nan], [1.5, -0.5], [math.inf, -math.inf]])
+    def test_weights_must_be_finite_and_nonnegative(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            EmpiricalMeasure(np.zeros((2, 1)), weights=weights)
+
 
 class TestStructuralRisk:
     def test_single_particle_at_zero(self):
