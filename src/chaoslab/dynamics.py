@@ -71,6 +71,7 @@ __all__ = [
     "euler_step",
     "euler_run",
     "guard_moment",
+    "guard_segments",
     "weak_form_residual",
     "sgd_sde_endpoints",
     "sgd_sde_gap",
@@ -97,8 +98,8 @@ class EnsembleDiverged(RuntimeError):
         self.ceiling = ceiling
 
     def __reduce__(self):
-        # rebuilt from its fields when a pool worker sends it back
-        return type(self), (self.step, self.t, self.value, self.ceiling)
+        # rebuilt from its fields, with its notes, when a pool worker sends it back
+        return type(self), (self.step, self.t, self.value, self.ceiling), self.__dict__
 
 
 # ----------------------------- initial conditions -----------------------------
@@ -220,9 +221,42 @@ def _draws(plan: NoisePlan, domain: int, slot: int, step: int, rows, p: int) -> 
 def guard_moment(W: np.ndarray, step: int, t: float, ceiling: float = DEFAULT_MOMENT_CEILING):
     """Raise ``EnsembleDiverged`` unless the ensemble second moment is finite and <= ceiling."""
     v = W.ravel()
-    m2 = float(v @ v) / W.shape[0]
+    with np.errstate(over="ignore"):  # an overflowing square makes m2 inf, reported below
+        m2 = float(v @ v) / W.shape[0]
     if not m2 <= ceiling:  # also catches NaN and inf
         raise EnsembleDiverged(step, t, m2, ceiling)
+
+
+# a segment's one-pass moment and its exact v @ v / n differ by at most about
+# 2 n eps relative for n values, far inside this margin below 10^9 values
+_GUARD_MARGIN = 1e-6
+
+
+def guard_segments(W: np.ndarray, sizes, step: int, t: float,
+                   ceiling: float = DEFAULT_MOMENT_CEILING, names=None):
+    """``guard_moment`` on each consecutive segment of W of the given sizes, in order.
+
+    One vectorised pass sums every segment; a segment near or past the
+    ceiling, or not finite, is checked by ``guard_moment`` itself, so the
+    first segment that raises, and its ``value``, are those of
+    ``guard_moment``.  With ``names``, one per segment, a segment named None
+    is not guarded, and the raised ``EnsembleDiverged`` notes its segment.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64).ravel()
+    if len(sizes) == 1 and names is None:  # one segment: the exact check costs less
+        return guard_moment(W, step, t, ceiling)
+    edges = np.concatenate(([0], np.cumsum(sizes)))
+    with np.errstate(over="ignore"):  # as in guard_moment
+        m2 = np.add.reduceat(np.square(W), edges[:-1]).sum(axis=1) / sizes
+    for i in np.flatnonzero(~(m2 <= ceiling * (1.0 - _GUARD_MARGIN))):
+        if names is not None and names[i] is None:
+            continue
+        try:
+            guard_moment(W[edges[i]:edges[i + 1]], step, t, ceiling)
+        except EnsembleDiverged as exc:
+            if names is not None:
+                exc.add_note(f"in {names[i]}")
+            raise
 
 
 class _Snapshots:
@@ -261,8 +295,9 @@ def _discrete_run(
     ``plan`` (a NoisePlan is k = 1), stacked in plan order in one block.
 
     System s draws its start, minibatches and Langevin noise on its own plan,
-    is driven by its own minibatch's law, and has its own moment guard; at
-    p = 1 its rows equal, bit for bit, those of its lone run.
+    is driven by its own minibatch's law, and has its own moment guard, the
+    final state included; at p = 1 its rows equal, bit for bit, those of its
+    lone run.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -276,7 +311,7 @@ def _discrete_run(
     ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
     rows = int(N) if particle_ids is None else ids
     W = np.concatenate([init.draw(pl, DOMAIN_SYSTEM, ids, model.p) for pl in plans])
-    sizes = None if k == 1 else [N] * k  # one law is the (D, 1) case
+    sizes = np.full((k, 1), N)  # system s is segment s
     cum_w = np.cumsum(pi.weights)
     # a u at or past a rounded-down cum_w[-1] goes to the last atom of positive weight
     last = int(np.flatnonzero(pi.weights)[-1])
@@ -290,18 +325,20 @@ def _discrete_run(
 
     snaps = _Snapshots(n_T, g, snapshot_times, hyper.T, W)
     for n in range(n_T):
-        for s in range(k):
-            guard_moment(W[s * N:(s + 1) * N], n, n * g, moment_ceiling)
+        guard_segments(W, sizes, n, n * g, moment_ceiling)
         u = np.stack([pl.uniforms(DOMAIN_SYSTEM, SLOT_DATA, n, hyper.M) for pl in plans])
         batch = np.minimum(np.searchsorted(cum_w, u, side="right"), last) + offsets
         counts = np.bincount(batch.ravel(), minlength=k * D).reshape(k, D).T
         block = ridge_block(W, model, pi)
-        resid = field_cache(block, model, pi, sizes).residual_d1.reshape(D, k) * (counts * per_count)
+        # one law is the (D,) case
+        resid = (field_cache(block, model, pi, sizes if k > 1 else None).residual_d1.reshape(D, k)
+                 * (counts * per_count))
         Z_lang = np.concatenate([_draws(pl, DOMAIN_SYSTEM, SLOT_LANGEVIN, n, rows, model.p)
                                  for pl in plans]) if eta > 0 else None
         W = euler_step(block, np.repeat(resid, N, axis=1) if k > 1 else resid, model, pi,
                        stepsize_schedule(hyper, N, n) / N, 1.0, 0.0, None, Z_lang, eta)
         snaps.record(n + 1, W)
+    guard_segments(W, sizes, n_T, n_T * g, moment_ceiling)
 
     seed = plans[0].run_seed if k == 1 else [pl.run_seed for pl in plans]
     meta = {"gamma_scale": g, "n_steps": n_T, "seed": seed, "N": N}
@@ -390,7 +427,8 @@ def euler_run(
     time weight (t+1)^-alpha, on one activation block of the ensemble,
     drawing the particles' rows of the domain's diffusion (when
     sigma_scale > 0) and Langevin (when eta > 0) blocks.  The law each step
-    read is kept as the trajectory's ``law_path``.
+    read is kept as the trajectory's ``law_path``.  The ensemble's second
+    moment is guarded before each step and after the last.
     """
     n_steps = hyper.euler_steps()
     W = np.array(W0, dtype=np.float64)
@@ -412,6 +450,7 @@ def euler_run(
         W = euler_step(block, cache, model, pi, hyper.dt, time_weight(t, hyper.alpha),
                        sigma_scale, Z, Z_lang, eta)
         snaps.record(n + 1, W)
+    guard_moment(W, n_steps, n_steps * hyper.dt, moment_ceiling)
 
     meta = {"sigma_scale": sigma_scale, "sigma_override": model.sigma_override,
             "n_steps": n_steps, "seed": plan.run_seed, "N": N}

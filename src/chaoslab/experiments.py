@@ -30,7 +30,7 @@ from .dynamics import (
     InitSpec,
     euler_run,
     euler_step,
-    guard_moment,
+    guard_segments,
     interacting_sde_run,
     meanfield_ode_run,
     meanfield_sde_run,
@@ -321,48 +321,64 @@ class ChaosErrorEstimate:
     reference_note: str = ""
 
 
-def _coupled_grid_rep(model, pi, hyper, Ns, m, init, plan, path, r) -> dict[int, float]:
-    """Repetition r of the coupling, sharing streams across the whole N grid.
+# the reps are stepped in blocks of about this many particles (12 reps of the
+# shipped grid), a size set by the grid alone, never by the workers
+_COUPLING_BLOCK_PARTICLES = 12_000
 
-    The m companions and every test system of the grid are stacked into one
-    block and stepped together: the companions' columns carry the
-    reference law's residuals, row n of ``path``, each test segment its own,
-    and every particle keeps its scale.  Row k of each system-domain
-    Gaussian block drives particle k of every test system and of the
-    companions, so companion k replays test particle k and the error ratios
-    across N concentrate (common random numbers).
+
+def _coupled_grid_reps(model, pi, hyper, Ns, m, init, plan, path, rs) -> list[dict[int, float]]:
+    """Repetitions ``rs`` of the coupling, stacked in one block, each sharing
+    its streams across the whole N grid.
+
+    Rep r's m companions and every test system of the grid form its
+    segments, and the reps' segments are stacked in order and stepped
+    together: the companions' columns carry the reference law's residuals,
+    row n of ``path``, each test segment its own, and every particle keeps
+    its scale.  Rep r draws on its own ``plan.child("rep", r)``; row k of
+    each of its system-domain Gaussian blocks drives particle k of every
+    test system and of the companions, so companion k replays test particle
+    k and the error ratios across N concentrate (common random numbers).
+    Every test system keeps its own moment guard, and a rep's sups equal,
+    bit for bit, those of the rep stepped alone.
     """
-    p = model.p
-    plan = plan.child("rep", r)
+    p, k = model.p, len(rs)
+    plans = [plan.child("rep", r) for r in rs]
     n_sys = max(Ns)
     mf_scale = _companion_scale(hyper)
     sizes = (m, *Ns)
-    edges = np.cumsum((0, *sizes))
-    rows = np.concatenate([np.arange(k) for k in sizes])  # each particle's draw row
-    W = init.draw(plan, DOMAIN_SYSTEM, np.arange(n_sys), p)[rows]
-    scales = np.repeat(
+    L = sum(sizes)
+    segments = np.tile(sizes, (k, 1))
+    names = [None if i == 0 else f"rep {r} (N={Ns[i - 1]})" for r in rs for i in range(len(sizes))]
+    # each particle's draw row in the reps' stacked blocks of n_sys rows
+    rows = (n_sys * np.arange(k)[:, None]
+            + np.concatenate([np.arange(s) for s in sizes])).ravel()
+    W = np.concatenate([init.draw(pl, DOMAIN_SYSTEM, np.arange(n_sys), p) for pl in plans])[rows]
+    scales = np.tile(np.repeat(
         [mf_scale] + [math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M)
                       for N in Ns],
         sizes,
-    )[:, None]
-    heads = edges[1:-1, None] + np.arange(m)  # each test system's first m particles
+    ), k)[:, None]
+    comps = L * np.arange(k)[:, None] + np.arange(m)  # each rep's companions
+    heads = np.cumsum((0, *sizes))[1:-1, None] + comps[:, None]  # each test system's first m
     eta = hyper.eta
     width = noise_width(model, pi)
-    sups = np.zeros(len(Ns))
+    sups = np.zeros((k, len(Ns)))
 
     for n, law in enumerate(path):
         t = n * hyper.dt
-        for a, b in zip(edges[1:-1], edges[2:]):
-            guard_moment(W[a:b], n, t)
-        Zs = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, n_sys, width)[rows]
-        Zl = plan.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, n_sys, p)[rows] if eta > 0 else None
+        guard_segments(W, segments, n, t, names=names)
+        Zs = np.concatenate([pl.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, n_sys, width)
+                             for pl in plans])[rows]
+        Zl = np.concatenate([pl.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, n_sys, p)
+                             for pl in plans])[rows] if eta > 0 else None
         block = ridge_block(W, model, pi)
-        resid = field_cache(block, model, pi, sizes).residual_d1
-        resid[:, 0] = law  # the companions follow the reference law
-        W = euler_step(block, np.repeat(resid, sizes, axis=1), model, pi, hyper.dt,
-                       time_weight(t, hyper.alpha), scales, Zs, Zl, eta)
-        sups = np.maximum(sups, ((W[heads] - W[:m]) ** 2).sum(axis=(1, 2)))
-    return {N: float(v) for N, v in zip(Ns, sups)}
+        resid = field_cache(block, model, pi, segments).residual_d1
+        resid[:, :, 0] = law[:, None]  # the companions follow the reference law
+        W = euler_step(block, np.repeat(resid, sizes, axis=2).reshape(len(pi), -1), model, pi,
+                       hyper.dt, time_weight(t, hyper.alpha), scales, Zs, Zl, eta)
+        sups = np.maximum(sups, ((W[heads] - W[comps][:, None]) ** 2).sum(axis=(2, 3)))
+    guard_segments(W, segments, len(path), len(path) * hyper.dt, names=names)
+    return [{N: float(v) for N, v in zip(Ns, sup)} for sup in sups]
 
 
 def _companion_scale(hyper: Hyperparams) -> float:
@@ -445,7 +461,10 @@ def coupled_chaos_error(
       init (stratified) and drawn otherwise, with an O(N_ref^-1/2) proxy
       bias.
 
-    The ensemble second moments are guarded at every step.
+    The reps are stepped in stacked blocks of about
+    ``_COUPLING_BLOCK_PARTICLES`` particles, with the same bits at any block
+    size and worker count.  The ensemble second moments are guarded at every
+    step; a diverging test system is named by its rep and N.
     """
     with _pool_map(workers) as pmap:
         return _coupling_estimates(model, pi, hyper, tuple(Ns), m, N_ref, reps, plan,
@@ -461,8 +480,10 @@ def _coupling_estimates(model, pi, hyper, Ns, m, N_ref, reps, plan, init, pmap):
     if N_ref < max(Ns):
         raise ValueError(f"reference size N_ref={N_ref} must dominate every grid N (max {max(Ns)})")
     path, reference, bias, note = _companion_law(model, pi, hyper, init, N_ref, plan, pmap)
-    per_rep = pmap(partial(_coupled_grid_rep, model, pi, hyper, Ns, m, init, plan, path),
-                   range(reps))
+    per_block = max(1, _COUPLING_BLOCK_PARTICLES // (m + sum(Ns)))
+    blocks = [tuple(range(a, min(a + per_block, reps))) for a in range(0, reps, per_block)]
+    per_rep = [d for block in pmap(partial(_coupled_grid_reps, model, pi, hyper, Ns, m, init,
+                                           plan, path), blocks) for d in block]
     out = {}
     for N in Ns:
         vals = np.array([d[N] for d in per_rep])

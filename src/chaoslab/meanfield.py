@@ -137,7 +137,8 @@ def ridge_block(W, model: ModelSpec, pi: DataDistribution) -> RidgeBlock:
 class FieldCache:
     """Per-atom predictions a(x) = mu[F(., x)] and residual derivatives d1l(a(x), y).
 
-    Each field is (D,) for one law, or (D, k) for k stacked laws.
+    Each field is (D,) for one law, (D, S) for S stacked laws, or (D, k, S)
+    for k stacked copies of S segments.
     """
 
     predictions: np.ndarray
@@ -148,9 +149,11 @@ def field_cache(mu, model: ModelSpec, pi: DataDistribution, sizes=None) -> Field
     """The FieldCache of the law mu: an ensemble, an EmpiricalMeasure or a RidgeBlock.
 
     A block stands for the uniform law on its points and lends its f.  With
-    ``sizes`` its columns are consecutive ensembles of those sizes, each its
-    own uniform law, and both fields are (D, len(sizes)); a segment's
-    predictions equal, bit for bit, those of the segment's own block.
+    ``sizes`` (S,) its columns are consecutive ensembles of those sizes, each
+    its own uniform law, and both fields are (D, S); with ``sizes`` (k, S),
+    k stacked copies of the same S segments, they are (D, k, S), summed one
+    segment position at a time for all k copies.  A segment's predictions
+    equal, bit for bit, those of the segment's own block.
     """
     if isinstance(mu, RidgeBlock):
         block, weights = mu, 1.0 / mu.W.shape[0]
@@ -159,22 +162,30 @@ def field_cache(mu, model: ModelSpec, pi: DataDistribution, sizes=None) -> Field
     else:
         mu = _as_measure(mu)
         block, weights = ridge_block(mu.locations, model, pi), mu.weights
+    D = len(pi)
     if sizes is None:
-        ys = pi.ys
+        ys, shape = pi.ys, (D,)
     else:
-        edges = np.cumsum((0, *sizes))
-        if edges[-1] != block.W.shape[0]:
-            raise ValueError(f"sizes add up to {edges[-1]}, the block has {block.W.shape[0]} points")
-        ys = pi.ys[:, None]
+        sizes = np.asarray(sizes, dtype=np.int64)
+        copies = sizes.reshape(-1, sizes.shape[-1])  # (k, S)
+        seg = copies[0]
+        if (copies != seg).any():
+            raise ValueError(f"stacked sizes must repeat one row of segments, got {sizes.tolist()}")
+        k, L = len(copies), int(seg.sum())
+        if k * L != block.W.shape[0]:
+            raise ValueError(f"sizes add up to {k * L}, the block has {block.W.shape[0]} points")
+        ys, shape = pi.ys.reshape(D, *(1,) * sizes.ndim), (D, *sizes.shape)
     if block.f is None:  # the zero feature predicts 0 under every law
-        preds = np.zeros((len(pi),) if sizes is None else (len(pi), len(sizes)))
+        preds = np.zeros(shape)
     elif sizes is None:
         preds = (block.f * weights).sum(axis=1)
     else:
-        fw = block.f * np.repeat(1.0 / np.asarray(sizes, dtype=np.float64), sizes)
-        preds = np.empty((len(pi), len(sizes)))
-        for k, (a, b) in enumerate(zip(edges, edges[1:])):
-            preds[:, k] = fw[:, a:b].sum(axis=1)
+        fw = block.f.reshape(D, k, L) * np.repeat(1.0 / seg, seg)
+        edges = np.cumsum((0, *seg))
+        preds = np.empty((D, k, len(seg)))
+        for s, (a, b) in enumerate(zip(edges, edges[1:])):
+            preds[:, :, s] = fw[:, :, a:b].sum(axis=2)
+        preds = preds.reshape(shape)
     return FieldCache(preds, np.asarray(model.loss.d1(preds, ys), dtype=np.float64))
 
 

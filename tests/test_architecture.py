@@ -79,6 +79,17 @@ def test_only_the_pool_map_starts_a_process_pool(trees):
         "experiments.py:_pool_map"}
 
 
+def test_one_coupling_step_in_experiments(trees):
+    # the reps of the coupling step as stacked blocks; a lone rep is a block of one
+    steps = _enclosing_functions(
+        trees, lambda n: isinstance(n, ast.Call) and _named(n.func, "euler_step"))
+    assert {s for s in steps if s.startswith("experiments.py:")} == {
+        "experiments.py:_coupled_grid_reps"}
+    defined = _enclosing_functions(
+        trees, lambda n: isinstance(n, ast.FunctionDef) and n.name == "_coupled_grid_rep")
+    assert defined == set()
+
+
 def test_only_the_study_runner_builds_a_report(trees):
     # every study hands its tasks and its verdict step to run_study
     builds = _enclosing_functions(

@@ -16,6 +16,8 @@ from chaoslab.dynamics import (
     EnsembleDiverged,
     InitSpec,
     TestFunction,
+    guard_moment,
+    guard_segments,
     interacting_sde_run,
     meanfield_ode_run,
     meanfield_sde_run,
@@ -272,6 +274,105 @@ class TestStackedSystems:
             with pytest.raises(EnsembleDiverged) as got:
                 sgd_run(TANH, NOISY, h, 1, init, self.PLANS, moment_ceiling=ceiling)
             assert (got.value.step, got.value.value) == (first.step, first.value)
+
+
+class TestFinalStateGuard:
+    """A state that crosses the ceiling on the last step is reported, not returned."""
+
+    # one step from a point mass just under the ceiling's root, 1e4
+    ONE_STEP = Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=0.02, dt=0.02)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_euler_run(self, seed):
+        model = replace(ProblemConfig().build()[0], sigma_override=1e8)
+        with pytest.raises(EnsembleDiverged) as info:
+            interacting_sde_run(model, NOISY, self.ONE_STEP, 64, InitSpec.dirac(9990.0),
+                                NoisePlan(seed))
+        assert (info.value.step, info.value.t) == (1, 0.02)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_discrete_run(self, stacked):
+        h = self.ONE_STEP.replace(gamma=0.02, eta=1e9)
+        plans = [NoisePlan(s) for s in range(3)] if stacked else NoisePlan(0)
+        with pytest.raises(EnsembleDiverged) as info:
+            msgld_run(TANH, NOISY, h, 64, InitSpec.dirac(9990.0), plans)
+        assert (info.value.step, info.value.t) == (1, 0.02)
+
+    def test_coupling(self):
+        model = replace(ProblemConfig().build()[0], sigma_override=1e8)
+        with pytest.raises(EnsembleDiverged) as info:
+            coupled_chaos_error(model, NOISY, self.ONE_STEP.replace(beta=0.5), Ns=(4, 8, 16),
+                                m=2, N_ref=16, reps=3, plan=NoisePlan(1),
+                                init=InitSpec.dirac(9990.0))
+        assert (info.value.step, info.value.t) == (1, 0.02)
+
+
+class TestGuardSegments:
+    """One pass over stacked segments decides as guard_moment on each, in order."""
+
+    CEILING = 1e8
+
+    @staticmethod
+    def lone(W, sizes, ceiling, names=None):
+        """guard_moment on each guarded segment in turn: the first raise, or None."""
+        edges = np.cumsum((0, *sizes))
+        for i, (a, b) in enumerate(zip(edges, edges[1:])):
+            if names is not None and names[i] is None:
+                continue
+            try:
+                guard_moment(W[a:b], 3, 0.5, ceiling)
+            except EnsembleDiverged as exc:
+                return i, exc.value
+        return None
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("case", ["calm", "at", "ulp-over", "two-over", "nan", "inf",
+                                      "overflow"])
+    def test_decides_as_guard_moment_on_each_segment(self, p, case):
+        rng = np.random.default_rng(11)
+        sizes = (3, 1, 5, 2)
+        W = rng.standard_normal((sum(sizes), p))
+        root = math.sqrt(self.CEILING / p)  # a segment at root has moment CEILING
+        if case == "at":
+            W[3:4] = root
+        elif case == "ulp-over":
+            W[3:4] = np.nextafter(root, np.inf)
+        elif case == "two-over":
+            W[4:9], W[9:] = 2 * root, 3 * root
+        elif case == "nan":
+            W[5, 0] = np.nan
+        elif case == "inf":
+            W[10, -1] = -np.inf
+        elif case == "overflow":
+            W[0, 0] = 1e200  # its square overflows in the one-pass sum
+        want = self.lone(W, sizes, self.CEILING)
+        if want is None:
+            guard_segments(W, sizes, 3, 0.5, self.CEILING)
+            return
+        with pytest.raises(EnsembleDiverged) as info:
+            guard_segments(W, sizes, 3, 0.5, self.CEILING)
+        assert (info.value.step, info.value.t) == (3, 0.5)
+        np.testing.assert_array_equal(info.value.value, want[1])
+
+    def test_unnamed_segments_are_skipped_and_the_raised_one_is_named(self):
+        sizes = (2, 2, 2)
+        W = np.ones((6, 1))
+        W[:4] = 1e5  # over the ceiling: the first, unguarded, and the second
+        names = [None, "second", "third"]
+        with pytest.raises(EnsembleDiverged) as info:
+            guard_segments(W, sizes, 0, 0.0, self.CEILING, names)
+        assert info.value.__notes__ == ["in second"]
+        guard_segments(W[[0, 1, 4, 5]], (2, 2), 0, 0.0, self.CEILING, [None, "third"])
+
+    def test_notes_survive_pickling(self):
+        # a pool worker sends the exception back by pickling; its notes come too
+        import pickle
+
+        exc = EnsembleDiverged(1, 0.02, 2e8, 1e8)
+        exc.add_note("in rep 0 (N=4)")
+        back = pickle.loads(pickle.dumps(exc))
+        assert (back.step, back.t, back.value, back.ceiling) == (1, 0.02, 2e8, 1e8)
+        assert back.__notes__ == ["in rep 0 (N=4)"]
 
 
 def test_run_and_w2_leave_numpy_ma_out():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import chaoslab
 import chaoslab.experiments as xp
-from chaoslab.dynamics import EnsembleDiverged, interacting_sde_run, msgld_run, sgd_run
+from chaoslab.dynamics import EnsembleDiverged, InitSpec, interacting_sde_run, msgld_run, sgd_run
 from chaoslab.experiments import (
     ChaosRateConfig,
     ConsistencyConfig,
@@ -414,3 +415,15 @@ class TestStudyRunner:
         assert rep.verdicts[0].measured == 4e8
         assert "in the companions' particle reference (N_ref=32) at step 0 (t=0)" in \
             rep.verdicts[0].note
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_diverged_rep_is_named_with_its_N(self, workers):
+        # every test system crosses the ceiling at step 1; the first in order is named
+        model, pi, _ = ProblemConfig().build()
+        collect = partial(xp._coupling_estimates, replace(model, sigma_override=1e12), pi,
+                          Hyperparams(beta=0.5, T=0.2, dt=0.02), (4, 8, 16), 2, 16, 3, NoisePlan(1),
+                          InitSpec.dirac(0.0))
+        rep = xp.run_study("chaos-rate", TINY_STUDIES["chaos_rate_study"], workers, collect, None)
+        assert rep.verdict("diverged").note == (
+            "ensemble second moment over its ceiling in rep 0 (N=4); in task (0, 1, 2) of "
+            "_coupled_grid_reps at step 1 (t=0.02)")

@@ -260,6 +260,29 @@ class TestStackedLaws:
             check(th[a:b], th1)
             check(sig[a:b], sig1)
 
+    @pytest.mark.parametrize("feature", ["tanh-dot", "zero"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_stacked_copies_equal_each_copy_alone(self, p, feature):
+        # (k, S) sizes: k copies of the same S segments, summed a segment position at a time
+        rng = np.random.default_rng(40 + p)
+        _, pi = random_problem(rng, p=p)
+        model = make_model(feature, "square", 0.5, p=p)
+        sizes, k = (3, 17, 1, 9, 33), 5
+        L = sum(sizes)
+        block = ridge_block(rng.standard_normal((k * L, p)), model, pi)
+        stacked = field_cache(block, model, pi, np.tile(sizes, (k, 1)))
+        assert stacked.predictions.shape == (len(pi), k, len(sizes))
+        for c in range(k):
+            cols = slice(c * L, (c + 1) * L)
+            alone = field_cache(replace(block, W=block.W[cols],
+                                        f=None if block.f is None else block.f[:, cols],
+                                        df=None if block.df is None else block.df[:, cols]),
+                                model, pi, sizes)
+            for got, want in ((stacked.predictions[:, c], alone.predictions),
+                              (stacked.residual_d1[:, c], alone.residual_d1)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_an_ensemble_is_not_a_law(self):
         # the law is its FieldCache or residual columns, one row per atom
         W = np.zeros((5, 1))
@@ -274,6 +297,10 @@ class TestStackedLaws:
             field_cache(block, TANH, SYMMETRIC, (2, 2))
         with pytest.raises(ValueError, match="RidgeBlock"):
             field_cache(np.zeros((5, 1)), TANH, SYMMETRIC, (2, 3))
+        with pytest.raises(ValueError, match="repeat one row"):
+            field_cache(block, TANH, SYMMETRIC, [[2, 1], [1, 1]])
+        with pytest.raises(ValueError, match="sizes add up to 6"):
+            field_cache(block, TANH, SYMMETRIC, [[1, 2], [1, 2]])
 
 
 class ZerosFeature(RidgeFeature):

@@ -250,8 +250,8 @@ class TestSharedReference:
         est = coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=3,
                                   plan=NoisePlan(5))
         assert est[4].reference == "particle"
-        # 10 steps of the reference, once, and 10 steps of the stacked block per rep
-        assert model.feature.calls == {"activation": 10 + 3 * 10, "value": 0, "grad": 0}
+        # 10 steps of the reference, once, and 10 steps of the one block of all reps
+        assert model.feature.calls == {"activation": 10 + 10, "value": 0, "grad": 0}
 
     def test_grid_law_evaluates_the_feature_once_per_grid(self):
         model = counting_model(1)
@@ -259,8 +259,8 @@ class TestSharedReference:
         est = coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=3,
                                   plan=NoisePlan(5))
         assert est[4].reference == "grid"
-        # the centers of the grid and of the half grid, and the stacked block per step
-        assert model.feature.calls == {"activation": 2 + 3 * 10, "value": 0, "grad": 0}
+        # the centers of the grid and of the half grid, and the reps' one block per step
+        assert model.feature.calls == {"activation": 2 + 10, "value": 0, "grad": 0}
 
 
 class CountingFeature(RidgeFeature):
@@ -316,13 +316,13 @@ class TestOneActivationBlockPerStep:
 
     def test_coupling_step_evaluates_two_blocks(self):
         # the reference on its own (a particle ensemble, as a gaussian init has no
-        # grid law), stepped once per study, then per rep the companions and the
-        # whole N grid stacked
+        # grid law), stepped once per study, then every rep's companions and
+        # whole N grid stacked in one block
         model = counting_model(1)
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.02)
         coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=3, plan=NoisePlan(5),
                             init=InitSpec.gaussian(0.0, 0.3))
-        assert model.feature.calls == {"activation": 10 + 3 * 10, "value": 0, "grad": 0}
+        assert model.feature.calls == {"activation": 10 + 10, "value": 0, "grad": 0}
 
     def test_p2_increment_is_the_factor_applied_to_z(self):
         model, pi, init = ProblemConfig(p=2, penalty=0.1).build()

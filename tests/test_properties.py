@@ -1,10 +1,12 @@
 """Property tests: the CLI on random tiny study configs, the Euler step under
-particle permutations, and study tables across pool widths."""
+particle permutations, study tables across pool widths, and the coupling's
+reps across block sizes and pool widths."""
 
 import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,11 +18,13 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
+import chaoslab.experiments as xp
 from chaoslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, cli_dispatch
 from chaoslab.dynamics import euler_step
-from chaoslab.experiments import ProblemConfig, SweepConfig, gamma_sweep
+from chaoslab.experiments import ProblemConfig, SweepConfig, coupled_chaos_error, gamma_sweep
 from chaoslab.meanfield import field_cache, noise_width, ridge_block
 from chaoslab.model import FEATURES, LOSSES, Hyperparams
+from chaoslab.rng import NoisePlan
 
 # deterministic examples and no example database: the suite reads the same every run
 SMALL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -114,3 +118,26 @@ def test_study_tables_equal_at_one_and_two_workers(seed, reps, gammas):
     cfg = SweepConfig(hyper=Hyperparams(T=0.2, dt=0.05), gammas=tuple(gammas), N_ref=32,
                       reps=reps, seed=seed)
     assert gamma_sweep(cfg, workers=1).tables == gamma_sweep(cfg, workers=2).tables
+
+
+@st.composite
+def tiny_couplings(draw):
+    Ns = tuple(sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True))))
+    return {"Ns": Ns, "m": draw(st.integers(1, Ns[0])), "reps": draw(st.integers(1, 4)),
+            "p": draw(st.integers(1, 2)), "eta": draw(st.sampled_from([0.0, 0.1])),
+            "beta": draw(st.sampled_from([0.5, 1.0])), "seed": draw(st.integers(0, 2**31))}
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(tiny_couplings())
+def test_coupling_reps_equal_at_any_block_size_and_worker_count(c):
+    model, pi, init = ProblemConfig(p=c["p"]).build()
+    hyper = Hyperparams(beta=c["beta"], T=0.1, dt=0.02, eta=c["eta"])
+    runs = []
+    for budget in (1, 10**9):  # one rep per block, and every rep in one block
+        with patch.object(xp, "_COUPLING_BLOCK_PARTICLES", budget):
+            for workers in (1, 2):
+                est = coupled_chaos_error(model, pi, hyper, c["Ns"], c["m"], 16, c["reps"],
+                                          NoisePlan(c["seed"]), init, workers)
+                runs.append(np.stack([est[N].per_rep for N in c["Ns"]]))
+    assert all(np.array_equal(run, runs[0]) for run in runs[1:])
