@@ -221,8 +221,7 @@ def _draws(plan: NoisePlan, domain: int, slot: int, step: int, rows, p: int) -> 
 def guard_moment(W: np.ndarray, step: int, t: float, ceiling: float = DEFAULT_MOMENT_CEILING):
     """Raise ``EnsembleDiverged`` unless the ensemble second moment is finite and <= ceiling."""
     v = W.ravel()
-    with np.errstate(over="ignore"):  # an overflowing square makes m2 inf, reported below
-        m2 = float(v @ v) / W.shape[0]
+    m2 = float(v @ v) / W.shape[0]
     if not m2 <= ceiling:  # also catches NaN and inf
         raise EnsembleDiverged(step, t, m2, ceiling)
 
@@ -246,7 +245,7 @@ def guard_segments(W: np.ndarray, sizes, step: int, t: float,
     if len(sizes) == 1 and names is None:  # one segment: the exact check costs less
         return guard_moment(W, step, t, ceiling)
     edges = np.concatenate(([0], np.cumsum(sizes)))
-    with np.errstate(over="ignore"):  # as in guard_moment
+    with np.errstate(over="ignore"):  # an overflow reads inf, so guard_moment reports it
         m2 = np.add.reduceat(np.square(W), edges[:-1]).sum(axis=1) / sizes
     for i in np.flatnonzero(~(m2 <= ceiling * (1.0 - _GUARD_MARGIN))):
         if names is not None and names[i] is None:

@@ -326,8 +326,7 @@ class TestGuardSegments:
         return None
 
     @pytest.mark.parametrize("p", [1, 2])
-    @pytest.mark.parametrize("case", ["calm", "at", "ulp-over", "two-over", "nan", "inf",
-                                      "overflow"])
+    @pytest.mark.parametrize("case", ["calm", "at", "ulp-over", "two-over", "nan", "inf"])
     def test_decides_as_guard_moment_on_each_segment(self, p, case):
         rng = np.random.default_rng(11)
         sizes = (3, 1, 5, 2)
@@ -343,8 +342,6 @@ class TestGuardSegments:
             W[5, 0] = np.nan
         elif case == "inf":
             W[10, -1] = -np.inf
-        elif case == "overflow":
-            W[0, 0] = 1e200  # its square overflows in the one-pass sum
         want = self.lone(W, sizes, self.CEILING)
         if want is None:
             guard_segments(W, sizes, 3, 0.5, self.CEILING)
