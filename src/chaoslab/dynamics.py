@@ -19,9 +19,11 @@ particles per step, and the driving law as its FieldCache or residual
 columns.  For the discrete recursions that law is the minibatch's, c_j / M
 for atom counts c_j, and the step has length stepsize and no diffusion
 term.  The horizon T of the Euler-Maruyama engines must be a whole number
-of Euler steps dt.  The noise model, and so the noise root and its width,
-is the ``ModelSpec``'s (``meanfield.drift_and_noise_root``); the discrete
-recursions have no diffusion term and refuse a model that pins one.
+of Euler steps dt.  The noise model, and so the diffusion increment and
+its width, is the ``ModelSpec``'s (``meanfield.drift_and_noise``); the
+discrete recursions have no diffusion term and refuse a model that pins
+one.  Every draw of an N-particle ensemble is the first N rows of its
+(domain, slot, step) block.
 
 Iteration n of the discrete recursions is stamped with time
 n * gamma_scale(N); all engines share the counter-based NoisePlan, so runs
@@ -38,7 +40,7 @@ import numpy as np
 
 from .meanfield import (
     RidgeBlock,
-    drift_and_noise_root,
+    drift_and_noise,
     field_cache,
     mean_field_terms,
     noise_width,
@@ -67,7 +69,6 @@ __all__ = [
     "meanfield_ode_run",
     "meanfield_sde_run",
     "meanfield_sigma_scale",
-    "diffusion_increment",
     "euler_step",
     "euler_run",
     "guard_moment",
@@ -137,18 +138,18 @@ class InitSpec:
     def from_samples(samples: np.ndarray) -> "InitSpec":
         return InitSpec(kind="samples", samples=np.asarray(samples, dtype=np.float64))
 
-    def draw(self, plan: NoisePlan, domain: int, ids: np.ndarray, p: int) -> np.ndarray:
-        n_rows = int(ids.max()) + 1 if len(ids) else 0
+    def draw(self, plan: NoisePlan, domain: int, n: int, p: int) -> np.ndarray:
+        """n particles (n, p), from the first n rows of the domain's init block."""
         if self.kind == "dirac":
             w0 = np.asarray(self.w0, dtype=np.float64).reshape(-1)
             if w0.shape[0] != p:
                 raise ValueError(f"dirac init has dimension {w0.shape[0]}, expected {p}")
-            return np.tile(w0, (len(ids), 1))
+            return np.tile(w0, (n, 1))
         if self.kind == "uniform":
-            u = plan.uniforms(domain, SLOT_INIT, 0, n_rows * p).reshape(n_rows, p)[ids]
+            u = plan.uniforms(domain, SLOT_INIT, 0, n * p).reshape(n, p)
             return self.low + (self.high - self.low) * u
         if self.kind == "gaussian":
-            z = plan.normals(domain, SLOT_INIT, 0, n_rows, p)[ids]
+            z = plan.normals(domain, SLOT_INIT, 0, n, p)
             return self.mean + self.std * z
         if self.kind == "samples":
             s = np.asarray(self.samples, dtype=np.float64)
@@ -156,7 +157,7 @@ class InitSpec:
                 s = s[:, None]
             if s.shape[1] != p:
                 raise ValueError(f"sample init has {s.shape[1]} columns, the model has p={p}")
-            u = plan.uniforms(domain, SLOT_INIT, 0, n_rows)[ids]
+            u = plan.uniforms(domain, SLOT_INIT, 0, n)
             idx = np.minimum((u * s.shape[0]).astype(np.int64), s.shape[0] - 1)
             return s[idx]
         raise ValueError(f"unknown init kind {self.kind!r}")
@@ -211,17 +212,12 @@ def _snapshot_steps(n_steps: int, step_time: float, snapshot_times, horizon: flo
     return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]  # np.unique would import numpy.ma
 
 
-def _draws(plan: NoisePlan, domain: int, slot: int, step: int, rows, p: int) -> np.ndarray:
-    """Rows ``rows`` (ids) of the (domain, slot, step) Gaussian block, or its first ``rows`` (an int)."""
-    if isinstance(rows, int):
-        return plan.normals(domain, slot, step, rows, p)
-    return plan.normals(domain, slot, step, int(rows.max()) + 1, p)[rows]
-
-
 def guard_moment(W: np.ndarray, step: int, t: float, ceiling: float = DEFAULT_MOMENT_CEILING):
     """Raise ``EnsembleDiverged`` unless the ensemble second moment is finite and <= ceiling."""
     v = W.ravel()
-    m2 = float(v @ v) / W.shape[0]
+    # vdot is the same BLAS dot as v @ v, but an overflow there raises no
+    # floating-point warning: it reads inf, and is reported as a divergence
+    m2 = float(np.vdot(v, v)) / W.shape[0]
     if not m2 <= ceiling:  # also catches NaN and inf
         raise EnsembleDiverged(step, t, m2, ceiling)
 
@@ -287,7 +283,6 @@ def _discrete_run(
     plan,
     langevin: bool,
     snapshot_times=None,
-    particle_ids: np.ndarray | None = None,
     moment_ceiling: float = DEFAULT_MOMENT_CEILING,
 ) -> Trajectory:
     """The recursion for k independent systems of N particles, one per plan of
@@ -307,9 +302,7 @@ def _discrete_run(
     k, D = len(plans), len(pi)
     g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
     n_T = hyper.sgd_steps(N)
-    ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
-    rows = int(N) if particle_ids is None else ids
-    W = np.concatenate([init.draw(pl, DOMAIN_SYSTEM, ids, model.p) for pl in plans])
+    W = np.concatenate([init.draw(pl, DOMAIN_SYSTEM, N, model.p) for pl in plans])
     sizes = np.full((k, 1), N)  # system s is segment s
     cum_w = np.cumsum(pi.weights)
     # a u at or past a rounded-down cum_w[-1] goes to the last atom of positive weight
@@ -332,7 +325,7 @@ def _discrete_run(
         # one law is the (D,) case
         resid = (field_cache(block, model, pi, sizes if k > 1 else None).residual_d1.reshape(D, k)
                  * (counts * per_count))
-        Z_lang = np.concatenate([_draws(pl, DOMAIN_SYSTEM, SLOT_LANGEVIN, n, rows, model.p)
+        Z_lang = np.concatenate([pl.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, N, model.p)
                                  for pl in plans]) if eta > 0 else None
         W = euler_step(block, np.repeat(resid, N, axis=1) if k > 1 else resid, model, pi,
                        stepsize_schedule(hyper, N, n) / N, 1.0, 0.0, None, Z_lang, eta)
@@ -364,18 +357,6 @@ def msgld_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
 # ----------------------------- Euler-Maruyama engines -----------------------------
 
 
-def diffusion_increment(root: np.ndarray, scale, Z: np.ndarray) -> np.ndarray:
-    """scale * R^T z per particle, for a root from ``drift_and_noise_root`` and Z (n, k).
-
-    The root is (n, k, p), or (1, k, p) when every particle shares it;
-    ``scale`` is a float or a per-particle column (n, 1).
-    """
-    if root.shape[2] == 1:
-        # p = 1: (scale * sqrt(Sigma_00)) * z; tests/test_noise.py pins this rounding
-        return scale * root[:, 0] * Z
-    return scale * np.einsum("nkp,nk->np", root, Z)
-
-
 def euler_step(
     block: RidgeBlock,
     law,
@@ -391,17 +372,16 @@ def euler_step(
     """One Euler-Maruyama step of the particles W = block.W under ``law``.
 
     Returns W + tw (h dt + sqrt(dt) scale R^T Z + sqrt(dt) sqrt(2 eta) Z_lang),
-    with R the noise root of ``drift_and_noise_root``, Z (n, noise_width) and
-    Z_lang (n, p).  ``law`` is a FieldCache or residual columns
-    broadcastable to (D, n), and ``scale`` a float or a per-particle column
-    (n, 1).  The noise term is skipped when every scale is 0 and the
-    Langevin term when eta is 0; their draws may then be None.
+    with h and scale R^T Z from ``meanfield.drift_and_noise``, Z
+    (n, noise_width) and Z_lang (n, p).  ``law`` is a FieldCache or residual
+    columns broadcastable to (D, n), and ``scale`` a float or a per-particle
+    column (n, 1).  A step without a diffusion term passes Z None, and the
+    Langevin term is skipped when eta is 0; Z_lang may then be None.
     """
-    noisy = bool((np.asarray(scale) > 0).any())
-    h, root = drift_and_noise_root(block, law, model, pi, noisy)
+    h, noise = drift_and_noise(block, law, model, pi, scale, Z)
     incr = h * dt
-    if noisy:
-        incr += math.sqrt(dt) * diffusion_increment(root, scale, Z)
+    if noise is not None:
+        incr += math.sqrt(dt) * noise
     if eta > 0:
         incr += math.sqrt(dt) * math.sqrt(2.0 * eta) * Z_lang
     return block.W + tw * incr
@@ -417,14 +397,13 @@ def euler_run(
     sigma_scale: float,
     kind: str,
     snapshot_times=None,
-    particle_ids: np.ndarray | None = None,
     moment_ceiling: float = DEFAULT_MOMENT_CEILING,
 ) -> Trajectory:
     """Euler-Maruyama from W0 for an ensemble driven by its own empirical law.
 
     Each step is one ``euler_step`` with noise scale sigma_scale and the
     time weight (t+1)^-alpha, on one activation block of the ensemble,
-    drawing the particles' rows of the domain's diffusion (when
+    drawing the first N rows of the domain's diffusion (when
     sigma_scale > 0) and Langevin (when eta > 0) blocks.  The law each step
     read is kept as the trajectory's ``law_path``.  The ensemble's second
     moment is guarded before each step and after the last.
@@ -432,7 +411,6 @@ def euler_run(
     n_steps = hyper.euler_steps()
     W = np.array(W0, dtype=np.float64)
     N, p = W.shape
-    rows = N if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
     eta = hyper.eta
     width = noise_width(model, pi)
     law_path = np.empty((n_steps, len(pi)))
@@ -441,8 +419,8 @@ def euler_run(
     for n in range(n_steps):
         t = n * hyper.dt
         guard_moment(W, n, t, moment_ceiling)
-        Z = _draws(plan, domain, SLOT_DIFFUSION, n, rows, width) if sigma_scale > 0 else None
-        Z_lang = _draws(plan, domain, SLOT_LANGEVIN, n, rows, p) if eta > 0 else None
+        Z = plan.normals(domain, SLOT_DIFFUSION, n, N, width) if sigma_scale > 0 else None
+        Z_lang = plan.normals(domain, SLOT_LANGEVIN, n, N, p) if eta > 0 else None
         block = ridge_block(W, model, pi)
         cache = field_cache(block, model, pi)
         law_path[n] = cache.residual_d1
@@ -460,15 +438,12 @@ def euler_run(
 _euler_run = euler_run
 
 
-def _drawn_run(model, pi, hyper, N, init, plan, domain, sigma_scale, kind, particle_ids=None,
-               **kw) -> Trajectory:
-    """``euler_run`` from N particles of ``init``, drawn on the domain's rows ``particle_ids``."""
+def _drawn_run(model, pi, hyper, N, init, plan, domain, sigma_scale, kind, **kw) -> Trajectory:
+    """``euler_run`` from N particles of ``init``, drawn on the domain."""
     if N < 1:
         raise ValueError(f"the ensemble needs N >= 1 particles, got {N}")
-    ids = np.arange(N) if particle_ids is None else np.asarray(particle_ids, dtype=np.int64)
-    W0 = init.draw(plan, domain, ids, model.p)
-    return euler_run(model, pi, hyper, W0, plan, domain, sigma_scale, kind,
-                     particle_ids=particle_ids, **kw)
+    W0 = init.draw(plan, domain, N, model.p)
+    return euler_run(model, pi, hyper, W0, plan, domain, sigma_scale, kind, **kw)
 
 
 def interacting_sde_run(model, pi, hyper, N, init, plan, snapshot_times=None, **kw) -> Trajectory:

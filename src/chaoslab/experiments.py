@@ -352,7 +352,7 @@ def _coupled_grid_reps(model, pi, hyper, Ns, m, init, plan, path, rs) -> list[di
     # each particle's draw row in the reps' stacked blocks of n_sys rows
     rows = (n_sys * np.arange(k)[:, None]
             + np.concatenate([np.arange(s) for s in sizes])).ravel()
-    W = np.concatenate([init.draw(pl, DOMAIN_SYSTEM, np.arange(n_sys), p) for pl in plans])[rows]
+    W = np.concatenate([init.draw(pl, DOMAIN_SYSTEM, n_sys, p) for pl in plans])[rows]
     scales = np.tile(np.repeat(
         [mf_scale] + [math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M)
                       for N in Ns],
@@ -420,7 +420,7 @@ def _companion_law(model, pi, hyper, init, N_ref, plan, pmap):
         )
     W_ref = _stratified_reference(init, N_ref, model.p)
     if W_ref is None:
-        W_ref = init.draw(plan, DOMAIN_REFERENCE, np.arange(N_ref), model.p)
+        W_ref = init.draw(plan, DOMAIN_REFERENCE, N_ref, model.p)
     try:
         ref = euler_run(model, pi, hyper, W_ref, plan, DOMAIN_REFERENCE, mf_scale,
                         "meanfield-reference", snapshot_times=[hyper.T])
@@ -515,6 +515,13 @@ def _chaos_rate_findings(config: ChaosRateConfig, ests) -> Findings:
     e = ests[config.N_grid[0]]
     reference = {"grid": f"grid law of the Euler scheme ({GRID_LAW_CELLS} cells)",
                  "particle": f"particle reference (N_ref={config.N_ref})"}[e.reference]
+    notes = (e.reference_note,) if e.reference_note else ()
+    zero = [r["N"] for r in rows if r["error"] <= 0]
+    if zero:  # an exact coupling, or no steps: there is no rate to fit
+        note = f"coupling error 0 at N={zero}; companions' law: {reference}"
+        verdicts = [Verdict.not_applicable(name, note)
+                    for name in ("slope", "upper_bound_compliance", "endpoint_ratio")]
+        return Findings({"errors": rows}, verdicts, {"reference": e.reference}, notes)
     fit = fit_rate([(r["N"], r["error"], r["stderr"]) for r in rows])
     C = rows[0]["error"] / rows[0]["bound"]
     # the anchor margin is 1 by construction; forming it by division anyway
@@ -534,8 +541,7 @@ def _chaos_rate_findings(config: ChaosRateConfig, ests) -> Findings:
                    note="error(N_min)/error(N_max)"),
     ]
     return Findings({"errors": rows}, verdicts,
-                    {"fit_slope": fit.slope, "fit_r2": fit.r2, "reference": e.reference},
-                    (e.reference_note,) if e.reference_note else ())
+                    {"fit_slope": fit.slope, "fit_r2": fit.r2, "reference": e.reference}, notes)
 
 
 # ----------------------------- two-regime study -----------------------------
@@ -578,26 +584,26 @@ def _regime_task(config: TwoRegimeConfig, task) -> list[float]:
     model, pi, init = config.problem.build()
     hyper = config.hyper.replace(beta=beta)
     plans = [NoisePlan(config.seed).child("regime", int(beta * 1000), s) for s in seeds]
+    run = msgld_run if config.engine == "msgld" else sgd_run
+    hyper_run, N_run = hyper, N
     if _regime_shortcut(config):
         # All particles share the minibatch and start equal, so every
         # particle of the N-run follows one common trajectory; a single
         # particle with the equivalent stepsize gamma * N^(beta-1) matches
         # it to rounding (its stepsize and predictions are formed from other floats).
-        # The seeds' particles run as one stacked block, each on its own plan.
-        hyper1 = hyper.replace(beta=1.0, gamma=hyper.gamma * float(N) ** (hyper.beta - 1.0))
-        traj = sgd_run(model, pi, hyper1, 1, init, plans, snapshot_times=[hyper.T])
-        return traj.endpoint()[:, 0].tolist()
-    run = msgld_run if config.engine == "msgld" else sgd_run
-    stats = []
-    for plan in plans:
-        W = run(model, pi, hyper, N, init, plan, snapshot_times=[hyper.T]).endpoint()
-        stats.append(float(W[0, 0]) if config.statistic == "particle0" else float(W[:, 0].mean()))
-    return stats
+        hyper_run = hyper.replace(beta=1.0, gamma=hyper.gamma * float(N) ** (hyper.beta - 1.0))
+        N_run = 1
+    # the seeds' systems run as one stacked block, each on its own plan
+    traj = run(model, pi, hyper_run, N_run, init, plans, snapshot_times=[hyper.T])
+    W = traj.endpoint().reshape(len(plans), N_run, model.p)
+    return (W[:, 0, 0] if config.statistic == "particle0" else W[:, :, 0].mean(axis=1)).tolist()
 
 
 def two_regime_study(config: TwoRegimeConfig, workers: int = 1) -> StudyReport:
     """Across-seed deviation of the endpoint statistic: vanishing vs stable noise."""
     seeds = range(config.seeds)
+    # the shortcut stacks every seed's one particle; a full N-run (up to 2^20
+    # particles) is one seed per task, so no block holds several of them
     groups = [tuple(seeds)] if _regime_shortcut(config) else [(s,) for s in seeds]
     tasks = [(beta, N, group) for beta in config.betas for N in config.N_grid for group in groups]
     return run_study("two-regime", config, workers, (partial(_regime_task, config), tasks),

@@ -9,9 +9,9 @@ root S.
 Every builtin feature is a ridge function F(w, x) = f(<w, x>), so one
 atom-major ``RidgeBlock`` of f and f' at X @ W.T (D, n) carries all a step
 needs: the law's per-atom predictions (the FieldCache) come from its f,
-and drift, covariance and noise root at the points from its f'.  The
-zero feature's block carries no activation: its predictions are 0 and its
-per-atom gradient terms are formed once per law column, not per point.
+and drift, covariance and diffusion increment at the points from its f'.
+The zero feature's block carries no activation: its predictions are 0 and
+its per-atom gradient terms are formed once per law column, not per point.
 
 A kernel takes the law one way: as its ``FieldCache``, or as its residual
 columns d1l(a(x_j), y_j) broadcastable to (D, n).  One law is the (D, 1)
@@ -45,7 +45,7 @@ __all__ = [
     "tilde_h",
     "mean_field_terms",
     "noise_width",
-    "drift_and_noise_root",
+    "drift_and_noise",
     "noise_xi",
     "covariance_sigma",
     "sqrt_psd",
@@ -287,30 +287,34 @@ def noise_width(model: ModelSpec, pi: DataDistribution) -> int:
     return len(pi) if model.p > 1 and model.sigma_override is None else model.p
 
 
-def drift_and_noise_root(W, law, model: ModelSpec, pi: DataDistribution, need_noise: bool):
-    """Drift h (n, p) and noise root R (n, k, p) of one Euler-Maruyama step.
+def drift_and_noise(W, law, model: ModelSpec, pi: DataDistribution, scale, Z):
+    """Drift h (n, p) and diffusion increment scale R^T z (n, p) of one Euler-Maruyama step.
 
-    ``W`` and ``law`` are read as in ``mean_field_terms``.  R^T R = Sigma per
-    particle, with k = ``noise_width``; R is None when ``need_noise`` is
-    false.  At p = 1, R is the scalar root sqrt(Sigma_00), which gives the
-    W2-optimal synchronous coupling.  At p > 1 it is the exact rank-D factor
-    R[:, j] = sqrt(pi_j) xi_j: R^T z with z ~ N(0, I_D) has the law of
-    Sigma^(1/2) z' without forming Sigma or taking its root.  Under the
-    model's ``sigma_override`` s, R is sqrt(s) I at every p, one (1, p, p)
-    root that every particle shares.
+    ``W`` and ``law`` are read as in ``mean_field_terms``; ``scale`` is a
+    float or a per-particle column (n, 1), and Z (n, ``noise_width``) holds
+    the step's standard normals.  The increment is None when Z is None.  R
+    is any factor with R^T R = Sigma per particle, which gives the same
+    Euler-Maruyama law.  At p = 1 it is the scalar root sqrt(Sigma_00),
+    which gives the W2-optimal synchronous coupling.  At p > 1 it is the
+    exact rank-D factor R[j] = sqrt(pi_j) xi_j, so R^T z with z ~ N(0, I_D)
+    has the law of Sigma^(1/2) z' without forming Sigma or taking its root.
+    Under the model's ``sigma_override`` s, R is sqrt(s) I.
     """
-    p, s = model.p, model.sigma_override
-    if need_noise and s is None:
-        if p > 1:
-            block, resid = _block_and_law(W, law, model, pi)
-            h, th, g = _ridge_drift(block, resid, model, pi)
-            return h, _noise_factor(th, g, pi).transpose(1, 0, 2)
-        h, _, sigma = mean_field_terms(W, law, model, pi, need_sigma=True)
-        return h, np.sqrt(np.clip(sigma[:, 0, 0], 0.0, None))[:, None, None]
-    h, _, _ = mean_field_terms(W, law, model, pi)
-    if not need_noise:
-        return h, None
-    return h, math.sqrt(s) * np.eye(p)[None]
+    s = model.sigma_override
+    if Z is None or s is not None:
+        h, _, _ = mean_field_terms(W, law, model, pi)
+        if Z is None:
+            return h, None
+        # rounded as the unpinned factor is: the scalar root times the scale
+        # at p = 1, the scale times R^T z at p > 1
+        return h, scale * math.sqrt(s) * Z if model.p == 1 else scale * (math.sqrt(s) * Z)
+    block, resid = _block_and_law(W, law, model, pi)
+    h, th, g = _ridge_drift(block, resid, model, pi)
+    F = _noise_factor(th, g, pi)
+    if model.p == 1:
+        # (scale * sqrt(Sigma_00)) * z; tests/test_noise.py pins this rounding
+        return h, scale * np.sqrt(np.clip((F * F).sum(axis=0), 0.0, None)) * Z
+    return h, scale * np.einsum("jnp,nj->np", F, Z)
 
 
 def mean_field_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:

@@ -5,10 +5,11 @@ row): the Philox key mixes (run_seed, domain, slot) and the step index sits
 in a high counter word, so streams for distinct addresses never overlap and
 a draw does not depend on evaluation order or worker count.
 
-Rows within one (domain, slot, step) block are the particle ids: row k of a
-block is the same no matter how many rows are generated, so a companion
-particle can replay exactly the draws of test particle k while a reference
-ensemble lives in its own domain.
+Row k of a (domain, slot, step) block belongs to particle k, and an
+ensemble of n particles reads the block's first n rows: row k is the same
+no matter how many rows are generated, so a companion particle can replay
+exactly the draws of test particle k while a reference ensemble lives in
+its own domain.
 
 Each (run_seed, domain, slot) is one Philox stream, built once per process
 and kept in a bounded cache; a draw addresses its step by setting the

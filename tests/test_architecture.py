@@ -38,15 +38,16 @@ def test_no_module_uses_another_modules_private_names(trees):
 
 
 def test_no_function_takes_the_noise_model_or_a_cache(trees):
-    # a law is one argument (FieldCache or residual columns), and the noise
-    # model is the ModelSpec's sigma_override field
+    # a law is one argument (FieldCache or residual columns), the noise
+    # model is the ModelSpec's sigma_override field, and every draw is the
+    # first n rows of its block, so no function takes particle ids
     offences = []
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
                 for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
-                    if arg is not None and arg.arg in ("sigma_override", "cache"):
+                    if arg is not None and arg.arg in ("sigma_override", "cache", "particle_ids"):
                         offences.append(f"{name}:{node.lineno} takes {arg.arg}")
     assert offences == []
 
@@ -88,6 +89,16 @@ def test_one_coupling_step_in_experiments(trees):
     defined = _enclosing_functions(
         trees, lambda n: isinstance(n, ast.FunctionDef) and n.name == "_coupled_grid_rep")
     assert defined == set()
+
+
+def test_one_noise_kernel_for_the_euler_step(trees):
+    # the drift and the diffusion increment come from one kernel, called by the step alone
+    defined = _enclosing_functions(trees, lambda n: isinstance(n, ast.FunctionDef) and n.name in (
+        "drift_and_noise_root", "diffusion_increment", "_draws"))
+    assert defined == set()
+    callers = _enclosing_functions(
+        trees, lambda n: isinstance(n, ast.Call) and _named(n.func, "drift_and_noise"))
+    assert callers == {"dynamics.py:euler_step"}
 
 
 def test_only_the_study_runner_builds_a_report(trees):

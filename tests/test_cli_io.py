@@ -544,6 +544,36 @@ class TestCliDispatch:
         traj = load_trajectory(tmp_path / "out" / "simulate-seed1" / "trajectory.bin")
         assert traj.times.tolist() == [0.0, 0.1, 0.2]
 
+    def test_overflowing_run_reports_its_divergence(self, tmp_path, capsys):
+        # a pinned noise of 1e308 overflows the second moment after one step
+        cfg = {"engine": "interacting-sde", "N": 64, "seed": 1, "sigma_override": 1e308,
+               "hyper": {"T": 1.0, "dt": 1.0}, "problem": {"feature": "zero", "penalty": 1.0}}
+        assert self.run(tmp_path, "simulate", cfg) == EXIT_VERDICT
+        assert "diverged: ensemble second moment inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", [
+        {"hyper": {"T": 0.0, "dt": 0.02}},  # no steps
+        {"hyper": {"T": 0.2, "dt": 0.02},  # one atom from a point mass: an exact coupling
+         "problem": {"labels": "single", "init_kind": "dirac"}},
+    ])
+    def test_zero_coupling_error_has_no_applicable_verdict(self, tmp_path, capsys, case,
+                                                           workers):
+        cfg = {**case, "N_grid": [4, 8, 16, 32], "m": 2, "N_ref": 64, "reps": 2, "seed": 3}
+        assert self.run(tmp_path, "chaos-rate", cfg, "--workers", workers) == EXIT_OK
+        assert "no applicable verdict: n/a" in capsys.readouterr().out
+        out = tmp_path / "out" / "chaos-rate-seed3"
+        rows = (out / "errors.csv").read_text().splitlines()
+        assert rows[0].startswith("N,error,") and [r.split(",")[:2] for r in rows[1:]] == [
+            [N, "0.0"] for N in ("4", "8", "16", "32")]
+        verdicts = json.loads((out / "verdicts.json").read_text())
+        assert verdicts["passed"] is None
+        assert [(v["name"], v["op"]) for v in verdicts["verdicts"]] == [
+            ("slope", "na"), ("upper_bound_compliance", "na"), ("endpoint_ratio", "na")]
+        assert all("coupling error 0 at N=[4, 8, 16, 32]" in v["note"]
+                   for v in verdicts["verdicts"])
+        assert self.run(tmp_path, "chaos-rate", cfg, "--workers", workers, "--strict") == 1
+
     def test_strict_verdict_failure_exit_one(self, tmp_path):
         # an impossible slope threshold forces a verdict failure
         cfg = {

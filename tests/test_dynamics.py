@@ -58,8 +58,8 @@ class TestInitSpec:
     def test_sample_columns_must_match_p(self):
         init = InitSpec.from_samples(np.zeros((5, 2)))
         with pytest.raises(ValueError, match="p=1"):
-            init.draw(NoisePlan(0), 0, np.arange(4), 1)
-        assert init.draw(NoisePlan(0), 0, np.arange(4), 2).shape == (4, 2)
+            init.draw(NoisePlan(0), 0, 4, 1)
+        assert init.draw(NoisePlan(0), 0, 4, 2).shape == (4, 2)
 
 
 class TestHorizon:
@@ -326,7 +326,8 @@ class TestGuardSegments:
         return None
 
     @pytest.mark.parametrize("p", [1, 2])
-    @pytest.mark.parametrize("case", ["calm", "at", "ulp-over", "two-over", "nan", "inf"])
+    @pytest.mark.parametrize("case", ["calm", "at", "ulp-over", "two-over", "nan", "inf",
+                                      "overflow"])
     def test_decides_as_guard_moment_on_each_segment(self, p, case):
         rng = np.random.default_rng(11)
         sizes = (3, 1, 5, 2)
@@ -342,6 +343,10 @@ class TestGuardSegments:
             W[5, 0] = np.nan
         elif case == "inf":
             W[10, -1] = -np.inf
+        elif case == "overflow":
+            # finite, but its squares are not: reported as inf, with no floating-point
+            # warning first (an error under this suite's filterwarnings)
+            W[4:9] = 1e200
         want = self.lone(W, sizes, self.CEILING)
         if want is None:
             guard_segments(W, sizes, 3, 0.5, self.CEILING)
@@ -595,23 +600,6 @@ class TestReproducibility:
         runs = [interacting_sde_run(TANH, NOISY, h, 16, InitSpec.uniform(), NoisePlan(123),
                                     snapshot_times="all").ensembles for _ in range(2)]
         np.testing.assert_array_equal(runs[0], runs[1])
-
-    def test_relabeling_equivariance(self):
-        # permuting particles together with their noise-stream ids permutes
-        # trajectories and leaves empirical statistics unchanged
-        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=1.0, dt=0.02)
-        N = 8
-        perm = np.array([3, 1, 7, 0, 2, 6, 4, 5])
-        base = interacting_sde_run(TANH, NOISY, h, N, InitSpec.uniform(), NoisePlan(11),
-                                   snapshot_times="all")
-        relabeled = interacting_sde_run(TANH, NOISY, h, N, InitSpec.uniform(), NoisePlan(11),
-                                        snapshot_times="all", particle_ids=perm)
-        # equality up to reduction-order roundoff: the empirical-measure sums
-        # run in permuted order, so the shared predictions differ by ulps
-        np.testing.assert_allclose(relabeled.ensembles, base.ensembles[:, perm, :],
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(np.sort(relabeled.endpoint()[:, 0]),
-                                   np.sort(base.endpoint()[:, 0]), rtol=1e-10)
 
     def test_exchangeability_across_index_blocks(self):
         # iid init: endpoint statistics of the first and second half match

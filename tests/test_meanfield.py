@@ -10,11 +10,12 @@ from chaoslab.dynamics import InitSpec, euler_run
 from chaoslab.meanfield import (
     EmpiricalMeasure,
     covariance_sigma,
-    drift_and_noise_root,
+    drift_and_noise,
     field_cache,
     g_envelope,
     mean_field_h,
     mean_field_terms,
+    noise_width,
     noise_xi,
     per_sample_grad,
     predict,
@@ -220,15 +221,19 @@ class TestSqrtPsd:
 
 class TestNoiseFactor:
     def test_factor_matches_covariance(self):
-        # sum_j F_j F_j^T reproduces Sigma, and the drift is mean_field_h
+        # sum_j F_j F_j^T reproduces Sigma, and the drift is mean_field_h: each
+        # point is repeated D times against the identity's rows, so its
+        # increments at scale 1 are the rows F_j of its factor
         rng = np.random.default_rng(7)
         for p in (2, 3):
             model, pi = random_problem(rng, p=p, n_atoms=4)
             W = rng.standard_normal((6, p))
             mu = EmpiricalMeasure(rng.standard_normal((5, p)))
-            h, F = drift_and_noise_root(W, field_cache(mu, model, pi), model, pi, True)
-            assert F.shape == (6, 4, p)
-            np.testing.assert_array_equal(h, mean_field_h(W, mu, model, pi))
+            assert noise_width(model, pi) == 4
+            h, rows = drift_and_noise(np.repeat(W, 4, axis=0), field_cache(mu, model, pi), model,
+                                      pi, 1.0, np.tile(np.eye(4), (6, 1)))
+            np.testing.assert_array_equal(h[::4], mean_field_h(W, mu, model, pi))
+            F = rows.reshape(6, 4, p)
             FF = np.einsum("ndp,ndq->npq", F, F)
             for i in range(6):
                 np.testing.assert_allclose(FF[i], covariance_sigma(W[i], mu, model, pi), atol=1e-12)
@@ -362,15 +367,19 @@ class TestZeroFeatureBlock:
     @pytest.mark.parametrize("p, penalty, labels", ZERO_PROBLEMS)
     @pytest.mark.parametrize("sigma_override", [None, 0.3])
     def test_drift_and_noise_root(self, p, penalty, labels, sigma_override):
+        # the drift and the diffusion increment of drift_and_noise
         zero, generic, pi, W = zero_problem(p, penalty, labels, sigma_override)
         law = field_cache(W, generic, pi)
-        for need_noise in (False, True):
-            h, root = drift_and_noise_root(ridge_block(W, zero, pi), law, zero, pi, need_noise)
-            h1, root1 = drift_and_noise_root(ridge_block(W, generic, pi), law, generic, pi,
-                                             need_noise)
+        scale = np.linspace(0.0, 1.0, len(W))[:, None]
+        Z = np.random.default_rng(p).standard_normal((len(W), noise_width(zero, pi)))
+        for z in (None, Z):
+            h, noise = drift_and_noise(ridge_block(W, zero, pi), law, zero, pi, scale, z)
+            h1, noise1 = drift_and_noise(ridge_block(W, generic, pi), law, generic, pi, scale, z)
             assert_same_bits(h, h1)
-            if need_noise:
-                assert_same_bits(root, root1)
+            if z is None:
+                assert noise is None and noise1 is None
+            else:
+                assert_same_bits(noise, noise1)
 
     @pytest.mark.parametrize("p, penalty, labels", ZERO_PROBLEMS)
     @pytest.mark.parametrize("sigma_override", [None, 0.3])

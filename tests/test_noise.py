@@ -11,7 +11,6 @@ from chaoslab.dynamics import (
     DOMAIN_REFERENCE,
     DOMAIN_SYSTEM,
     InitSpec,
-    diffusion_increment,
     interacting_sde_run,
     msgld_run,
     sgd_run,
@@ -28,10 +27,11 @@ from chaoslab.experiments import (
 from chaoslab.meanfield import (
     EmpiricalMeasure,
     covariance_sigma,
-    drift_and_noise_root,
+    drift_and_noise,
     field_cache,
     mean_field_terms,
     noise_width,
+    noise_xi,
 )
 from chaoslab.model import (
     DataAtom,
@@ -70,10 +70,10 @@ class TestFactorIncrement:
         w = np.array([0.3, -0.5])
         n, scale, dt = 20_000, 0.7, 0.02
         W = np.tile(w, (n, 1))
-        _, root = drift_and_noise_root(W, field_cache(mu, model, pi), model, pi, True)
         Z = NoisePlan(3).normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, 0, n, noise_width(model, pi))
         assert Z.shape == (n, 4)
-        inc = math.sqrt(dt) * diffusion_increment(root, scale, Z)
+        _, noise = drift_and_noise(W, field_cache(mu, model, pi), model, pi, scale, Z)
+        inc = math.sqrt(dt) * noise
         want = scale**2 * covariance_sigma(w, mu, model, pi) * dt
         got = inc.T @ inc / n
         se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / n)
@@ -127,7 +127,7 @@ class TestScalarRootAtP1:
         traj = interacting_sde_run(TANH, NOISY, h, N, init, NoisePlan(4), snapshot_times="all")
 
         scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
-        W = init.draw(NoisePlan(4), DOMAIN_SYSTEM, np.arange(N), 1)
+        W = init.draw(NoisePlan(4), DOMAIN_SYSTEM, N, 1)
         want = [W]
         for n in range(10):
             hn, _, sig = mean_field_terms(W, field_cache(W, TANH, NOISY), TANH, NOISY,
@@ -147,7 +147,7 @@ class TestScalarRootAtP1:
         plan = NoisePlan(6)
         ests = coupled_chaos_error(TANH, NOISY, h, Ns, m, N_ref, 1, plan, init)
 
-        W_ref = init.draw(plan, DOMAIN_REFERENCE, np.arange(N_ref), 1)
+        W_ref = init.draw(plan, DOMAIN_REFERENCE, N_ref, 1)
         laws = particle_reference_laws(h, W_ref, plan)
         sups = hand_rolled_rep(h, Ns, m, init, plan.child("rep", 0), laws)
         for N in Ns:
@@ -196,7 +196,7 @@ def hand_rolled_rep(h, Ns, m, init, rep, laws, model=TANH, pi=NOISY):
     """Sup over the steps of the companions' squared gaps to each test system's
     first m particles, the companions reading the residual row laws[n] at step n."""
     sq_dt = math.sqrt(h.dt)
-    W_sys = init.draw(rep, DOMAIN_SYSTEM, np.arange(max(Ns)), 1)
+    W_sys = init.draw(rep, DOMAIN_SYSTEM, max(Ns), 1)
     tests = {N: W_sys[:N].copy() for N in Ns}
     W_comp = W_sys[:m].copy()
     sups = {N: 0.0 for N in Ns}
@@ -331,11 +331,16 @@ class TestOneActivationBlockPerStep:
         traj = interacting_sde_run(model, pi, h, N, InitSpec.uniform(-0.5, 0.5), plan,
                                    snapshot_times="all")
         W0 = traj.ensembles[0]
-        drift, F = drift_and_noise_root(W0, field_cache(W0, model, pi), model, pi, True)
         Z = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, 0, N, len(pi))
         scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
-        want = W0 + drift * h.dt + math.sqrt(h.dt) * scale * np.einsum("ndp,nd->np", F, Z)
-        np.testing.assert_allclose(traj.ensembles[1], want, rtol=0.0, atol=1e-12)
+        drift, noise = drift_and_noise(W0, field_cache(W0, model, pi), model, pi, scale, Z)
+        np.testing.assert_array_equal(traj.ensembles[1],
+                                      W0 + (drift * h.dt + math.sqrt(h.dt) * noise))
+        # the factor's row j is sqrt(pi_j) xi_j, built here atom by atom
+        F = np.array([[math.sqrt(a.weight) * noise_xi(w, W0, model, pi, a) for a in pi.atoms]
+                      for w in W0])
+        np.testing.assert_allclose(noise, scale * np.einsum("ndp,nd->np", F, Z), rtol=0.0,
+                                   atol=1e-12)
 
 
 class TestNoiseModel:
@@ -361,17 +366,22 @@ class TestNoiseModel:
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_the_pinned_root_is_shared_by_every_particle(self, p):
-        # one (1, p, p) root gives the increments the per-particle root gives
+        # every particle's factor is sqrt(s) I, wherever it sits: each increment is
+        # scale sqrt(s) z, with the rounding of that factor applied to z
         model = replace(make_model("tanh-dot", "square", p=p), sigma_override=0.5)
         pi = DataDistribution([DataAtom(np.linspace(-1, 1, p), 0.3, 1.0)])
         rng = np.random.default_rng(p)
         W, Z = rng.standard_normal((6, p)), rng.standard_normal((6, p))
-        _, root = drift_and_noise_root(W, field_cache(W, model, pi), model, pi, True)
-        assert root.shape == (1, p, p)
-        np.testing.assert_array_equal(root[0], math.sqrt(0.5) * np.eye(p))
+        assert noise_width(model, pi) == p
+        law = field_cache(W, model, pi)
         for scale in (0.7, np.linspace(0.1, 1.0, 6)[:, None]):
-            np.testing.assert_array_equal(diffusion_increment(root, scale, Z),
-                                          diffusion_increment(np.repeat(root, 6, axis=0), scale, Z))
+            _, noise = drift_and_noise(W, law, model, pi, scale, Z)
+            want = (scale * math.sqrt(0.5)) * Z if p == 1 else scale * (math.sqrt(0.5) * Z)
+            np.testing.assert_array_equal(noise, want)
+            for i in range(6):
+                s_i = scale if np.ndim(scale) == 0 else scale[i:i + 1]
+                _, alone = drift_and_noise(W[i:i + 1], law, model, pi, s_i, Z[i:i + 1])
+                np.testing.assert_array_equal(alone, noise[i:i + 1])
 
     def test_one_model_pins_every_kernel(self):
         mu = EmpiricalMeasure(np.array([[0.3], [-0.2]]))
