@@ -239,23 +239,26 @@ def _block_and_law(W, law, model: ModelSpec, pi: DataDistribution):
 
 
 def _ridge_drift(block: RidgeBlock, resid: np.ndarray, model: ModelSpec, pi: DataDistribution):
-    """Drift h, its bounded part tilde_h = -sum_j pi_j g_j, and the per-atom
-    gradient terms g_j = d1l_j f'(<w, x_j>) x_j, atom-major (D, n, p).
+    """Drift h (n, p), its bounded part tilde_h = -sum_j pi_j g_j, particle-last
+    (p, n), and the per-atom gradient terms g_j = d1l_j f'(<w, x_j>) x_j,
+    atom-major and particle-last (D, p, n).
 
+    Particle-last, numpy's inner loops run over the points, not over p.
     For the zero feature g_j = 0 * (d1l_j x_j), a signed zero as the
     generic product gives, is formed once per law column, and tilde_h is
     broadcast to the points, read-only.
     """
     zero = block.df is None
-    g = (0.0 if zero else block.df[:, :, None]) * (resid[:, :, None] * pi.xs[:, None, :])
+    g = (0.0 if zero else block.df[:, None, :]) * (resid[:, None, :] * pi.xs[:, :, None])
     th = -(pi.weights[:, None, None] * g).sum(axis=0)  # atom by atom, per point
     if zero:
-        th = np.broadcast_to(th, block.W.shape)
-    return th - model.penalty.grad(block.W), th, g
+        th = np.broadcast_to(th, block.W.shape[::-1])
+    return th.T - model.penalty.grad(block.W), th, g
 
 
 def _noise_factor(th: np.ndarray, g: np.ndarray, pi: DataDistribution) -> np.ndarray:
-    """The rank-D factor sqrt(pi_j) xi_j = -sqrt(pi_j) (tilde_h + g_j), atom-major (D, n, p)."""
+    """The rank-D factor sqrt(pi_j) xi_j = -sqrt(pi_j) (tilde_h + g_j), atom-major and
+    particle-last (D, p, n), from tilde_h (p, n) and g (D, p, n)."""
     return -np.sqrt(pi.weights)[:, None, None] * (th + g)
 
 
@@ -271,12 +274,12 @@ def mean_field_terms(W, law, model: ModelSpec, pi: DataDistribution, need_sigma:
     block, resid = _block_and_law(W, law, model, pi)
     h, th, g = _ridge_drift(block, resid, model, pi)
     if not need_sigma:
-        return h, th, None
+        return h, th.T, None
     n, p = block.W.shape
     if model.sigma_override is not None:
-        return h, th, np.broadcast_to(model.sigma_override * np.eye(p), (n, p, p)).copy()
+        return h, th.T, np.broadcast_to(model.sigma_override * np.eye(p), (n, p, p)).copy()
     F = _noise_factor(th, g, pi)
-    return h, th, (F[:, :, :, None] * F[:, :, None, :]).sum(axis=0)
+    return h, th.T, (F[:, :, None, :] * F[:, None, :, :]).sum(axis=0).transpose(2, 0, 1)
 
 
 def noise_width(model: ModelSpec, pi: DataDistribution) -> int:
@@ -313,8 +316,8 @@ def drift_and_noise(W, law, model: ModelSpec, pi: DataDistribution, scale, Z):
     F = _noise_factor(th, g, pi)
     if model.p == 1:
         # (scale * sqrt(Sigma_00)) * z; tests/test_noise.py pins this rounding
-        return h, scale * np.sqrt(np.clip((F * F).sum(axis=0), 0.0, None)) * Z
-    return h, scale * np.einsum("jnp,nj->np", F, Z)
+        return h, scale * np.sqrt(np.clip((F * F).sum(axis=0).T, 0.0, None)) * Z
+    return h, scale * (F * Z.T[:, None, :]).sum(axis=0).T
 
 
 def mean_field_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:

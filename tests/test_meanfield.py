@@ -402,6 +402,53 @@ class TestZeroFeatureBlock:
             assert_same_bits(getattr(laws[0], field), getattr(laws[1], field))
 
 
+def particle_first_kernel(W, resid, model, pi, scale, Z):
+    """The particle-first (D, n, p) kernel that the particle-last layout replaced,
+    kept as the bitwise oracle: (h, tilde_h, Sigma, scale R^T z)."""
+    block = ridge_block(W, model, pi)
+    resid = resid[:, None] if resid.ndim == 1 else resid
+    zero = block.df is None
+    g = (0.0 if zero else block.df[:, :, None]) * (resid[:, :, None] * pi.xs[:, None, :])
+    th = -(pi.weights[:, None, None] * g).sum(axis=0)
+    if zero:
+        th = np.broadcast_to(th, W.shape)
+    F = -np.sqrt(pi.weights)[:, None, None] * (th + g)
+    if model.p == 1:
+        noise = scale * np.sqrt(np.clip((F * F).sum(axis=0), 0.0, None)) * Z
+    else:
+        noise = scale * np.einsum("jnp,nj->np", F, Z)
+    sigma = (F[:, :, :, None] * F[:, :, None, :]).sum(axis=0)
+    return th - model.penalty.grad(W), th, sigma, noise
+
+
+class TestParticleLastKernel:
+    """drift_and_noise and mean_field_terms give the particle-first kernel's bits."""
+
+    @pytest.mark.parametrize("n", [1, 7, 512])
+    @pytest.mark.parametrize("feature", ["tanh-dot", "zero", "linear-dot"])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_same_bits_as_particle_first(self, p, feature, n):
+        rng = np.random.default_rng(100 * p + n)
+        _, pi = random_problem(rng, p=p, n_atoms=5)
+        # a zero penalty at n = 7 leaves tilde_h's signed zeros in h
+        model = make_model(feature, "square", 0.0 if n == 7 else 0.5, p=p)
+        W = rng.standard_normal((n, p))
+        W[0] = 0.0
+        cache = field_cache(rng.standard_normal((9, p)), model, pi)
+        columns = rng.standard_normal((len(pi), n)) * (rng.random((len(pi), n)) < 0.7)
+        Z = rng.standard_normal((n, noise_width(model, pi)))
+        for law, resid in ((cache, cache.residual_d1), (cache.residual_d1[:, None],) * 2,
+                           (columns, columns)):
+            h, th, sigma = mean_field_terms(W, law, model, pi, need_sigma=True)
+            for scale in (0.7, np.linspace(0.0, 1.0, n)[:, None]):
+                want = particle_first_kernel(W, resid, model, pi, scale, Z)
+                for got, ref in zip((h, th, sigma), want):
+                    assert_same_bits(got, ref)
+                h1, noise = drift_and_noise(W, law, model, pi, scale, Z)
+                assert_same_bits(h1, want[0])
+                assert_same_bits(noise, want[3])
+
+
 class TestBoundedness:
     """Explicit envelope bounds on the drift, covariance trace, and noise."""
 
