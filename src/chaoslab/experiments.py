@@ -667,29 +667,45 @@ class SweepConfig:
         self.hyper.euler_steps()
 
 
-def _sweep_task(config: SweepConfig, task) -> float:
-    key, value, r = task
+def _sweep_task(config: SweepConfig, key: str, values, r: int) -> list[float]:
+    """Rep r of a limit sweep: W2 from each value's SDE endpoint to one ODE endpoint.
+
+    The ODE limit reads neither gamma nor M, so one run of it on the rep's
+    own plan serves every value (common random numbers); each value's SDE
+    keeps its plan.  A run that diverges is named by its key, run and rep.
+    """
     model, pi, init = config.problem.build()
     h = config.hyper
-    hyper = h.replace(gamma=value) if key == "gamma" else h.replace(M=int(value))
-    plan = NoisePlan(config.seed).child("sweep", key, int(value * 1000), r)
-    sde = meanfield_sde_run(model, pi, hyper, config.N_ref, init, plan,
-                            snapshot_times=[hyper.T])
-    ode = meanfield_ode_run(model, pi, hyper, config.N_ref, init, plan.child("ode"),
-                            snapshot_times=[hyper.T])
-    return w2_1d_quantile(sde.endpoint()[:, 0], ode.endpoint()[:, 0]) if model.p == 1 \
-        else w2_ensembles(sde.endpoint(), ode.endpoint(), seed=config.seed)
+    plan = NoisePlan(config.seed)
+
+    def endpoint(run, hyper, run_plan, name):
+        try:
+            return run(model, pi, hyper, config.N_ref, init, run_plan,
+                       snapshot_times=[hyper.T]).endpoint()
+        except EnsembleDiverged as exc:
+            exc.add_note(f"in the {key} sweep's {name}, rep {r}")
+            raise
+
+    ode = endpoint(meanfield_ode_run, h, plan.child("sweep", key, "ode", r), "ODE limit")
+    out = []
+    for value in values:
+        hyper = h.replace(gamma=value) if key == "gamma" else h.replace(M=int(value))
+        sde = endpoint(meanfield_sde_run, hyper, plan.child("sweep", key, int(value * 1000), r),
+                       f"run at {key}={value}")
+        out.append(w2_1d_quantile(sde[:, 0], ode[:, 0]) if model.p == 1
+                   else w2_ensembles(sde, ode, seed=config.seed))
+    return out
 
 
 def _limit_sweep(config: SweepConfig, key: str, values, workers: int) -> StudyReport:
-    tasks = [(key, v, r) for v in values for r in range(config.reps)]
-    return run_study(f"{key}-sweep", config, workers, (partial(_sweep_task, config), tasks),
+    return run_study(f"{key}-sweep", config, workers,
+                     (partial(_sweep_task, config, key, values), range(config.reps)),
                      partial(_sweep_findings, key, values))
 
 
-def _sweep_findings(key: str, values, config: SweepConfig, per_task) -> Findings:
+def _sweep_findings(key: str, values, config: SweepConfig, per_rep) -> Findings:
     rows = []
-    for v, ws in zip(values, np.array(per_task).reshape(len(values), config.reps)):
+    for v, ws in zip(values, np.array(per_rep).reshape(config.reps, len(values)).T):
         stderr = float(ws.std(ddof=1) / math.sqrt(config.reps)) if config.reps > 1 else 0.0
         rows.append({key: v, "w2_to_ode_limit": float(ws.mean()), "stderr": stderr})
 

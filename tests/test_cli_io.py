@@ -499,7 +499,9 @@ class TestCliDispatch:
         assert verdicts["passed"] is False
         [v] = verdicts["verdicts"]
         assert v["name"] == "diverged" and v["passed"] is False and v["threshold"] == 1e8
-        assert "in task ('gamma', 1.0, 0) of _sweep_task at step 0 (t=0)" in v["note"]
+        # the ODE limit runs first in each rep, so it is the run named
+        assert v["note"] == ("ensemble second moment over its ceiling in the gamma sweep's ODE "
+                             "limit, rep 0; in task 0 of _sweep_task at step 0 (t=0)")
 
     def test_check_assumptions_clean_model_exit_zero(self, tmp_path):
         cfg = {"problem": {"feature": "tanh-dot", "loss": "square"}, "seed": 2}

@@ -12,7 +12,15 @@ import pytest
 
 import chaoslab
 import chaoslab.experiments as xp
-from chaoslab.dynamics import EnsembleDiverged, InitSpec, interacting_sde_run, msgld_run, sgd_run
+from chaoslab.dynamics import (
+    EnsembleDiverged,
+    InitSpec,
+    interacting_sde_run,
+    meanfield_ode_run,
+    meanfield_sde_run,
+    msgld_run,
+    sgd_run,
+)
 from chaoslab.experiments import (
     ChaosRateConfig,
     ConsistencyConfig,
@@ -30,7 +38,7 @@ from chaoslab.experiments import (
     two_term_bound,
     two_regime_study,
 )
-from chaoslab.metrics import w2_ensembles
+from chaoslab.metrics import w2_1d_quantile, w2_ensembles
 from chaoslab.model import Hyperparams
 from chaoslab.rng import NoisePlan
 
@@ -287,6 +295,57 @@ class TestSweeps:
         a = gamma_sweep(self.fast_config())
         b = gamma_sweep(self.fast_config())
         assert a.tables == b.tables
+
+    @pytest.mark.parametrize("sweep", [gamma_sweep, batch_sweep])
+    def test_one_ode_limit_per_rep(self, monkeypatch, sweep):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return meanfield_ode_run(*args, **kwargs)
+
+        monkeypatch.setattr(xp, "meanfield_ode_run", counting)
+        cfg = self.fast_config(N_ref=16, reps=3, hyper=FAST_HYPER.replace(T=0.2))
+        sweep(cfg, workers=1)
+        assert len(calls) == cfg.reps
+
+    @pytest.mark.parametrize("key, p", [("gamma", 1), ("batch", 2)])
+    def test_each_value_is_measured_against_its_reps_ode_limit(self, key, p):
+        cfg = self.fast_config(problem=ProblemConfig(labels="noisy", p=p), N_ref=32, reps=2,
+                               hyper=FAST_HYPER.replace(T=0.3))
+        values = cfg.gammas if key == "gamma" else cfg.batches
+        model, pi, init = cfg.problem.build()
+        T = cfg.hyper.T
+        per_rep = []
+        for r in range(cfg.reps):
+            plan = NoisePlan(cfg.seed).child("sweep", key, "ode", r)
+            ode = meanfield_ode_run(model, pi, cfg.hyper, cfg.N_ref, init, plan,
+                                    snapshot_times=[T]).endpoint()
+            want = []
+            for v in values:
+                hyper = cfg.hyper.replace(gamma=v) if key == "gamma" else cfg.hyper.replace(M=v)
+                plan = NoisePlan(cfg.seed).child("sweep", key, int(v * 1000), r)
+                sde = meanfield_sde_run(model, pi, hyper, cfg.N_ref, init, plan,
+                                        snapshot_times=[T]).endpoint()
+                want.append(w2_1d_quantile(sde[:, 0], ode[:, 0]) if p == 1
+                            else w2_ensembles(sde, ode, seed=cfg.seed))
+            assert xp._sweep_task(cfg, key, values, r) == want
+            per_rep.append(want)
+        rows = (gamma_sweep if key == "gamma" else batch_sweep)(cfg).tables["distances"]
+        assert [row["w2_to_ode_limit"] for row in rows] == \
+            [float(np.mean(ws)) for ws in zip(*per_rep)]
+
+    def test_diverged_sde_run_is_named_with_its_value_and_rep(self, monkeypatch):
+        def diverging(model, pi, hyper, *args, **kwargs):
+            if hyper.gamma == 0.25:
+                raise EnsembleDiverged(3, 0.15, 2e8, 1e8)
+            return meanfield_sde_run(model, pi, hyper, *args, **kwargs)
+
+        monkeypatch.setattr(xp, "meanfield_sde_run", diverging)
+        cfg = self.fast_config(N_ref=16, hyper=FAST_HYPER.replace(T=0.2))
+        assert gamma_sweep(cfg).verdict("diverged").note == (
+            "ensemble second moment over its ceiling in the gamma sweep's run at gamma=0.25, "
+            "rep 0; in task 0 of _sweep_task at step 3 (t=0.15)")
 
 
 class TestHistogramStudy:
