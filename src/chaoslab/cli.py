@@ -72,6 +72,10 @@ def _resolve_problem(config):
     return model, pi, init
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def _report_outputs(report: xp.StudyReport, out_dir: Path, manifest: RunManifest) -> list[Path]:
     files = []
     for name, rows in report.tables.items():
@@ -82,7 +86,9 @@ def _report_outputs(report: xp.StudyReport, out_dir: Path, manifest: RunManifest
     write_json(verdict_path, {
         "study_id": report.study_id,
         "passed": report.passed,
-        "verdicts": [asdict(v) for v in report.verdicts],
+        # strict JSON: an n/a verdict's NaN measured and threshold are written as null
+        "verdicts": [{**asdict(v), "measured": _finite_or_none(v.measured),
+                      "threshold": _finite_or_none(v.threshold)} for v in report.verdicts],
         "warnings": report.warnings,
         "elapsed_s": report.elapsed_s,
     })

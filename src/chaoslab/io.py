@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -86,6 +87,9 @@ def _json_value(tp, value, name: str, command: str):
     kind, accepted = _SCALARS.get(tp, ("array" if typing.get_origin(tp) is tuple else "object", ()))
     whole = isinstance(value, float) and value.is_integer()
     if not isinstance(value, bool) and (isinstance(value, accepted) or tp is int and whole):
+        if isinstance(value, float) and not math.isfinite(value):
+            # json.load reads NaN and Infinity, which are not JSON and no output could echo
+            raise ConfigError(f"config field {name}: {value!r} is not a finite number", name)
         return value
     raise ConfigError(f"config field {name}: {value!r} is not of type '{kind}'", name)
 
@@ -254,7 +258,9 @@ def write_csv(path: str | Path, rows, columns: list[str] | None = None):
 
 
 def write_json(path: str | Path, obj):
-    _atomic_write_bytes(Path(path), (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    """Write ``obj`` as strict JSON: a NaN or infinity raises instead of writing a bare constant."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write_bytes(Path(path), (text + "\n").encode("utf-8"))
 
 
 def _atomic_write_bytes(path: Path, data: bytes):

@@ -503,6 +503,37 @@ class TestCliDispatch:
         assert v["note"] == ("ensemble second moment over its ceiling in the gamma sweep's ODE "
                              "limit, rep 0; in task 0 of _sweep_task at step 0 (t=0)")
 
+    @pytest.mark.parametrize("command, cfg, seed", [
+        # an exact coupling: all three verdicts are n/a
+        ("chaos-rate", {"problem": {"labels": "single", "init_kind": "dirac"},
+                        "hyper": {"T": 0.2, "dt": 0.02}, "N_grid": [4, 8, 16, 32], "m": 2,
+                        "N_ref": 64, "reps": 2}, 123),
+        # a single-gamma grid: monotonicity is n/a
+        ("gamma-sweep", {"hyper": {"T": 0.2, "dt": 0.05}, "gammas": [0.5], "N_ref": 16,
+                         "reps": 2, "seed": 1}, 1),
+    ])
+    def test_na_verdicts_are_strict_json(self, tmp_path, command, cfg, seed):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert self.run(tmp_path, command, cfg) == EXIT_OK
+        out = tmp_path / "out" / f"{command}-seed{seed}"
+        verdicts = json.loads((out / "verdicts.json").read_text(), parse_constant=reject)
+        na = [v for v in verdicts["verdicts"] if v["op"] == "na"]
+        assert na and all(v["measured"] is None and v["threshold"] is None for v in na)
+        json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_number_names_its_field(self, tmp_path, capsys, constant):
+        # json.load reads these constants; a manifest could not echo them as JSON
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"slope_threshold": %s}' % constant)
+        assert cli_dispatch(["chaos-rate", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"config field slope_threshold: {float(constant)!r} is not a finite number" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_check_assumptions_clean_model_exit_zero(self, tmp_path):
         cfg = {"problem": {"feature": "tanh-dot", "loss": "square"}, "seed": 2}
         rc = self.run(tmp_path, "check-assumptions", cfg, "--strict")
