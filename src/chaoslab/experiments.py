@@ -705,7 +705,7 @@ def _limit_sweep(config: SweepConfig, key: str, values, workers: int) -> StudyRe
 
 def _sweep_findings(key: str, values, config: SweepConfig, per_rep) -> Findings:
     rows = []
-    for v, ws in zip(values, np.array(per_rep).reshape(config.reps, len(values)).T):
+    for v, ws in zip(values, np.array(per_rep).T):  # per_rep is (reps, values)
         stderr = float(ws.std(ddof=1) / math.sqrt(config.reps)) if config.reps > 1 else 0.0
         rows.append({key: v, "w2_to_ode_limit": float(ws.mean()), "stderr": stderr})
 

@@ -273,13 +273,15 @@ def mean_field_terms(W, law, model: ModelSpec, pi: DataDistribution, need_sigma:
     """
     block, resid = _block_and_law(W, law, model, pi)
     h, th, g = _ridge_drift(block, resid, model, pi)
-    if not need_sigma:
-        return h, th.T, None
     n, p = block.W.shape
-    if model.sigma_override is not None:
-        return h, th.T, np.broadcast_to(model.sigma_override * np.eye(p), (n, p, p)).copy()
-    F = _noise_factor(th, g, pi)
-    return h, th.T, (F[:, :, None, :] * F[:, None, :, :]).sum(axis=0).transpose(2, 0, 1)
+    if not need_sigma:
+        sigma = None
+    elif model.sigma_override is not None:
+        sigma = np.broadcast_to(model.sigma_override * np.eye(p), (n, p, p)).copy()
+    else:
+        F = _noise_factor(th, g, pi)
+        sigma = (F[:, :, None, :] * F[:, None, :, :]).sum(axis=0).transpose(2, 0, 1)
+    return h, th.T, sigma
 
 
 def noise_width(model: ModelSpec, pi: DataDistribution) -> int:
