@@ -72,10 +72,6 @@ def _resolve_problem(config):
     return model, pi, init
 
 
-def _finite_or_none(x: float) -> float | None:
-    return x if math.isfinite(x) else None
-
-
 def _report_outputs(report: xp.StudyReport, out_dir: Path, manifest: RunManifest) -> list[Path]:
     files = []
     for name, rows in report.tables.items():
@@ -86,9 +82,7 @@ def _report_outputs(report: xp.StudyReport, out_dir: Path, manifest: RunManifest
     write_json(verdict_path, {
         "study_id": report.study_id,
         "passed": report.passed,
-        # strict JSON: an n/a verdict's NaN measured and threshold are written as null
-        "verdicts": [{**asdict(v), "measured": _finite_or_none(v.measured),
-                      "threshold": _finite_or_none(v.threshold)} for v in report.verdicts],
+        "verdicts": [asdict(v) for v in report.verdicts],
         "warnings": report.warnings,
         "elapsed_s": report.elapsed_s,
     })

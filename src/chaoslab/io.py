@@ -88,7 +88,7 @@ def _json_value(tp, value, name: str, command: str):
     whole = isinstance(value, float) and value.is_integer()
     if not isinstance(value, bool) and (isinstance(value, accepted) or tp is int and whole):
         if isinstance(value, float) and not math.isfinite(value):
-            # json.load reads NaN and Infinity, which are not JSON and no output could echo
+            # json.load reads NaN and Infinity, which are not JSON: a manifest would echo null
             raise ConfigError(f"config field {name}: {value!r} is not a finite number", name)
         return value
     raise ConfigError(f"config field {name}: {value!r} is not of type '{kind}'", name)
@@ -257,9 +257,21 @@ def write_csv(path: str | Path, rows, columns: list[str] | None = None):
     _atomic_write_bytes(path, data.encode("utf-8"))
 
 
+def _finite_json(obj):
+    """``obj`` with every non-finite float, which JSON cannot express, replaced by None."""
+    if isinstance(obj, float):  # numpy's float64 included
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def write_json(path: str | Path, obj):
-    """Write ``obj`` as strict JSON: a NaN or infinity raises instead of writing a bare constant."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    """Write ``obj`` as strict JSON: a NaN or infinity (an n/a verdict, a moment or a
+    distance that overflowed) is written as null, never as a bare constant."""
+    text = json.dumps(_finite_json(obj), indent=2, sort_keys=True, allow_nan=False)
     _atomic_write_bytes(Path(path), (text + "\n").encode("utf-8"))
 
 

@@ -566,7 +566,8 @@ def check_assumptions(
                     AssumptionViolation("||F|| + ||D1F|| + ||D2F|| + ||D3F|| <= Phi(x)", j, i, lhs, phi)
                 )
 
-    moment = float(np.sum(pi.weights * (phis**10 + psis**4)))
+    with np.errstate(over="ignore"):  # an overflow reads inf, reported just below
+        moment = float(np.sum(pi.weights * (phis**10 + psis**4)))
     n_checks += 1
     if not np.isfinite(moment):
         violations.append(AssumptionViolation("moment sum finite", None, None, moment, math.inf))

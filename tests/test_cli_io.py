@@ -258,6 +258,11 @@ def test_code_version_without_git_is_the_package_version(tmp_path):
 DIVERGING_BOX = {"init_low": 19000.0, "init_high": 20000.0}
 
 
+def _reject_constant(constant):
+    """A ``json.loads`` hook that refuses the bare NaN and Infinity strict JSON has not."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 class TestCliDispatch:
     def run(self, tmp_path, command, cfg, *extra):
         cfg_path = tmp_path / "cfg.json"
@@ -513,15 +518,36 @@ class TestCliDispatch:
                          "reps": 2, "seed": 1}, 1),
     ])
     def test_na_verdicts_are_strict_json(self, tmp_path, command, cfg, seed):
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
         assert self.run(tmp_path, command, cfg) == EXIT_OK
         out = tmp_path / "out" / f"{command}-seed{seed}"
-        verdicts = json.loads((out / "verdicts.json").read_text(), parse_constant=reject)
+        verdicts = json.loads((out / "verdicts.json").read_text(), parse_constant=_reject_constant)
         na = [v for v in verdicts["verdicts"] if v["op"] == "na"]
         assert na and all(v["measured"] is None and v["threshold"] is None for v in na)
-        json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+        json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+
+    def test_overflowed_moment_is_written_as_null(self, tmp_path, capsys):
+        # a finite atom whose psi^4 overflows: the moment sum is inf, and a violation
+        data = tmp_path / "d.csv"
+        data.write_text("x_1,y\n0.5,1e80\n-0.3,0.2\n")
+        cfg = {"dataset": str(data), "problem": {"feature": "tanh-dot", "loss": "square"}}
+        assert self.run(tmp_path, "check-assumptions", cfg, "--strict") == 1
+        assert "Traceback" not in capsys.readouterr().err
+        out = tmp_path / "out" / "check-assumptions-seed0"
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        assert report["ok"] is False and report["moment_value"] is None
+        assert any("moment sum finite" in v for v in report["violations"])
+        json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+
+    def test_overflowed_distance_is_written_as_null(self, tmp_path):
+        (tmp_path / "a.csv").write_text("w_1\n1e200\n1e200\n")
+        (tmp_path / "b.csv").write_text("w_1\n-1e200\n-1e200\n")
+        cfg = {"samples_a": str(tmp_path / "a.csv"), "samples_b": str(tmp_path / "b.csv")}
+        # the distance, 2e200, is finite, but its square is not: numpy warns and W2 reads inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert self.run(tmp_path, "metrics", cfg) == EXIT_OK
+        out = json.loads((tmp_path / "out" / "metrics-seed0" / "distances.json").read_text(),
+                         parse_constant=_reject_constant)
+        assert out["w2"] is None and out["w2_1d"] is None
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_config_number_names_its_field(self, tmp_path, capsys, constant):
