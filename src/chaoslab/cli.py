@@ -93,7 +93,7 @@ def _report_outputs(report: xp.StudyReport, out_dir: Path, manifest: RunManifest
 
 def _finish_study(report: xp.StudyReport, args, cfg: dict, seed: int) -> int:
     out_dir = output_root(args.out) / f"{report.study_id}-seed{seed}"
-    manifest = RunManifest.start(report.study_id, cfg, seed)
+    manifest = RunManifest.start(report.study_id, cfg, seed, workers=args.workers)
     _report_outputs(report, out_dir, manifest)
     for v in report.verdicts:
         status = "PASS" if v.passed else ("n/a" if v.passed is None else "FAIL")
@@ -209,7 +209,7 @@ def _cmd_simulate(args, cfg: dict, config: SimulateConfig) -> int:
         "n_steps": traj.meta.get("n_steps"),
         "dt": hyper.dt,
         "x_max": pi.x_max,
-    })
+    }, workers=args.workers)
     bin_path = out_dir / "trajectory.bin"
     csv_path = out_dir / "trajectory.csv"
     save_trajectory(traj, bin_path)
@@ -257,7 +257,7 @@ def _cmd_stationary(args, cfg: dict, config: StationaryConfig) -> int:
         "residual": result.residual,
         "converged": result.converged,
         "w2_drift": drift,
-    })
+    }, workers=args.workers)
     dens_path = out_dir / "density.csv"
     write_csv(dens_path, [
         {"w": repr(float(w)), "density": repr(float(v))}
@@ -292,7 +292,7 @@ def _cmd_check_assumptions(args, cfg: dict, config: CheckAssumptionsConfig) -> i
         probes = [np.asarray(q, dtype=np.float64) for q in probes]
     report = check_assumptions(model, pi, probes, seed=seed)
     out_dir = output_root(args.out) / f"check-assumptions-seed{seed}"
-    manifest = RunManifest.start("check-assumptions", cfg, seed)
+    manifest = RunManifest.start("check-assumptions", cfg, seed, workers=args.workers)
     report_path = out_dir / "report.json"
     write_json(report_path, {
         "ok": report.ok,
@@ -353,7 +353,7 @@ def _cmd_metrics(args, cfg: dict, config: MetricsConfig) -> int:
         out["w2_sliced"] = sl.value
         out["w2_sliced_stderr"] = sl.stderr
     out_dir = output_root(args.out) / f"metrics-seed{seed}"
-    manifest = RunManifest.start("metrics", cfg, seed)
+    manifest = RunManifest.start("metrics", cfg, seed, workers=args.workers)
     path = out_dir / "distances.json"
     write_json(path, out)
     manifest.finish(out_dir, [path])

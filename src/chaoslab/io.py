@@ -20,7 +20,7 @@ import time
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,9 @@ __all__ = [
 
 _MAGIC = b"CHAOSTRJ"
 _VERSION = 1
+# rows formatted and written per block by write_csv: one snapshot of a
+# 4096-particle trajectory, about 150 KiB of text at p = 1
+_CSV_BLOCK_ROWS = 4096
 
 
 # ----------------------------- configs -----------------------------
@@ -165,6 +168,10 @@ def save_dataset(pi: DataDistribution, path: str | Path):
 
 
 def save_trajectory(traj: Trajectory, path: str | Path):
+    """Write ``traj`` in the binary layout above, one snapshot at a time.
+
+    The SHA-256 trailer is updated as each piece is written, so no joined copy
+    of the file is ever held."""
     header = {
         "kind": traj.kind,
         "n_times": int(len(traj.times)),
@@ -175,35 +182,38 @@ def save_trajectory(traj: Trajectory, path: str | Path):
                  if isinstance(v, (int, float, str, bool, type(None)))},
     }
     hdr = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = b"".join([
-        _MAGIC,
-        struct.pack("<I", _VERSION),
-        struct.pack("<Q", len(hdr)),
-        hdr,
-        np.ascontiguousarray(traj.times, dtype="<f8").tobytes(),
-        np.ascontiguousarray(traj.ensembles, dtype="<f8").tobytes(),
-    ])
-    payload = body + hashlib.sha256(body).digest()
-    _atomic_write_bytes(Path(path), payload)
+    head = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<Q", len(hdr)), hdr,
+            np.ascontiguousarray(traj.times, dtype="<f8")]
+    snapshots = (np.ascontiguousarray(snap, dtype="<f8") for snap in traj.ensembles)
+    _atomic_write(Path(path), _with_sha256(chain(head, snapshots)))
+
+
+def _with_sha256(chunks):
+    """The byte chunks ``chunks``, then the SHA-256 digest of all of them."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+        yield chunk
+    yield digest.digest()
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
     raw = Path(path).read_bytes()
     if len(raw) < 52 or raw[:8] != _MAGIC:
         raise ValueError(f"{path} is not a trajectory file")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    # a memoryview slice hashes the body without copying it out of raw
+    if hashlib.sha256(memoryview(raw)[:-32]).digest() != raw[-32:]:
         raise ValueError(f"{path}: checksum mismatch (truncated or corrupted file)")
-    version = struct.unpack("<I", body[8:12])[0]
+    version = struct.unpack_from("<I", raw, 8)[0]
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported trajectory version {version}")
-    hdr_len = struct.unpack("<Q", body[12:20])[0]
-    header = json.loads(body[20:20 + hdr_len].decode("utf-8"))
+    hdr_len = struct.unpack_from("<Q", raw, 12)[0]
+    header = json.loads(raw[20:20 + hdr_len].decode("utf-8"))
     off = 20 + hdr_len
     n_times, N, p = header["n_times"], header["N"], header["p"]
-    times = np.frombuffer(body, dtype="<f8", count=n_times, offset=off).copy()
+    times = np.frombuffer(raw, dtype="<f8", count=n_times, offset=off).copy()
     off += 8 * n_times
-    ens = np.frombuffer(body, dtype="<f8", count=n_times * N * p, offset=off)
+    ens = np.frombuffer(raw, dtype="<f8", count=n_times * N * p, offset=off)
     return Trajectory(
         kind=header["kind"],
         times=times,
@@ -216,9 +226,9 @@ def load_trajectory(path: str | Path) -> Trajectory:
 def trajectory_to_csv(traj: Trajectory, path: str | Path):
     """Flat CSV export: one row per (time, particle), full-precision reprs.
 
-    Rows are streamed to ``write_csv`` as tuples of formatted cells: each
-    snapshot's time is formatted once, and every other cell is a particle
-    index or the ``repr`` of a coordinate.
+    Rows are streamed to ``write_csv`` as tuples of formatted cells, one
+    snapshot's at a time: each snapshot's time is formatted once, and every
+    other cell is a particle index or the ``repr`` of a coordinate.
     """
     n_particles, p = traj.n_particles, traj.p
     indices = [str(k) for k in range(n_particles)]
@@ -246,15 +256,26 @@ def write_csv(path: str | Path, rows, columns: list[str] | None = None):
 
     ``rows`` are dicts keyed by column, with cells formatted by ``_fmt`` and
     columns in the first row's key order.  With ``columns`` given, ``rows``
-    is any iterable of already formatted cell sequences in that order.
+    is any iterable of already formatted cell sequences in that order.  Rows
+    are formatted and written ``_CSV_BLOCK_ROWS`` at a time, so a table given
+    as an iterator is never held whole.
     """
-    path = Path(path)
     if columns is None:
         columns = list(rows[0].keys()) if rows else []
         rows = ([_fmt(r[c]) for c in columns] for r in rows)
-    lines = [",".join(columns), *map(",".join, rows)]
-    data = "\n".join(lines) + "\n" if len(lines) > 1 else ""
-    _atomic_write_bytes(path, data.encode("utf-8"))
+    _atomic_write(Path(path), _csv_blocks(columns, iter(rows)))
+
+
+def _csv_blocks(columns: list[str], rows):
+    """The encoded CSV text of ``rows`` under the header ``columns``, a block of
+    rows at a time; nothing, not even the header, when there is no row."""
+    first = next(rows, None)
+    if first is None:
+        return
+    block = [columns, first, *islice(rows, _CSV_BLOCK_ROWS - 1)]
+    while block:
+        yield ("\n".join(map(",".join, block)) + "\n").encode("utf-8")
+        block = list(islice(rows, _CSV_BLOCK_ROWS))
 
 
 def _finite_json(obj):
@@ -275,18 +296,35 @@ def write_json(path: str | Path, obj):
     _atomic_write_bytes(Path(path), (text + "\n").encode("utf-8"))
 
 
-def _atomic_write_bytes(path: Path, data: bytes):
+def _atomic_write(path: Path, chunks):
+    """Write the byte chunks ``chunks`` to ``path`` as one atomic replacement.
+
+    They go to a ``.tmp`` file beside ``path``, which is flushed, fsynced and
+    then renamed over ``path``.  If ``chunks`` raises, the ``.tmp`` file is
+    removed, an earlier file at ``path`` is left as it was, and the error
+    propagates."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+            f.flush()
+            os.fsync(f.fileno())
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
+def _atomic_write_bytes(path: Path, data: bytes):
+    _atomic_write(path, (data,))
+
+
 def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The SHA-256 of the file at ``path``, read in fixed-size chunks."""
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 # ----------------------------- manifests -----------------------------
@@ -304,9 +342,11 @@ class RunManifest:
     started_at: str = ""
     finished_at: str = ""
     outputs: dict[str, str] = field(default_factory=dict)  # path -> sha256
+    environment: dict = field(default_factory=dict)  # where it ran: see finish
 
     @staticmethod
-    def start(command: str, config: dict, seed: int, derived: dict | None = None) -> "RunManifest":
+    def start(command: str, config: dict, seed: int, derived: dict | None = None,
+              workers: int = 1) -> "RunManifest":
         return RunManifest(
             command=command,
             config=config,
@@ -314,10 +354,17 @@ class RunManifest:
             derived=derived or {},
             code_version=_code_version(),
             started_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            environment={"workers": workers},
         )
 
     def finish(self, out_dir: str | Path, files: list[str | Path]) -> Path:
+        """Checksum ``files``, record the interpreter, numpy, CPU count and platform
+        beside the worker count, and write ``manifest.json`` into ``out_dir``."""
+        import platform  # here, so that a CLI call's start-up does not pay for it
+
         self.finished_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        self.environment.update(python=platform.python_version(), numpy=np.__version__,
+                                cpu_count=os.cpu_count(), platform=platform.platform())
         out_dir = Path(out_dir)
         for f in files:
             f = Path(f)

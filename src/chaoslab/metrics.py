@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 W2_EXACT_MAX_N = 256
+# quantile differences above this are rescaled before squaring; below it the
+# squares cannot overflow, so every such distance keeps the unscaled formula's bits
+_W2_SCALE_ABOVE = 1e150
 
 
 def _flat_samples(a) -> np.ndarray:
@@ -68,7 +71,13 @@ def w2_1d_quantile(a, b) -> float:
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     qa = a[np.minimum((mids * na).astype(np.int64), na - 1)]
     qb = b[np.minimum((mids * nb).astype(np.int64), nb - 1)]
-    return float(np.sqrt(np.sum(widths * (qa - qb) ** 2)))
+    d = qa - qb
+    s = float(np.max(np.abs(d)))
+    if s > _W2_SCALE_ABOVE:
+        # the squares would overflow though the distance is finite: factor out the
+        # largest difference first (an infinite one makes the distance infinite)
+        return s if math.isinf(s) else s * float(np.sqrt(np.sum(widths * (d / s) ** 2)))
+    return float(np.sqrt(np.sum(widths * d ** 2)))
 
 
 def _paired_points(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import chaoslab
 from chaoslab.cli import _COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, SimulateConfig, cli_dispatch
 from chaoslab.dynamics import InitSpec, Trajectory, interacting_sde_run
 from chaoslab.io import (
+    _CSV_BLOCK_ROWS,
     ConfigError,
     load_config,
     load_dataset,
@@ -21,6 +23,7 @@ from chaoslab.io import (
     parse_config,
     save_dataset,
     save_trajectory,
+    sha256_file,
     trajectory_to_csv,
     write_csv,
 )
@@ -228,6 +231,45 @@ class TestCsvWriter:
         lines = path.read_text().strip().split("\n")
         got = [[float(v) for v in line.split(",")] for line in lines[1:]]
         assert got[0][0] == 1 / 3 and got[1][1] == 123.456e300
+
+
+class TestStreamedIO:
+    def test_failing_rows_leave_the_earlier_file_and_no_tmp(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, [{"a": 1}])
+
+        def rows():
+            yield from ((str(k),) for k in range(_CSV_BLOCK_ROWS))  # the first block
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(path, rows(), columns=["a"])
+        assert path.read_bytes() == b"a\n1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    @staticmethod
+    def traced_peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_outputs_are_written_and_hashed_in_bounded_memory(self, tmp_path):
+        # the simulate benchmark's shape: 65 snapshots of 4096 particles
+        ens = np.random.default_rng(0).standard_normal((65, 4096, 1))
+        traj = Trajectory("interacting-sde", np.linspace(0.0, 1.0, 65), ens, Hyperparams())
+        csv_path, bin_path = tmp_path / "t.csv", tmp_path / "t.bin"
+        csv_peak = self.traced_peak(trajectory_to_csv, traj, csv_path)
+        bin_peak = self.traced_peak(save_trajectory, traj, bin_path)
+        for path, peak in [(csv_path, csv_peak), (bin_path, bin_peak)]:
+            size = path.stat().st_size
+            assert peak < size / 4, (path.name, peak, size)
+            assert self.traced_peak(sha256_file, path) < size / 4
+        # reading holds the file and the copied ensemble, nothing more
+        load_peak = self.traced_peak(load_trajectory, bin_path)
+        assert load_peak < 2.2 * bin_path.stat().st_size
 
 
 # scipy is imported only inside w2_exact, and the config dataclasses are the
@@ -469,13 +511,17 @@ class TestCliDispatch:
     def test_simulate_writes_outputs_and_manifest(self, tmp_path):
         cfg = {"hyper": {"T": 0.2, "dt": 0.05, "gamma": 0.5}, "N": 4,
                "engine": "interacting-sde", "seed": 1}
-        rc = self.run(tmp_path, "simulate", cfg)
+        rc = self.run(tmp_path, "simulate", cfg, "--workers", "2")
         assert rc == EXIT_OK
         out = tmp_path / "out" / "simulate-seed1"
         assert (out / "trajectory.bin").exists()
         assert (out / "trajectory.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1
+        env = manifest["environment"]
+        assert env["workers"] == 2 and env["numpy"] == np.__version__
+        assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert env["cpu_count"] == os.cpu_count() and env["platform"]
         assert set(manifest["outputs"]) == {"trajectory.bin", "trajectory.csv"}
         traj = load_trajectory(out / "trajectory.bin")
         assert traj.n_particles == 4
@@ -539,10 +585,10 @@ class TestCliDispatch:
         json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
 
     def test_overflowed_distance_is_written_as_null(self, tmp_path):
-        (tmp_path / "a.csv").write_text("w_1\n1e200\n1e200\n")
-        (tmp_path / "b.csv").write_text("w_1\n-1e200\n-1e200\n")
+        (tmp_path / "a.csv").write_text("w_1\n1e308\n1e308\n")
+        (tmp_path / "b.csv").write_text("w_1\n-1e308\n-1e308\n")
         cfg = {"samples_a": str(tmp_path / "a.csv"), "samples_b": str(tmp_path / "b.csv")}
-        # the distance, 2e200, is finite, but its square is not: numpy warns and W2 reads inf
+        # the distance, 2e308, is not a float: numpy warns and W2 reads inf
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert self.run(tmp_path, "metrics", cfg) == EXIT_OK
         out = json.loads((tmp_path / "out" / "metrics-seed0" / "distances.json").read_text(),

@@ -41,6 +41,13 @@ class TestW2OneD:
             a, b = rng.standard_normal(n), rng.standard_normal(n)
             assert w2_1d_quantile(a, b) == pytest.approx(w2_1d(a, b), abs=1e-12)
 
+    def test_huge_finite_distance_does_not_overflow(self, recwarn):
+        # 2e200 is finite though its square is not; an infinite difference stays infinite
+        assert w2_1d([1e200, 1e200], [-1e200, -1e200]) == 2e200
+        assert w2_1d_quantile([1e200, 0.0, 1.0], [-1e200, 0.5]) == pytest.approx(1e200 * (5 / 6) ** 0.5)
+        assert w2_1d([np.inf], [0.0]) == np.inf
+        assert not recwarn.list
+
     def test_quantile_version_on_unequal_counts(self):
         # {0} vs {-1, 1}: quantile coupling gives W2^2 = 1
         assert w2_1d_quantile([0.0], [-1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
