@@ -48,6 +48,7 @@ _VERSION = 1
 # rows formatted and written per block by write_csv: one snapshot of a
 # 4096-particle trajectory, about 150 KiB of text at p = 1
 _CSV_BLOCK_ROWS = 4096
+_HASH_CHUNK = 1 << 18  # bytes sha256_file reads per update
 
 
 # ----------------------------- configs -----------------------------
@@ -322,9 +323,12 @@ def _atomic_write_bytes(path: Path, data: bytes):
 
 
 def sha256_file(path: str | Path) -> str:
-    """The SHA-256 of the file at ``path``, read in fixed-size chunks."""
+    """The SHA-256 of the file at ``path``, read ``_HASH_CHUNK`` bytes at a time."""
+    digest = hashlib.sha256()
     with open(path, "rb") as f:
-        return hashlib.file_digest(f, "sha256").hexdigest()
+        while chunk := f.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 # ----------------------------- manifests -----------------------------
