@@ -30,11 +30,10 @@ from .dynamics import (
     meanfield_sde_run,
     msgld_run,
     sgd_run,
-    sgd_sde_gap,
     weak_form_residual,
 )
 from .experiments import coupled_chaos_error
-from .metrics import fit_rate, path_metric, w2_1d, w2_exact, w2_sliced
+from .metrics import fit_rate, w2_1d, w2_exact, w2_sliced
 from .stationary import GridDensity1D, fixed_point_iterate, map_H, stationarity_check
 
 __version__ = "0.1.0"

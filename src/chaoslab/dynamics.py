@@ -75,7 +75,6 @@ __all__ = [
     "guard_segments",
     "weak_form_residual",
     "sgd_sde_endpoints",
-    "sgd_sde_gap",
 ]
 
 DOMAIN_SYSTEM = 0
@@ -587,23 +586,3 @@ def sgd_sde_endpoints(model: ModelSpec, pi: DataDistribution, hyper: Hyperparams
     t_sde = interacting_sde_run(model, pi, hyper, N, init, plan.child("sde"),
                                 snapshot_times=[hyper.T])
     return t_sgd.endpoint(), t_sde.endpoint()
-
-
-def sgd_sde_gap(
-    model: ModelSpec,
-    pi: DataDistribution,
-    hyper: Hyperparams,
-    N: int,
-    plan: NoisePlan,
-    init: InitSpec | None = None,
-) -> float:
-    """In-law endpoint gap between the discrete recursion and its diffusion.
-
-    The Wasserstein-2 distance between the two endpoint empirical measures
-    of ``sgd_sde_endpoints`` (a distributional diagnostic, not a pathwise
-    coupling).
-    """
-    from .metrics import w2_ensembles
-
-    sgd, sde = sgd_sde_endpoints(model, pi, hyper, N, init or InitSpec.uniform(), plan)
-    return w2_ensembles(sgd, sde, seed=plan.run_seed)

@@ -266,6 +266,8 @@ class ChaosRateConfig:
     def __post_init__(self):
         require(len(self.N_grid) >= 4 and min(self.N_grid) >= 1, "N_grid",
                 "hold at least 4 sizes, each >= 1", self.N_grid)
+        require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
+                "be strictly increasing", self.N_grid)
         ratios = [self.N_grid[i + 1] / self.N_grid[i] for i in range(len(self.N_grid) - 1)]
         require(max(ratios) / min(ratios) <= 1.0 + 1e-9, "N_grid", "be geometrically spaced",
                 self.N_grid)
@@ -563,6 +565,8 @@ class TwoRegimeConfig:
 
     def __post_init__(self):
         require(min(self.N_grid, default=0) >= 1, "N_grid", "be one or more sizes >= 1", self.N_grid)
+        require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
+                "be strictly increasing", self.N_grid)
         require(all(0.0 <= b <= 1.0 for b in self.betas), "betas", "lie in [0, 1]", self.betas)
         require(self.seeds >= 2, "seeds", "be >= 2 to measure a deviation", self.seeds)
         require(self.engine in ("sgd", "msgld"), "engine", "be sgd or msgld", self.engine)
@@ -748,6 +752,8 @@ class HistogramConfig:
     def __post_init__(self):
         require(len(self.N_grid) >= 3 and min(self.N_grid) >= 1, "N_grid",
                 "hold at least 3 sizes, each >= 1", self.N_grid)
+        require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
+                "be strictly increasing", self.N_grid)
         require(all(0.0 <= b <= 1.0 for b in self.betas), "betas", "lie in [0, 1]", self.betas)
         require(self.n_bins >= 2, "n_bins", "be >= 2", self.n_bins)
         require(self.reps >= 1, "reps", "be >= 1", self.reps)
@@ -837,6 +843,8 @@ class ConsistencyConfig:
     def __post_init__(self):
         require(len(self.N_grid) >= 2 and min(self.N_grid) >= 1, "N_grid",
                 "hold at least 2 sizes, each >= 1", self.N_grid)
+        require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
+                "be strictly increasing", self.N_grid)
         require(self.reps >= 2, "reps", "be >= 2 to pool and estimate stderr", self.reps)
         require(self.decrease_factor > 0, "decrease_factor", "be > 0", self.decrease_factor)
         require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)

@@ -34,7 +34,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "load_dataset",
-    "save_dataset",
     "save_trajectory",
     "load_trajectory",
     "trajectory_to_csv",
@@ -149,15 +148,6 @@ def load_dataset(path: str | Path) -> DataDistribution:
         return DataDistribution(atoms)
     except ValueError as exc:
         raise ConfigError(f"dataset {path}: {exc}") from exc
-
-
-def save_dataset(pi: DataDistribution, path: str | Path):
-    rows = [
-        {**{f"x_{i+1}": repr(float(v)) for i, v in enumerate(a.x)},
-         "y": repr(float(a.y)), "weight": repr(float(a.weight))}
-        for a in pi.atoms
-    ]
-    write_csv(path, rows)
 
 
 # ----------------------------- trajectory binary format -----------------------------
@@ -294,7 +284,7 @@ def write_json(path: str | Path, obj):
     """Write ``obj`` as strict JSON: a NaN or infinity (an n/a verdict, a moment or a
     distance that overflowed) is written as null, never as a bare constant."""
     text = json.dumps(_finite_json(obj), indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write_bytes(Path(path), (text + "\n").encode("utf-8"))
+    _atomic_write(Path(path), ((text + "\n").encode("utf-8"),))
 
 
 def _atomic_write(path: Path, chunks):
@@ -316,10 +306,6 @@ def _atomic_write(path: Path, chunks):
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
-
-
-def _atomic_write_bytes(path: Path, data: bytes):
-    _atomic_write(path, (data,))
 
 
 def sha256_file(path: str | Path) -> str:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataAtom, DataDistribution, ModelSpec, ZeroFeature
+from .model import DataDistribution, ModelSpec, ZeroFeature
 
 __all__ = [
     "EmpiricalMeasure",
@@ -39,7 +39,6 @@ __all__ = [
     "field_cache",
     "predict",
     "structural_risk",
-    "per_sample_grad",
     "risk_gradient",
     "mean_field_h",
     "tilde_h",
@@ -49,7 +48,6 @@ __all__ = [
     "noise_xi",
     "covariance_sigma",
     "sqrt_psd",
-    "g_envelope",
 ]
 
 _SYM_TOL = 1e-10
@@ -205,22 +203,6 @@ def structural_risk(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution
     return data_term + float(np.mean(model.penalty.value(W)))
 
 
-def per_sample_grad(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution, atom) -> np.ndarray:
-    """Gradient of the single-sample risk with respect to every particle.
-
-    Returns (N, p); row k is (1/N) [d1l(pred, y) gradF(w_k, x) + gradV(w_k)].
-    """
-    W = _as_points(ensemble, model.p)
-    if isinstance(atom, int):
-        atom = pi.atoms[atom]
-    assert isinstance(atom, DataAtom)
-    n = W.shape[0]
-    pred = predict(W, model, atom.x)
-    r = float(model.loss.d1(pred, atom.y))
-    gF = model.feature.grad(W, atom.x[None, :])[:, 0, :]  # (N, p)
-    return (r * gF + model.penalty.grad(W)) / n
-
-
 def risk_gradient(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
     """Gradient (N, p) of ``structural_risk`` with respect to the ensemble: -h(w_k, mu_N) / N."""
     block = ridge_block(ensemble, model, pi)
@@ -372,10 +354,3 @@ def sqrt_psd(sigma: np.ndarray) -> np.ndarray:
         raise ValueError(f"sqrt_psd got an indefinite matrix (min eigenvalue {vals.min():.3e})")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def g_envelope(w, model: ModelSpec, atom: DataAtom) -> float:
-    """Envelope-weighted observable (Phi^4(x) + Psi^2(y)) F(w, x)."""
-    w = np.asarray(w, dtype=np.float64).reshape(1, -1)
-    f = float(model.feature.value(w, atom.x[None, :])[0, 0])
-    return (model.phi(atom.x) ** 4 + model.psi(atom.y) ** 2) * f

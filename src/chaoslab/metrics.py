@@ -1,10 +1,9 @@
-"""Distances between laws and paths, histograms, and rate fitting.
+"""Distances between laws, histograms, and rate fitting.
 
 Wasserstein-2 comes in three flavors: exact 1-D via sorted pairing, exact
 small-n via the assignment problem, and a sliced Monte Carlo approximation
-with a reported standard error.  ``path_metric`` is the truncated
-sup-over-windows metric on continuous paths, and ``fit_rate`` performs the
-log-log least squares used by every convergence study.
+with a reported standard error.  ``fit_rate`` performs the log-log least
+squares used by every convergence study.
 """
 
 from __future__ import annotations
@@ -18,13 +17,11 @@ import numpy as np
 __all__ = [
     "RateFit",
     "SlicedW2",
-    "PathMetric",
     "w2_1d",
     "w2_1d_quantile",
     "w2_exact",
     "w2_sliced",
     "w2_ensembles",
-    "path_metric",
     "fit_rate",
     "mixture_bound_check",
     "histogram_rows",
@@ -152,41 +149,6 @@ def w2_ensembles(a, b, seed: int = 0, n_proj: int = 256) -> float:
     if a.shape == b.shape and a.shape[0] <= W2_EXACT_MAX_N:
         return w2_exact(a, b)
     return w2_sliced(a, b, n_proj=n_proj, seed=seed).value
-
-
-class PathMetric(NamedTuple):
-    value: float
-    tail_bound: float  # truncation error of the dyadic sum
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def path_metric(u1, u2, times, n_max: int) -> PathMetric:
-    """Truncated dyadic path metric sum_{n<=n_max} 2^-n d_n / (1 + d_n).
-
-    d_n is the sup distance over the grid restricted to [0, n]; the dropped
-    tail is at most 2^-n_max, returned as the error bar.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    u1 = np.asarray(u1, dtype=np.float64)
-    u2 = np.asarray(u2, dtype=np.float64)
-    if u1.ndim == 1:
-        u1 = u1[:, None]
-    if u2.ndim == 1:
-        u2 = u2[:, None]
-    if u1.shape != u2.shape or u1.shape[0] != times.shape[0]:
-        raise ValueError("paths must share one time grid")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if times[0] > 0 or times[-1] < n_max:
-        raise ValueError(f"time grid [{times[0]}, {times[-1]}] does not cover [0, {n_max}]")
-    dist = np.linalg.norm(u1 - u2, axis=1)
-    total = 0.0
-    for n in range(1, n_max + 1):
-        d_n = float(dist[times <= n + 1e-12].max())
-        total += 2.0**-n * d_n / (1.0 + d_n)
-    return PathMetric(total, 2.0**-n_max)
 
 
 @dataclass(frozen=True)

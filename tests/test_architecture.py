@@ -106,3 +106,44 @@ def test_only_the_study_runner_builds_a_report(trees):
     builds = _enclosing_functions(
         trees, lambda n: isinstance(n, ast.Call) and _named(n.func, "StudyReport"))
     assert builds == {"experiments.py:run_study"}
+
+
+def _bound_names(node) -> set[str]:
+    """The names ``node`` binds: a def or class, an assignment target, an import."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return {node.id}
+    if isinstance(node, ast.alias):
+        return {(node.asname or node.name).split(".")[0]}
+    return set()
+
+
+def _module_names(tree) -> set[str]:
+    """The names a module binds at its top level (not inside its functions or classes)."""
+    names = set()
+    for top in tree.body:
+        scoped = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in [top] if scoped else ast.walk(top):
+            names |= _bound_names(node)
+    return names
+
+
+def test_every_name_in_all_is_defined(trees):
+    # a stale entry would break ``from chaoslab.<module> import *``
+    missing, checked = [], 0
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(_named(t, "__all__") for t in node.targets):
+                checked += 1
+                defined = _module_names(tree)
+                missing += [f"{name}: {n}" for n in ast.literal_eval(node.value)
+                            if n not in defined]
+    assert checked >= 8 and missing == []
+
+
+def test_names_no_study_or_command_reads_are_gone(trees):
+    # test oracles and fixtures live in the tests; the package keeps what a verdict reads
+    gone = {"path_metric", "PathMetric", "sgd_sde_gap", "per_sample_grad", "g_envelope",
+            "save_dataset", "_atomic_write_bytes"}
+    assert _enclosing_functions(trees, lambda n: bool(_bound_names(n) & gone)) == set()

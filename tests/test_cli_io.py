@@ -21,7 +21,6 @@ from chaoslab.io import (
     load_dataset,
     load_trajectory,
     parse_config,
-    save_dataset,
     save_trajectory,
     sha256_file,
     trajectory_to_csv,
@@ -136,7 +135,8 @@ class TestDatasetIO:
     def test_save_load_roundtrip(self, tmp_path):
         pi = two_point_distribution([0.123456789012345], 1.0, [-1.0], -0.5, w0=0.3)
         path = tmp_path / "d.csv"
-        save_dataset(pi, path)
+        rows = [",".join(repr(float(v)) for v in (*a.x, a.y, a.weight)) for a in pi.atoms]
+        path.write_text("\n".join(["x_1,y,weight", *rows]) + "\n")
         back = load_dataset(path)
         np.testing.assert_array_equal(back.xs, pi.xs)
         np.testing.assert_array_equal(back.weights, pi.weights)
@@ -498,6 +498,15 @@ class TestCliDispatch:
         assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert re.search(rf"config fields? \S*\b{key}\b", err), err
+        assert not (tmp_path / "out").exists()
+
+    # a repeated size would fold into one fit point, and a descending grid would
+    # read the smallest N's row at the wrong end
+    @pytest.mark.parametrize("command", ["chaos-rate", "regime", "histograms", "consistency"])
+    @pytest.mark.parametrize("grid", [[32, 32, 32, 32], [512, 256, 128, 64, 32]])
+    def test_grid_that_does_not_increase_exits_config(self, tmp_path, capsys, command, grid):
+        assert self.run(tmp_path, command, {"N_grid": grid, "seed": 1}) == EXIT_CONFIG
+        assert "config field N_grid: N_grid must be strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("engine", ["sgd", "msgld"])

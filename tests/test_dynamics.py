@@ -23,11 +23,12 @@ from chaoslab.dynamics import (
     meanfield_sde_run,
     msgld_run,
     sgd_run,
-    sgd_sde_gap,
+    sgd_sde_endpoints,
     weak_form_residual,
 )
 from chaoslab.experiments import ProblemConfig, coupled_chaos_error
 from chaoslab.meanfield import field_cache
+from chaoslab.metrics import w2_ensembles
 from chaoslab.model import (
     DataAtom,
     DataDistribution,
@@ -567,10 +568,15 @@ class TestWeakFormResidual:
             weak_form_residual(traj, f)
 
 
+def law_gap(pi, hyper, N, plan, init):
+    """W2 between the endpoint laws of the discrete recursion and of its diffusion."""
+    return w2_ensembles(*sgd_sde_endpoints(TANH, pi, hyper, N, init, plan), seed=plan.run_seed)
+
+
 class TestSgdSdeGap:
     def test_degenerate_gap_within_solver_tolerance(self):
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.05, M=1, T=1.0, dt=0.05)
-        gap = sgd_sde_gap(TANH, SINGLE_ATOM, h, 8, NoisePlan(0), InitSpec.dirac([0.1]))
+        gap = law_gap(SINGLE_ATOM, h, 8, NoisePlan(0), InitSpec.dirac([0.1]))
         g = gamma_scale(h.alpha, h.beta, h.gamma, 8)
         assert gap <= 10 * (g + h.dt)
 
@@ -578,7 +584,7 @@ class TestSgdSdeGap:
         gaps = []
         for gamma in (1.0, 0.5, 0.25):
             h = Hyperparams(alpha=0.0, beta=1.0, gamma=gamma, M=1, T=2.0, dt=gamma / 4)
-            vals = [sgd_sde_gap(TANH, NOISY, h, 512, NoisePlan(40 + s), InitSpec.uniform())
+            vals = [law_gap(NOISY, h, 512, NoisePlan(40 + s), InitSpec.uniform())
                     for s in range(4)]
             gaps.append(float(np.mean(vals)))
         assert gaps[2] < gaps[0]
@@ -588,7 +594,7 @@ class TestSgdSdeGap:
         gaps = []
         h = Hyperparams(alpha=0.0, beta=0.0, gamma=2.0, M=1, T=2.0, dt=0.05)
         for N in (64, 1024):
-            vals = [sgd_sde_gap(TANH, NOISY, h, N, NoisePlan(50 + s), InitSpec.uniform())
+            vals = [law_gap(NOISY, h, N, NoisePlan(50 + s), InitSpec.uniform())
                     for s in range(4)]
             gaps.append(float(np.mean(vals)))
         assert gaps[1] < gaps[0]

@@ -12,12 +12,10 @@ from chaoslab.meanfield import (
     covariance_sigma,
     drift_and_noise,
     field_cache,
-    g_envelope,
     mean_field_h,
     mean_field_terms,
     noise_width,
     noise_xi,
-    per_sample_grad,
     predict,
     ridge_block,
     risk_gradient,
@@ -31,9 +29,6 @@ from chaoslab.model import (
     Hyperparams,
     ModelSpec,
     RidgeFeature,
-    SquareLoss,
-    TanhDotFeature,
-    ZeroPenalty,
     make_model,
     two_point_distribution,
 )
@@ -106,13 +101,6 @@ class TestStructuralRisk:
             scale = max(1.0, np.abs(g).max())
             worst = max(worst, np.abs(g - fd).max() / scale)
         assert worst < 1e-6
-
-    def test_per_sample_grad_averages_to_full_gradient(self):
-        rng = np.random.default_rng(2)
-        model, pi = random_problem(rng)
-        W = rng.standard_normal((6, 2))
-        total = sum(w * per_sample_grad(W, model, pi, j) for j, w in enumerate(pi.weights))
-        np.testing.assert_allclose(total, risk_gradient(W, model, pi), atol=1e-14)
 
 
 class TestMeanFieldH:
@@ -490,9 +478,14 @@ class TestBoundedness:
         # and far pairs, on one shared problem
         model, pi = random_problem(np.random.default_rng(10))
 
+        def envelope(w, a):
+            # the envelope-weighted observable (phi(x)^4 + psi(y)^2) F(w, x)
+            f = float(model.feature.value(w[None, :], a.x[None, :])[0, 0])
+            return (model.phi(a.x) ** 4 + model.psi(a.y) ** 2) * f
+
         def mu_g(mu):
             return np.array([
-                sum(m * g_envelope(loc, model, a) for loc, m in zip(mu.locations, mu.weights))
+                sum(m * envelope(loc, a) for loc, m in zip(mu.locations, mu.weights))
                 for a in pi.atoms
             ])
 
@@ -521,22 +514,3 @@ class TestBoundedness:
 
         calibration = max_ratio(np.random.default_rng(71), 300)
         assert max_ratio(np.random.default_rng(72), 150) <= 3.0 * calibration
-
-
-class TestGEnvelope:
-    def test_zero_feature(self):
-        model = make_model("zero", "square")
-        atom = DataAtom([2.0], 1.5, 1.0)
-        assert g_envelope(np.array([3.0]), model, atom) == 0.0
-
-    def test_zero_weight_point(self):
-        atom = DataAtom([1.0], 1.0, 1.0)
-        assert g_envelope(np.array([0.0]), TANH, atom) == 0.0
-
-    def test_unit_envelope_hand_value(self):
-        model = ModelSpec(feature=TanhDotFeature(), loss=SquareLoss(),
-                          penalty=ZeroPenalty(), p=1, phi=lambda x: 1.0, psi=lambda y: 1.0)
-        atom = DataAtom([1.0], 1.0, 1.0)
-        assert g_envelope(np.array([1.0]), model, atom) == pytest.approx(
-            2 * math.tanh(1.0), abs=1e-14
-        )

@@ -1,4 +1,4 @@
-"""Distances between laws and paths, histograms, rate fits."""
+"""Distances between laws, histograms, rate fits."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from chaoslab.metrics import (
     fit_rate,
     histogram_rows,
     mixture_bound_check,
-    path_metric,
     w2_1d,
     w2_1d_quantile,
     w2_exact,
@@ -117,35 +116,6 @@ class TestSlicedW2:
             samples = rng.standard_normal(n)
             dists.append(w2_1d_quantile(samples, proxy))
         assert dists[2] < dists[1] < dists[0]
-
-
-class TestPathMetric:
-    def grid(self, n_max):
-        return np.linspace(0.0, n_max, 20 * n_max + 1)
-
-    def test_identical_paths(self):
-        t = self.grid(3)
-        u = np.random.default_rng(0).standard_normal((len(t), 2))
-        assert path_metric(u, u, t, 3).value == 0.0
-
-    def test_constant_offset_geometric_sum(self):
-        t = self.grid(4)
-        u1 = np.zeros((len(t), 1))
-        for d in (0.5, 3.0):
-            u2 = np.full((len(t), 1), d)
-            pm = path_metric(u1, u2, t, 4)
-            assert pm.value == pytest.approx(d / (1 + d) * (1 - 2.0**-4), abs=1e-12)
-
-    def test_truncation_error_bound(self):
-        for n_max in (1, 4, 10):
-            t = self.grid(n_max)
-            pm = path_metric(np.zeros((len(t), 1)), np.ones((len(t), 1)), t, n_max)
-            assert pm.tail_bound == 2.0**-n_max
-
-    def test_grid_must_cover_window(self):
-        t = np.linspace(0, 2, 21)
-        with pytest.raises(ValueError):
-            path_metric(np.zeros((21, 1)), np.zeros((21, 1)), t, 3)
 
 
 class TestFitRate:
