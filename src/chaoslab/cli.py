@@ -37,6 +37,7 @@ from .io import (
     output_root,
     parse_config,
     save_trajectory,
+    steady_heap,
     trajectory_to_csv,
     write_csv,
     write_json,
@@ -396,6 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_dispatch(argv: list[str]) -> int:
+    steady_heap()  # every step's temporaries reuse the pages the last step faulted in
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

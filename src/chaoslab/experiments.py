@@ -39,6 +39,7 @@ from .dynamics import (
     sgd_run,
     sgd_sde_endpoints,
 )
+from .io import steady_heap
 from .meanfield import field_cache, noise_width, ridge_block
 from .model import (
     FEATURES,
@@ -139,12 +140,13 @@ class Findings(NamedTuple):
 @contextmanager
 def _pool_map(workers: int):
     """An order-preserving map on one process pool of ``workers``, serial at 1;
-    its results are bitwise-identical at any width.  A task that diverges
-    raises its ``EnsembleDiverged`` with a note naming the task."""
+    its results are bitwise-identical at any width.  Each worker starts on
+    ``steady_heap``, at any start method.  A task that diverges raises its
+    ``EnsembleDiverged`` with a note naming the task."""
     if workers <= 1:
         yield lambda fn, tasks: _in_order(fn, tasks, map(fn, tasks))
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=steady_heap) as pool:
         yield lambda fn, tasks: _in_order(fn, tasks, pool.map(fn, tasks))
 
 
@@ -665,6 +667,11 @@ class SweepConfig:
     def __post_init__(self):
         require(all(g > 0 for g in self.gammas), "gammas", "be > 0", self.gammas)
         require(all(b >= 1 for b in self.batches), "batches", "be >= 1", self.batches)
+        # the verdicts read the distances in list order, each step toward the limit
+        require(all(a > b for a, b in zip(self.gammas, self.gammas[1:])), "gammas",
+                "be strictly decreasing", self.gammas)
+        require(all(a < b for a, b in zip(self.batches, self.batches[1:])), "batches",
+                "be strictly increasing", self.batches)
         require(self.N_ref >= 1, "N_ref", "be >= 1", self.N_ref)
         require(self.reps >= 1, "reps", "be >= 1", self.reps)
         require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)

@@ -1,4 +1,4 @@
-"""Config loading, dataset ingestion, persistence, and run manifests.
+"""Config loading, dataset ingestion, persistence, run manifests, and the heap.
 
 Formats: JSON for configs and verdicts (human-diffable), CSV for tables
 (plot-ready, full-precision reprs that re-parse bitwise), and a checksummed
@@ -40,6 +40,7 @@ __all__ = [
     "write_csv",
     "write_json",
     "output_root",
+    "steady_heap",
 ]
 
 _MAGIC = b"CHAOSTRJ"
@@ -348,13 +349,20 @@ class RunManifest:
         )
 
     def finish(self, out_dir: str | Path, files: list[str | Path]) -> Path:
-        """Checksum ``files``, record the interpreter, numpy, CPU count and platform
-        beside the worker count, and write ``manifest.json`` into ``out_dir``."""
+        """Checksum ``files``, record the interpreter, numpy, CPU count, platform,
+        whether ``steady_heap`` took and the minor page faults so far beside the
+        worker count, and write ``manifest.json`` into ``out_dir``."""
         import platform  # here, so that a CLI call's start-up does not pay for it
+        import resource
 
         self.finished_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        # the faults of this process and of its waited-for children: the joined
+        # pool workers, and the git describe of _code_version
+        faults = sum(resource.getrusage(who).ru_minflt
+                     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
         self.environment.update(python=platform.python_version(), numpy=np.__version__,
-                                cpu_count=os.cpu_count(), platform=platform.platform())
+                                cpu_count=os.cpu_count(), platform=platform.platform(),
+                                steady_heap=_heap_steady, minor_page_faults=faults)
         out_dir = Path(out_dir)
         for f in files:
             f = Path(f)
@@ -380,6 +388,41 @@ def _code_version() -> str:
     from . import __version__
 
     return "chaoslab-" + __version__
+
+
+# steady_heap's mallopt calls: glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, in bytes
+# (32 MiB is glibc's largest mmap threshold on 64-bit)
+_HEAP_THRESHOLDS = ((-1, 128 << 20), (-3, 32 << 20))
+# what steady_heap last returned in this process: malloc's settings are per process too
+_heap_steady = False
+
+
+def steady_heap() -> bool:
+    """Let this process reuse the heap pages it has faulted in; True if glibc took it.
+
+    glibc's malloc serves a large block by a fresh ``mmap`` and unmaps it on
+    free, and gives the free memory at its heap's top back to the system
+    past a trim threshold.  Both thresholds start at 128 KiB, small beside a
+    step's temporaries, so a loop that allocates and frees them every step
+    faults their pages in again every step.  This sets the trim threshold to
+    128 MiB and the mmap threshold to 32 MiB through ``mallopt``; freed heap
+    memory then stays with the process, up to the trim threshold.  Without
+    glibc's ``mallopt`` it changes nothing and returns False.  The CLI calls
+    it at start-up and every pool worker as its initializer; a library
+    caller keeps malloc's defaults.
+    """
+    global _heap_steady
+    import ctypes  # numpy has imported it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # not glibc
+        _heap_steady = False
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    _heap_steady = all([mallopt(param, value) == 1 for param, value in _HEAP_THRESHOLDS])
+    return _heap_steady
 
 
 def output_root(cli_out: str | None) -> Path:

@@ -278,8 +278,9 @@ GRID_LAW_WINDOW = (-3.0, 3.0)
 GRID_LAW_BAND_SD = 8.0
 # a transition narrower than this many cells is a point mass at its mean, moved to the mean's cell
 _SD_FLOOR_CELLS = 1e-12
-# band edges per block of one transition: keeps its temporaries under malloc's mmap threshold
-_BAND_BLOCK = 8192
+# band edges per block of one transition: bounds its temporaries (about 0.5 MiB each);
+# the shipped 512-cell law, about 22 200 edges a step, takes one block a step
+_BAND_BLOCK = 65536
 
 # Cephes ndtr with x = z / sqrt(2): erf(x) = x T(x^2) / U(x^2) on |x| < 1, and
 # erfc(x) = exp(-x^2) P(x) / Q(x) on 1 <= x < 8, exp(-x^2) R(x) / S(x) beyond

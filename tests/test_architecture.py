@@ -80,6 +80,17 @@ def test_only_the_pool_map_starts_a_process_pool(trees):
         "experiments.py:_pool_map"}
 
 
+def test_only_the_cli_and_the_pool_workers_steady_the_heap(trees):
+    # a library caller keeps malloc's defaults
+    assert _enclosing_functions(trees, lambda n: _named(n, "steady_heap")) == {
+        "cli.py:cli_dispatch", "experiments.py:_pool_map"}
+    assert _enclosing_functions(
+        trees, lambda n: isinstance(n, ast.Call) and _named(n.func, "steady_heap")) == {
+        "cli.py:cli_dispatch"}
+    assert _enclosing_functions(trees, lambda n: isinstance(n, ast.keyword) and (
+        n.arg == "initializer" and _named(n.value, "steady_heap"))) == {"experiments.py:_pool_map"}
+
+
 def test_one_coupling_step_in_experiments(trees):
     # the reps of the coupling step as stacked blocks; a lone rep is a block of one
     steps = _enclosing_functions(

@@ -1,8 +1,11 @@
 """Configs, dataset ingestion, trajectory persistence, CLI surface."""
 
+import ctypes
 import json
 import os
+import platform
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +26,7 @@ from chaoslab.io import (
     parse_config,
     save_trajectory,
     sha256_file,
+    steady_heap,
     trajectory_to_csv,
     write_csv,
 )
@@ -62,6 +66,7 @@ class TestConfigSchema:
 
 
 CONFIGS = Path(__file__).parent.parent / "configs"
+GLIBC = platform.libc_ver()[0] == "glibc"
 
 
 class TestShippedConfigs:
@@ -509,6 +514,19 @@ class TestCliDispatch:
         assert "config field N_grid: N_grid must be strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # the sweep verdicts read the distances in list order, each step toward the limit
+    @pytest.mark.parametrize("command, cfg, rule", [
+        ("gamma-sweep", {"gammas": [0.125, 0.25, 0.5, 1.0]}, "gammas must be strictly decreasing"),
+        ("gamma-sweep", {"gammas": [1.0, 0.5, 0.5]}, "gammas must be strictly decreasing"),
+        ("batch-sweep", {"batches": [64, 16, 4, 1]}, "batches must be strictly increasing"),
+        ("batch-sweep", {"batches": [1, 4, 4]}, "batches must be strictly increasing"),
+    ])
+    def test_sweep_out_of_order_exits_config(self, tmp_path, capsys, command, cfg, rule):
+        assert self.run(tmp_path, command, {**cfg, "seed": 1}) == EXIT_CONFIG
+        field_name = rule.split()[0]
+        assert f"config field {field_name}: {rule}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("engine", ["sgd", "msgld"])
     def test_sigma_override_on_discrete_engine_exits_config(self, tmp_path, capsys, engine):
         cfg = {"engine": engine, "N": 4, "sigma_override": 1.0, "seed": 1,
@@ -534,6 +552,20 @@ class TestCliDispatch:
         assert set(manifest["outputs"]) == {"trajectory.bin", "trajectory.csv"}
         traj = load_trajectory(out / "trajectory.bin")
         assert traj.n_particles == 4
+
+    def test_manifest_records_the_heap_and_the_page_faults_of_the_joined_workers(self, tmp_path):
+        cfg = {"hyper": {"T": 0.2, "dt": 0.05}, "gammas": [1.0, 0.5], "N_ref": 16, "reps": 2,
+               "seed": 1}
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        assert self.run(tmp_path, "gamma-sweep", cfg, "--workers", "2") == EXIT_OK
+        env = json.loads((tmp_path / "out" / "gamma-sweep-seed1" / "manifest.json").read_text())[
+            "environment"]
+        assert env["steady_heap"] is GLIBC
+        # the pool's workers were joined before the manifest read its children's faults
+        joined = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        assert joined > children
+        assert env["minor_page_faults"] >= own + joined
 
     def test_diverged_simulate_exits_one_with_one_line(self, tmp_path, capsys):
         cfg = {"hyper": {"T": 0.2, "dt": 0.05, "gamma": 0.5}, "N": 4,
@@ -802,3 +834,20 @@ class TestCliDispatch:
                              "--out", str(tmp_path / "out2")]) == EXIT_OK
         second = (tmp_path / "out2" / "simulate-seed5" / "trajectory.bin").read_bytes()
         assert first == second
+
+
+class TestSteadyHeap:
+    @pytest.mark.skipif(not GLIBC, reason="mallopt is glibc's")
+    def test_glibc_takes_it(self):
+        assert steady_heap() is True
+
+    def test_without_libc_it_changes_nothing(self, monkeypatch):
+        def no_library(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert steady_heap() is False
+
+    def test_without_mallopt_it_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert steady_heap() is False

@@ -52,6 +52,10 @@ def tiny_hypers(draw):
             "eta": draw(st.sampled_from([0.0, 0.2]))}
 
 
+# a sweep's gammas step toward the gamma -> 0 limit
+DESCENDING_GAMMAS = st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=1, max_size=3,
+                             unique=True).map(lambda g: sorted(g, reverse=True))
+
 # one out-of-range key in about one config of three
 BREAKS = {"consistency": [("reps", 1), ("N_grid", [8]), ("decrease_factor", 0.0)],
           "sweep": [("reps", 0), ("N_ref", 0), ("gammas", [0.5, -1.0]), ("batches", [0])]}
@@ -66,8 +70,9 @@ def tiny_study_configs(draw):
         cfg["N_grid"] = draw(st.lists(st.integers(1, 64), min_size=2, max_size=3))
         cfg["reps"] = draw(st.integers(2, 3))
     else:
-        cfg["gammas"] = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=1, max_size=3))
-        cfg["batches"] = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+        cfg["gammas"] = draw(DESCENDING_GAMMAS)
+        cfg["batches"] = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True)
+                              .map(sorted))
         cfg["N_ref"] = draw(st.integers(1, 64))
         cfg["reps"] = draw(st.integers(1, 3))
     breaks = BREAKS["consistency" if command == "consistency" else "sweep"]
@@ -113,7 +118,7 @@ def test_euler_step_is_permutation_equivariant(p, n, seed, feature, per_particle
 
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**31), reps=st.integers(1, 3),
-       gammas=st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=1, max_size=3))
+       gammas=DESCENDING_GAMMAS)
 def test_study_tables_equal_at_one_and_two_workers(seed, reps, gammas):
     cfg = SweepConfig(hyper=Hyperparams(T=0.2, dt=0.05), gammas=tuple(gammas), N_ref=32,
                       reps=reps, seed=seed)

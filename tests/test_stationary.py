@@ -1,17 +1,22 @@
 """Stationary fixed-point map on 1-D grid densities."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chaoslab import stationary
 from chaoslab.dynamics import DOMAIN_REFERENCE, InitSpec, euler_run, meanfield_sigma_scale
-from chaoslab.experiments import ProblemConfig
+from chaoslab.experiments import ChaosRateConfig, ProblemConfig
+from chaoslab.io import parse_config
 from chaoslab.meanfield import field_cache
 from chaoslab.model import DataAtom, DataDistribution, Hyperparams, make_model, two_point_distribution
 from chaoslab.rng import NoisePlan
 from chaoslab.stationary import (
+    GRID_LAW_BAND_SD,
     GRID_LAW_CELLS,
     GRID_LAW_WINDOW,
     GridDensity1D,
@@ -227,3 +232,75 @@ class TestGridLaw:
         model, pi, init = ProblemConfig(p=2).build()
         with pytest.raises(ValueError, match="p = 1"):
             grid_law_path(model, pi, self.HYPER, init, 1.0)
+
+
+def transition_in_blocks_of_8192(masses, means, sd, lo, dx, blocks):
+    """The grid law's transition at its former block of 8192 band edges, as an
+    oracle: the same bands, grouped three blocks a step on the shipped law;
+    appends its block count to ``blocks``."""
+    n_cells = masses.shape[0]
+    K = np.ceil(GRID_LAW_BAND_SD / dx * sd).astype(np.int64) + 1
+    first = np.floor((means - lo) / dx).astype(np.int64) - K
+    z0 = (lo + first * dx - means) / sd
+    dz = dx / sd
+    n_edges = 2 * K + 2
+    ends = np.cumsum(n_edges)
+    out = np.zeros(n_cells + 2)
+    a, n_blocks = 0, 0
+    while a < n_cells:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - n_edges[a] + 8192, "right")))
+        counts = n_edges[a:b]
+        stops = np.cumsum(counts)
+        row = np.repeat(np.arange(a, b), counts)
+        j = np.arange(stops[-1]) - np.repeat(stops - counts, counts)
+        cdf = normal_cdf(z0[row] + j * dz[row])
+        cdf[stops - counts] = 0.0
+        cdf[stops - 1] = 1.0
+        moved = np.diff(cdf)
+        moved[stops[:-1] - 1] = 0.0
+        moved *= masses[row[:-1]]
+        target = np.clip(first[row[:-1]] + j[:-1], -1, n_cells) + 1
+        out += np.bincount(target, weights=moved, minlength=n_cells + 2)
+        a, n_blocks = b, n_blocks + 1
+    blocks.append(n_blocks)
+    new = out[1:-1]
+    new[0] += out[0]
+    new[-1] += out[-1]
+    return new, float(out[0] + out[-1])
+
+
+def shipped_chaos_rate_law():
+    raw = json.loads((Path(__file__).parent.parent / "configs" / "chaos-rate.json").read_text())
+    config = parse_config(ChaosRateConfig, raw, "chaos-rate")
+    model, pi, init = config.problem.build()
+    return model, pi, config.hyper, init, meanfield_sigma_scale(config.hyper)
+
+
+def wide_band_law():  # one atom, so Sigma = 0 and the Langevin noise sets every band
+    model, _, _ = ProblemConfig(labels="noisy").build()
+    hyper = Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=1.0, dt=0.02, eta=0.1)
+    return model, DataDistribution([DataAtom([1.0], 1.0, 1.0)]), hyper, InitSpec.dirac([0.1]), 1.0
+
+
+def edge_box_law():  # half of the init box lies past the window's edge at 3
+    model, pi, _ = ProblemConfig(labels="noisy").build()
+    hyper = Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=1.0, dt=0.02)
+    return model, pi, hyper, InitSpec.uniform(2.6, 3.4), 1.0
+
+
+@pytest.mark.parametrize("law", [shipped_chaos_rate_law, wide_band_law, edge_box_law])
+def test_transition_agrees_with_its_8192_edge_blocks(monkeypatch, law):
+    # only the grouping of the bincount sums differs, so every cell agrees to rounding
+    transition, worst, blocks = stationary._transition, [0.0], []
+
+    def both(masses, means, sd, lo, dx):
+        new, folded = transition(masses, means, sd, lo, dx)
+        old, old_folded = transition_in_blocks_of_8192(masses, means, sd, lo, dx, blocks)
+        worst[0] = max(worst[0], np.abs(new - old).max(), abs(folded - old_folded))
+        return new, folded
+
+    monkeypatch.setattr(stationary, "_transition", both)
+    path = grid_law_path(*law())
+    assert max(blocks) > 1  # the oracle splits a transition that the law takes whole
+    assert worst[0] <= 1e-14
+    assert abs(path.masses.sum() - 1.0) <= 1e-14
