@@ -2,11 +2,14 @@
 
 One subcommand per study plus ``simulate`` (single engine run),
 ``stationary`` (fixed-point map), ``check-assumptions`` (hypothesis audit)
-and ``metrics`` (distances between stored sample sets).  Every run writes
-its outputs plus a replayable manifest under the output directory; with
-``--strict`` a failed verdict, or a study with no applicable verdict, turns
-into exit code 1; config errors exit 2.  A diverged study reports a failing
-``diverged`` verdict; a diverged ``simulate`` or ``stationary`` exits 1.
+and ``metrics`` (distances between stored sample sets).  Each subcommand's
+handler runs its config and returns an ``Outcome``; ``cli_dispatch`` alone
+stamps the run's replayable manifest (before the run), writes the
+outcome's files and the manifest under the output directory, and maps the
+outcome to the exit code: with ``--strict`` a failed verdict, or a study
+with no applicable verdict, turns into exit code 1; config errors exit 2.
+A diverged study reports a failing ``diverged`` verdict; a diverged
+``simulate`` or ``stationary`` exits 1 and writes nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -36,6 +40,7 @@ from .io import (
     load_dataset,
     output_root,
     parse_config,
+    read_csv_columns,
     save_trajectory,
     steady_heap,
     trajectory_to_csv,
@@ -73,40 +78,15 @@ def _resolve_problem(config):
     return model, pi, init
 
 
-def _report_outputs(report: xp.StudyReport, out_dir: Path, manifest: RunManifest) -> list[Path]:
-    files = []
-    for name, rows in report.tables.items():
-        path = out_dir / f"{name}.csv"
-        write_csv(path, rows)
-        files.append(path)
-    verdict_path = out_dir / "verdicts.json"
-    write_json(verdict_path, {
-        "study_id": report.study_id,
-        "passed": report.passed,
-        "verdicts": [asdict(v) for v in report.verdicts],
-        "warnings": report.warnings,
-        "elapsed_s": report.elapsed_s,
-    })
-    files.append(verdict_path)
-    manifest.finish(out_dir, files)
-    return files
+@dataclass(frozen=True)
+class Outcome:
+    """What a subcommand's run leaves for ``cli_dispatch`` to write and report."""
 
-
-def _finish_study(report: xp.StudyReport, args, cfg: dict, seed: int) -> int:
-    out_dir = output_root(args.out) / f"{report.study_id}-seed{seed}"
-    manifest = RunManifest.start(report.study_id, cfg, seed, workers=args.workers)
-    _report_outputs(report, out_dir, manifest)
-    for v in report.verdicts:
-        status = "PASS" if v.passed else ("n/a" if v.passed is None else "FAIL")
-        print(f"[{report.study_id}] {v.name}: {status} (measured {v.measured:.6g}, "
-              f"threshold {v.op} {v.threshold:.6g})")
-    if report.passed is None:
-        print(f"[{report.study_id}] no applicable verdict: n/a")
-    for w in report.warnings:
-        print(f"[{report.study_id}] warning: {w}", file=sys.stderr)
-    if args.strict and report.passed is not True:
-        return EXIT_VERDICT
-    return EXIT_OK
+    name: str  # the manifest's command; the run directory is <name>-seed<seed>
+    files: dict[str, Callable[[Path], object]]  # file name -> the writer of that file
+    echo: Callable[[Path], object]  # prints the run's summary, given its directory
+    derived: dict = field(default_factory=dict)  # the manifest's derived quantities
+    ok: bool = True  # False: --strict exits 1
 
 
 # ----------------------------- configs -----------------------------
@@ -193,94 +173,93 @@ class MetricsConfig:
 
 
 # ----------------------------- subcommands -----------------------------
+# each handler takes (config, workers) and returns its Outcome
 
 
-def _cmd_simulate(args, cfg: dict, config: SimulateConfig) -> int:
-    if args.snapshot_times:
-        config = replace(config, snapshot_times=tuple(args.snapshot_times))
+def _cmd_simulate(config: SimulateConfig, workers: int) -> Outcome:
     model, pi, init = _resolve_problem(config)
-    hyper, engine, N, seed = config.hyper, config.engine, config.N, config.seed
-    plan = NoisePlan(seed)
-    traj = _ENGINES[engine](model, pi, hyper, N, init, plan, snapshot_times=config.snapshot_times)
-
-    out_dir = output_root(args.out) / f"simulate-seed{seed}"
-    g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
-    manifest = RunManifest.start("simulate", cfg, seed, derived={
-        "gamma_scale": g,
-        "n_steps": traj.meta.get("n_steps"),
-        "dt": hyper.dt,
-        "x_max": pi.x_max,
-    }, workers=args.workers)
-    bin_path = out_dir / "trajectory.bin"
-    csv_path = out_dir / "trajectory.csv"
-    save_trajectory(traj, bin_path)
-    trajectory_to_csv(traj, csv_path)
-    manifest.finish(out_dir, [bin_path, csv_path])
-    print(f"[simulate] {engine} N={N} steps={traj.meta.get('n_steps')} -> {out_dir}")
-    return EXIT_OK
+    hyper, engine, N = config.hyper, config.engine, config.N
+    traj = _ENGINES[engine](model, pi, hyper, N, init, NoisePlan(config.seed),
+                            snapshot_times=config.snapshot_times)
+    n_steps = traj.meta.get("n_steps")
+    return Outcome(
+        "simulate",
+        {"trajectory.bin": partial(save_trajectory, traj),
+         "trajectory.csv": partial(trajectory_to_csv, traj)},
+        lambda out_dir: print(f"[simulate] {engine} N={N} steps={n_steps} -> {out_dir}"),
+        derived={"gamma_scale": gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N),
+                 "n_steps": n_steps, "dt": hyper.dt, "x_max": pi.x_max},
+    )
 
 
-def _cmd_study(study: str, args, cfg: dict, config) -> int:
+def _print_verdicts(report: xp.StudyReport, out_dir: Path):
+    for v in report.verdicts:
+        status = "PASS" if v.passed else ("n/a" if v.passed is None else "FAIL")
+        print(f"[{report.study_id}] {v.name}: {status} (measured {v.measured:.6g}, "
+              f"threshold {v.op} {v.threshold:.6g})")
+    if report.passed is None:
+        print(f"[{report.study_id}] no applicable verdict: n/a")
+    for w in report.warnings:
+        print(f"[{report.study_id}] warning: {w}", file=sys.stderr)
+
+
+def _cmd_study(study: str, config, workers: int) -> Outcome:
     # looked up at call time, so a wrapper installed on experiments is the one called
-    return _finish_study(getattr(xp, study)(config, workers=args.workers), args, cfg, config.seed)
+    report = getattr(xp, study)(config, workers=workers)
+    files = {f"{name}.csv": partial(write_csv, rows=rows) for name, rows in report.tables.items()}
+    files["verdicts.json"] = partial(write_json, obj={
+        "study_id": report.study_id,
+        "passed": report.passed,
+        "verdicts": [asdict(v) for v in report.verdicts],
+        "warnings": report.warnings,
+        "elapsed_s": report.elapsed_s,
+    })
+    return Outcome(report.study_id, files, partial(_print_verdicts, report),
+                   ok=report.passed is True)
 
 
-def _cmd_stationary(args, cfg: dict, config: StationaryConfig) -> int:
+def _cmd_stationary(config: StationaryConfig, workers: int) -> Outcome:
     model, pi, _ = _resolve_problem(config)
     if model.p != 1:
         # with a dataset the dimension is its number of x_ columns
         field_name = "dataset" if config.dataset is not None else "problem.p"
         raise ConfigError(f"config field {field_name}: the stationary map is defined for p = 1, "
                           f"got p={model.p}", field_name)
-    hyper, seed, horizon = config.hyper, config.seed, config.horizon
     try:
         mu0 = GridDensity1D.gaussian(0.0, 1.0, config.grid_lo, config.grid_hi, config.n_cells)
     except ValueError as exc:
         raise ConfigError(f"config fields grid_lo/grid_hi: {exc}", "grid_lo") from exc
     try:
-        result = fixed_point_iterate(
-            mu0, model, pi, hyper,
-            tol=config.tol,
-            max_iter=config.max_iter,
-            damping=config.damping,
-        )
+        result = fixed_point_iterate(mu0, model, pi, config.hyper, tol=config.tol,
+                                     max_iter=config.max_iter, damping=config.damping)
     except NonEllipticNoise as exc:
         raise ConfigError(f"config fields sigma_override/hyper.eta: {exc}", "sigma_override") from exc
-    drift = stationarity_check(
-        result.density, model, pi, hyper,
-        N_ref=config.N_ref,
-        horizon=horizon,
-        plan=NoisePlan(seed),
+    # the check runs for its own horizon; hyper.T is not read
+    drift = stationarity_check(result.density, model, pi, config.hyper, N_ref=config.N_ref,
+                               horizon=config.horizon, plan=NoisePlan(config.seed))
+    derived = {"converged": result.converged, "iterations": result.iterations,
+               "residual": result.residual, "w2_drift": drift}
+    density = [{"w": repr(float(w)), "density": repr(float(v))}
+               for w, v in zip(result.density.centers, result.density.values)]
+    return Outcome(
+        "stationary",
+        {"density.csv": partial(write_csv, rows=density),
+         "report.json": partial(write_json, obj={**derived, "residual_history": result.history})},
+        lambda out_dir: print(f"[stationary] converged={result.converged} iterations="
+                              f"{result.iterations} residual={result.residual:.3e} "
+                              f"w2_drift={drift:.4f}"),
+        derived, ok=result.converged,
     )
-    out_dir = output_root(args.out) / f"stationary-seed{seed}"
-    manifest = RunManifest.start("stationary", cfg, seed, derived={
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "converged": result.converged,
-        "w2_drift": drift,
-    }, workers=args.workers)
-    dens_path = out_dir / "density.csv"
-    write_csv(dens_path, [
-        {"w": repr(float(w)), "density": repr(float(v))}
-        for w, v in zip(result.density.centers, result.density.values)
-    ])
-    report_path = out_dir / "report.json"
-    write_json(report_path, {
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "residual_history": result.history,
-        "w2_drift": drift,
-    })
-    manifest.finish(out_dir, [dens_path, report_path])
-    print(f"[stationary] converged={result.converged} iterations={result.iterations} "
-          f"residual={result.residual:.3e} w2_drift={drift:.4f}")
-    if args.strict and not result.converged:
-        return EXIT_VERDICT
-    return EXIT_OK
 
 
-def _cmd_check_assumptions(args, cfg: dict, config: CheckAssumptionsConfig) -> int:
+def _print_check(report, out_dir: Path):
+    print(f"[check-assumptions] ok={report.ok} checks={report.n_checks} "
+          f"violations={len(report.violations)}")
+    for v in report.violations:
+        print(f"  {v}")
+
+
+def _cmd_check_assumptions(config: CheckAssumptionsConfig, workers: int) -> Outcome:
     model, pi, _ = _resolve_problem(config)
     seed, probes = config.seed, config.probes
     if probes is None:
@@ -292,53 +271,29 @@ def _cmd_check_assumptions(args, cfg: dict, config: CheckAssumptionsConfig) -> i
                               f"p={model.p}, got {probes}", "probes")
         probes = [np.asarray(q, dtype=np.float64) for q in probes]
     report = check_assumptions(model, pi, probes, seed=seed)
-    out_dir = output_root(args.out) / f"check-assumptions-seed{seed}"
-    manifest = RunManifest.start("check-assumptions", cfg, seed, workers=args.workers)
-    report_path = out_dir / "report.json"
-    write_json(report_path, {
-        "ok": report.ok,
-        "n_checks": report.n_checks,
-        "moment_value": report.moment_value,
-        "violations": [str(v) for v in report.violations],
-    })
-    manifest.finish(out_dir, [report_path])
-    print(f"[check-assumptions] ok={report.ok} checks={report.n_checks} "
-          f"violations={len(report.violations)}")
-    for v in report.violations:
-        print(f"  {v}")
-    if args.strict and not report.ok:
-        return EXIT_VERDICT
-    return EXIT_OK
+    return Outcome(
+        "check-assumptions",
+        {"report.json": partial(write_json, obj={
+            "ok": report.ok,
+            "n_checks": report.n_checks,
+            "moment_value": report.moment_value,
+            "violations": [str(v) for v in report.violations],
+        })},
+        partial(_print_check, report),
+        ok=report.ok,
+    )
 
 
 def _load_samples(path: str) -> np.ndarray:
-    """The w_1..w_p columns of a sample CSV; bad rows are reported with their line number."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        w_cols = [i for i, h in enumerate(header) if h.startswith("w_")]
-        if not w_cols:
-            raise ConfigError(f"sample file {path} needs w_1..w_p columns")
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            where = f"sample file {path} line {lineno}"
-            if len(parts) < len(header):
-                raise ConfigError(f"{where}: {len(parts)} cells, header has {len(header)}")
-            try:
-                row = [float(parts[i]) for i in w_cols]
-            except ValueError as exc:
-                raise ConfigError(f"{where}: malformed cell ({exc})") from exc
-            if not np.all(np.isfinite(row)):
-                raise ConfigError(f"{where}: non-finite cell")
-            rows.append(row)
-    if not rows:
-        raise ConfigError(f"sample file {path} has no rows")
-    return np.asarray(rows)
+    """The w_1..w_p columns of a sample CSV, each cell finite."""
+    _, samples, lines = read_csv_columns(path, "sample file", "w_")
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"sample file {path} line {lines[np.argmin(finite)]}: non-finite cell")
+    return samples
 
 
-def _cmd_metrics(args, cfg: dict, config: MetricsConfig) -> int:
+def _cmd_metrics(config: MetricsConfig, workers: int) -> Outcome:
     a = _load_samples(config.samples_a)
     b = _load_samples(config.samples_b)
     if b.shape[1] != a.shape[1]:
@@ -353,13 +308,11 @@ def _cmd_metrics(args, cfg: dict, config: MetricsConfig) -> int:
         sl = w2_sliced(a, b, n_proj=config.reps, seed=seed)
         out["w2_sliced"] = sl.value
         out["w2_sliced_stderr"] = sl.stderr
-    out_dir = output_root(args.out) / f"metrics-seed{seed}"
-    manifest = RunManifest.start("metrics", cfg, seed, workers=args.workers)
-    path = out_dir / "distances.json"
-    write_json(path, out)
-    manifest.finish(out_dir, [path])
-    print(f"[metrics] w2={out['w2']:.6g} -> {path}")
-    return EXIT_OK
+    return Outcome(
+        "metrics",
+        {"distances.json": partial(write_json, obj=out)},
+        lambda out_dir: print(f"[metrics] w2={out['w2']:.6g} -> {out_dir / 'distances.json'}"),
+    )
 
 
 # subcommand -> (config dataclass, handler)
@@ -392,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=1, help="process-pool width")
         sp.add_argument("--strict", action="store_true",
                         help="exit 1 when a verdict fails or none applies")
-    sub.choices["simulate"].add_argument("--snapshot-times", type=float, nargs="+", default=None)
     return parser
 
 
@@ -408,8 +360,16 @@ def cli_dispatch(argv: list[str]) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         cls, run = _COMMANDS[args.command]
-        # the manifest echoes the raw dict; the command runs on its dataclass
-        return run(args, cfg, parse_config(cls, cfg, args.command))
+        config = parse_config(cls, cfg, args.command)
+        # the manifest echoes the raw dict and is stamped before the run; the
+        # command runs on its dataclass
+        manifest = RunManifest.start(args.command, cfg, config.seed, workers=args.workers)
+        outcome = run(config, args.workers)
+        out_dir = output_root(args.out) / f"{outcome.name}-seed{config.seed}"
+        for name, write in outcome.files.items():
+            write(out_dir / name)
+        manifest.command, manifest.derived = outcome.name, outcome.derived
+        manifest.finish(out_dir, [out_dir / name for name in outcome.files])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -419,6 +379,8 @@ def cli_dispatch(argv: list[str]) -> int:
     except EnsembleDiverged as exc:  # a study reports it as a verdict; a single run has no report
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_VERDICT
+    outcome.echo(out_dir)
+    return EXIT_VERDICT if args.strict and not outcome.ok else EXIT_OK
 
 
 def main() -> None:

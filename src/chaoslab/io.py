@@ -34,6 +34,7 @@ __all__ = [
     "load_config",
     "parse_config",
     "load_dataset",
+    "read_csv_columns",
     "save_trajectory",
     "load_trajectory",
     "trajectory_to_csv",
@@ -113,38 +114,55 @@ def load_config(path: str | Path) -> dict:
 # ----------------------------- datasets -----------------------------
 
 
+def read_csv_columns(path: str | Path, what: str, prefix: str, names: tuple[str, ...] = ()):
+    """The numbers in the columns whose header starts with ``prefix`` (one at
+    least), then in those of ``names`` the header has, of the CSV file at ``path``.
+
+    Returns the chosen column names, their cells as a ``(rows, columns)`` float
+    array and each row's line number; blank lines are skipped.  A row with fewer
+    cells than the header, a cell that is not a number, or a file without rows
+    is a ConfigError naming the ``what`` (a dataset, a sample file), the path
+    and the line.  Non-finite cells are passed on for the caller to judge."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = [h.strip() for h in next(reader, [])]
+        cols = [i for i, h in enumerate(header) if h.startswith(prefix)]
+        if not cols:
+            raise ConfigError(f"{what} {path} needs columns {prefix}1, {prefix}2, ...")
+        cols += [header.index(name) for name in names if name in header]
+        rows, lines = [], []
+        for cells in reader:
+            if not any(c.strip() for c in cells):
+                continue
+            where = f"{what} {path} line {reader.line_num}"
+            if len(cells) < len(header):
+                raise ConfigError(f"{where}: {len(cells)} cells, header has {len(header)}")
+            try:
+                rows.append([float(cells[i]) for i in cols])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: malformed cell ({exc})") from exc
+            lines.append(reader.line_num)
+    if not rows:
+        raise ConfigError(f"{what} {path} has no rows")
+    return [header[i] for i in cols], np.array(rows), lines
+
+
 def load_dataset(path: str | Path) -> DataDistribution:
     """Read a CSV dataset with columns x_1..x_d, y and optional weight.
 
     Weights default to uniform and are normalized; malformed rows are
     reported with their line number.
     """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    names, values, lines = read_csv_columns(path, "dataset", "x_", ("y", "weight"))
+    if "y" not in names:
+        raise ConfigError(f"dataset {path} must have columns x_1..x_d and y")
+    d = names.index("y")  # the x_ columns come first, then y and weight
+    atoms = []
+    for lineno, row in zip(lines, values):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"dataset {path} is empty") from None
-        header = [h.strip() for h in header]
-        x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
-        if not x_cols or "y" not in header:
-            raise ConfigError(f"dataset {path} must have columns x_1..x_d and y")
-        y_col = header.index("y")
-        w_col = header.index("weight") if "weight" in header else None
-        atoms = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                x = np.array([float(row[i]) for i in x_cols])
-                y = float(row[y_col])
-                w = float(row[w_col]) if w_col is not None else 1.0
-                atoms.append(DataAtom(x, y, w))
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"dataset {path} line {lineno}: malformed row ({exc})") from exc
-    if not atoms:
-        raise ConfigError(f"dataset {path} has no data rows")
+            atoms.append(DataAtom(row[:d], row[d], row[d + 1] if "weight" in names else 1.0))
+        except ValueError as exc:
+            raise ConfigError(f"dataset {path} line {lineno}: {exc}") from exc
     try:
         return DataDistribution(atoms)
     except ValueError as exc:

@@ -178,7 +178,7 @@ class Hyperparams:
         n = round(self.T / self.dt)
         if abs(n * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
             raise ConfigError(f"horizon T={self.T} is not a whole number of Euler steps "
-                              f"dt={self.dt} (T/dt = {self.T / self.dt:.6g})", "T")
+                              f"dt={self.dt} (T/dt = {self.T / self.dt:.6g})", "hyper.T")
         return n
 
     def sgd_steps(self, N: int) -> int:
@@ -187,7 +187,7 @@ class Hyperparams:
         n = int(math.floor(self.T / g + 1e-12))
         if n == 0:
             raise ConfigError(f"horizon T={self.T} is shorter than one SGD step "
-                              f"gamma_scale={g:.6g}; nothing to run", "T")
+                              f"gamma_scale={g:.6g}; nothing to run", "hyper.T")
         return n
 
     def replace(self, **kw) -> "Hyperparams":

@@ -91,6 +91,18 @@ def test_only_the_cli_and_the_pool_workers_steady_the_heap(trees):
         n.arg == "initializer" and _named(n.value, "steady_heap"))) == {"experiments.py:_pool_map"}
 
 
+def test_only_the_cli_dispatch_writes_a_run_directory(trees):
+    # a handler returns its outcome; the manifest, the output root and the files are one path
+    def manifest_start(n):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "start" and _named(n.func.value, "RunManifest"))
+
+    for matches in (manifest_start,
+                    lambda n: isinstance(n, ast.Call) and _named(n.func, "finish"),
+                    lambda n: isinstance(n, ast.Call) and _named(n.func, "output_root")):
+        assert _enclosing_functions(trees, matches) == {"cli.py:cli_dispatch"}
+
+
 def test_one_coupling_step_in_experiments(trees):
     # the reps of the coupling step as stacked blocks; a lone rep is a block of one
     steps = _enclosing_functions(

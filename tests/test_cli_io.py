@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 import chaoslab
+from chaoslab import experiments as xp
 from chaoslab.cli import _COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, SimulateConfig, cli_dispatch
 from chaoslab.dynamics import InitSpec, Trajectory, interacting_sde_run
 from chaoslab.io import (
     _CSV_BLOCK_ROWS,
     ConfigError,
+    RunManifest,
     load_config,
     load_dataset,
     load_trajectory,
@@ -117,6 +119,12 @@ class TestDatasetIO:
         path = tmp_path / "d.csv"
         path.write_text("x_1,y\n0.5,1.0\nbogus,2.0\n")
         with pytest.raises(ConfigError, match="line 3"):
+            load_dataset(path)
+
+    def test_short_row_reports_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x_1,y,weight\n0.5,1.0,1.0\n-0.5,-1.0\n")
+        with pytest.raises(ConfigError, match="line 3: 2 cells, header has 3"):
             load_dataset(path)
 
     def test_nan_feature_rejected_with_line(self, tmp_path):
@@ -355,7 +363,7 @@ class TestCliDispatch:
         cfg = {**cfg, "hyper": {"T": 1.0, "dt": 0.3}, "seed": 1}
         assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config field T" in err and "dt=0.3" in err
+        assert "config field hyper.T: horizon T=1.0" in err and "dt=0.3" in err
 
     def test_stationary_fractional_horizon_exits_config(self, tmp_path, capsys):
         cfg = {"problem": {"feature": "zero", "penalty": 1.0}, "hyper": {"dt": 0.3},
@@ -429,7 +437,8 @@ class TestCliDispatch:
          "fields sigma_override/hyper.eta"),
         ("check-assumptions", {"probes": [[1.0, 2.0]]}, "field probes"),
         ("check-assumptions", {"probes": []}, "field probes"),
-        ("simulate", {"engine": "sgd", "N": 4, "hyper": {"T": 0.01, "gamma": 0.5}}, "field T"),
+        ("simulate", {"engine": "sgd", "N": 4, "hyper": {"T": 0.01, "gamma": 0.5}},
+         "field hyper.T"),
         ("simulate", {"engine": "interacting-sde", "N": 4, "hyper": {"T": 0.2, "dt": 0.05},
                       "snapshot_times": [9]}, "field snapshot_times"),
         # engines the study does not run
@@ -677,18 +686,32 @@ class TestCliDispatch:
         manifest = json.loads((tmp_path / "out" / "chaos-rate-seed123" / "manifest.json").read_text())
         assert manifest["seed"] == 123
 
-    @pytest.mark.parametrize("command", ["check-assumptions", "chaos-rate", "stationary", "metrics"])
+    # the flag was simulate's alone and is gone: snapshot_times is a simulate config
+    # key, which the manifest echoes, and no subcommand, simulate included, takes the flag
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_snapshot_times_flag_is_simulate_only(self, tmp_path, capsys, command):
         assert self.run(tmp_path, command, {}, "--snapshot-times", "99") == EXIT_CONFIG
         assert "unrecognized arguments: --snapshot-times" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_snapshot_times_flag_reaches_simulate(self, tmp_path):
-        cfg = {"hyper": {"T": 0.2, "dt": 0.05, "gamma": 0.5}, "N": 4,
-               "engine": "interacting-sde", "seed": 1}
-        assert self.run(tmp_path, "simulate", cfg, "--snapshot-times", "0.1") == EXIT_OK
-        traj = load_trajectory(tmp_path / "out" / "simulate-seed1" / "trajectory.bin")
-        assert traj.times.tolist() == [0.0, 0.1, 0.2]
+    def test_the_manifest_is_started_before_the_run(self, tmp_path, monkeypatch):
+        calls = []
+        start, study = RunManifest.start, xp.gamma_sweep
+
+        def logged_start(*args, **kwargs):
+            calls.append("start")
+            return start(*args, **kwargs)
+
+        def logged_study(config, workers):
+            calls.append("run")
+            return study(config, workers=workers)
+
+        monkeypatch.setattr(RunManifest, "start", staticmethod(logged_start))
+        monkeypatch.setattr(xp, "gamma_sweep", logged_study)
+        cfg = {"hyper": {"T": 0.2, "dt": 0.05}, "gammas": [1.0, 0.5], "N_ref": 16, "reps": 2,
+               "seed": 1}
+        assert self.run(tmp_path, "gamma-sweep", cfg) == EXIT_OK
+        assert calls == ["start", "run"]
 
     def test_overflowing_run_reports_its_divergence(self, tmp_path, capsys):
         # a pinned noise of 1e308 overflows the second moment after one step
@@ -821,19 +844,32 @@ class TestCliDispatch:
             assert (study_dir / "manifest.json").exists(), command
 
     def test_replay_from_manifest_config(self, tmp_path):
-        # the manifest's config echo + seed reproduce the run byte-for-byte
-        cfg = {"hyper": {"T": 0.2, "dt": 0.05, "gamma": 0.5}, "N": 4,
-               "engine": "interacting-sde", "seed": 5}
-        assert self.run(tmp_path, "simulate", cfg) == EXIT_OK
-        out = tmp_path / "out" / "simulate-seed5"
-        manifest = json.loads((out / "manifest.json").read_text())
-        first = (out / "trajectory.bin").read_bytes()
-        cfg_path = tmp_path / "replay.json"
-        cfg_path.write_text(json.dumps(manifest["config"]))
-        assert cli_dispatch(["simulate", "--config", str(cfg_path),
-                             "--out", str(tmp_path / "out2")]) == EXIT_OK
-        second = (tmp_path / "out2" / "simulate-seed5" / "trajectory.bin").read_bytes()
-        assert first == second
+        # the manifest's config echo + seed reproduce each run's files byte-for-byte
+        runs = [
+            ("simulate", {"hyper": {"T": 0.2, "dt": 0.05, "gamma": 0.5}, "N": 4,
+                          "engine": "interacting-sde", "snapshot_times": [0.1], "seed": 5},
+             "simulate-seed5", ["trajectory.bin", "trajectory.csv"]),
+            ("gamma-sweep", {"hyper": {"T": 0.2, "dt": 0.05}, "gammas": [1.0, 0.5], "N_ref": 16,
+                             "reps": 2, "seed": 5}, "gamma-sweep-seed5", ["distances.csv"]),
+            ("stationary", {"problem": {"feature": "zero", "penalty": 1.0},
+                            "sigma_override": 1.0, "hyper": {"dt": 0.05}, "n_cells": 64,
+                            "N_ref": 64, "horizon": 0.2, "seed": 5},
+             "stationary-seed5", ["density.csv"]),
+        ]
+        for command, cfg, out_name, files in runs:
+            assert self.run(tmp_path, command, cfg) == EXIT_OK
+            out = tmp_path / "out" / out_name
+            manifest = json.loads((out / "manifest.json").read_text())
+            cfg_path = tmp_path / "replay.json"
+            cfg_path.write_text(json.dumps(manifest["config"]))
+            assert cli_dispatch([command, "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "out2")]) == EXIT_OK
+            for name in files:
+                replayed = tmp_path / "out2" / out_name / name
+                assert (out / name).read_bytes() == replayed.read_bytes(), (command, name)
+        # the config's snapshot times, not the engine's every step
+        traj = load_trajectory(tmp_path / "out2" / "simulate-seed5" / "trajectory.bin")
+        assert traj.times.tolist() == [0.0, 0.1, 0.2]
 
 
 class TestSteadyHeap:
