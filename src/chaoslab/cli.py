@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
@@ -48,7 +49,7 @@ from .io import (
     write_json,
 )
 from .metrics import w2_1d, w2_ensembles, w2_sliced
-from .model import Hyperparams, check_assumptions, gamma_scale, make_model, require
+from .model import Hyperparams, check_assumptions, gamma_scale, require
 from .rng import NoisePlan
 from .stationary import GridDensity1D, NonEllipticNoise, fixed_point_iterate, stationarity_check
 
@@ -67,12 +68,16 @@ _ENGINES = {
 
 def _resolve_problem(config):
     """Model/data/init of a simulate, stationary or check-assumptions config; a dataset
-    path overrides the synthetic atoms and ``sigma_override`` sets the model's noise model."""
-    model, pi, init = config.problem.build()
-    if config.dataset is not None:
+    path overrides the synthetic atoms and sets ``p`` to its number of x_ columns, and
+    ``sigma_override`` sets the model's noise model."""
+    if config.dataset is None:
+        model, pi, init = config.problem.build()
+    else:
         pi = load_dataset(config.dataset)
-        problem = config.problem
-        model = make_model(problem.feature, problem.loss, problem.penalty, p=pi.d)
+        if config.problem.p not in (1, pi.d):
+            raise ConfigError(f"config field problem.p: problem.p must be 1 or the {pi.d} x_ "
+                              f"columns of {config.dataset}, got {config.problem.p}", "problem.p")
+        model, _, init = replace(config.problem, p=pi.d).build()
     if getattr(config, "sigma_override", None) is not None:
         model = replace(model, sigma_override=config.sigma_override)
     return model, pi, init
@@ -299,12 +304,15 @@ def _cmd_metrics(config: MetricsConfig, workers: int) -> Outcome:
     if b.shape[1] != a.shape[1]:
         raise ConfigError(f"samples_b has {b.shape[1]} w_ columns, samples_a has {a.shape[1]}",
                           "samples_b")
+    if a.shape[1] > 1 and len(b) != len(a):
+        raise ConfigError(f"samples_b has {len(b)} rows, samples_a has {len(a)}: above p = 1 "
+                          "the distances need equal sample counts", "samples_b")
     seed = config.seed
     out = {"n_a": len(a), "n_b": len(b), "p": a.shape[1]}
     out["w2"] = w2_ensembles(a, b, seed=seed)
     if a.shape == b.shape and a.shape[1] == 1:
         out["w2_1d"] = w2_1d(a[:, 0], b[:, 0])
-    if a.shape == b.shape and a.shape[1] > 1:
+    if a.shape[1] > 1:
         sl = w2_sliced(a, b, n_proj=config.reps, seed=seed)
         out["w2_sliced"] = sl.value
         out["w2_sliced_stderr"] = sl.stderr
@@ -361,11 +369,16 @@ def cli_dispatch(argv: list[str]) -> int:
             cfg["seed"] = args.seed
         cls, run = _COMMANDS[args.command]
         config = parse_config(cls, cfg, args.command)
+        root = output_root(args.out)
+        # checked before the run, which would otherwise end in an OSError at the first write
+        nearest = next(d for d in (root, *root.parents) if d.exists())
+        if not (nearest.is_dir() and os.access(nearest, os.W_OK)):
+            raise ConfigError(f"--out {root}: {nearest} is not a writable directory", "--out")
         # the manifest echoes the raw dict and is stamped before the run; the
         # command runs on its dataclass
         manifest = RunManifest.start(args.command, cfg, config.seed, workers=args.workers)
         outcome = run(config, args.workers)
-        out_dir = output_root(args.out) / f"{outcome.name}-seed{config.seed}"
+        out_dir = root / f"{outcome.name}-seed{config.seed}"
         for name, write in outcome.files.items():
             write(out_dir / name)
         manifest.command, manifest.derived = outcome.name, outcome.derived

@@ -5,10 +5,10 @@ echo, CSV-serializable metric tables, and named verdicts (measured value,
 threshold, pass/fail).  A study is declared by how it collects its results
 (a task function and its tasks, or a callable given the pool's map) and a
 pure ``(config, results) -> Findings`` step; ``run_study`` owns the clock,
-the budget warning, the one process pool and divergence: a task whose
-ensemble crosses the moment ceiling turns the report into one failing
-``diverged`` verdict with no tables.  Reports are deterministic given
-(config, seed), bit for bit at any pool width.
+the one process pool and divergence: a task whose ensemble crosses the
+moment ceiling turns the report into one failing ``diverged`` verdict with
+no tables.  Reports are deterministic given (config, seed), bit for bit at
+any pool width.
 """
 
 from __future__ import annotations
@@ -176,13 +176,8 @@ def run_study(study_id: str, config, workers: int, collect, judge) -> StudyRepor
         ))])
     else:
         found = judge(config, results)
-    report = StudyReport(study_id, {**asdict(config), **found.config_extras}, found.tables,
-                         found.verdicts, list(found.warnings), time.time() - t0)
-    if config.budget_s is not None and report.elapsed_s > config.budget_s:
-        report.warnings.append(
-            f"wall clock {report.elapsed_s:.1f}s exceeded budget {config.budget_s:.1f}s"
-        )
-    return report
+    return StudyReport(study_id, {**asdict(config), **found.config_extras}, found.tables,
+                       found.verdicts, list(found.warnings), time.time() - t0)
 
 
 # ----------------------------- synthetic problems -----------------------------
@@ -263,7 +258,6 @@ class ChaosRateConfig:
     seed: int = 123
     slope_threshold: float = -0.7
     endpoint_ratio: float = 8.0  # error(N_min) / error(N_max) must reach this
-    budget_s: float | None = None
 
     def __post_init__(self):
         require(len(self.N_grid) >= 4 and min(self.N_grid) >= 1, "N_grid",
@@ -281,7 +275,6 @@ class ChaosRateConfig:
                 self.N_ref)
         require(self.reps >= 1, "reps", "be >= 1", self.reps)
         require(self.endpoint_ratio > 0, "endpoint_ratio", "be > 0", self.endpoint_ratio)
-        require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
         self.hyper.euler_steps()
 
 
@@ -560,10 +553,8 @@ class TwoRegimeConfig:
     seeds: int = 16
     seed: int = 7
     engine: str = "sgd"
-    statistic: str = "ensemble_mean"
     ratio_threshold: float = 0.3
     floor_jitter: float = 0.5  # relative change of the beta=1 deviation, two largest N
-    budget_s: float | None = None
 
     def __post_init__(self):
         require(min(self.N_grid, default=0) >= 1, "N_grid", "be one or more sizes >= 1", self.N_grid)
@@ -572,11 +563,8 @@ class TwoRegimeConfig:
         require(all(0.0 <= b <= 1.0 for b in self.betas), "betas", "lie in [0, 1]", self.betas)
         require(self.seeds >= 2, "seeds", "be >= 2 to measure a deviation", self.seeds)
         require(self.engine in ("sgd", "msgld"), "engine", "be sgd or msgld", self.engine)
-        require(self.statistic in ("ensemble_mean", "particle0"), "statistic",
-                "be ensemble_mean or particle0", self.statistic)
         require(self.ratio_threshold > 0, "ratio_threshold", "be > 0", self.ratio_threshold)
         require(self.floor_jitter > 0, "floor_jitter", "be > 0", self.floor_jitter)
-        require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
 
 
 def _regime_shortcut(config: TwoRegimeConfig) -> bool:
@@ -585,7 +573,7 @@ def _regime_shortcut(config: TwoRegimeConfig) -> bool:
 
 
 def _regime_task(config: TwoRegimeConfig, task) -> list[float]:
-    """The endpoint statistic of the (beta, N) runs of the given seeds."""
+    """The endpoint ensemble mean of the (beta, N) runs of the given seeds."""
     beta, N, seeds = task
     model, pi, init = config.problem.build()
     hyper = config.hyper.replace(beta=beta)
@@ -602,11 +590,11 @@ def _regime_task(config: TwoRegimeConfig, task) -> list[float]:
     # the seeds' systems run as one stacked block, each on its own plan
     traj = run(model, pi, hyper_run, N_run, init, plans, snapshot_times=[hyper.T])
     W = traj.endpoint().reshape(len(plans), N_run, model.p)
-    return (W[:, 0, 0] if config.statistic == "particle0" else W[:, :, 0].mean(axis=1)).tolist()
+    return W[:, :, 0].mean(axis=1).tolist()
 
 
 def two_regime_study(config: TwoRegimeConfig, workers: int = 1) -> StudyReport:
-    """Across-seed deviation of the endpoint statistic: vanishing vs stable noise."""
+    """Across-seed deviation of the endpoint ensemble mean: vanishing vs stable noise."""
     seeds = range(config.seeds)
     # the shortcut stacks every seed's one particle; a full N-run (up to 2^20
     # particles) is one seed per task, so no block holds several of them
@@ -662,7 +650,6 @@ class SweepConfig:
     N_ref: int = 4096
     reps: int = 4
     seed: int = 29
-    budget_s: float | None = None
 
     def __post_init__(self):
         require(all(g > 0 for g in self.gammas), "gammas", "be > 0", self.gammas)
@@ -674,7 +661,6 @@ class SweepConfig:
                 "be strictly increasing", self.batches)
         require(self.N_ref >= 1, "N_ref", "be >= 1", self.N_ref)
         require(self.reps >= 1, "reps", "be >= 1", self.reps)
-        require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
         self.hyper.euler_steps()
 
 
@@ -703,8 +689,7 @@ def _sweep_task(config: SweepConfig, key: str, values, r: int) -> list[float]:
         hyper = h.replace(gamma=value) if key == "gamma" else h.replace(M=int(value))
         sde = endpoint(meanfield_sde_run, hyper, plan.child("sweep", key, int(value * 1000), r),
                        f"run at {key}={value}")
-        out.append(w2_1d_quantile(sde[:, 0], ode[:, 0]) if model.p == 1
-                   else w2_ensembles(sde, ode, seed=config.seed))
+        out.append(w2_ensembles(sde, ode, seed=config.seed))
     return out
 
 
@@ -754,7 +739,6 @@ class HistogramConfig:
     reps: int = 4  # SGD endpoint laws are pooled over this many runs
     engine: str = "interacting-sde"
     seed: int = 17
-    budget_s: float | None = None
 
     def __post_init__(self):
         require(len(self.N_grid) >= 3 and min(self.N_grid) >= 1, "N_grid",
@@ -766,7 +750,6 @@ class HistogramConfig:
         require(self.reps >= 1, "reps", "be >= 1", self.reps)
         require(self.engine in ("interacting-sde", "sgd"), "engine", "be interacting-sde or sgd",
                 self.engine)
-        require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
         if self.engine == "interacting-sde":  # SGD steps by its stepsize schedule, not dt
             self.hyper.euler_steps()
 
@@ -845,7 +828,6 @@ class ConsistencyConfig:
     reps: int = 6
     seed: int = 37
     decrease_factor: float = 0.7
-    budget_s: float | None = None
 
     def __post_init__(self):
         require(len(self.N_grid) >= 2 and min(self.N_grid) >= 1, "N_grid",
@@ -854,7 +836,6 @@ class ConsistencyConfig:
                 "be strictly increasing", self.N_grid)
         require(self.reps >= 2, "reps", "be >= 2 to pool and estimate stderr", self.reps)
         require(self.decrease_factor > 0, "decrease_factor", "be > 0", self.decrease_factor)
-        require(self.budget_s is None or self.budget_s > 0, "budget_s", "be > 0", self.budget_s)
         self.hyper.euler_steps()
 
 

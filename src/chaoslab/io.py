@@ -354,13 +354,11 @@ class RunManifest:
     environment: dict = field(default_factory=dict)  # where it ran: see finish
 
     @staticmethod
-    def start(command: str, config: dict, seed: int, derived: dict | None = None,
-              workers: int = 1) -> "RunManifest":
+    def start(command: str, config: dict, seed: int, workers: int = 1) -> "RunManifest":
         return RunManifest(
             command=command,
             config=config,
             seed=seed,
-            derived=derived or {},
             code_version=_code_version(),
             started_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             environment={"workers": workers},

@@ -135,12 +135,12 @@ def w2_sliced(a, b, n_proj: int = 64, seed: int = 0) -> SlicedW2:
     return SlicedW2(val, se_sq / (2.0 * val) if val > 0 else math.sqrt(max(se_sq, 0.0)))
 
 
-def w2_ensembles(a, b, seed: int = 0, n_proj: int = 256) -> float:
+def w2_ensembles(a, b, seed: int = 0) -> float:
     """W2 between two ensembles, routed to the best affordable estimator.
 
     1-D uses the exact quantile coupling (any sample counts); small point
     clouds use the exact assignment; everything else falls back to the
-    sliced approximation.
+    sliced approximation on 256 random directions.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -148,7 +148,7 @@ def w2_ensembles(a, b, seed: int = 0, n_proj: int = 256) -> float:
         return w2_1d_quantile(a, b)
     if a.shape == b.shape and a.shape[0] <= W2_EXACT_MAX_N:
         return w2_exact(a, b)
-    return w2_sliced(a, b, n_proj=n_proj, seed=seed).value
+    return w2_sliced(a, b, n_proj=256, seed=seed).value
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,10 @@ def mixture_bound_check(components: Sequence[tuple]) -> bool:
     return lhs <= bound + 1e-12
 
 
-def histogram_rows(samples, n_bins: int = 40, lo: float | None = None, hi: float | None = None):
-    """Histogram of 1-D samples as (bin_left, bin_right, count, density) rows."""
+def histogram_rows(samples, n_bins: int = 40):
+    """Histogram of 1-D samples over their range as (bin_left, bin_right, count, density) rows."""
     s = _flat_samples(samples)
-    lo = float(s.min()) if lo is None else lo
-    hi = float(s.max()) if hi is None else hi
+    lo, hi = float(s.min()), float(s.max())
     if hi <= lo:
         hi = lo + 1.0
     counts, edges = np.histogram(s, bins=n_bins, range=(lo, hi))

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
+_FD_DIRS, _FD_EPS = 8, 1e-4  # the finite-difference audit's random directions and step
 
 # sup_z |tanh''(z)| and sup_z |tanh'''(z)|, used by the tanh envelope.
 _TANH_D2_MAX = 4.0 / (3.0 * math.sqrt(3.0))
@@ -483,11 +484,11 @@ class AssumptionReport:
         return not self.violations
 
 
-def _fd_derivative_norms(feature, w, x, n_dirs, eps, rng) -> tuple[float, float, float, float]:
+def _fd_derivative_norms(feature, w, x, rng) -> tuple[float, float, float, float]:
     """Sampled lower bounds of ||F||, ||D1F||, ||D2F||, ||D3F|| at (w, x).
 
     Directional central differences of the analytic gradient; operator norms
-    are estimated as the max over ``n_dirs`` random unit directions, which
+    are estimated as the max over ``_FD_DIRS`` random unit directions, which
     keeps the audit sound (it can only under-report a violation margin).
     """
     p = w.shape[0]
@@ -495,16 +496,16 @@ def _fd_derivative_norms(feature, w, x, n_dirs, eps, rng) -> tuple[float, float,
     X1 = x[None, :]
     f0 = abs(float(feature.value(W1, X1)[0, 0]))
     g0 = float(np.linalg.norm(feature.grad(W1, X1)[0, 0]))
-    dirs = rng.standard_normal((n_dirs, p))
+    dirs = rng.standard_normal((_FD_DIRS, p))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     d2 = 0.0
     d3 = 0.0
     for u in dirs:
-        gp = feature.grad((w + eps * u)[None, :], X1)[0, 0]
-        gm = feature.grad((w - eps * u)[None, :], X1)[0, 0]
+        gp = feature.grad((w + _FD_EPS * u)[None, :], X1)[0, 0]
+        gm = feature.grad((w - _FD_EPS * u)[None, :], X1)[0, 0]
         gc = feature.grad(W1, X1)[0, 0]
-        d2 = max(d2, float(np.linalg.norm((gp - gm) / (2 * eps))))
-        d3 = max(d3, float(np.linalg.norm((gp - 2 * gc + gm) / eps**2)))
+        d2 = max(d2, float(np.linalg.norm((gp - gm) / (2 * _FD_EPS))))
+        d3 = max(d3, float(np.linalg.norm((gp - 2 * gc + gm) / _FD_EPS**2)))
     return f0, g0, d2, d3
 
 
@@ -512,8 +513,6 @@ def check_assumptions(
     model: ModelSpec,
     pi: DataDistribution,
     probe_ws: Sequence[np.ndarray],
-    n_dirs: int = 8,
-    fd_eps: float = 1e-4,
     seed: int = 0,
 ) -> AssumptionReport:
     """Audit the regularity hypotheses of a model against a distribution.
@@ -558,7 +557,7 @@ def check_assumptions(
             if hasattr(model.feature, "derivative_norms"):
                 f0, d1, d2, d3 = model.feature.derivative_norms(w, atom.x)
             else:
-                f0, d1, d2, d3 = _fd_derivative_norms(model.feature, w, atom.x, n_dirs, fd_eps, rng)
+                f0, d1, d2, d3 = _fd_derivative_norms(model.feature, w, atom.x, rng)
             lhs = f0 + d1 + d2 + d3
             n_checks += 1
             if lhs > phi * (1 + 1e-9):

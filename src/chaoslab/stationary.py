@@ -27,6 +27,7 @@ import numpy as np
 
 from .dynamics import DOMAIN_REFERENCE, InitSpec, euler_run, meanfield_sigma_scale
 from .meanfield import EmpiricalMeasure, FieldCache, field_cache, mean_field_terms, ridge_block
+from .metrics import w2_1d_quantile
 from .model import DataDistribution, Hyperparams, ModelSpec, time_weight
 from .rng import NoisePlan, SLOT_INIT
 
@@ -266,9 +267,8 @@ def stationarity_check(
         kind="meanfield-sde",
         snapshot_times=[horizon],
     )
-    samples = np.sort(traj.endpoint()[:, 0])
     levels = (np.arange(N_ref) + 0.5) / N_ref
-    return float(np.sqrt(np.mean((samples - mu_star.ppf(levels)) ** 2)))
+    return w2_1d_quantile(traj.endpoint(), mu_star.ppf(levels))
 
 
 # ----------------------------- law of the Euler scheme on a grid -----------------------------

@@ -170,3 +170,22 @@ def test_names_no_study_or_command_reads_are_gone(trees):
     gone = {"path_metric", "PathMetric", "sgd_sde_gap", "per_sample_grad", "g_envelope",
             "save_dataset", "_atomic_write_bytes"}
     assert _enclosing_functions(trees, lambda n: bool(_bound_names(n) & gone)) == set()
+
+
+def test_no_config_carries_a_budget_or_a_statistic(trees):
+    # a setting that only its default reached is a constant of its study; run_study
+    # reads its config only through asdict, for the report's echo
+    def dataclass_fields(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    _named(d.func if isinstance(d, ast.Call) else d, "dataclass")
+                    for d in node.decorator_list):
+                yield from (f"{node.name}.{s.target.id}" for s in node.body
+                            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
+
+    fields = {f for tree in trees.values() for f in dataclass_fields(tree)}
+    assert any(f.endswith("Config.seed") for f in fields)
+    assert {f for f in fields if f.split(".")[1] in ("budget_s", "statistic")} == set()
+    reads = _enclosing_functions(
+        trees, lambda n: isinstance(n, ast.Attribute) and _named(n.value, "config"))
+    assert "experiments.py:run_study" not in reads

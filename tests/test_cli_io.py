@@ -405,6 +405,10 @@ class TestCliDispatch:
                "N_grid": [16, 64], "reps": 2, "seed": 1}
         assert self.run(tmp_path, "consistency", cfg) == EXIT_CONFIG
         assert "config fields N, dataset, engine, sigma_override:" in capsys.readouterr().err
+        # keys that were once settable and are now constants of their study
+        for command, key in (("regime", "statistic"), ("consistency", "budget_s")):
+            assert self.run(tmp_path, command, {key: 1, "seed": 1}) == EXIT_CONFIG
+            assert f"config fields {key}: {command} does not read them" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, cfg, unread", [
@@ -429,6 +433,31 @@ class TestCliDispatch:
         err = capsys.readouterr().err
         assert "config field dataset: the stationary map is defined for p = 1, got p=2" in err
         assert "problem.p" not in err
+
+    def test_dataset_run_builds_its_dirac_init_in_the_dataset_dimension(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("x_1,x_2,y\n0.5,1.0,1.0\n-0.5,0.0,-1.0\n")
+        cfg = {"dataset": str(data), "problem": {"init_kind": "dirac", "init_w0": 0.25},
+               "engine": "interacting-sde", "N": 3, "hyper": {"T": 0.2, "dt": 0.05}, "seed": 1}
+        assert self.run(tmp_path, "simulate", cfg) == EXIT_OK
+        traj = load_trajectory(tmp_path / "out" / "simulate-seed1" / "trajectory.bin")
+        assert traj.p == 2
+        assert np.all(traj.ensembles[0] == 0.25)
+
+    @pytest.mark.parametrize("p, rc", [(1, EXIT_OK), (2, EXIT_OK), (4, EXIT_CONFIG)])
+    def test_problem_p_is_one_or_the_dataset_dimension(self, tmp_path, capsys, p, rc):
+        data = tmp_path / "d.csv"
+        data.write_text("x_1,x_2,y\n0.5,1.0,1.0\n-0.5,0.0,-1.0\n")
+        cfg = {"dataset": str(data), "problem": {"p": p}, "engine": "interacting-sde", "N": 3,
+               "hyper": {"T": 0.2, "dt": 0.05}, "seed": 1}
+        assert self.run(tmp_path, "simulate", cfg) == rc
+        if rc == EXIT_OK:
+            assert load_trajectory(tmp_path / "out" / "simulate-seed1" / "trajectory.bin").p == 2
+        else:
+            err = capsys.readouterr().err
+            assert f"config field problem.p: problem.p must be 1 or the 2 x_ columns of {data}, " \
+                   "got 4" in err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, cfg, field", [
         ("stationary", {"problem": {"p": 2}, "sigma_override": 1.0}, "field problem.p"),
@@ -478,7 +507,7 @@ class TestCliDispatch:
         ("batch-sweep", {"problem": {"init_w0": True}}, "init_w0"),
         ("simulate", {"dataset": 3}, "dataset"),
         ("simulate", {"engine": "euler"}, "engine"),
-        ("regime", {"statistic": "median"}, "statistic"),
+        ("regime", {"floor_jitter": 0}, "floor_jitter"),
         ("simulate", {"N": 0}, "N"),
         ("regime", {"N_grid": [0]}, "N_grid"),
         ("gamma-sweep", {"N_ref": 0}, "N_ref"),
@@ -503,7 +532,7 @@ class TestCliDispatch:
         ("chaos-rate", {"endpoint_ratio": 0}, "endpoint_ratio"),
         ("regime", {"ratio_threshold": 0}, "ratio_threshold"),
         ("consistency", {"decrease_factor": 0}, "decrease_factor"),
-        ("consistency", {"budget_s": 0}, "budget_s"),
+        ("metrics", {"samples_a": "a.csv", "samples_b": "b.csv", "reps": 0}, "reps"),
         ("check-assumptions", {"probes": [[1.0, "a"]]}, "probes"),
         ("metrics", {"samples_a": 3, "samples_b": "b.csv"}, "samples_a"),
         ("metrics", {"samples_a": "a.csv", "samples_b": ["b.csv"]}, "samples_b"),
@@ -797,6 +826,18 @@ class TestCliDispatch:
         assert self.run(tmp_path, "metrics", cfg) == EXIT_CONFIG
         assert "samples_b has 2 w_ columns, samples_a has 1" in capsys.readouterr().err
 
+    def test_metrics_unequal_counts_above_p_one_exit_config(self, tmp_path, capsys):
+        three = tmp_path / "a.csv"
+        three.write_text("w_1,w_2\n0.1,0.2\n0.4,0.5\n0.7,0.8\n")
+        two = tmp_path / "b.csv"
+        two.write_text("w_1,w_2\n0.1,0.2\n0.4,0.5\n")
+        cfg = {"samples_a": str(three), "samples_b": str(two), "seed": 0}
+        assert self.run(tmp_path, "metrics", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "samples_b has 2 rows, samples_a has 3" in err
+        assert not (tmp_path / "out").exists()
+
     def test_stationary_subcommand(self, tmp_path):
         cfg = {
             "problem": {"feature": "zero", "loss": "square", "penalty": 1.0},
@@ -808,6 +849,17 @@ class TestCliDispatch:
         assert rc == EXIT_OK
         report = json.loads((tmp_path / "out" / "stationary-seed4" / "report.json").read_text())
         assert report["converged"] is True
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_root_that_is_a_file_exits_config(self, tmp_path, capsys, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        rc = cli_dispatch(["check-assumptions", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: --out {out}: {blocker} is not a writable directory\n"
+        assert blocker.read_text() == ""
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHAOSLAB_OUT", str(tmp_path / "envout"))
