@@ -507,7 +507,7 @@ class TestCliDispatch:
         ("batch-sweep", {"problem": {"init_w0": True}}, "init_w0"),
         ("simulate", {"dataset": 3}, "dataset"),
         ("simulate", {"engine": "euler"}, "engine"),
-        ("regime", {"floor_jitter": 0}, "floor_jitter"),
+        ("regime", {"statistic": "median"}, "statistic"),
         ("simulate", {"N": 0}, "N"),
         ("regime", {"N_grid": [0]}, "N_grid"),
         ("gamma-sweep", {"N_ref": 0}, "N_ref"),
@@ -532,10 +532,12 @@ class TestCliDispatch:
         ("chaos-rate", {"endpoint_ratio": 0}, "endpoint_ratio"),
         ("regime", {"ratio_threshold": 0}, "ratio_threshold"),
         ("consistency", {"decrease_factor": 0}, "decrease_factor"),
-        ("metrics", {"samples_a": "a.csv", "samples_b": "b.csv", "reps": 0}, "reps"),
+        ("consistency", {"budget_s": 0}, "budget_s"),
         ("check-assumptions", {"probes": [[1.0, "a"]]}, "probes"),
         ("metrics", {"samples_a": 3, "samples_b": "b.csv"}, "samples_a"),
         ("metrics", {"samples_a": "a.csv", "samples_b": ["b.csv"]}, "samples_b"),
+        ("regime", {"floor_jitter": 0}, "floor_jitter"),
+        ("metrics", {"samples_a": "a.csv", "samples_b": "b.csv", "reps": 0}, "reps"),
     ])
     def test_config_key_boundary(self, tmp_path, capsys, command, cfg, key):
         assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
