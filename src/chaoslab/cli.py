@@ -15,11 +15,10 @@ A diverged study reports a failing ``diverged`` verdict; a diverged
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -38,11 +37,11 @@ from .io import (
     ConfigError,
     RunManifest,
     load_config,
-    load_dataset,
     output_root,
     parse_config,
     read_csv_columns,
     save_trajectory,
+    sha256_file,
     steady_heap,
     trajectory_to_csv,
     write_csv,
@@ -66,23 +65,6 @@ _ENGINES = {
 }
 
 
-def _resolve_problem(config):
-    """Model/data/init of a simulate, stationary or check-assumptions config; a dataset
-    path overrides the synthetic atoms and sets ``p`` to its number of x_ columns, and
-    ``sigma_override`` sets the model's noise model."""
-    if config.dataset is None:
-        model, pi, init = config.problem.build()
-    else:
-        pi = load_dataset(config.dataset)
-        if config.problem.p not in (1, pi.d):
-            raise ConfigError(f"config field problem.p: problem.p must be 1 or the {pi.d} x_ "
-                              f"columns of {config.dataset}, got {config.problem.p}", "problem.p")
-        model, _, init = replace(config.problem, p=pi.d).build()
-    if getattr(config, "sigma_override", None) is not None:
-        model = replace(model, sigma_override=config.sigma_override)
-    return model, pi, init
-
-
 @dataclass(frozen=True)
 class Outcome:
     """What a subcommand's run leaves for ``cli_dispatch`` to write and report."""
@@ -102,8 +84,6 @@ class Outcome:
 class SimulateConfig:
     problem: xp.ProblemConfig = xp.ProblemConfig()
     hyper: Hyperparams = Hyperparams()
-    dataset: str | None = None
-    sigma_override: float | None = None
     seed: int = 0
     engine: str = "sgd"
     N: int = 64
@@ -115,11 +95,8 @@ class SimulateConfig:
         require(self.snapshot_times is None
                 or all(0.0 <= t <= self.hyper.T for t in self.snapshot_times),
                 "snapshot_times", f"lie in [0, T={self.hyper.T:g}]", self.snapshot_times)
-        require(self.sigma_override is None or 0 <= self.sigma_override < math.inf,
-                "sigma_override", "be finite and >= 0", self.sigma_override)
         if self.engine in ("sgd", "msgld"):  # the discrete recursions never read dt
-            require(self.sigma_override is None, "sigma_override", f"be unset: engine "
-                    f"{self.engine} has no diffusion term to pin", self.sigma_override)
+            self.problem.require_no_pin(f"engine {self.engine}")
             self.hyper.sgd_steps(self.N)
         else:
             self.hyper.euler_steps()
@@ -129,8 +106,6 @@ class SimulateConfig:
 class StationaryConfig:
     problem: xp.ProblemConfig = xp.ProblemConfig()
     hyper: Hyperparams = Hyperparams()
-    dataset: str | None = None
-    sigma_override: float | None = None
     seed: int = 0
     horizon: float = 5.0
     grid_lo: float = -4.0
@@ -148,8 +123,6 @@ class StationaryConfig:
         require(self.max_iter >= 1, "max_iter", "be >= 1", self.max_iter)
         require(0 < self.damping <= 1, "damping", "lie in (0, 1]", self.damping)
         require(self.N_ref >= 1, "N_ref", "be >= 1", self.N_ref)
-        require(self.sigma_override is None or 0 <= self.sigma_override < math.inf,
-                "sigma_override", "be finite and >= 0", self.sigma_override)
         try:
             self.hyper.replace(T=self.horizon).euler_steps()
         except ConfigError as exc:
@@ -159,9 +132,11 @@ class StationaryConfig:
 @dataclass(frozen=True)
 class CheckAssumptionsConfig:
     problem: xp.ProblemConfig = xp.ProblemConfig()
-    dataset: str | None = None
     seed: int = 0
     probes: tuple[tuple[float, ...], ...] | None = None  # each of length p, checked on the model
+
+    def __post_init__(self):
+        self.problem.require_no_pin("check-assumptions")
 
 
 @dataclass(frozen=True)
@@ -182,7 +157,7 @@ class MetricsConfig:
 
 
 def _cmd_simulate(config: SimulateConfig, workers: int) -> Outcome:
-    model, pi, init = _resolve_problem(config)
+    model, pi, init = config.problem.build()
     hyper, engine, N = config.hyper, config.engine, config.N
     traj = _ENGINES[engine](model, pi, hyper, N, init, NoisePlan(config.seed),
                             snapshot_times=config.snapshot_times)
@@ -224,10 +199,10 @@ def _cmd_study(study: str, config, workers: int) -> Outcome:
 
 
 def _cmd_stationary(config: StationaryConfig, workers: int) -> Outcome:
-    model, pi, _ = _resolve_problem(config)
+    model, pi, _ = config.problem.build()
     if model.p != 1:
         # with a dataset the dimension is its number of x_ columns
-        field_name = "dataset" if config.dataset is not None else "problem.p"
+        field_name = "problem.p" if config.problem.dataset is None else "problem.dataset"
         raise ConfigError(f"config field {field_name}: the stationary map is defined for p = 1, "
                           f"got p={model.p}", field_name)
     try:
@@ -238,7 +213,8 @@ def _cmd_stationary(config: StationaryConfig, workers: int) -> Outcome:
         result = fixed_point_iterate(mu0, model, pi, config.hyper, tol=config.tol,
                                      max_iter=config.max_iter, damping=config.damping)
     except NonEllipticNoise as exc:
-        raise ConfigError(f"config fields sigma_override/hyper.eta: {exc}", "sigma_override") from exc
+        raise ConfigError(f"config fields problem.sigma_override/hyper.eta: {exc}",
+                          "problem.sigma_override") from exc
     # the check runs for its own horizon; hyper.T is not read
     drift = stationarity_check(result.density, model, pi, config.hyper, N_ref=config.N_ref,
                                horizon=config.horizon, plan=NoisePlan(config.seed))
@@ -265,7 +241,7 @@ def _print_check(report, out_dir: Path):
 
 
 def _cmd_check_assumptions(config: CheckAssumptionsConfig, workers: int) -> Outcome:
-    model, pi, _ = _resolve_problem(config)
+    model, pi, _ = config.problem.build()
     seed, probes = config.seed, config.probes
     if probes is None:
         rng = np.random.default_rng(seed)
@@ -323,6 +299,13 @@ def _cmd_metrics(config: MetricsConfig, workers: int) -> Outcome:
     )
 
 
+def _input_files(config) -> list[str]:
+    """The paths of the files a config's run reads."""
+    if isinstance(config, MetricsConfig):
+        return [config.samples_a, config.samples_b]
+    return [] if config.problem.dataset is None else [config.problem.dataset]
+
+
 # subcommand -> (config dataclass, handler)
 _COMMANDS = {
     "simulate": (SimulateConfig, _cmd_simulate),
@@ -377,12 +360,18 @@ def cli_dispatch(argv: list[str]) -> int:
         # the manifest echoes the raw dict and is stamped before the run; the
         # command runs on its dataclass
         manifest = RunManifest.start(args.command, cfg, config.seed, workers=args.workers)
+        manifest.inputs = {str(Path(path).resolve()): sha256_file(path)
+                           for path in _input_files(config)}
         outcome = run(config, args.workers)
         out_dir = root / f"{outcome.name}-seed{config.seed}"
-        for name, write in outcome.files.items():
-            write(out_dir / name)
-        manifest.command, manifest.derived = outcome.name, outcome.derived
-        manifest.finish(out_dir, [out_dir / name for name in outcome.files])
+        try:
+            for name, write in outcome.files.items():
+                write(out_dir / name)
+            manifest.command, manifest.derived = outcome.name, outcome.derived
+            manifest.finish(out_dir, [out_dir / name for name in outcome.files])
+        except OSError as exc:  # such as a file where the run directory goes
+            raise ConfigError(f"--out {root}: cannot write {exc.filename or out_dir}: "
+                              f"{exc.strerror or exc}", "--out") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -39,11 +39,12 @@ from .dynamics import (
     sgd_run,
     sgd_sde_endpoints,
 )
-from .io import steady_heap
+from .io import load_dataset, steady_heap
 from .meanfield import field_cache, noise_width, ridge_block
 from .model import (
     FEATURES,
     LOSSES,
+    ConfigError,
     DataAtom,
     DataDistribution,
     Hyperparams,
@@ -185,12 +186,20 @@ def run_study(study_id: str, config, workers: int, collect, judge) -> StudyRepor
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Synthetic learning problem used by the studies.
+    """Learning problem of a run: a synthetic one, or the atoms of a dataset.
 
     ``labels="noisy"`` places four atoms with incompatible labels so the
     gradient-noise covariance stays bounded away from zero; ``"realizable"``
     labels the same inputs with a teacher so residuals (and the injected
     noise) decay along training.
+
+    ``dataset``, the path of a CSV file (``io.load_dataset``), replaces the
+    synthetic atoms, and the run's dimension is then its number of ``x_``
+    columns: ``p`` must be 1 or that number.  The file is read once, at
+    construction, and its atoms are kept on the instance outside the fields,
+    so ``asdict`` and ``==`` see the path alone and ``build()`` in a pool
+    worker does no IO.  ``sigma_override`` is the built model's noise model
+    (``ModelSpec.sigma_override``).
     """
 
     feature: str = "tanh-dot"
@@ -203,6 +212,8 @@ class ProblemConfig:
     init_low: float = -0.04
     init_high: float = 0.04
     init_w0: float = 0.0
+    dataset: str | None = None
+    sigma_override: float | None = None
 
     def __post_init__(self):
         # every field is checked here, so build() cannot fail
@@ -218,30 +229,51 @@ class ProblemConfig:
                 f"be <= init_high={self.init_high}", self.init_low)
         for name in ("teacher", "init_low", "init_high", "init_w0"):
             require(math.isfinite(getattr(self, name)), name, "be finite", getattr(self, name))
+        require(self.sigma_override is None or 0 <= self.sigma_override < math.inf,
+                "sigma_override", "be finite and >= 0", self.sigma_override)
+        data = None
+        if self.dataset is not None:
+            try:
+                data = load_dataset(self.dataset)
+            except (OSError, ValueError) as exc:  # a missing file, a malformed row
+                raise ConfigError(str(exc), "dataset") from exc
+            require(self.p in (1, data.d), "p", f"be 1 or the {data.d} x_ columns of "
+                    f"{self.dataset}", self.p)
+        object.__setattr__(self, "_data", data)
+
+    def require_no_pin(self, reader: str) -> None:
+        """A ConfigError naming ``problem.sigma_override`` unless it is unset:
+        ``reader`` has no diffusion term for it to pin."""
+        require(self.sigma_override is None, "problem.sigma_override",
+                f"be unset: {reader} has no diffusion term to pin", self.sigma_override)
 
     def build(self) -> tuple[ModelSpec, DataDistribution, InitSpec]:
-        model = make_model(self.feature, self.loss, self.penalty, p=self.p)
-        if self.labels == "noisy":
-            atoms = [
-                DataAtom([0.8] * self.p, 0.9, 0.25),
-                DataAtom([-0.6] * self.p, -0.4, 0.25),
-                DataAtom([1.0] * self.p, -0.2, 0.25),
-                DataAtom([-0.9] * self.p, 0.7, 0.25),
-            ]
-        elif self.labels == "realizable":
-            w_star = np.full(self.p, self.teacher)
-            atoms = [
-                DataAtom([x] * self.p, float(np.tanh(float(np.dot(w_star, [x] * self.p)))), 0.25)
-                for x in (0.7, -0.7, 1.3, -1.3)
-            ]
-        else:  # single
-            atoms = [DataAtom([1.0] * self.p, 1.0, 1.0)]
-        pi = DataDistribution(atoms)
+        pi = self._data if self._data is not None else DataDistribution(self._atoms())
+        model = make_model(self.feature, self.loss, self.penalty, p=pi.d)
+        if self.sigma_override is not None:
+            model = replace(model, sigma_override=self.sigma_override)
         if self.init_kind == "uniform":
             init = InitSpec.uniform(self.init_low, self.init_high)
         else:  # dirac
-            init = InitSpec.dirac([self.init_w0] * self.p)
+            init = InitSpec.dirac([self.init_w0] * pi.d)
         return model, pi, init
+
+    def _atoms(self) -> list[DataAtom]:
+        p = self.p
+        if self.labels == "noisy":
+            return [
+                DataAtom([0.8] * p, 0.9, 0.25),
+                DataAtom([-0.6] * p, -0.4, 0.25),
+                DataAtom([1.0] * p, -0.2, 0.25),
+                DataAtom([-0.9] * p, 0.7, 0.25),
+            ]
+        if self.labels == "realizable":
+            w_star = np.full(p, self.teacher)
+            return [
+                DataAtom([x] * p, float(np.tanh(float(np.dot(w_star, [x] * p)))), 0.25)
+                for x in (0.7, -0.7, 1.3, -1.3)
+            ]
+        return [DataAtom([1.0] * p, 1.0, 1.0)]  # single
 
 
 # ----------------------------- chaos rate study -----------------------------
@@ -563,6 +595,7 @@ class TwoRegimeConfig:
         require(all(0.0 <= b <= 1.0 for b in self.betas), "betas", "lie in [0, 1]", self.betas)
         require(self.seeds >= 2, "seeds", "be >= 2 to measure a deviation", self.seeds)
         require(self.engine in ("sgd", "msgld"), "engine", "be sgd or msgld", self.engine)
+        self.problem.require_no_pin(f"engine {self.engine}")
         require(self.ratio_threshold > 0, "ratio_threshold", "be > 0", self.ratio_threshold)
         require(self.floor_jitter > 0, "floor_jitter", "be > 0", self.floor_jitter)
 
@@ -752,6 +785,8 @@ class HistogramConfig:
                 self.engine)
         if self.engine == "interacting-sde":  # SGD steps by its stepsize schedule, not dt
             self.hyper.euler_steps()
+        else:
+            self.problem.require_no_pin("engine sgd")
 
 
 def _hist_task(config: HistogramConfig, task):
@@ -836,6 +871,7 @@ class ConsistencyConfig:
                 "be strictly increasing", self.N_grid)
         require(self.reps >= 2, "reps", "be >= 2 to pool and estimate stderr", self.reps)
         require(self.decrease_factor > 0, "decrease_factor", "be > 0", self.decrease_factor)
+        self.problem.require_no_pin("the SGD run of each size")
         self.hyper.euler_steps()
 
 

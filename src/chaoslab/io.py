@@ -4,8 +4,8 @@ Formats: JSON for configs and verdicts (human-diffable), CSV for tables
 (plot-ready, full-precision reprs that re-parse bitwise), and a checksummed
 little-endian binary layout for trajectories.  Manifests are written
 atomically at run end and record everything needed to replay the run:
-config echo, seed, derived quantities, and an inventory of output files
-with SHA-256 checksums.
+config echo, seed, derived quantities, and the SHA-256 of every input and
+output file.
 """
 
 from __future__ import annotations
@@ -341,7 +341,8 @@ def sha256_file(path: str | Path) -> str:
 
 @dataclass
 class RunManifest:
-    """Replayable record of one run: config + seed suffice to reproduce it."""
+    """Replayable record of one run: config, seed and the input files hashed in
+    ``inputs`` suffice to reproduce it."""
 
     command: str
     config: dict
@@ -351,6 +352,7 @@ class RunManifest:
     started_at: str = ""
     finished_at: str = ""
     outputs: dict[str, str] = field(default_factory=dict)  # path -> sha256
+    inputs: dict[str, str] = field(default_factory=dict)  # resolved path -> sha256
     environment: dict = field(default_factory=dict)  # where it ran: see finish
 
     @staticmethod

@@ -189,3 +189,29 @@ def test_no_config_carries_a_budget_or_a_statistic(trees):
     reads = _enclosing_functions(
         trees, lambda n: isinstance(n, ast.Attribute) and _named(n.value, "config"))
     assert "experiments.py:run_study" not in reads
+
+
+def test_settable_value_count(trees):
+    # each settable value doubles the configurations the tests must cover, so a new
+    # option shows up here as a reviewed change: the fields of the *Config dataclasses
+    # and of Hyperparams, and the defaulted parameters of public functions and methods
+    fields = params = 0
+
+    def visit(node, public):
+        nonlocal params
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, public and not child.name.startswith("_"))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and public \
+                    and not child.name.startswith("_"):
+                a = child.args
+                params += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and (node.name.endswith("Config")
+                                                   or node.name == "Hyperparams"):
+                fields += sum(isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                              for s in node.body)
+        visit(tree, True)
+    assert (fields, params) == (82, 44)

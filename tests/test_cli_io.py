@@ -342,7 +342,7 @@ class TestCliDispatch:
     def test_non_finite_dataset_exits_config(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("x_1,y\n0.5,nan\n")
-        rc = self.run(tmp_path, "check-assumptions", {"dataset": str(data)})
+        rc = self.run(tmp_path, "check-assumptions", {"problem": {"dataset": str(data)}})
         assert rc == EXIT_CONFIG
         assert "atom y" in capsys.readouterr().err
 
@@ -366,8 +366,8 @@ class TestCliDispatch:
         assert "config field hyper.T: horizon T=1.0" in err and "dt=0.3" in err
 
     def test_stationary_fractional_horizon_exits_config(self, tmp_path, capsys):
-        cfg = {"problem": {"feature": "zero", "penalty": 1.0}, "hyper": {"dt": 0.3},
-               "sigma_override": 1.0, "horizon": 1.0, "seed": 1}
+        cfg = {"problem": {"feature": "zero", "penalty": 1.0, "sigma_override": 1.0},
+               "hyper": {"dt": 0.3}, "horizon": 1.0, "seed": 1}
         assert self.run(tmp_path, "stationary", cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config field horizon" in err and "dt=0.3" in err
@@ -415,8 +415,7 @@ class TestCliDispatch:
         ("check-assumptions", {"N_grid": [4, 8], "engine": "sgd", "sigma_override": 1.0},
          "N_grid, engine, sigma_override"),
         ("simulate", {"N_ref": 99, "reps": 3, "N": 4}, "N_ref, reps"),
-        ("stationary", {"engine": "sgd", "snapshot_times": [0.1], "sigma_override": 1.0},
-         "engine, snapshot_times"),
+        ("stationary", {"engine": "sgd", "snapshot_times": [0.1]}, "engine, snapshot_times"),
         ("metrics", {"samples_a": "a.csv", "samples_b": "b.csv", "N": 4}, "N"),
     ])
     def test_subcommand_rejects_keys_it_does_not_read(self, tmp_path, capsys, command, cfg,
@@ -428,16 +427,17 @@ class TestCliDispatch:
     def test_stationary_names_the_dataset_whose_dimension_is_not_one(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("x_1,x_2,y\n0.5,1.0,1.0\n-0.5,0.0,-1.0\n")
-        cfg = {"dataset": str(data), "sigma_override": 1.0}
+        cfg = {"problem": {"dataset": str(data), "sigma_override": 1.0}}
         assert self.run(tmp_path, "stationary", cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config field dataset: the stationary map is defined for p = 1, got p=2" in err
+        assert "config field problem.dataset: the stationary map is defined for p = 1, got p=2" \
+            in err
         assert "problem.p" not in err
 
     def test_dataset_run_builds_its_dirac_init_in_the_dataset_dimension(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("x_1,x_2,y\n0.5,1.0,1.0\n-0.5,0.0,-1.0\n")
-        cfg = {"dataset": str(data), "problem": {"init_kind": "dirac", "init_w0": 0.25},
+        cfg = {"problem": {"dataset": str(data), "init_kind": "dirac", "init_w0": 0.25},
                "engine": "interacting-sde", "N": 3, "hyper": {"T": 0.2, "dt": 0.05}, "seed": 1}
         assert self.run(tmp_path, "simulate", cfg) == EXIT_OK
         traj = load_trajectory(tmp_path / "out" / "simulate-seed1" / "trajectory.bin")
@@ -448,22 +448,23 @@ class TestCliDispatch:
     def test_problem_p_is_one_or_the_dataset_dimension(self, tmp_path, capsys, p, rc):
         data = tmp_path / "d.csv"
         data.write_text("x_1,x_2,y\n0.5,1.0,1.0\n-0.5,0.0,-1.0\n")
-        cfg = {"dataset": str(data), "problem": {"p": p}, "engine": "interacting-sde", "N": 3,
+        cfg = {"problem": {"dataset": str(data), "p": p}, "engine": "interacting-sde", "N": 3,
                "hyper": {"T": 0.2, "dt": 0.05}, "seed": 1}
         assert self.run(tmp_path, "simulate", cfg) == rc
         if rc == EXIT_OK:
             assert load_trajectory(tmp_path / "out" / "simulate-seed1" / "trajectory.bin").p == 2
         else:
             err = capsys.readouterr().err
-            assert f"config field problem.p: problem.p must be 1 or the 2 x_ columns of {data}, " \
-                   "got 4" in err
+            assert f"config field problem.p: p must be 1 or the 2 x_ columns of {data}, got 4" \
+                in err
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, cfg, field", [
-        ("stationary", {"problem": {"p": 2}, "sigma_override": 1.0}, "field problem.p"),
-        ("stationary", {"grid_lo": 1.0, "sigma_override": 1.0}, "fields grid_lo/grid_hi"),
+        ("stationary", {"problem": {"p": 2, "sigma_override": 1.0}}, "field problem.p"),
+        ("stationary", {"grid_lo": 1.0, "problem": {"sigma_override": 1.0}},
+         "fields grid_lo/grid_hi"),
         ("stationary", {"problem": {"feature": "zero", "penalty": 1.0}},
-         "fields sigma_override/hyper.eta"),
+         "fields problem.sigma_override/hyper.eta"),
         ("check-assumptions", {"probes": [[1.0, 2.0]]}, "field probes"),
         ("check-assumptions", {"probes": []}, "field probes"),
         ("simulate", {"engine": "sgd", "N": 4, "hyper": {"T": 0.01, "gamma": 0.5}},
@@ -505,7 +506,7 @@ class TestCliDispatch:
         ("consistency", {"problem": {"init_low": "a"}}, "init_low"),
         ("gamma-sweep", {"problem": {"init_high": None}}, "init_high"),
         ("batch-sweep", {"problem": {"init_w0": True}}, "init_w0"),
-        ("simulate", {"dataset": 3}, "dataset"),
+        ("simulate", {"problem": {"dataset": 3}}, "dataset"),
         ("simulate", {"engine": "euler"}, "engine"),
         ("regime", {"statistic": "median"}, "statistic"),
         ("simulate", {"N": 0}, "N"),
@@ -519,7 +520,7 @@ class TestCliDispatch:
         ("gamma-sweep", {"gammas": [0]}, "gammas"),
         ("batch-sweep", {"batches": [0]}, "batches"),
         ("simulate", {"snapshot_times": [-1.0]}, "snapshot_times"),
-        ("stationary", {"sigma_override": -1.0}, "sigma_override"),
+        ("stationary", {"problem": {"sigma_override": -1.0}}, "sigma_override"),
         ("histograms", {"n_bins": 1}, "n_bins"),
         ("stationary", {"n_cells": 3}, "n_cells"),
         ("stationary", {"grid_lo": "a"}, "grid_lo"),
@@ -538,8 +539,28 @@ class TestCliDispatch:
         ("metrics", {"samples_a": "a.csv", "samples_b": ["b.csv"]}, "samples_b"),
         ("regime", {"floor_jitter": 0}, "floor_jitter"),
         ("metrics", {"samples_a": "a.csv", "samples_b": "b.csv", "reps": 0}, "reps"),
+        # the problem spec's keys at the top level, where no config reads them
+        ("simulate", {"dataset": "x1.csv"}, "dataset"),
+        ("simulate", {"engine": "interacting-sde", "sigma_override": 1.0}, "sigma_override"),
+        ("stationary", {"dataset": "x1.csv"}, "dataset"),
+        ("stationary", {"sigma_override": 1.0}, "sigma_override"),
+        ("check-assumptions", {"dataset": "x1.csv"}, "dataset"),
+        # a pinned noise where a discrete recursion or the audit would run
+        ("simulate", {"engine": "sgd", "problem": {"sigma_override": 1.0}}, "sigma_override"),
+        ("simulate", {"engine": "msgld", "problem": {"sigma_override": 1.0}}, "sigma_override"),
+        ("regime", {"problem": {"sigma_override": 1.0}}, "sigma_override"),
+        ("consistency", {"problem": {"sigma_override": 1.0}}, "sigma_override"),
+        ("histograms", {"engine": "sgd", "problem": {"sigma_override": 1.0}}, "sigma_override"),
+        ("check-assumptions", {"problem": {"sigma_override": 1.0}}, "sigma_override"),
+        # a dataset whose x_ columns do not fit the run
+        ("simulate", {"problem": {"dataset": "x2.csv", "p": 4}}, "p"),
+        ("stationary", {"problem": {"dataset": "x2.csv", "sigma_override": 1.0}}, "dataset"),
     ])
-    def test_config_key_boundary(self, tmp_path, capsys, command, cfg, key):
+    def test_config_key_boundary(self, tmp_path, capsys, monkeypatch, command, cfg, key):
+        # the datasets the rows name, by paths relative to the working directory
+        (tmp_path / "x1.csv").write_text("x_1,y\n0.5,1.0\n-0.5,0.0\n")
+        (tmp_path / "x2.csv").write_text("x_1,x_2,y\n0.5,1.0,1.0\n-0.5,0.0,-1.0\n")
+        monkeypatch.chdir(tmp_path)
         assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert re.search(rf"config fields? \S*\b{key}\b", err), err
@@ -569,10 +590,11 @@ class TestCliDispatch:
 
     @pytest.mark.parametrize("engine", ["sgd", "msgld"])
     def test_sigma_override_on_discrete_engine_exits_config(self, tmp_path, capsys, engine):
-        cfg = {"engine": engine, "N": 4, "sigma_override": 1.0, "seed": 1,
+        cfg = {"engine": engine, "N": 4, "problem": {"sigma_override": 1.0}, "seed": 1,
                "hyper": {"T": 0.2, "gamma": 0.1}}
         assert self.run(tmp_path, "simulate", cfg) == EXIT_CONFIG
-        assert "sigma_override" in capsys.readouterr().err
+        assert (f"config field problem.sigma_override: problem.sigma_override must be unset: "
+                f"engine {engine} has no diffusion term to pin, got 1.0") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_simulate_writes_outputs_and_manifest(self, tmp_path):
@@ -656,7 +678,7 @@ class TestCliDispatch:
         # a finite atom whose psi^4 overflows: the moment sum is inf, and a violation
         data = tmp_path / "d.csv"
         data.write_text("x_1,y\n0.5,1e80\n-0.3,0.2\n")
-        cfg = {"dataset": str(data), "problem": {"feature": "tanh-dot", "loss": "square"}}
+        cfg = {"problem": {"dataset": str(data), "feature": "tanh-dot", "loss": "square"}}
         assert self.run(tmp_path, "check-assumptions", cfg, "--strict") == 1
         assert "Traceback" not in capsys.readouterr().err
         out = tmp_path / "out" / "check-assumptions-seed0"
@@ -746,8 +768,8 @@ class TestCliDispatch:
 
     def test_overflowing_run_reports_its_divergence(self, tmp_path, capsys):
         # a pinned noise of 1e308 overflows the second moment after one step
-        cfg = {"engine": "interacting-sde", "N": 64, "seed": 1, "sigma_override": 1e308,
-               "hyper": {"T": 1.0, "dt": 1.0}, "problem": {"feature": "zero", "penalty": 1.0}}
+        cfg = {"engine": "interacting-sde", "N": 64, "seed": 1, "hyper": {"T": 1.0, "dt": 1.0},
+               "problem": {"feature": "zero", "penalty": 1.0, "sigma_override": 1e308}}
         assert self.run(tmp_path, "simulate", cfg) == EXIT_VERDICT
         assert "diverged: ensemble second moment inf" in capsys.readouterr().err
 
@@ -842,9 +864,10 @@ class TestCliDispatch:
 
     def test_stationary_subcommand(self, tmp_path):
         cfg = {
-            "problem": {"feature": "zero", "loss": "square", "penalty": 1.0},
+            "problem": {"feature": "zero", "loss": "square", "penalty": 1.0,
+                        "sigma_override": 1.0},
             "hyper": {"gamma": 1.0, "dt": 0.01, "T": 1.0},
-            "sigma_override": 1.0, "n_cells": 256, "grid_lo": -6.0, "grid_hi": 6.0,
+            "n_cells": 256, "grid_lo": -6.0, "grid_hi": 6.0,
             "damping": 1.0, "N_ref": 512, "horizon": 0.5, "seed": 4,
         }
         rc = self.run(tmp_path, "stationary", cfg, "--strict")
@@ -862,6 +885,50 @@ class TestCliDispatch:
         err = capsys.readouterr().err
         assert err == f"config error: --out {out}: {blocker} is not a writable directory\n"
         assert blocker.read_text() == ""
+
+    # a study's directory is named by its report, known only after the run
+    @pytest.mark.parametrize("command, cfg, run_dir", [
+        ("check-assumptions", {"seed": 2}, "check-assumptions-seed2"),
+        ("regime", {"hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "betas": [0.75, 1.0],
+                    "N_grid": [16, 64], "seeds": 2, "seed": 7,
+                    "problem": {"init_kind": "dirac", "init_w0": 0.0}}, "two-regime-seed7"),
+    ])
+    def test_run_directory_that_is_a_file_exits_config(self, tmp_path, capsys, command, cfg,
+                                                        run_dir):
+        blocker = tmp_path / "out" / run_dir
+        blocker.parent.mkdir()
+        blocker.write_text("")
+        assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: --out {tmp_path / 'out'}: cannot write {blocker}: " \
+                      "File exists\n"
+        assert blocker.read_text() == ""
+
+    def test_manifest_hashes_the_files_a_run_reads(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "d.csv"
+        cfg = {"problem": {"dataset": "d.csv"}, "seed": 3}
+        inputs = []
+        for text in ("x_1,y\n0.5,1.0\n-0.5,0.0\n", "x_1,y\n0.5,1.0\n-0.5,0.1\n"):  # one byte
+            data.write_text(text)
+            assert self.run(tmp_path, "check-assumptions", cfg) == EXIT_OK
+            manifest = tmp_path / "out" / "check-assumptions-seed3" / "manifest.json"
+            inputs.append(json.loads(manifest.read_text())["inputs"])
+            assert inputs[-1] == {str(data.resolve()): sha256_file(data)}
+        assert inputs[0] != inputs[1]
+        # the manifest still echoes the config as given
+        assert json.loads(manifest.read_text())["config"] == cfg
+        (tmp_path / "a.csv").write_text("w_1\n0.5\n-0.5\n")
+        (tmp_path / "b.csv").write_text("w_1\n0.25\n-0.25\n")
+        assert self.run(tmp_path, "metrics", {"samples_a": "a.csv", "samples_b": "b.csv"}) == 0
+        manifest = json.loads((tmp_path / "out" / "metrics-seed0" / "manifest.json").read_text())
+        assert manifest["inputs"] == {str((tmp_path / name).resolve()): sha256_file(tmp_path / name)
+                                      for name in ("a.csv", "b.csv")}
+        # a run that reads no file
+        assert self.run(tmp_path, "check-assumptions", {"seed": 4}) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "check-assumptions-seed4" / "manifest.json")
+                              .read_text())
+        assert manifest["inputs"] == {}
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHAOSLAB_OUT", str(tmp_path / "envout"))
@@ -905,8 +972,8 @@ class TestCliDispatch:
              "simulate-seed5", ["trajectory.bin", "trajectory.csv"]),
             ("gamma-sweep", {"hyper": {"T": 0.2, "dt": 0.05}, "gammas": [1.0, 0.5], "N_ref": 16,
                              "reps": 2, "seed": 5}, "gamma-sweep-seed5", ["distances.csv"]),
-            ("stationary", {"problem": {"feature": "zero", "penalty": 1.0},
-                            "sigma_override": 1.0, "hyper": {"dt": 0.05}, "n_cells": 64,
+            ("stationary", {"problem": {"feature": "zero", "penalty": 1.0, "sigma_override": 1.0},
+                            "hyper": {"dt": 0.05}, "n_cells": 64,
                             "N_ref": 64, "horizon": 0.2, "seed": 5},
              "stationary-seed5", ["density.csv"]),
         ]

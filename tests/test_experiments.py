@@ -38,6 +38,7 @@ from chaoslab.experiments import (
     two_term_bound,
     two_regime_study,
 )
+from chaoslab.io import parse_config, write_csv
 from chaoslab.metrics import w2_1d_quantile, w2_ensembles
 from chaoslab.model import Hyperparams
 from chaoslab.rng import NoisePlan
@@ -69,6 +70,13 @@ class TestConfigRanges:
         (SweepConfig, {"reps": 0}, "reps"),
         (HistogramConfig, {"engine": "msgld"}, "engine"),
         (ProblemConfig, {"penalty": -0.5}, "penalty"),
+        (ProblemConfig, {"sigma_override": -1.0}, "sigma_override"),
+        # a pinned noise where a discrete recursion runs, which has no diffusion term
+        (TwoRegimeConfig, {"problem": ProblemConfig(sigma_override=1.0)}, "problem.sigma_override"),
+        (HistogramConfig, {"engine": "sgd", "problem": ProblemConfig(sigma_override=1.0)},
+         "problem.sigma_override"),
+        (ConsistencyConfig, {"problem": ProblemConfig(sigma_override=1.0)},
+         "problem.sigma_override"),
     ])
     def test_out_of_range_value_names_the_field(self, cls, kw, field):
         with pytest.raises(ValueError, match=rf"^{field} must "):
@@ -286,6 +294,27 @@ class TestSweeps:
         v = rep.verdict("nonincreasing")
         assert v.passed is None
         assert "not applicable" in v.note
+
+    def test_a_dataset_is_read_at_parse_and_never_in_a_task(self, tmp_path):
+        # the pool's tasks build the problem from the atoms the parsed config carries
+        data = tmp_path / "d.csv"
+        cfg = {"problem": {"dataset": str(data)}, "hyper": {"T": 1.0, "dt": 0.05},
+               "gammas": [1.0, 0.25], "N_ref": 64, "reps": 2, "seed": 1}
+
+        def tables(workers, keep):
+            data.write_text("x_1,y\n0.5,0.9\n-0.6,-0.4\n1.0,-0.2\n")
+            config = parse_config(SweepConfig, cfg, "gamma-sweep")
+            if not keep:
+                data.unlink()
+            assert config.problem.build()[1].ys.tolist() == [0.9, -0.4, -0.2]
+            out = {}
+            for name, rows in gamma_sweep(config, workers=workers).tables.items():
+                write_csv(tmp_path / f"{name}-{workers}.csv", rows)
+                out[name] = (tmp_path / f"{name}-{workers}.csv").read_bytes()
+            return out
+
+        present = tables(1, keep=True)
+        assert present and tables(2, keep=False) == present
 
     def test_report_deterministic(self):
         a = gamma_sweep(self.fast_config())
