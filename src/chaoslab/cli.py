@@ -63,6 +63,10 @@ _ENGINES = {
     "meanfield-ode": meanfield_ode_run,
     "meanfield-sde": meanfield_sde_run,
 }
+# stationary's iteration cap (fixed_point_iterate's own default is 100), and
+# how many seeded probe weights in [-2, 2]^p check-assumptions audits
+_FIXED_POINT_MAX_ITER = 200
+_PROBES = 16
 
 
 @dataclass(frozen=True)
@@ -111,16 +115,12 @@ class StationaryConfig:
     grid_lo: float = -4.0
     grid_hi: float = 4.0
     n_cells: int = 512
-    tol: float = 1e-8
-    max_iter: int = 200
     damping: float = 0.5
     N_ref: int = 4096
 
     def __post_init__(self):
         require(self.horizon >= 0, "horizon", "be >= 0", self.horizon)
         require(self.n_cells >= 4, "n_cells", "be >= 4", self.n_cells)
-        require(self.tol >= 0, "tol", "be >= 0", self.tol)
-        require(self.max_iter >= 1, "max_iter", "be >= 1", self.max_iter)
         require(0 < self.damping <= 1, "damping", "lie in (0, 1]", self.damping)
         require(self.N_ref >= 1, "N_ref", "be >= 1", self.N_ref)
         try:
@@ -133,7 +133,6 @@ class StationaryConfig:
 class CheckAssumptionsConfig:
     problem: xp.ProblemConfig = xp.ProblemConfig()
     seed: int = 0
-    probes: tuple[tuple[float, ...], ...] | None = None  # each of length p, checked on the model
 
     def __post_init__(self):
         self.problem.require_no_pin("check-assumptions")
@@ -144,12 +143,10 @@ class MetricsConfig:
     samples_a: str | None = None
     samples_b: str | None = None
     seed: int = 0
-    reps: int = 64  # projections of the sliced distance
 
     def __post_init__(self):
         if self.samples_a is None or self.samples_b is None:
             raise ConfigError("metrics needs samples_a and samples_b paths", "samples_a")
-        require(self.reps >= 1, "reps", "be >= 1", self.reps)
 
 
 # ----------------------------- subcommands -----------------------------
@@ -210,8 +207,8 @@ def _cmd_stationary(config: StationaryConfig, workers: int) -> Outcome:
     except ValueError as exc:
         raise ConfigError(f"config fields grid_lo/grid_hi: {exc}", "grid_lo") from exc
     try:
-        result = fixed_point_iterate(mu0, model, pi, config.hyper, tol=config.tol,
-                                     max_iter=config.max_iter, damping=config.damping)
+        result = fixed_point_iterate(mu0, model, pi, config.hyper,
+                                     max_iter=_FIXED_POINT_MAX_ITER, damping=config.damping)
     except NonEllipticNoise as exc:
         raise ConfigError(f"config fields problem.sigma_override/hyper.eta: {exc}",
                           "problem.sigma_override") from exc
@@ -242,16 +239,8 @@ def _print_check(report, out_dir: Path):
 
 def _cmd_check_assumptions(config: CheckAssumptionsConfig, workers: int) -> Outcome:
     model, pi, _ = config.problem.build()
-    seed, probes = config.seed, config.probes
-    if probes is None:
-        rng = np.random.default_rng(seed)
-        probes = list(rng.uniform(-2, 2, size=(16, model.p)))
-    else:
-        if not probes or any(len(q) != model.p for q in probes):
-            raise ConfigError(f"config field probes: needs one or more points of length "
-                              f"p={model.p}, got {probes}", "probes")
-        probes = [np.asarray(q, dtype=np.float64) for q in probes]
-    report = check_assumptions(model, pi, probes, seed=seed)
+    probes = np.random.default_rng(config.seed).uniform(-2, 2, size=(_PROBES, model.p))
+    report = check_assumptions(model, pi, probes, seed=config.seed)
     return Outcome(
         "check-assumptions",
         {"report.json": partial(write_json, obj={
@@ -265,6 +254,16 @@ def _cmd_check_assumptions(config: CheckAssumptionsConfig, workers: int) -> Outc
     )
 
 
+def _read_input(what: str, path: str, read):
+    """``read(path)``; a file it cannot read (missing, a directory, not UTF-8 text)
+    is a ConfigError naming ``what``, the flag or config field that gave the path."""
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{what}: cannot read {path}: {reason}") from exc
+
+
 def _load_samples(path: str) -> np.ndarray:
     """The w_1..w_p columns of a sample CSV, each cell finite."""
     _, samples, lines = read_csv_columns(path, "sample file", "w_")
@@ -275,8 +274,8 @@ def _load_samples(path: str) -> np.ndarray:
 
 
 def _cmd_metrics(config: MetricsConfig, workers: int) -> Outcome:
-    a = _load_samples(config.samples_a)
-    b = _load_samples(config.samples_b)
+    a = _read_input("config field samples_a", config.samples_a, _load_samples)
+    b = _read_input("config field samples_b", config.samples_b, _load_samples)
     if b.shape[1] != a.shape[1]:
         raise ConfigError(f"samples_b has {b.shape[1]} w_ columns, samples_a has {a.shape[1]}",
                           "samples_b")
@@ -289,7 +288,7 @@ def _cmd_metrics(config: MetricsConfig, workers: int) -> Outcome:
     if a.shape == b.shape and a.shape[1] == 1:
         out["w2_1d"] = w2_1d(a[:, 0], b[:, 0])
     if a.shape[1] > 1:
-        sl = w2_sliced(a, b, n_proj=config.reps, seed=seed)
+        sl = w2_sliced(a, b, seed=seed)
         out["w2_sliced"] = sl.value
         out["w2_sliced_stderr"] = sl.stderr
     return Outcome(
@@ -299,11 +298,13 @@ def _cmd_metrics(config: MetricsConfig, workers: int) -> Outcome:
     )
 
 
-def _input_files(config) -> list[str]:
-    """The paths of the files a config's run reads."""
+def _input_files(config) -> list[tuple[str, str]]:
+    """The files a config's run reads, each as (its config field, its path)."""
     if isinstance(config, MetricsConfig):
-        return [config.samples_a, config.samples_b]
-    return [] if config.problem.dataset is None else [config.problem.dataset]
+        return [("config field samples_a", config.samples_a),
+                ("config field samples_b", config.samples_b)]
+    dataset = config.problem.dataset
+    return [] if dataset is None else [("config field problem.dataset", dataset)]
 
 
 # subcommand -> (config dataclass, handler)
@@ -347,7 +348,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = load_config(args.config) if args.config else {}
+        cfg = _read_input("--config", args.config, load_config) if args.config else {}
         if args.seed is not None:
             cfg["seed"] = args.seed
         cls, run = _COMMANDS[args.command]
@@ -360,8 +361,8 @@ def cli_dispatch(argv: list[str]) -> int:
         # the manifest echoes the raw dict and is stamped before the run; the
         # command runs on its dataclass
         manifest = RunManifest.start(args.command, cfg, config.seed, workers=args.workers)
-        manifest.inputs = {str(Path(path).resolve()): sha256_file(path)
-                           for path in _input_files(config)}
+        manifest.inputs = {str(Path(path).resolve()): _read_input(what, path, sha256_file)
+                           for what, path in _input_files(config)}
         outcome = run(config, args.workers)
         out_dir = root / f"{outcome.name}-seed{config.seed}"
         try:
@@ -373,9 +374,6 @@ def cli_dispatch(argv: list[str]) -> int:
             raise ConfigError(f"--out {root}: cannot write {exc.filename or out_dir}: "
                               f"{exc.strerror or exc}", "--out") from exc
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EnsembleDiverged as exc:  # a study reports it as a verdict; a single run has no report

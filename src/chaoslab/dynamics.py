@@ -107,7 +107,7 @@ class EnsembleDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Initial-condition law: dirac at w0, uniform box, gaussian, or samples."""
+    """Initial-condition law: dirac at w0, uniform box, or gaussian."""
 
     kind: str = "uniform"
     w0: np.ndarray | None = None
@@ -115,7 +115,6 @@ class InitSpec:
     high: float = 0.04
     mean: float = 0.0
     std: float = 1.0
-    samples: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind == "uniform" and not self.low <= self.high:
@@ -133,10 +132,6 @@ class InitSpec:
     def gaussian(mean: float = 0.0, std: float = 1.0) -> "InitSpec":
         return InitSpec(kind="gaussian", mean=mean, std=std)
 
-    @staticmethod
-    def from_samples(samples: np.ndarray) -> "InitSpec":
-        return InitSpec(kind="samples", samples=np.asarray(samples, dtype=np.float64))
-
     def draw(self, plan: NoisePlan, domain: int, n: int, p: int) -> np.ndarray:
         """n particles (n, p), from the first n rows of the domain's init block."""
         if self.kind == "dirac":
@@ -150,15 +145,6 @@ class InitSpec:
         if self.kind == "gaussian":
             z = plan.normals(domain, SLOT_INIT, 0, n, p)
             return self.mean + self.std * z
-        if self.kind == "samples":
-            s = np.asarray(self.samples, dtype=np.float64)
-            if s.ndim == 1:
-                s = s[:, None]
-            if s.shape[1] != p:
-                raise ValueError(f"sample init has {s.shape[1]} columns, the model has p={p}")
-            u = plan.uniforms(domain, SLOT_INIT, 0, n)
-            idx = np.minimum((u * s.shape[0]).astype(np.int64), s.shape[0] - 1)
-            return s[idx]
         raise ValueError(f"unknown init kind {self.kind!r}")
 
 

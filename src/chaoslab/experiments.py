@@ -184,14 +184,18 @@ def run_study(study_id: str, config, workers: int, collect, judge) -> StudyRepor
 # ----------------------------- synthetic problems -----------------------------
 
 
+# the teacher weight of every coordinate under labels="realizable"
+_TEACHER = 0.8
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Learning problem of a run: a synthetic one, or the atoms of a dataset.
 
     ``labels="noisy"`` places four atoms with incompatible labels so the
     gradient-noise covariance stays bounded away from zero; ``"realizable"``
-    labels the same inputs with a teacher so residuals (and the injected
-    noise) decay along training.
+    labels four inputs with the teacher ``_TEACHER`` so residuals (and the
+    injected noise) decay along training.
 
     ``dataset``, the path of a CSV file (``io.load_dataset``), replaces the
     synthetic atoms, and the run's dimension is then its number of ``x_``
@@ -207,7 +211,6 @@ class ProblemConfig:
     penalty: float = 0.01
     p: int = 1
     labels: str = "noisy"
-    teacher: float = 0.8
     init_kind: str = "uniform"
     init_low: float = -0.04
     init_high: float = 0.04
@@ -227,7 +230,7 @@ class ProblemConfig:
                 self.init_kind)
         require(self.init_kind == "dirac" or self.init_low <= self.init_high, "init_low",
                 f"be <= init_high={self.init_high}", self.init_low)
-        for name in ("teacher", "init_low", "init_high", "init_w0"):
+        for name in ("init_low", "init_high", "init_w0"):
             require(math.isfinite(getattr(self, name)), name, "be finite", getattr(self, name))
         require(self.sigma_override is None or 0 <= self.sigma_override < math.inf,
                 "sigma_override", "be finite and >= 0", self.sigma_override)
@@ -268,7 +271,7 @@ class ProblemConfig:
                 DataAtom([-0.9] * p, 0.7, 0.25),
             ]
         if self.labels == "realizable":
-            w_star = np.full(p, self.teacher)
+            w_star = np.full(p, _TEACHER)
             return [
                 DataAtom([x] * p, float(np.tanh(float(np.dot(w_star, [x] * p)))), 0.25)
                 for x in (0.7, -0.7, 1.3, -1.3)
@@ -768,9 +771,6 @@ class HistogramConfig:
     hyper: Hyperparams = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=5.0, dt=0.02)
     betas: tuple[float, ...] = (0.5, 0.75, 1.0)
     N_grid: tuple[int, ...] = (256, 1024, 4096)
-    n_bins: int = 40
-    reps: int = 4  # SGD endpoint laws are pooled over this many runs
-    engine: str = "interacting-sde"
     seed: int = 17
 
     def __post_init__(self):
@@ -779,41 +779,24 @@ class HistogramConfig:
         require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
                 "be strictly increasing", self.N_grid)
         require(all(0.0 <= b <= 1.0 for b in self.betas), "betas", "lie in [0, 1]", self.betas)
-        require(self.n_bins >= 2, "n_bins", "be >= 2", self.n_bins)
-        require(self.reps >= 1, "reps", "be >= 1", self.reps)
-        require(self.engine in ("interacting-sde", "sgd"), "engine", "be interacting-sde or sgd",
-                self.engine)
-        if self.engine == "interacting-sde":  # SGD steps by its stepsize schedule, not dt
-            self.hyper.euler_steps()
-        else:
-            self.problem.require_no_pin("engine sgd")
+        self.hyper.euler_steps()
 
 
 def _hist_task(config: HistogramConfig, task):
     """Endpoint first coordinates of one (beta, N) grid point.
 
-    With the diffusion engine (independent noise per particle) a single
-    run's empirical law converges in N.
-    SGD runs are pooled over ``reps`` independent runs instead: one run's
-    empirical measure keeps the O(1) randomness of the shared minibatch
-    sequence (that randomness IS the second regime), so only the pooled
-    per-particle law converges.
+    The diffusion engine draws independent noise per particle, so a single
+    run's empirical law converges in N (an SGD run's would keep the O(1)
+    randomness of the shared minibatch sequence, the second regime).
     """
     beta, N = task
     model, pi, init = config.problem.build()
     hyper = config.hyper.replace(beta=beta)
-    if config.engine == "interacting-sde":
-        # rows shared across N (nested ensembles), which stabilizes the
-        # consecutive-N distances without changing what they estimate
-        plan = NoisePlan(config.seed).child("hist", int(beta * 1000))
-        traj = interacting_sde_run(model, pi, hyper, N, init, plan, snapshot_times=[hyper.T])
-        return traj.endpoint()[:, 0]
-    outs = []
-    for r in range(config.reps):
-        plan = NoisePlan(config.seed).child("hist", int(beta * 1000), N, r)
-        traj = sgd_run(model, pi, hyper, N, init, plan, snapshot_times=[hyper.T])
-        outs.append(traj.endpoint()[:, 0])
-    return np.concatenate(outs)
+    # rows shared across N (nested ensembles), which stabilizes the
+    # consecutive-N distances without changing what they estimate
+    plan = NoisePlan(config.seed).child("hist", int(beta * 1000))
+    traj = interacting_sde_run(model, pi, hyper, N, init, plan, snapshot_times=[hyper.T])
+    return traj.endpoint()[:, 0]
 
 
 def histogram_convergence_study(config: HistogramConfig, workers: int = 1) -> StudyReport:
@@ -829,7 +812,7 @@ def _hist_findings(config: HistogramConfig, results) -> Findings:
     rows = []
     for beta in config.betas:
         for N in config.N_grid:
-            tables[f"hist_beta{beta}_N{N}"] = histogram_rows(endpoints[(beta, N)], config.n_bins)
+            tables[f"hist_beta{beta}_N{N}"] = histogram_rows(endpoints[(beta, N)])
         for Na, Nb in zip(config.N_grid, config.N_grid[1:]):
             rows.append({"beta": beta, "N_a": Na, "N_b": Nb,
                          "w2": w2_1d_quantile(endpoints[(beta, Na)], endpoints[(beta, Nb)])})

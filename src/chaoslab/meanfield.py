@@ -81,14 +81,6 @@ class EmpiricalMeasure:
                 raise ValueError(f"weights must sum to 1, got {s}")
         object.__setattr__(self, "weights", w)
 
-    @property
-    def n(self) -> int:
-        return self.locations.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.locations.shape[1]
-
 
 def _as_measure(mu) -> EmpiricalMeasure:
     if isinstance(mu, EmpiricalMeasure):

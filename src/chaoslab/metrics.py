@@ -110,9 +110,6 @@ class SlicedW2(NamedTuple):
     value: float
     stderr: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def w2_sliced(a, b, n_proj: int = 64, seed: int = 0) -> SlicedW2:
     """Sliced W2: mean squared 1-D distance over random directions, square-rooted.

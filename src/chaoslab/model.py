@@ -412,7 +412,6 @@ class ModelSpec:
     p: int
     phi: Callable[[np.ndarray], float] = None  # type: ignore[assignment]
     psi: Callable[[float], float] = None  # type: ignore[assignment]
-    name: str = "custom"
     sigma_override: float | None = None
 
     def __post_init__(self):
@@ -436,7 +435,6 @@ def make_model(
     loss: str = "square",
     penalty: float = 0.0,
     p: int = 1,
-    name: str | None = None,
 ) -> ModelSpec:
     """Build a ModelSpec from the builtin registry.
 
@@ -448,13 +446,7 @@ def make_model(
     if loss not in LOSSES:
         raise KeyError(f"unknown loss {loss!r}; choose from {sorted(LOSSES)}")
     pen = QuadraticPenalty(penalty) if penalty > 0 else ZeroPenalty()
-    return ModelSpec(
-        feature=FEATURES[feature](),
-        loss=LOSSES[loss](),
-        penalty=pen,
-        p=p,
-        name=name or f"{feature}+{loss}",
-    )
+    return ModelSpec(feature=FEATURES[feature](), loss=LOSSES[loss](), penalty=pen, p=p)
 
 
 # ----------------------------- hypothesis audit -----------------------------

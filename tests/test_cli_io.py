@@ -2,6 +2,7 @@
 
 import ctypes
 import json
+import math
 import os
 import platform
 import re
@@ -32,6 +33,7 @@ from chaoslab.io import (
     trajectory_to_csv,
     write_csv,
 )
+from chaoslab.metrics import w2_sliced
 from chaoslab.model import Hyperparams, make_model, two_point_distribution
 from chaoslab.rng import NoisePlan
 
@@ -417,6 +419,16 @@ class TestCliDispatch:
         ("simulate", {"N_ref": 99, "reps": 3, "N": 4}, "N_ref, reps"),
         ("stationary", {"engine": "sgd", "snapshot_times": [0.1]}, "engine, snapshot_times"),
         ("metrics", {"samples_a": "a.csv", "samples_b": "b.csv", "N": 4}, "N"),
+        # options that only tests set, now constants at the value every run got:
+        # even that value exits 2
+        ("regime", {"problem": {"teacher": 0.8}}, "problem.teacher"),
+        ("histograms", {"engine": "interacting-sde"}, "engine"),
+        ("histograms", {"reps": 4}, "reps"),
+        ("histograms", {"n_bins": 40}, "n_bins"),
+        ("stationary", {"tol": 1e-8}, "tol"),
+        ("stationary", {"max_iter": 200}, "max_iter"),
+        ("check-assumptions", {"probes": [[0.5]]}, "probes"),
+        ("metrics", {"samples_a": "a.csv", "samples_b": "b.csv", "reps": 64}, "reps"),
     ])
     def test_subcommand_rejects_keys_it_does_not_read(self, tmp_path, capsys, command, cfg,
                                                       unread):
@@ -465,8 +477,9 @@ class TestCliDispatch:
          "fields grid_lo/grid_hi"),
         ("stationary", {"problem": {"feature": "zero", "penalty": 1.0}},
          "fields problem.sigma_override/hyper.eta"),
-        ("check-assumptions", {"probes": [[1.0, 2.0]]}, "field probes"),
-        ("check-assumptions", {"probes": []}, "field probes"),
+        ("check-assumptions", {"problem": {"dataset": "no-such-dir/d.csv"}},
+         "field problem.dataset"),
+        ("check-assumptions", {"problem": {"feature": "relu"}}, "field problem.feature"),
         ("simulate", {"engine": "sgd", "N": 4, "hyper": {"T": 0.01, "gamma": 0.5}},
          "field hyper.T"),
         ("simulate", {"engine": "interacting-sde", "N": 4, "hyper": {"T": 0.2, "dt": 0.05},
@@ -474,8 +487,8 @@ class TestCliDispatch:
         # engines the study does not run
         ("regime", {"engine": "meanfield-ode", "hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5},
                     "betas": [1.0], "N_grid": [16], "seeds": 2}, "field engine"),
-        ("histograms", {"engine": "msgld", "hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5},
-                        "betas": [1.0], "N_grid": [16, 32, 64], "reps": 1}, "field engine"),
+        # the histogram study runs the interacting diffusion alone, on whole Euler steps
+        ("histograms", {"hyper": {"T": 1.0, "dt": 0.3}}, "field hyper.T"),
         # sizes the coupling harness refuses: more companions than the smallest
         # system has particles, a reference smaller than the largest system
         ("chaos-rate", {"N_grid": [4, 8, 16, 32], "m": 8}, "field m"),
@@ -487,7 +500,9 @@ class TestCliDispatch:
         assert not (tmp_path / "out").exists()
 
     # one row per config key: a value that breaks the key's type, range or enum,
-    # given to a subcommand that reads the key
+    # given to a subcommand that reads the key; a key that is now a constant
+    # (statistic, budget_s, teacher, n_bins, tol, max_iter, probes, and reps of
+    # histograms and metrics) exits 2 as one the subcommand does not read
     @pytest.mark.parametrize("command, cfg, key", [
         ("simulate", {"hyper": {"alpha": 1.0}}, "alpha"),
         ("simulate", {"hyper": {"beta": 1.5}}, "beta"),
@@ -550,7 +565,9 @@ class TestCliDispatch:
         ("simulate", {"engine": "msgld", "problem": {"sigma_override": 1.0}}, "sigma_override"),
         ("regime", {"problem": {"sigma_override": 1.0}}, "sigma_override"),
         ("consistency", {"problem": {"sigma_override": 1.0}}, "sigma_override"),
-        ("histograms", {"engine": "sgd", "problem": {"sigma_override": 1.0}}, "sigma_override"),
+        # the histogram study runs the diffusion alone, which takes a pin if it is a number
+        ("histograms", {"problem": {"sigma_override": "1"}}, "sigma_override"),
+        # the audit has no diffusion term either
         ("check-assumptions", {"problem": {"sigma_override": 1.0}}, "sigma_override"),
         # a dataset whose x_ columns do not fit the run
         ("simulate", {"problem": {"dataset": "x2.csv", "p": 4}}, "p"),
@@ -818,6 +835,57 @@ class TestCliDispatch:
         out = json.loads((tmp_path / "out" / "metrics-seed0" / "distances.json").read_text())
         assert 0.5 < out["w2"] < 2.0
 
+    # up to 256 rows W2 is the exact assignment, above it the sliced estimate on
+    # 256 directions; the sliced fields use 64
+    @pytest.mark.parametrize("rows", [40, 300])
+    def test_metrics_on_two_coordinates(self, tmp_path, rows):
+        # b is a moved by (1, 0), so W2 is 1, and the projections on a unit u move by
+        # u_1: the sliced distance is the root mean square of u_1, near sqrt(1/2)
+        a = np.random.default_rng(3).standard_normal((rows, 2))
+        b = a + [1.0, 0.0]
+        for name, arr in (("a.csv", a), ("b.csv", b)):
+            write_csv(tmp_path / name, [{"w_1": x, "w_2": y} for x, y in arr.tolist()])
+        cfg = {"samples_a": str(tmp_path / "a.csv"), "samples_b": str(tmp_path / "b.csv"),
+               "seed": 4}
+        assert self.run(tmp_path, "metrics", cfg) == EXIT_OK
+        out = json.loads((tmp_path / "out" / "metrics-seed4" / "distances.json").read_text())
+        assert (out["n_a"], out["n_b"], out["p"]) == (rows, rows, 2) and "w2_1d" not in out
+        sliced = w2_sliced(a, b, seed=4)
+        assert (out["w2_sliced"], out["w2_sliced_stderr"]) == (sliced.value, sliced.stderr)
+        assert abs(out["w2_sliced"] - math.sqrt(0.5)) <= 4 * out["w2_sliced_stderr"]
+        if rows <= 256:
+            assert out["w2"] == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert out["w2"] == w2_sliced(a, b, n_proj=256, seed=4).value
+            assert abs(out["w2"] - math.sqrt(0.5)) < 0.07
+
+    @pytest.mark.parametrize("what", ["--config", "samples_a", "samples_b"])
+    @pytest.mark.parametrize("kind, reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("latin-1",
+         "'utf-8' codec can't decode byte 0xe9 in position 0: invalid continuation byte"),
+    ], ids=["missing", "directory", "latin-1"])
+    def test_unreadable_input_file_exits_config_naming_it(self, tmp_path, capsys, what, kind,
+                                                          reason):
+        bad = tmp_path / "input"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "latin-1":
+            bad.write_bytes("é\n".encode("latin-1"))
+        good = tmp_path / "a.csv"
+        good.write_text("w_1\n0.5\n-0.5\n")
+        if what == "--config":
+            cfg_path, label = bad, "--config"
+        else:
+            cfg_path, label = tmp_path / "cfg.json", f"config field {what}"
+            cfg_path.write_text(json.dumps({"samples_a": str(good), "samples_b": str(good),
+                                            what: str(bad)}))
+        rc = cli_dispatch(["metrics", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {label}: cannot read {bad}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bad_row, reason", [
         ("0.3", "1 cells, header has 2"),
         ("0.3,zero", "malformed cell"),
@@ -929,6 +997,20 @@ class TestCliDispatch:
         manifest = json.loads((tmp_path / "out" / "check-assumptions-seed4" / "manifest.json")
                               .read_text())
         assert manifest["inputs"] == {}
+
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        cfg = {"engine": "interacting-sde", "N": 4, "hyper": {"T": 0.1, "dt": 0.05}}
+        for sub, seed, flag in (("flag", 3, ["--seed", "5"]), ("five", 5, []), ("three", 3, [])):
+            (tmp_path / sub).mkdir()
+            assert self.run(tmp_path / sub, "simulate", {**cfg, "seed": seed}, *flag) == EXIT_OK
+        out = tmp_path / "flag" / "out"
+        assert [p.name for p in out.iterdir()] == ["simulate-seed5"]
+        manifest = json.loads((out / "simulate-seed5" / "manifest.json").read_text())
+        # the manifest echoes the seed that ran, so its config replays the run
+        assert manifest["seed"] == 5 and manifest["config"] == {**cfg, "seed": 5}
+        csv = {sub: (tmp_path / sub / "out" / f"simulate-seed{seed}" / "trajectory.csv")
+               .read_bytes() for sub, seed in (("flag", 5), ("five", 5), ("three", 3))}
+        assert csv["flag"] == csv["five"] != csv["three"]
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHAOSLAB_OUT", str(tmp_path / "envout"))

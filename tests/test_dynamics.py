@@ -56,12 +56,6 @@ class TestInitSpec:
     def test_degenerate_uniform_box_allowed(self):
         assert InitSpec.uniform(0.5, 0.5).low == 0.5
 
-    def test_sample_columns_must_match_p(self):
-        init = InitSpec.from_samples(np.zeros((5, 2)))
-        with pytest.raises(ValueError, match="p=1"):
-            init.draw(NoisePlan(0), 0, 4, 1)
-        assert init.draw(NoisePlan(0), 0, 4, 2).shape == (4, 2)
-
 
 class TestHorizon:
     def test_whole_number_of_steps(self):

@@ -65,16 +65,16 @@ class TestConfigRanges:
         (ChaosRateConfig, {"m": 0}, "m"),
         (ChaosRateConfig, {"reps": 0}, "reps"),
         (ChaosRateConfig, {"N_ref": -3}, "N_ref"),
-        (HistogramConfig, {"n_bins": 0}, "n_bins"),
+        (HistogramConfig, {"betas": (0.5, 1.5)}, "betas"),
         (TwoRegimeConfig, {"engine": "meanfield-ode"}, "engine"),
         (SweepConfig, {"reps": 0}, "reps"),
-        (HistogramConfig, {"engine": "msgld"}, "engine"),
+        (HistogramConfig, {"N_grid": (64, 32, 16)}, "N_grid"),
         (ProblemConfig, {"penalty": -0.5}, "penalty"),
         (ProblemConfig, {"sigma_override": -1.0}, "sigma_override"),
-        # a pinned noise where a discrete recursion runs, which has no diffusion term
+        # a pinned noise where a discrete recursion runs (two-regime, consistency), which has
+        # no diffusion term; the histogram study runs the diffusion alone, on 3 sizes at least
         (TwoRegimeConfig, {"problem": ProblemConfig(sigma_override=1.0)}, "problem.sigma_override"),
-        (HistogramConfig, {"engine": "sgd", "problem": ProblemConfig(sigma_override=1.0)},
-         "problem.sigma_override"),
+        (HistogramConfig, {"N_grid": (8, 16)}, "N_grid"),
         (ConsistencyConfig, {"problem": ProblemConfig(sigma_override=1.0)},
          "problem.sigma_override"),
     ])

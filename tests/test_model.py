@@ -243,6 +243,24 @@ class TestCheckAssumptions:
         assert not report.ok
         assert any("Phi" in v.condition for v in report.violations)
 
+    def test_loss_envelope_below_both_loss_bounds_is_flagged(self):
+        # square loss: |d1 l(0, y)| = |y| and |d2 l| + |d3 l| = 1, against Psi = 0.1
+        base = make_model("tanh-dot", "square")
+        model = ModelSpec(feature=base.feature, loss=base.loss, penalty=base.penalty, p=1,
+                          psi=lambda y: 0.1)
+        pi = two_point_distribution([1.0], 1.0, [-0.5], 0.05)
+        report = check_assumptions(model, pi, [np.array([0.3]), np.array([-0.7])])
+        d1 = [v for v in report.violations if v.condition == "|d1 l(0, y)| <= Psi(y)"]
+        d23 = [v for v in report.violations if v.condition == "|d2 l| + |d3 l| <= Psi(y)"]
+        # the atom with |y| = 0.05 passes the first bound; the second fails at yhat = 0
+        # (no probe) and at each probe's prediction, on both atoms
+        assert [(v.atom_index, v.probe_index, v.lhs, v.rhs) for v in d1] == [(0, None, 1.0, 0.1)]
+        assert [(v.atom_index, v.probe_index) for v in d23] == [
+            (j, i) for j in (0, 1) for i in (None, 0, 1)]
+        assert all((v.lhs, v.rhs) == (1.0, 0.1) for v in d23)
+        assert len(report.violations) == len(d1) + len(d23) and not report.ok
+        assert report.n_checks == 2 * (1 + 3) + 2 * 2 + 1
+
     def test_empty_probe_list_rejected(self):
         model = make_model("tanh-dot", "square")
         pi = two_point_distribution([1.0], 1.0, [-1.0], 1.0)
