@@ -36,6 +36,7 @@ from .dynamics import (
 from .io import (
     ConfigError,
     RunManifest,
+    cannot_read,
     load_config,
     output_root,
     parse_config,
@@ -145,8 +146,8 @@ class MetricsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples_a is None or self.samples_b is None:
-            raise ConfigError("metrics needs samples_a and samples_b paths", "samples_a")
+        for name in ("samples_a", "samples_b"):
+            require(getattr(self, name) is not None, name, "be the path of a sample file", None)
 
 
 # ----------------------------- subcommands -----------------------------
@@ -240,7 +241,7 @@ def _print_check(report, out_dir: Path):
 def _cmd_check_assumptions(config: CheckAssumptionsConfig, workers: int) -> Outcome:
     model, pi, _ = config.problem.build()
     probes = np.random.default_rng(config.seed).uniform(-2, 2, size=(_PROBES, model.p))
-    report = check_assumptions(model, pi, probes, seed=config.seed)
+    report = check_assumptions(model, pi, probes)
     return Outcome(
         "check-assumptions",
         {"report.json": partial(write_json, obj={
@@ -260,8 +261,7 @@ def _read_input(what: str, path: str, read):
     try:
         return read(path)
     except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"{what}: cannot read {path}: {reason}") from exc
+        raise ConfigError(f"{what}: {cannot_read(path, exc)}") from exc
 
 
 def _load_samples(path: str) -> np.ndarray:

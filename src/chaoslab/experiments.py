@@ -39,7 +39,7 @@ from .dynamics import (
     sgd_run,
     sgd_sde_endpoints,
 )
-from .io import load_dataset, steady_heap
+from .io import cannot_read, load_dataset, steady_heap
 from .meanfield import field_cache, noise_width, ridge_block
 from .model import (
     FEATURES,
@@ -238,7 +238,9 @@ class ProblemConfig:
         if self.dataset is not None:
             try:
                 data = load_dataset(self.dataset)
-            except (OSError, ValueError) as exc:  # a missing file, a malformed row
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(cannot_read(self.dataset, exc), "dataset") from exc
+            except ValueError as exc:  # a malformed row
                 raise ConfigError(str(exc), "dataset") from exc
             require(self.p in (1, data.d), "p", f"be 1 or the {data.d} x_ columns of "
                     f"{self.dataset}", self.p)
@@ -601,6 +603,10 @@ class TwoRegimeConfig:
         self.problem.require_no_pin(f"engine {self.engine}")
         require(self.ratio_threshold > 0, "ratio_threshold", "be > 0", self.ratio_threshold)
         require(self.floor_jitter > 0, "floor_jitter", "be > 0", self.floor_jitter)
+        for beta in self.betas:
+            for N in self.N_grid:
+                hyper_run, N_run = _regime_run(self, beta, N)
+                hyper_run.sgd_steps(N_run)
 
 
 def _regime_shortcut(config: TwoRegimeConfig) -> bool:
@@ -608,23 +614,27 @@ def _regime_shortcut(config: TwoRegimeConfig) -> bool:
     return config.engine == "sgd" and config.problem.init_kind == "dirac"
 
 
+def _regime_run(config: TwoRegimeConfig, beta: float, N: int) -> tuple[Hyperparams, int]:
+    """The hyperparameters and particle count that the (beta, N) runs are made with."""
+    hyper = config.hyper.replace(beta=beta)
+    if not _regime_shortcut(config):
+        return hyper, N
+    # All particles share the minibatch and start equal, so every
+    # particle of the N-run follows one common trajectory; a single
+    # particle with the equivalent stepsize gamma * N^(beta-1) matches
+    # it to rounding (its stepsize and predictions are formed from other floats).
+    return hyper.replace(beta=1.0, gamma=hyper.gamma * float(N) ** (hyper.beta - 1.0)), 1
+
+
 def _regime_task(config: TwoRegimeConfig, task) -> list[float]:
     """The endpoint ensemble mean of the (beta, N) runs of the given seeds."""
     beta, N, seeds = task
     model, pi, init = config.problem.build()
-    hyper = config.hyper.replace(beta=beta)
     plans = [NoisePlan(config.seed).child("regime", int(beta * 1000), s) for s in seeds]
     run = msgld_run if config.engine == "msgld" else sgd_run
-    hyper_run, N_run = hyper, N
-    if _regime_shortcut(config):
-        # All particles share the minibatch and start equal, so every
-        # particle of the N-run follows one common trajectory; a single
-        # particle with the equivalent stepsize gamma * N^(beta-1) matches
-        # it to rounding (its stepsize and predictions are formed from other floats).
-        hyper_run = hyper.replace(beta=1.0, gamma=hyper.gamma * float(N) ** (hyper.beta - 1.0))
-        N_run = 1
+    hyper_run, N_run = _regime_run(config, beta, N)
     # the seeds' systems run as one stacked block, each on its own plan
-    traj = run(model, pi, hyper_run, N_run, init, plans, snapshot_times=[hyper.T])
+    traj = run(model, pi, hyper_run, N_run, init, plans, snapshot_times=[config.hyper.T])
     W = traj.endpoint().reshape(len(plans), N_run, model.p)
     return W[:, :, 0].mean(axis=1).tolist()
 
@@ -856,6 +866,8 @@ class ConsistencyConfig:
         require(self.decrease_factor > 0, "decrease_factor", "be > 0", self.decrease_factor)
         self.problem.require_no_pin("the SGD run of each size")
         self.hyper.euler_steps()
+        for N in self.N_grid:
+            self.hyper.sgd_steps(N)
 
 
 def _gap_task(config: ConsistencyConfig, task):

@@ -33,6 +33,7 @@ __all__ = [
     "RunManifest",
     "load_config",
     "parse_config",
+    "cannot_read",
     "load_dataset",
     "read_csv_columns",
     "save_trajectory",
@@ -109,6 +110,12 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
+
+
+def cannot_read(path: str | Path, exc: OSError | UnicodeDecodeError) -> str:
+    """"cannot read <path>: <reason>", the message for an input file that ``exc``, an
+    OSError (a missing file, a directory) or a UnicodeDecodeError, kept from being read."""
+    return f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}"
 
 
 # ----------------------------- datasets -----------------------------

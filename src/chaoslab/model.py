@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
-_FD_DIRS, _FD_EPS = 8, 1e-4  # the finite-difference audit's random directions and step
 
 # sup_z |tanh''(z)| and sup_z |tanh'''(z)|, used by the tanh envelope.
 _TANH_D2_MAX = 4.0 / (3.0 * math.sqrt(3.0))
@@ -241,6 +240,11 @@ class RidgeFeature:
     def activation(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    def derivative_norms(self, w: np.ndarray, x: np.ndarray) -> tuple[float, float, float, float]:
+        """Closed-form ||F||, ||D1F||, ||D2F||, ||D3F|| at (w, x), the norms in w
+        that the hypothesis audit sums against Phi(x)."""
+        raise NotImplementedError
+
     def value(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         return self.activation(W @ X.T)[0]
 
@@ -257,7 +261,6 @@ class TanhDotFeature(RidgeFeature):
         t = np.tanh(z)
         return t, 1.0 - t**2
 
-    # Exact operator norms of the differentials, used by the hypothesis audit.
     def derivative_norms(self, w: np.ndarray, x: np.ndarray) -> tuple[float, float, float, float]:
         z = float(w @ x)
         t = math.tanh(z)
@@ -294,6 +297,11 @@ class LinearDotFeature(RidgeFeature):
 
     def activation(self, z):
         return z, np.ones_like(z)
+
+    def derivative_norms(self, w, x):
+        W1, X1 = w[None, :], x[None, :]
+        return (abs(float(self.value(W1, X1)[0, 0])),
+                float(np.linalg.norm(self.grad(W1, X1)[0, 0])), 0.0, 0.0)
 
     def envelope(self, x: np.ndarray) -> float:
         return 1.0
@@ -398,8 +406,8 @@ class ModelSpec:
     Immutable after construction and safe to share across workers.  ``phi``
     and ``psi`` are the per-sample envelope functions; builtins ship closed
     forms, custom models may pass anything >= 1.  The population kernels
-    and engines need a ridge feature (one with ``activation``); the
-    hypothesis audit needs only ``value`` and ``grad``.
+    and engines need a ridge feature's ``activation``; the hypothesis audit
+    needs its ``value`` and its closed-form ``derivative_norms``.
 
     ``sigma_override`` is the noise model: None takes the gradient-noise
     covariance Sigma(w, mu) of the problem, a number s >= 0 pins it to s I
@@ -476,49 +484,21 @@ class AssumptionReport:
         return not self.violations
 
 
-def _fd_derivative_norms(feature, w, x, rng) -> tuple[float, float, float, float]:
-    """Sampled lower bounds of ||F||, ||D1F||, ||D2F||, ||D3F|| at (w, x).
-
-    Directional central differences of the analytic gradient; operator norms
-    are estimated as the max over ``_FD_DIRS`` random unit directions, which
-    keeps the audit sound (it can only under-report a violation margin).
-    """
-    p = w.shape[0]
-    W1 = w[None, :]
-    X1 = x[None, :]
-    f0 = abs(float(feature.value(W1, X1)[0, 0]))
-    g0 = float(np.linalg.norm(feature.grad(W1, X1)[0, 0]))
-    dirs = rng.standard_normal((_FD_DIRS, p))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    d2 = 0.0
-    d3 = 0.0
-    for u in dirs:
-        gp = feature.grad((w + _FD_EPS * u)[None, :], X1)[0, 0]
-        gm = feature.grad((w - _FD_EPS * u)[None, :], X1)[0, 0]
-        gc = feature.grad(W1, X1)[0, 0]
-        d2 = max(d2, float(np.linalg.norm((gp - gm) / (2 * _FD_EPS))))
-        d3 = max(d3, float(np.linalg.norm((gp - 2 * gc + gm) / _FD_EPS**2)))
-    return f0, g0, d2, d3
-
-
 def check_assumptions(
     model: ModelSpec,
     pi: DataDistribution,
     probe_ws: Sequence[np.ndarray],
-    seed: int = 0,
 ) -> AssumptionReport:
     """Audit the regularity hypotheses of a model against a distribution.
 
     Checks, for every atom and probe weight: the loss-derivative bounds
     |d1 l(0, y)| <= Psi(y) and |d2 l| + |d3 l| <= Psi(y); the feature bound
-    ||F|| + ||D1 F|| + ||D2 F|| + ||D3 F|| <= Phi(x) (analytic norms where
-    the feature provides them, sampled finite differences otherwise); and
-    the moment sum of Phi^10 + Psi^4 over the atoms.  Violations are report
-    entries, never exceptions.
+    ||F|| + ||D1 F|| + ||D2 F|| + ||D3 F|| <= Phi(x), with the feature's
+    closed-form ``derivative_norms``; and the moment sum of Phi^10 + Psi^4
+    over the atoms.  Violations are report entries, never exceptions.
     """
     if len(probe_ws) == 0:
         raise ValueError("probe_ws must be nonempty")
-    rng = np.random.default_rng(seed)
     probes = [np.asarray(w, dtype=np.float64).reshape(-1) for w in probe_ws]
     violations: list[AssumptionViolation] = []
     n_checks = 0
@@ -546,10 +526,7 @@ def check_assumptions(
     for j, atom in enumerate(pi.atoms):
         phi = phis[j]
         for i, w in enumerate(probes):
-            if hasattr(model.feature, "derivative_norms"):
-                f0, d1, d2, d3 = model.feature.derivative_norms(w, atom.x)
-            else:
-                f0, d1, d2, d3 = _fd_derivative_norms(model.feature, w, atom.x, rng)
+            f0, d1, d2, d3 = model.feature.derivative_norms(w, atom.x)
             lhs = f0 + d1 + d2 + d3
             n_checks += 1
             if lhs > phi * (1 + 1e-9):

@@ -1,6 +1,7 @@
 """Configs, dataset ingestion, trajectory persistence, CLI surface."""
 
 import ctypes
+import hashlib
 import json
 import math
 import os
@@ -66,6 +67,12 @@ class TestConfigSchema:
         path = tmp_path / "c.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_root_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
             load_config(path)
 
 
@@ -147,6 +154,16 @@ class TestDatasetIO:
         with pytest.raises(ConfigError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("text, reason", [
+        ("x_1,weight\n0.5,1.0\n", "must have columns x_1..x_d and y"),
+        ("x_1,y,weight\n0.5,1.0,0.0\n-0.5,0.0,0.0\n", "positive total mass"),
+    ], ids=["no-y", "zero-mass"])
+    def test_dataset_without_labels_or_mass_rejected(self, tmp_path, text, reason):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^dataset {path}.*{reason}"):
+            load_dataset(path)
+
     def test_save_load_roundtrip(self, tmp_path):
         pi = two_point_distribution([0.123456789012345], 1.0, [-1.0], -0.5, w0=0.3)
         path = tmp_path / "d.csv"
@@ -186,6 +203,21 @@ class TestTrajectoryIO:
         data[60] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="checksum"):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("offset, byte, reason", [
+        (0, b"X", "is not a trajectory file"),
+        (8, b"\x02", "unsupported trajectory version 2"),
+    ], ids=["magic", "version"])
+    def test_foreign_header_rejected(self, tmp_path, offset, byte, reason):
+        path = tmp_path / "t.bin"
+        save_trajectory(small_trajectory(), path)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 1] = byte
+        # a fresh checksum, so the header check is the one that fails
+        data[-32:] = hashlib.sha256(bytes(data[:-32])).digest()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=reason):
             load_trajectory(path)
 
     def test_csv_export_full_precision(self, tmp_path):
@@ -366,6 +398,24 @@ class TestCliDispatch:
         assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config field hyper.T: horizon T=1.0" in err and "dt=0.3" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command, cfg", [
+        ("regime", {"N_grid": [16, 64], "seeds": 3, "hyper": {"T": 0.5, "gamma": 1.0, "dt": 0.02}}),
+        ("consistency", {"N_grid": [16, 32], "reps": 2,
+                         "hyper": {"T": 0.5, "dt": 0.0625, "gamma": 1.0}}),
+    ])
+    def test_horizon_shorter_than_one_sgd_step_exits_config(self, tmp_path, capsys, monkeypatch,
+                                                             command, cfg, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", no_pool)
+        assert self.run(tmp_path, command, cfg, "--workers", workers) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: config field hyper.T: horizon T=0.5 is shorter than one SGD step "
+            "gamma_scale=1; nothing to run\n")
+        assert not (tmp_path / "out").exists()
 
     def test_stationary_fractional_horizon_exits_config(self, tmp_path, capsys):
         cfg = {"problem": {"feature": "zero", "penalty": 1.0, "sigma_override": 1.0},
@@ -735,6 +785,14 @@ class TestCliDispatch:
         assert report["ok"] is True
         assert report["violations"] == []
 
+    def test_check_assumptions_on_the_zero_feature(self, tmp_path):
+        # 4 atoms: 1 + 17 loss checks and 16 feature checks each, and the moment sum
+        rc = self.run(tmp_path, "check-assumptions", {"problem": {"feature": "zero"}}, "--strict")
+        assert rc == EXIT_OK
+        report = json.loads(
+            (tmp_path / "out" / "check-assumptions-seed0" / "report.json").read_text())
+        assert (report["ok"], report["n_checks"], report["violations"]) == (True, 137, [])
+
     def test_chaos_rate_determinism_byte_identical_tables(self, tmp_path):
         cfg = {
             "problem": {"labels": "noisy"},
@@ -859,7 +917,7 @@ class TestCliDispatch:
             assert out["w2"] == w2_sliced(a, b, n_proj=256, seed=4).value
             assert abs(out["w2"] - math.sqrt(0.5)) < 0.07
 
-    @pytest.mark.parametrize("what", ["--config", "samples_a", "samples_b"])
+    @pytest.mark.parametrize("what", ["--config", "samples_a", "samples_b", "problem.dataset"])
     @pytest.mark.parametrize("kind, reason", [
         ("missing", "No such file or directory"),
         ("directory", "Is a directory"),
@@ -875,15 +933,27 @@ class TestCliDispatch:
             bad.write_bytes("é\n".encode("latin-1"))
         good = tmp_path / "a.csv"
         good.write_text("w_1\n0.5\n-0.5\n")
+        command, cfg_path, label = "metrics", tmp_path / "cfg.json", f"config field {what}"
         if what == "--config":
             cfg_path, label = bad, "--config"
+        elif what == "problem.dataset":
+            command = "check-assumptions"
+            cfg_path.write_text(json.dumps({"problem": {"dataset": str(bad)}}))
         else:
-            cfg_path, label = tmp_path / "cfg.json", f"config field {what}"
             cfg_path.write_text(json.dumps({"samples_a": str(good), "samples_b": str(good),
                                             what: str(bad)}))
-        rc = cli_dispatch(["metrics", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        rc = cli_dispatch([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {label}: cannot read {bad}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("given, missing", [("samples_a", "samples_b"),
+                                                 ("samples_b", "samples_a")])
+    def test_metrics_names_the_sample_path_it_lacks(self, tmp_path, capsys, given, missing):
+        assert self.run(tmp_path, "metrics", {given: "a.csv"}) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config field {missing}: {missing} must be the path of a sample "
+            "file, got None\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad_row, reason", [

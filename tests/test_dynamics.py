@@ -56,6 +56,21 @@ class TestInitSpec:
     def test_degenerate_uniform_box_allowed(self):
         assert InitSpec.uniform(0.5, 0.5).low == 0.5
 
+    def test_dirac_point_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dirac init has dimension 2, expected 1"):
+            InitSpec.dirac([0.1, 0.2]).draw(NoisePlan(0), 0, 3, 1)
+
+
+# interacting_sde_run's gamma_scale rejects N = 0 before its draw does
+@pytest.mark.parametrize("run, reason", [
+    (sgd_run, "N must be >= 1"), (interacting_sde_run, "N must be >= 1, got 0"),
+    (meanfield_ode_run, "the ensemble needs N >= 1 particles, got 0"),
+])
+def test_an_ensemble_of_no_particles_rejected(run, reason):
+    h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.1, dt=0.05)
+    with pytest.raises(ValueError, match=reason):
+        run(TANH, NOISY, h, 0, InitSpec.uniform(), NoisePlan(0))
+
 
 class TestHorizon:
     def test_whole_number_of_steps(self):
@@ -546,6 +561,15 @@ class TestWeakFormResidual:
         coarse = mean_residual(0.02, 128)
         fine = mean_residual(0.01, 256)
         assert fine < coarse
+
+    def test_langevin_term_of_a_drift_only_law(self):
+        # dW = -W dt + sqrt(2 eta) dB from 0: E[|W|^2 / 2] grows by eta dt - E|W|^2 dt,
+        # and the eta part alone adds eta * T = 0.5 to the integral by T
+        h = Hyperparams(alpha=0.0, beta=0.5, gamma=1.0, M=1, T=1.0, dt=0.01, eta=0.5)
+        traj = meanfield_ode_run(QUAD_ONLY, SINGLE_ATOM, h, 4096, InitSpec.dirac([0.0]),
+                                 NoisePlan(0), snapshot_times="all")
+        assert traj.meta["sigma_scale"] == 0.0
+        assert weak_form_residual(traj, TestFunction.quadratic()).max() < 0.02
 
     def test_wrong_trajectory_kind_rejected(self):
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.01)

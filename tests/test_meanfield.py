@@ -67,10 +67,15 @@ class TestPredict:
         assert predict(mu, TANH, [1.0]) == pytest.approx(0.6836327054524381, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("weights", [[math.nan, math.nan], [1.5, -0.5], [math.inf, -math.inf]])
+    @pytest.mark.parametrize("weights", [[math.nan, math.nan], [1.5, -0.5], [math.inf, -math.inf],
+                                         [0.5, 0.25, 0.25], [0.5, 0.4]])
     def test_weights_must_be_finite_and_nonnegative(self, weights):
         with pytest.raises(ValueError, match="weights"):
             EmpiricalMeasure(np.zeros((2, 1)), weights=weights)
+
+    def test_a_measure_needs_a_location(self):
+        with pytest.raises(ValueError, match="at least one location"):
+            EmpiricalMeasure(np.zeros((0, 1)))
 
 
 class TestStructuralRisk:

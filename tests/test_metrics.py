@@ -93,6 +93,10 @@ class TestW2Exact:
 
 
 class TestSlicedW2:
+    def test_needs_a_projection(self):
+        with pytest.raises(ValueError, match="n_proj must be >= 1"):
+            w2_sliced(np.zeros((3, 2)), np.zeros((3, 2)), n_proj=0)
+
     def test_lower_bounds_exact_within_error(self):
         rng = np.random.default_rng(5)
         for k in range(50):
@@ -158,6 +162,12 @@ class TestHistogramRows:
         total = sum(r["density"] * (r["bin_right"] - r["bin_left"]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-12)
         assert sum(r["count"] for r in rows) == 5000
+
+    def test_constant_samples_fill_the_first_of_unit_width_bins(self):
+        rows = histogram_rows(np.full(7, 2.5), n_bins=4)
+        assert [(r["bin_left"], r["bin_right"], r["count"]) for r in rows] == [
+            (2.5, 2.75, 7), (2.75, 3.0, 0), (3.0, 3.25, 0), (3.25, 3.5, 0)]
+        assert rows[0]["density"] == 4.0
 
 
 class TestEnsembleRouter:

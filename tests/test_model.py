@@ -12,6 +12,7 @@ from chaoslab.model import (
     Hyperparams,
     LinearDotFeature,
     ModelSpec,
+    QuadraticPenalty,
     SquareLoss,
     ZeroPenalty,
     check_assumptions,
@@ -144,6 +145,10 @@ class TestDataDistribution:
             with pytest.raises(ValueError, match="atom weight"):
                 DataAtom([1.0], 1.0, bad)
 
+    def test_zero_total_weight_rejected(self):
+        with pytest.raises(ValueError, match="positive total mass"):
+            DataDistribution([DataAtom([1.0], 1.0, 0.0), DataAtom([-1.0], 0.0, 0.0)])
+
     def test_x_max_recorded(self):
         pi = two_point_distribution([3.0], 1.0, [-4.0], 0.0)
         assert pi.x_max == pytest.approx(4.0)
@@ -214,6 +219,12 @@ class TestBuiltins:
         with pytest.raises(ValueError, match=rf"^{field} must be >="):
             make_model("tanh-dot", "square", **kw)
 
+    def test_unknown_loss_and_negative_penalty_strength_rejected(self):
+        with pytest.raises(KeyError, match="unknown loss 'hinge'"):
+            make_model("tanh-dot", "hinge")
+        with pytest.raises(ValueError, match="penalty strength must be >= 0"):
+            QuadraticPenalty(-1.0)
+
     def test_loss_derivative_envelope_bound(self):
         # |d1 l(yhat, y)| <= 2 Psi(y) max(1, |yhat|) for builtins
         rng = np.random.default_rng(11)
@@ -237,11 +248,20 @@ class TestCheckAssumptions:
 
     def test_unbounded_linear_feature_is_flagged(self):
         model = ModelSpec(feature=LinearDotFeature(), loss=SquareLoss(),
-                          penalty=ZeroPenalty(), p=1, phi=lambda x: 1.0)
+                          penalty=ZeroPenalty(), p=1)
         pi = two_point_distribution([1.0], 1.0, [-1.0], 1.0)
         report = check_assumptions(model, pi, [np.array([5.0])])
         assert not report.ok
         assert any("Phi" in v.condition for v in report.violations)
+
+    @pytest.mark.parametrize("name, w, x, norms", [
+        ("linear-dot", [2.0, -1.0], [0.5, 3.0], (2.0, math.sqrt(9.25), 0.0, 0.0)),
+        ("zero", [2.0, -1.0], [0.5, 3.0], (0.0, 0.0, 0.0, 0.0)),
+    ])
+    def test_closed_form_derivative_norms(self, name, w, x, norms):
+        feature = make_model(name, "square", p=2).feature
+        got = feature.derivative_norms(np.array(w), np.array(x))
+        np.testing.assert_allclose(got, norms, rtol=1e-15, atol=0.0)
 
     def test_loss_envelope_below_both_loss_bounds_is_flagged(self):
         # square loss: |d1 l(0, y)| = |y| and |d2 l| + |d3 l| = 1, against Psi = 0.1
@@ -266,19 +286,3 @@ class TestCheckAssumptions:
         pi = two_point_distribution([1.0], 1.0, [-1.0], 1.0)
         with pytest.raises(ValueError):
             check_assumptions(model, pi, [])
-
-    def test_finite_difference_path_agrees_with_analytic(self):
-        # fd audit of the tanh feature (analytic norms removed) stays clean
-        model = make_model("tanh-dot", "square")
-        feat = model.feature
-
-        class NoAnalytic:
-            name = "tanh-fd"
-            value = staticmethod(feat.value)
-            grad = staticmethod(feat.grad)
-            envelope = staticmethod(feat.envelope)
-
-        fd_model = ModelSpec(feature=NoAnalytic(), loss=SquareLoss(), penalty=ZeroPenalty(), p=1)
-        pi = two_point_distribution([0.8], 1.0, [-0.9], -1.0)
-        report = check_assumptions(fd_model, pi, [np.array([0.3]), np.array([-1.7])])
-        assert report.ok

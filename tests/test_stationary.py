@@ -49,6 +49,15 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             GridDensity1D(1.0, 2.0, 64, np.ones(64))
 
+    @pytest.mark.parametrize("n_cells, values, reason", [
+        (3, np.ones(3), "at least 4 grid cells"),
+        (64, np.ones(63), "one entry per cell"),
+        (64, np.zeros(64), "positive mass"),
+    ])
+    def test_malformed_grid_rejected(self, n_cells, values, reason):
+        with pytest.raises(ValueError, match=reason):
+            GridDensity1D(-1.0, 1.0, n_cells, values)
+
     def test_negative_values_rejected(self):
         v = np.ones(64)
         v[3] = -0.1
@@ -158,6 +167,11 @@ class TestStationarityCheck:
         base = stationarity_check(mu, OU_PINNED, OU_PI, OU_HYPER, 4096, 0.0, NoisePlan(0))
         assert 0.0 < base <= 0.05
 
+    def test_p_must_be_one(self):
+        model2 = replace(make_model("zero", "square", 1.0, p=2), sigma_override=1.0)
+        with pytest.raises(ValueError, match="p = 1"):
+            stationarity_check(ou_start(), model2, OU_PI, OU_HYPER, 16, 0.0, NoisePlan(0))
+
     def test_far_start_drifts_more(self):
         mu = self.fixed_point()
         near = stationarity_check(mu, OU_PINNED, OU_PI, OU_HYPER, 2048, 2.0, NoisePlan(0))
@@ -218,6 +232,21 @@ class TestGridLaw:
         outside = grid_law_path(self.MODEL, self.PI, self.HYPER.replace(T=0.02),
                                 InitSpec.dirac([5.0]), 1.0)
         assert outside.edge_mass >= 1.0
+
+    def test_zero_width_box_is_the_point_mass(self):
+        hyper = self.HYPER.replace(T=0.1)
+        box = grid_law_path(self.MODEL, self.PI, hyper, InitSpec.uniform(0.3, 0.3), 1.0)
+        point = grid_law_path(self.MODEL, self.PI, hyper, InitSpec.dirac([0.3]), 1.0)
+        np.testing.assert_array_equal(box.masses, point.masses)
+        np.testing.assert_array_equal(box.predictions, point.predictions)
+
+    @pytest.mark.parametrize("init, n_cells, reason", [
+        (InitSpec.uniform(), 2, "at least 4 grid cells"),
+        (InitSpec.dirac([0.1, 0.2]), GRID_LAW_CELLS, "dirac init in dimension 1, got 2"),
+    ])
+    def test_malformed_grid_or_init_rejected(self, init, n_cells, reason):
+        with pytest.raises(ValueError, match=reason):
+            grid_law_path(self.MODEL, self.PI, self.HYPER, init, 1.0, n_cells)
 
     def test_noise_free_transitions_are_unresolved(self):
         # one atom: Sigma = 0, so without Langevin noise every Gaussian is a point
