@@ -100,8 +100,14 @@ class SimulateConfig:
         require(self.snapshot_times is None
                 or all(0.0 <= t <= self.hyper.T for t in self.snapshot_times),
                 "snapshot_times", f"lie in [0, T={self.hyper.T:g}]", self.snapshot_times)
-        if self.engine in ("sgd", "msgld"):  # the discrete recursions never read dt
+        # values the engine would not read: a temperature with no Langevin term to
+        # carry it, a pinned noise with no diffusion term to pin
+        require(self.engine != "sgd" or self.hyper.eta == 0, "hyper.eta",
+                "be 0 under engine sgd, which has no Langevin term (msgld has one)",
+                self.hyper.eta)
+        if self.engine in ("sgd", "msgld", "meanfield-ode"):
             self.problem.require_no_pin(f"engine {self.engine}")
+        if self.engine in ("sgd", "msgld"):  # the discrete recursions never read dt
             self.hyper.sgd_steps(self.N)
         else:
             self.hyper.euler_steps()

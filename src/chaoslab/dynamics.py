@@ -80,7 +80,8 @@ __all__ = [
 DOMAIN_SYSTEM = 0
 DOMAIN_REFERENCE = 1
 
-DEFAULT_MOMENT_CEILING = 1e8
+# the ensemble second moment past which a run is reported as diverged
+MOMENT_CEILING = 1e8
 DEFAULT_SNAPSHOTS = 64
 
 
@@ -107,18 +108,26 @@ class EnsembleDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Initial-condition law: dirac at w0, uniform box, or gaussian."""
+    """Initial-condition law: dirac at w0, or the uniform box [low, high]^p."""
 
     kind: str = "uniform"
     w0: np.ndarray | None = None
     low: float = -0.04
     high: float = 0.04
-    mean: float = 0.0
-    std: float = 1.0
 
     def __post_init__(self):
-        if self.kind == "uniform" and not self.low <= self.high:
-            raise ValueError(f"uniform init needs low <= high, got low={self.low}, high={self.high}")
+        if self.kind == "dirac":
+            if self.w0 is None or not np.all(np.isfinite(self.w0)):
+                raise ValueError(f"dirac init needs a finite w0, got {self.w0}")
+        elif self.kind == "uniform":
+            if not (math.isfinite(self.low) and math.isfinite(self.high)):
+                raise ValueError(f"uniform init needs finite ends, got low={self.low}, "
+                                 f"high={self.high}")
+            if not self.low <= self.high:
+                raise ValueError(f"uniform init needs low <= high, got low={self.low}, "
+                                 f"high={self.high}")
+        else:
+            raise ValueError(f"init kind must be uniform or dirac, got {self.kind!r}")
 
     @staticmethod
     def dirac(w0) -> "InitSpec":
@@ -128,10 +137,6 @@ class InitSpec:
     def uniform(low: float = -0.04, high: float = 0.04) -> "InitSpec":
         return InitSpec(kind="uniform", low=low, high=high)
 
-    @staticmethod
-    def gaussian(mean: float = 0.0, std: float = 1.0) -> "InitSpec":
-        return InitSpec(kind="gaussian", mean=mean, std=std)
-
     def draw(self, plan: NoisePlan, domain: int, n: int, p: int) -> np.ndarray:
         """n particles (n, p), from the first n rows of the domain's init block."""
         if self.kind == "dirac":
@@ -139,13 +144,8 @@ class InitSpec:
             if w0.shape[0] != p:
                 raise ValueError(f"dirac init has dimension {w0.shape[0]}, expected {p}")
             return np.tile(w0, (n, 1))
-        if self.kind == "uniform":
-            u = plan.uniforms(domain, SLOT_INIT, 0, n * p).reshape(n, p)
-            return self.low + (self.high - self.low) * u
-        if self.kind == "gaussian":
-            z = plan.normals(domain, SLOT_INIT, 0, n, p)
-            return self.mean + self.std * z
-        raise ValueError(f"unknown init kind {self.kind!r}")
+        u = plan.uniforms(domain, SLOT_INIT, 0, n * p).reshape(n, p)
+        return self.low + (self.high - self.low) * u
 
 
 # ----------------------------- trajectories -----------------------------
@@ -197,7 +197,7 @@ def _snapshot_steps(n_steps: int, step_time: float, snapshot_times, horizon: flo
     return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]  # np.unique would import numpy.ma
 
 
-def guard_moment(W: np.ndarray, step: int, t: float, ceiling: float = DEFAULT_MOMENT_CEILING):
+def guard_moment(W: np.ndarray, step: int, t: float, ceiling: float = MOMENT_CEILING):
     """Raise ``EnsembleDiverged`` unless the ensemble second moment is finite and <= ceiling."""
     v = W.ravel()
     # vdot is the same BLAS dot as v @ v, but an overflow there raises no
@@ -213,7 +213,7 @@ _GUARD_MARGIN = 1e-6
 
 
 def guard_segments(W: np.ndarray, sizes, step: int, t: float,
-                   ceiling: float = DEFAULT_MOMENT_CEILING, names=None):
+                   ceiling: float = MOMENT_CEILING, names=None):
     """``guard_moment`` on each consecutive segment of W of the given sizes, in order.
 
     One vectorised pass sums every segment; a segment near or past the
@@ -267,8 +267,7 @@ def _discrete_run(
     init: InitSpec,
     plan,
     langevin: bool,
-    snapshot_times=None,
-    moment_ceiling: float = DEFAULT_MOMENT_CEILING,
+    snapshot_times,
 ) -> Trajectory:
     """The recursion for k independent systems of N particles, one per plan of
     ``plan`` (a NoisePlan is k = 1), stacked in plan order in one block.
@@ -278,8 +277,6 @@ def _discrete_run(
     final state included; at p = 1 its rows equal, bit for bit, those of its
     lone run.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if model.sigma_override is not None:
         raise ValueError("the discrete recursions have no diffusion term for the model's "
                          f"sigma_override={model.sigma_override} to pin")
@@ -302,7 +299,7 @@ def _discrete_run(
 
     snaps = _Snapshots(n_T, g, snapshot_times, hyper.T, W)
     for n in range(n_T):
-        guard_segments(W, sizes, n, n * g, moment_ceiling)
+        guard_segments(W, sizes, n, n * g, MOMENT_CEILING)
         u = np.stack([pl.uniforms(DOMAIN_SYSTEM, SLOT_DATA, n, hyper.M) for pl in plans])
         batch = np.minimum(np.searchsorted(cum_w, u, side="right"), last) + offsets
         counts = np.bincount(batch.ravel(), minlength=k * D).reshape(k, D).T
@@ -315,7 +312,7 @@ def _discrete_run(
         W = euler_step(block, np.repeat(resid, N, axis=1) if k > 1 else resid, model, pi,
                        stepsize_schedule(hyper, N, n) / N, 1.0, 0.0, None, Z_lang, eta)
         snaps.record(n + 1, W)
-    guard_segments(W, sizes, n_T, n_T * g, moment_ceiling)
+    guard_segments(W, sizes, n_T, n_T * g, MOMENT_CEILING)
 
     seed = plans[0].run_seed if k == 1 else [pl.run_seed for pl in plans]
     meta = {"gamma_scale": g, "n_steps": n_T, "seed": seed, "N": N}
@@ -323,7 +320,7 @@ def _discrete_run(
                       model, pi)
 
 
-def sgd_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
+def sgd_run(model, pi, hyper, N, init, plan, snapshot_times=None) -> Trajectory:
     """Minibatch SGD on the structural risk; iteration n lives at time n*gamma_scale.
 
     Each iteration is one ``euler_step`` of length ``stepsize_schedule / N``
@@ -331,12 +328,12 @@ def sgd_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
     sequence of plans: then it runs that many independent systems of N
     particles in one block, system s in rows s * N to (s + 1) * N.
     """
-    return _discrete_run(model, pi, hyper, N, init, plan, langevin=False, **kw)
+    return _discrete_run(model, pi, hyper, N, init, plan, False, snapshot_times)
 
 
-def msgld_run(model, pi, hyper, N, init, plan, **kw) -> Trajectory:
+def msgld_run(model, pi, hyper, N, init, plan, snapshot_times=None) -> Trajectory:
     """SGD plus additive Gaussian noise of temperature eta (eta=0 reduces to SGD)."""
-    return _discrete_run(model, pi, hyper, N, init, plan, langevin=True, **kw)
+    return _discrete_run(model, pi, hyper, N, init, plan, True, snapshot_times)
 
 
 # ----------------------------- Euler-Maruyama engines -----------------------------
@@ -382,7 +379,6 @@ def euler_run(
     sigma_scale: float,
     kind: str,
     snapshot_times=None,
-    moment_ceiling: float = DEFAULT_MOMENT_CEILING,
 ) -> Trajectory:
     """Euler-Maruyama from W0 for an ensemble driven by its own empirical law.
 
@@ -403,7 +399,7 @@ def euler_run(
     snaps = _Snapshots(n_steps, hyper.dt, snapshot_times, hyper.T, W)
     for n in range(n_steps):
         t = n * hyper.dt
-        guard_moment(W, n, t, moment_ceiling)
+        guard_moment(W, n, t, MOMENT_CEILING)
         Z = plan.normals(domain, SLOT_DIFFUSION, n, N, width) if sigma_scale > 0 else None
         Z_lang = plan.normals(domain, SLOT_LANGEVIN, n, N, p) if eta > 0 else None
         block = ridge_block(W, model, pi)
@@ -412,7 +408,7 @@ def euler_run(
         W = euler_step(block, cache, model, pi, hyper.dt, time_weight(t, hyper.alpha),
                        sigma_scale, Z, Z_lang, eta)
         snaps.record(n + 1, W)
-    guard_moment(W, n_steps, n_steps * hyper.dt, moment_ceiling)
+    guard_moment(W, n_steps, n_steps * hyper.dt, MOMENT_CEILING)
 
     meta = {"sigma_scale": sigma_scale, "sigma_override": model.sigma_override,
             "n_steps": n_steps, "seed": plan.run_seed, "N": N}
@@ -423,19 +419,20 @@ def euler_run(
 _euler_run = euler_run
 
 
-def _drawn_run(model, pi, hyper, N, init, plan, domain, sigma_scale, kind, **kw) -> Trajectory:
+def _drawn_run(model, pi, hyper, N, init, plan, domain, sigma_scale, kind,
+               snapshot_times) -> Trajectory:
     """``euler_run`` from N particles of ``init``, drawn on the domain."""
     if N < 1:
-        raise ValueError(f"the ensemble needs N >= 1 particles, got {N}")
+        raise ValueError(f"N must be >= 1, got {N}")
     W0 = init.draw(plan, domain, N, model.p)
-    return euler_run(model, pi, hyper, W0, plan, domain, sigma_scale, kind, **kw)
+    return euler_run(model, pi, hyper, W0, plan, domain, sigma_scale, kind, snapshot_times)
 
 
-def interacting_sde_run(model, pi, hyper, N, init, plan, snapshot_times=None, **kw) -> Trajectory:
+def interacting_sde_run(model, pi, hyper, N, init, plan, snapshot_times=None) -> Trajectory:
     """Euler-Maruyama for the N-particle diffusion with factor sqrt(gamma_scale/M)."""
     g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
     traj = _drawn_run(model, pi, hyper, N, init, plan, DOMAIN_SYSTEM, math.sqrt(g / hyper.M),
-                      "interacting-sde", snapshot_times=snapshot_times, **kw)
+                      "interacting-sde", snapshot_times)
     traj.meta["gamma_scale"] = g
     return traj
 
@@ -445,21 +442,20 @@ def meanfield_sigma_scale(hyper: Hyperparams) -> float:
     return math.sqrt(hyper.gamma ** (1.0 / (1.0 - hyper.alpha)) / hyper.M)
 
 
-def meanfield_ode_run(model, pi, hyper, N_ref, init, plan, snapshot_times=None, **kw) -> Trajectory:
+def meanfield_ode_run(model, pi, hyper, N, init, plan, snapshot_times=None) -> Trajectory:
     """Limit dynamics for beta < 1: drift only (plus sqrt(2*eta) noise if eta > 0).
 
-    The N_ref-particle ensemble evolves against its own empirical law, which
+    The N-particle ensemble evolves against its own empirical law, which
     is the runtime proxy for the mean-field law.
     """
-    return _drawn_run(model, pi, hyper, N_ref, init, plan, DOMAIN_REFERENCE, 0.0,
-                      "meanfield-ode", snapshot_times=snapshot_times, **kw)
+    return _drawn_run(model, pi, hyper, N, init, plan, DOMAIN_REFERENCE, 0.0, "meanfield-ode",
+                      snapshot_times)
 
 
-def meanfield_sde_run(model, pi, hyper, N_ref, init, plan, snapshot_times=None, **kw) -> Trajectory:
+def meanfield_sde_run(model, pi, hyper, N, init, plan, snapshot_times=None) -> Trajectory:
     """Limit dynamics for beta = 1: diffusion factor sqrt(gamma^(1/(1-alpha))/M)."""
-    return _drawn_run(model, pi, hyper, N_ref, init, plan, DOMAIN_REFERENCE,
-                      meanfield_sigma_scale(hyper), "meanfield-sde", snapshot_times=snapshot_times,
-                      **kw)
+    return _drawn_run(model, pi, hyper, N, init, plan, DOMAIN_REFERENCE,
+                      meanfield_sigma_scale(hyper), "meanfield-sde", snapshot_times)
 
 
 # ----------------------------- weak-form residual -----------------------------
@@ -563,12 +559,11 @@ def sgd_sde_endpoints(model: ModelSpec, pi: DataDistribution, hyper: Hyperparams
                       init: InitSpec, plan: NoisePlan) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint ensembles at T of the discrete recursion and of its diffusion.
 
-    The recursion is MSGLD when eta > 0 (plain SGD otherwise), so both
-    engines carry the same Langevin temperature.  They run on the plan's
-    independent children "sgd" and "sde".
+    The recursion is MSGLD, plain SGD at eta = 0, so both engines carry the
+    same Langevin temperature.  They run on the plan's independent children
+    "sgd" and "sde".
     """
-    run = msgld_run if hyper.eta > 0 else sgd_run
-    t_sgd = run(model, pi, hyper, N, init, plan.child("sgd"), snapshot_times=[hyper.T])
+    t_sgd = msgld_run(model, pi, hyper, N, init, plan.child("sgd"), snapshot_times=[hyper.T])
     t_sde = interacting_sde_run(model, pi, hyper, N, init, plan.child("sde"),
                                 snapshot_times=[hyper.T])
     return t_sgd.endpoint(), t_sde.endpoint()

@@ -36,7 +36,6 @@ from .dynamics import (
     meanfield_sde_run,
     meanfield_sigma_scale,
     msgld_run,
-    sgd_run,
     sgd_sde_endpoints,
 )
 from .io import cannot_read, load_dataset, steady_heap
@@ -326,9 +325,7 @@ def _stratified_reference(init: InitSpec, n: int, p: int) -> np.ndarray | None:
     q = (np.arange(n) + 0.5) / n
     if init.kind == "uniform":
         return (init.low + (init.high - init.low) * q)[:, None]
-    if init.kind == "dirac":
-        return np.tile(np.asarray(init.w0, dtype=np.float64).reshape(-1), (n, 1))
-    return None
+    return np.tile(np.asarray(init.w0, dtype=np.float64).reshape(-1), (n, 1))
 
 
 @dataclass
@@ -438,7 +435,7 @@ def _companion_law(model, pi, hyper, init, N_ref, plan, pmap):
     """
     mf_scale = _companion_scale(hyper)
     note = ""
-    if model.p == 1 and (mf_scale > 0 or hyper.eta > 0) and init.kind in ("uniform", "dirac"):
+    if model.p == 1 and (mf_scale > 0 or hyper.eta > 0):
         n_steps = hyper.euler_steps()
         # the law on half as many cells sizes the grid's error
         law, half = pmap(partial(grid_law_path, model, pi, hyper, init, mf_scale),
@@ -589,7 +586,6 @@ class TwoRegimeConfig:
     N_grid: tuple[int, ...] = (4096, 65536, 1048576)
     seeds: int = 16
     seed: int = 7
-    engine: str = "sgd"
     ratio_threshold: float = 0.3
     floor_jitter: float = 0.5  # relative change of the beta=1 deviation, two largest N
 
@@ -599,8 +595,7 @@ class TwoRegimeConfig:
                 "be strictly increasing", self.N_grid)
         require(all(0.0 <= b <= 1.0 for b in self.betas), "betas", "lie in [0, 1]", self.betas)
         require(self.seeds >= 2, "seeds", "be >= 2 to measure a deviation", self.seeds)
-        require(self.engine in ("sgd", "msgld"), "engine", "be sgd or msgld", self.engine)
-        self.problem.require_no_pin(f"engine {self.engine}")
+        self.problem.require_no_pin("the discrete recursion")
         require(self.ratio_threshold > 0, "ratio_threshold", "be > 0", self.ratio_threshold)
         require(self.floor_jitter > 0, "floor_jitter", "be > 0", self.floor_jitter)
         for beta in self.betas:
@@ -610,8 +605,8 @@ class TwoRegimeConfig:
 
 
 def _regime_shortcut(config: TwoRegimeConfig) -> bool:
-    """Whether the study's N-runs reduce to one particle: sgd from a dirac init."""
-    return config.engine == "sgd" and config.problem.init_kind == "dirac"
+    """Whether the study's N-runs reduce to one particle: sgd (eta = 0) from a dirac init."""
+    return config.hyper.eta == 0 and config.problem.init_kind == "dirac"
 
 
 def _regime_run(config: TwoRegimeConfig, beta: float, N: int) -> tuple[Hyperparams, int]:
@@ -631,10 +626,9 @@ def _regime_task(config: TwoRegimeConfig, task) -> list[float]:
     beta, N, seeds = task
     model, pi, init = config.problem.build()
     plans = [NoisePlan(config.seed).child("regime", int(beta * 1000), s) for s in seeds]
-    run = msgld_run if config.engine == "msgld" else sgd_run
     hyper_run, N_run = _regime_run(config, beta, N)
     # the seeds' systems run as one stacked block, each on its own plan
-    traj = run(model, pi, hyper_run, N_run, init, plans, snapshot_times=[config.hyper.T])
+    traj = msgld_run(model, pi, hyper_run, N_run, init, plans, snapshot_times=[config.hyper.T])
     W = traj.endpoint().reshape(len(plans), N_run, model.p)
     return W[:, :, 0].mean(axis=1).tolist()
 

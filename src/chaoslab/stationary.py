@@ -216,24 +216,20 @@ def fixed_point_iterate(
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     mu = mu0
     history: list[float] = []
-    iterations = 0
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         image = map_H(mu, model, pi, hyper)
         resid = l1_distance(mu, image)
         history.append(resid)
-        if resid <= tol:
-            return FixedPointResult(mu, iterations, resid, history, True)
+        if resid <= tol or it == max_iter:
+            return FixedPointResult(mu, it, resid, history, resid <= tol)
         # combine on the image's (possibly wider) grid
         prev = np.interp(image.centers, mu.centers, mu.values, left=0.0, right=0.0)
         mixed = (1.0 - damping) * prev + damping * image.values
         mu = GridDensity1D(image.lo, image.hi, image.n_cells, mixed)
-        iterations += 1
-    image = map_H(mu, model, pi, hyper)
-    resid = l1_distance(mu, image)
-    history.append(resid)
-    return FixedPointResult(mu, iterations, resid, history, resid <= tol)
 
 
 def stationarity_check(
@@ -383,13 +379,11 @@ def _grid_init(init: InitSpec, lo: float, hi: float, n_cells: int):
         return lo, hi, np.diff(cdf), outside
     if init.kind == "uniform":
         w0 = float(init.low)
-    elif init.kind == "dirac":
+    else:
         w = np.asarray(init.w0, dtype=np.float64).reshape(-1)
         if w.shape != (1,):
             raise ValueError(f"the grid law needs a dirac init in dimension 1, got {w.shape[0]}")
         w0 = float(w[0])
-    else:
-        raise ValueError(f"the grid law needs a uniform or dirac init, got {init.kind!r}")
     k = math.floor((w0 - lo) / dx)
     shift = w0 - (lo + (k + 0.5) * dx)
     masses = np.zeros(n_cells)

@@ -39,17 +39,34 @@ def test_no_module_uses_another_modules_private_names(trees):
 
 def test_no_function_takes_the_noise_model_or_a_cache(trees):
     # a law is one argument (FieldCache or residual columns), the noise
-    # model is the ModelSpec's sigma_override field, and every draw is the
-    # first n rows of its block, so no function takes particle ids
+    # model is the ModelSpec's sigma_override field, every draw is the
+    # first n rows of its block, so no function takes particle ids, and the
+    # divergence ceiling is dynamics.MOMENT_CEILING
     offences = []
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
                 for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
-                    if arg is not None and arg.arg in ("sigma_override", "cache", "particle_ids"):
+                    if arg is not None and arg.arg in ("sigma_override", "cache", "particle_ids",
+                                                         "moment_ceiling"):
                         offences.append(f"{name}:{node.lineno} takes {arg.arg}")
     assert offences == []
+
+
+def test_the_five_engines_share_one_signature(trees):
+    # an engine reads its whole input from these; nothing reaches it through **kwargs
+    engines = ("sgd_run", "msgld_run", "interacting_sde_run", "meanfield_ode_run",
+               "meanfield_sde_run")
+    found = {}
+    for node in ast.walk(trees["dynamics.py"]):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            assert node.args.kwarg is None, f"dynamics.py:{node.lineno} takes **kwargs"
+            if isinstance(node, ast.FunctionDef) and node.name in engines:
+                found[node.name] = ast.dump(node.args)
+    assert sorted(found) == sorted(engines)
+    assert set(found.values()) == {ast.dump(ast.parse(
+        "def f(model, pi, hyper, N, init, plan, snapshot_times=None): pass").body[0].args)}
 
 
 def _enclosing_functions(trees, matches) -> set[str]:
@@ -214,4 +231,4 @@ def test_settable_value_count(trees):
                 fields += sum(isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
                               for s in node.body)
         visit(tree, True)
-    assert (fields, params) == (74, 42)
+    assert (fields, params) == (73, 41)

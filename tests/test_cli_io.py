@@ -19,7 +19,14 @@ import pytest
 import chaoslab
 from chaoslab import experiments as xp
 from chaoslab.cli import _COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, SimulateConfig, cli_dispatch
-from chaoslab.dynamics import InitSpec, Trajectory, interacting_sde_run
+from chaoslab.dynamics import (
+    InitSpec,
+    TestFunction,
+    Trajectory,
+    interacting_sde_run,
+    meanfield_ode_run,
+    weak_form_residual,
+)
 from chaoslab.io import (
     _CSV_BLOCK_ROWS,
     ConfigError,
@@ -51,6 +58,10 @@ class TestConfigSchema:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(SimulateConfig, {"hyperr": {}}, "simulate")
+
+    def test_null_leaves_an_optional_field_unset(self):
+        cfg = parse_config(SimulateConfig, {"problem": {"dataset": None}}, "simulate")
+        assert cfg.problem.dataset is None
 
     def test_alpha_one_rejected_with_field_name(self):
         with pytest.raises(ConfigError) as err:
@@ -168,7 +179,8 @@ class TestDatasetIO:
         pi = two_point_distribution([0.123456789012345], 1.0, [-1.0], -0.5, w0=0.3)
         path = tmp_path / "d.csv"
         rows = [",".join(repr(float(v)) for v in (*a.x, a.y, a.weight)) for a in pi.atoms]
-        path.write_text("\n".join(["x_1,y,weight", *rows]) + "\n")
+        # a blank line between rows is skipped
+        path.write_text("\n".join(["x_1,y,weight", rows[0], "", *rows[1:]]) + "\n")
         back = load_dataset(path)
         np.testing.assert_array_equal(back.xs, pi.xs)
         np.testing.assert_array_equal(back.weights, pi.weights)
@@ -185,6 +197,14 @@ class TestTrajectoryIO:
         assert back.kind == traj.kind
         assert back.hyper == traj.hyper
         assert traj.law_path.shape == (2, 2) and back.law_path is None  # not saved
+
+    def test_loaded_trajectory_has_no_weak_form_residual(self, tmp_path):
+        # the file keeps the ensembles, not the model and data they evolved under
+        model, pi, init = xp.ProblemConfig().build()
+        h = Hyperparams(alpha=0.0, beta=0.5, gamma=0.5, M=1, T=0.1, dt=0.05)
+        save_trajectory(meanfield_ode_run(model, pi, h, 3, init, NoisePlan(7)), tmp_path / "t.bin")
+        with pytest.raises(ValueError, match="was it loaded from disk"):
+            weak_form_residual(load_trajectory(tmp_path / "t.bin"), TestFunction.quadratic())
 
     def test_truncated_file_rejected(self, tmp_path):
         traj = small_trajectory()
@@ -264,6 +284,9 @@ class TestCsvWriter:
         write_csv(tmp_path / "c.csv", iter(cells), columns=["a", "b", "c"])
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
         assert (tmp_path / "c.csv").read_text() == "a,b,c\n0.5,3,x\n-0.0,4,y\n"
+        # a numpy float cell is written as the Python float of its value
+        write_csv(tmp_path / "f.csv", [{"a": np.float32(0.5), "b": 3, "c": "x"}])
+        assert (tmp_path / "f.csv").read_text() == "a,b,c\n0.5,3,x\n"
 
     def test_no_rows_writes_empty_file(self, tmp_path):
         write_csv(tmp_path / "d.csv", [])
@@ -329,6 +352,14 @@ def test_cli_import_leaves_scipy_out(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_code_version_falls_back_when_git_cannot_start(monkeypatch):
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(subprocess, "run", no_git)
+    assert RunManifest.start("simulate", {}, 0).code_version == "chaoslab-" + chaoslab.__version__
 
 
 def test_code_version_without_git_is_the_package_version(tmp_path):
@@ -479,6 +510,8 @@ class TestCliDispatch:
         ("stationary", {"max_iter": 200}, "max_iter"),
         ("check-assumptions", {"probes": [[0.5]]}, "probes"),
         ("metrics", {"samples_a": "a.csv", "samples_b": "b.csv", "reps": 64}, "reps"),
+        # hyper.eta picks the recursion: sgd at 0, msgld above
+        ("regime", {"engine": "msgld"}, "engine"),
     ])
     def test_subcommand_rejects_keys_it_does_not_read(self, tmp_path, capsys, command, cfg,
                                                       unread):
@@ -534,15 +567,18 @@ class TestCliDispatch:
          "field hyper.T"),
         ("simulate", {"engine": "interacting-sde", "N": 4, "hyper": {"T": 0.2, "dt": 0.05},
                       "snapshot_times": [9]}, "field snapshot_times"),
-        # engines the study does not run
-        ("regime", {"engine": "meanfield-ode", "hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5},
-                    "betas": [1.0], "N_grid": [16], "seeds": 2}, "field engine"),
+        # values the engine would not read: a pinned noise with no diffusion term
+        # to pin, and a temperature where no Langevin term runs
+        ("simulate", {"engine": "meanfield-ode", "N": 8, "hyper": {"T": 0.2, "dt": 0.05},
+                      "problem": {"sigma_override": 1.0}}, "field problem.sigma_override"),
         # the histogram study runs the interacting diffusion alone, on whole Euler steps
         ("histograms", {"hyper": {"T": 1.0, "dt": 0.3}}, "field hyper.T"),
         # sizes the coupling harness refuses: more companions than the smallest
         # system has particles, a reference smaller than the largest system
         ("chaos-rate", {"N_grid": [4, 8, 16, 32], "m": 8}, "field m"),
         ("chaos-rate", {"N_ref": 16}, "field N_ref"),
+        ("simulate", {"engine": "sgd", "N": 8, "hyper": {"T": 1.0, "gamma": 0.5, "eta": 0.5}},
+         "field hyper.eta"),
     ])
     def test_bad_input_exits_config_naming_the_field(self, tmp_path, capsys, command, cfg, field):
         assert self.run(tmp_path, command, {**cfg, "seed": 1}) == EXIT_CONFIG

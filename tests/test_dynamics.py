@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import chaoslab
+from chaoslab import dynamics
 from chaoslab.dynamics import (
     EnsembleDiverged,
     InitSpec,
@@ -56,19 +57,28 @@ class TestInitSpec:
     def test_degenerate_uniform_box_allowed(self):
         assert InitSpec.uniform(0.5, 0.5).low == 0.5
 
+    # checked when built, not as a divergence at step 0
+    @pytest.mark.parametrize("make, reason", [
+        (lambda: InitSpec(kind="dirac"), "dirac init needs a finite w0, got None"),
+        (lambda: InitSpec.dirac(math.nan), "dirac init needs a finite w0"),
+        (lambda: InitSpec.uniform(-math.inf, 0.0), "uniform init needs finite ends"),
+        (lambda: InitSpec.uniform(0.0, math.nan), "uniform init needs finite ends"),
+        (lambda: InitSpec(kind="gaussian"), "init kind must be uniform or dirac, got 'gaussian'"),
+    ], ids=["dirac-without-w0", "dirac-nan", "box-inf", "box-nan", "unknown-kind"])
+    def test_malformed_init_rejected(self, make, reason):
+        with pytest.raises(ValueError, match=reason):
+            make()
+
     def test_dirac_point_of_the_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="dirac init has dimension 2, expected 1"):
             InitSpec.dirac([0.1, 0.2]).draw(NoisePlan(0), 0, 3, 1)
 
 
-# interacting_sde_run's gamma_scale rejects N = 0 before its draw does
-@pytest.mark.parametrize("run, reason", [
-    (sgd_run, "N must be >= 1"), (interacting_sde_run, "N must be >= 1, got 0"),
-    (meanfield_ode_run, "the ensemble needs N >= 1 particles, got 0"),
-])
-def test_an_ensemble_of_no_particles_rejected(run, reason):
+# gamma_scale rejects N = 0 for the engines that read it, the draw for the mean-field ones
+@pytest.mark.parametrize("run", [sgd_run, interacting_sde_run, meanfield_ode_run])
+def test_an_ensemble_of_no_particles_rejected(run):
     h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.1, dt=0.05)
-    with pytest.raises(ValueError, match=reason):
+    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
         run(TANH, NOISY, h, 0, InitSpec.uniform(), NoisePlan(0))
 
 
@@ -206,10 +216,10 @@ class TestSgdRun:
             sgd_run(TANH, SINGLE_ATOM, h, 1, InitSpec.dirac([0.0]), NoisePlan(0))
 
     def test_divergence_guard_triggers(self):
+        # a start past the ceiling's root, 1e4
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=5.0)
         with pytest.raises(EnsembleDiverged):
-            sgd_run(TANH, SINGLE_ATOM, h, 2, InitSpec.dirac([0.0]), NoisePlan(0),
-                    moment_ceiling=1e-6)
+            sgd_run(TANH, SINGLE_ATOM, h, 2, InitSpec.dirac([1e5]), NoisePlan(0))
 
 
 class TestMsgldRun:
@@ -264,25 +274,26 @@ class TestStackedSystems:
             lone = run(TANH, NOISY, h, N, InitSpec.uniform(-1.0, 1.0), plan, snapshot_times="all")
             np.testing.assert_array_equal(stacked.ensembles[:, s * N:(s + 1) * N], lone.ensembles)
 
-    def test_guard_raises_exactly_when_a_lone_run_would(self):
+    def test_guard_raises_exactly_when_a_lone_run_would(self, monkeypatch):
         # the weights grow from near 0, so the systems cross a ceiling at different steps
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=10.0)
         init = InitSpec.uniform(-0.2, 0.2)
         path = sgd_run(TANH, NOISY, h, 1, init, self.PLANS, snapshot_times="all").ensembles
         squares = np.sort(path[:-1].ravel() ** 2)  # the guard reads the state before each step
         for ceiling in (*np.quantile(squares, [0.1, 0.5, 0.75, 0.9, 0.99]), squares[-1]):
+            monkeypatch.setattr(dynamics, "MOMENT_CEILING", ceiling)
             lone = []
             for plan in self.PLANS:
                 try:
-                    sgd_run(TANH, NOISY, h, 1, init, plan, moment_ceiling=ceiling)
+                    sgd_run(TANH, NOISY, h, 1, init, plan)
                 except EnsembleDiverged as e:
                     lone.append(e)
             if not lone:
-                sgd_run(TANH, NOISY, h, 1, init, self.PLANS, moment_ceiling=ceiling)
+                sgd_run(TANH, NOISY, h, 1, init, self.PLANS)
                 continue
             first = min(lone, key=lambda e: e.step)  # min keeps the first system on a tie
             with pytest.raises(EnsembleDiverged) as got:
-                sgd_run(TANH, NOISY, h, 1, init, self.PLANS, moment_ceiling=ceiling)
+                sgd_run(TANH, NOISY, h, 1, init, self.PLANS)
             assert (got.value.step, got.value.value) == (first.step, first.value)
 
 
@@ -639,5 +650,4 @@ class TestReproducibility:
     def test_moment_guard_in_euler_engines(self):
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=1.0, dt=0.01)
         with pytest.raises(EnsembleDiverged):
-            interacting_sde_run(TANH, NOISY, h, 4, InitSpec.dirac([50.0]), NoisePlan(0),
-                                moment_ceiling=100.0)
+            interacting_sde_run(TANH, NOISY, h, 4, InitSpec.dirac([1e5]), NoisePlan(0))

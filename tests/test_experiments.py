@@ -66,7 +66,7 @@ class TestConfigRanges:
         (ChaosRateConfig, {"reps": 0}, "reps"),
         (ChaosRateConfig, {"N_ref": -3}, "N_ref"),
         (HistogramConfig, {"betas": (0.5, 1.5)}, "betas"),
-        (TwoRegimeConfig, {"engine": "meanfield-ode"}, "engine"),
+        (TwoRegimeConfig, {"betas": (1.0, 1.5)}, "betas"),
         (SweepConfig, {"reps": 0}, "reps"),
         (HistogramConfig, {"N_grid": (64, 32, 16)}, "N_grid"),
         (ProblemConfig, {"penalty": -0.5}, "penalty"),
@@ -95,6 +95,12 @@ class TestVerdict:
         assert report(na, ok, bad).passed is False
         assert report(na).passed is None
         assert report().passed is None
+
+    def test_verdict_looks_up_by_name(self):
+        report = StudyReport("s", {}, {}, [Verdict.le("a", 1.0, 2.0)])
+        assert report.verdict("a").measured == 1.0
+        with pytest.raises(KeyError, match="nope"):
+            report.verdict("nope")
 
     def test_le_ge(self):
         assert Verdict.le("a", 1.0, 2.0).passed
@@ -191,14 +197,22 @@ class TestTwoRegimeStudy:
         assert all(r["deviation"] == 0.0 for r in rep.tables["deviations"])
 
     def test_single_particle_shortcut_matches_the_n_run(self):
-        # sgd from a dirac init simulates one particle; msgld at eta = 0 runs
-        # the same recursion with all N particles, which stay equal
+        # sgd from a dirac init simulates one particle; the recursion of all N
+        # particles, which stay equal, gives the same deviations
         cfg = self.fast_config(N_grid=(64, 4096), seeds=3)
         short = two_regime_study(cfg).tables["deviations"]
-        full = two_regime_study(replace(cfg, engine="msgld")).tables["deviations"]
-        for key in ("mean_stat", "deviation"):
-            np.testing.assert_allclose([r[key] for r in short], [r[key] for r in full],
-                                       rtol=1e-12, atol=0)
+        model, pi, init = cfg.problem.build()
+        full = []
+        for beta in cfg.betas:
+            for N in cfg.N_grid:
+                stats = np.array([
+                    sgd_run(model, pi, cfg.hyper.replace(beta=beta), N, init,
+                            NoisePlan(cfg.seed).child("regime", int(beta * 1000), s),
+                            snapshot_times=[cfg.hyper.T]).endpoint()[:, 0].mean()
+                    for s in range(cfg.seeds)])
+                full.append((stats.mean(), stats.std(ddof=1)))
+        np.testing.assert_allclose([(r["mean_stat"], r["deviation"]) for r in short], full,
+                                   rtol=1e-12, atol=0)
 
     def test_stacked_seeds_equal_their_lone_runs(self):
         # the shortcut steps a (beta, N) pair's seeds as one block; each must be its lone run
@@ -254,10 +268,10 @@ class TestTwoRegimeStudy:
             seed=3,
         )
         frozen = two_regime_study(TwoRegimeConfig(
-            **base, engine="sgd",
+            **base,
             hyper=Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=2.0, dt=0.05)))
         hot = two_regime_study(TwoRegimeConfig(
-            **base, engine="msgld",
+            **base,
             hyper=Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=2.0, dt=0.05, eta=0.5)))
         dev_frozen = max(r["deviation"] for r in frozen.tables["deviations"])
         dev_hot = min(r["deviation"] for r in hot.tables["deviations"])

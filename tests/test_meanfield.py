@@ -65,6 +65,9 @@ class TestPredict:
         expected = (math.tanh(0.5) + math.tanh(1.5)) / 2  # = 0.6836327054524381
         assert predict(mu, TANH, [1.0]) == pytest.approx(expected, abs=1e-15)
         assert predict(mu, TANH, [1.0]) == pytest.approx(0.6836327054524381, abs=1e-12)
+        # 1-D locations are one point per entry
+        assert predict(EmpiricalMeasure(np.array([0.5, 1.5])), TANH, [1.0]) == \
+            predict(mu, TANH, [1.0])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("weights", [[math.nan, math.nan], [1.5, -0.5], [math.inf, -math.inf],
@@ -81,6 +84,10 @@ class TestPredict:
 class TestStructuralRisk:
     def test_single_particle_at_zero(self):
         assert structural_risk(np.array([[0.0]]), TANH, SINGLE_ATOM) == pytest.approx(0.5)
+
+    def test_point_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match="weight dimension 2 does not match model p=1"):
+            structural_risk(np.zeros((3, 2)), TANH, SINGLE_ATOM)
 
     def test_zero_feature_risk_is_constant(self):
         model = make_model("zero", "square")

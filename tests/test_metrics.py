@@ -33,6 +33,10 @@ class TestW2OneD:
         with pytest.raises(ValueError):
             w2_1d([], [])
 
+    def test_multi_column_samples_rejected(self):
+        with pytest.raises(ValueError, match="expected 1-D samples"):
+            w2_1d(np.zeros((3, 2)), np.zeros((3, 2)))
+
     def test_quantile_version_agrees_on_equal_counts(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -74,6 +78,10 @@ class TestW2Exact:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             w2_exact(np.zeros((3, 2)), np.zeros((4, 2)))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty sample set"):
+            w2_exact([], [])
 
     def test_metric_axioms_sampled(self):
         rng = np.random.default_rng(3)

@@ -13,6 +13,7 @@ from chaoslab.model import (
     LinearDotFeature,
     ModelSpec,
     QuadraticPenalty,
+    RidgeFeature,
     SquareLoss,
     ZeroPenalty,
     check_assumptions,
@@ -207,6 +208,13 @@ class TestBuiltins:
             e[j] = h
             fd = (feat.value(W + e, X) - feat.value(W - e, X)) / (2 * h)
             np.testing.assert_allclose(g[:, :, j], fd, atol=1e-7)
+
+    def test_abstract_feature_has_no_activation_or_norms(self):
+        feature = RidgeFeature()
+        with pytest.raises(NotImplementedError):
+            feature.activation(np.zeros((1, 1)))
+        with pytest.raises(NotImplementedError):
+            feature.derivative_norms(np.zeros(1), np.zeros(1))
 
     def test_registry_names(self):
         assert make_model("zero", "square").feature.name == "zero"

@@ -7,11 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import chaoslab.experiments as xp
 from chaoslab.dynamics import (
     DOMAIN_REFERENCE,
     DOMAIN_SYSTEM,
     InitSpec,
+    euler_run,
     interacting_sde_run,
+    meanfield_sigma_scale,
     msgld_run,
     sgd_run,
 )
@@ -44,7 +47,13 @@ from chaoslab.model import (
     time_weight,
 )
 from chaoslab.rng import SLOT_DIFFUSION, NoisePlan
-from chaoslab.stationary import GRID_LAW_CELLS, GridDensity1D, grid_law_path, map_H
+from chaoslab.stationary import (
+    GRID_LAW_CELLS,
+    GRID_LAW_WINDOW,
+    GridDensity1D,
+    grid_law_path,
+    map_H,
+)
 
 TANH = make_model("tanh-dot", "square")
 NOISY = DataDistribution([
@@ -116,6 +125,18 @@ class TestFactorIncrement:
         assert serial.config["reference"] == "particle"
         assert serial.tables == pooled.tables
 
+    def test_p2_reference_is_drawn_on_the_reference_domain(self):
+        # p > 1 has no quantile midpoints: the reference is N_ref particles drawn
+        # on the study plan's reference domain and stepped with its draws
+        model, pi, init = ProblemConfig(p=2).build()
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=0.2, dt=0.02)
+        plan = NoisePlan(9)
+        path, reference, _, _ = xp._companion_law(model, pi, h, init, 16, plan, map)
+        want = euler_run(model, pi, h, init.draw(plan, DOMAIN_REFERENCE, 16, 2), plan,
+                         DOMAIN_REFERENCE, meanfield_sigma_scale(h), "meanfield-reference")
+        assert reference == "particle"
+        np.testing.assert_array_equal(path, want.law_path)
+
 
 class TestScalarRootAtP1:
     """p = 1 keeps the scalar root sqrt(Sigma_00), bit for bit."""
@@ -139,15 +160,17 @@ class TestScalarRootAtP1:
         np.testing.assert_array_equal(traj.ensembles, np.stack(want))
 
     def test_coupled_grid_rep(self):
-        # a gaussian init has no stratification: the reference is N_ref particles
-        # drawn on the study plan's reference domain and stepped once per study
+        # a box wider than the grid law's window puts mass on its edges: the
+        # reference is N_ref particles at the box's quantile midpoints, stepped
+        # once per study with the study plan's reference-domain draws
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.7, M=1, T=0.2, dt=0.02)
         Ns, m, N_ref = (4, 8), 2, 16
-        init = InitSpec.gaussian(0.0, 0.3)
+        lo, hi = GRID_LAW_WINDOW[0] - 1.0, GRID_LAW_WINDOW[1] + 1.0
+        init = InitSpec.uniform(lo, hi)
         plan = NoisePlan(6)
         ests = coupled_chaos_error(TANH, NOISY, h, Ns, m, N_ref, 1, plan, init)
 
-        W_ref = init.draw(plan, DOMAIN_REFERENCE, N_ref, 1)
+        W_ref = (lo + (hi - lo) * (np.arange(N_ref) + 0.5) / N_ref)[:, None]
         laws = particle_reference_laws(h, W_ref, plan)
         sups = hand_rolled_rep(h, Ns, m, init, plan.child("rep", 0), laws)
         for N in Ns:
@@ -315,13 +338,13 @@ class TestOneActivationBlockPerStep:
         assert model.feature.calls == {"activation": n_steps, "value": 0, "grad": 0}
 
     def test_coupling_step_evaluates_two_blocks(self):
-        # the reference on its own (a particle ensemble, as a gaussian init has no
-        # grid law), stepped once per study, then every rep's companions and
-        # whole N grid stacked in one block
+        # the reference on its own (a particle ensemble, as the noiseless
+        # companions of beta < 1 have no grid law), stepped once per study,
+        # then every rep's companions and whole N grid stacked in one block
         model = counting_model(1)
-        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.2, dt=0.02)
+        h = Hyperparams(alpha=0.0, beta=0.75, gamma=0.5, M=1, T=0.2, dt=0.02)
         coupled_chaos_error(model, NOISY, h, Ns=(4, 8, 16), m=2, N_ref=32, reps=3, plan=NoisePlan(5),
-                            init=InitSpec.gaussian(0.0, 0.3))
+                            init=InitSpec.uniform())
         assert model.feature.calls == {"activation": 10 + 10, "value": 0, "grad": 0}
 
     def test_p2_increment_is_the_factor_applied_to_z(self):

@@ -121,6 +121,12 @@ class TestMapH:
         with pytest.raises(ValueError, match="p = 1"):
             map_H(ou_start(), replace(model2, sigma_override=1.0), OU_PI, OU_HYPER)
 
+    def test_law_that_never_decays_rejected(self):
+        # no drift and no penalty: the pinned diffusion spreads the law over every window
+        flat = replace(make_model("zero", "square"), sigma_override=1.0)
+        with pytest.raises(ValueError, match="does not decay"):
+            map_H(ou_start(), flat, OU_PI, OU_HYPER)
+
 
 class TestFixedPoint:
     def test_constant_map_converges_in_one_iteration(self):
@@ -150,6 +156,10 @@ class TestFixedPoint:
     def test_invalid_damping(self):
         with pytest.raises(ValueError):
             fixed_point_iterate(ou_start(512), OU_PINNED, OU_PI, OU_HYPER, damping=0.0)
+
+    def test_negative_iteration_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
+            fixed_point_iterate(ou_start(512), OU_PINNED, OU_PI, OU_HYPER, max_iter=-1)
 
 
 class TestStationarityCheck:
