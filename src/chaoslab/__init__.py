@@ -13,7 +13,6 @@ from .model import (
     time_weight,
 )
 from .meanfield import (
-    EmpiricalMeasure,
     covariance_sigma,
     mean_field_h,
     noise_xi,

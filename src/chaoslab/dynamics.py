@@ -15,14 +15,13 @@ Engines
 
 Every engine, and the synchronous-coupling harness in ``experiments``,
 advances its particles with ``euler_step``: one ``RidgeBlock`` of the
-particles per step, and the driving law as its FieldCache or residual
-columns.  For the discrete recursions that law is the minibatch's, c_j / M
-for atom counts c_j, and the step has length stepsize and no diffusion
-term.  The horizon T of the Euler-Maruyama engines must be a whole number
-of Euler steps dt.  The noise model, and so the diffusion increment and
-its width, is the ``ModelSpec``'s (``meanfield.drift_and_noise``); the
-discrete recursions have no diffusion term and refuse a model that pins
-one.  Every draw of an N-particle ensemble is the first N rows of its
+particles per step, and the driving law as its residual columns.  For the
+discrete recursions that law is the minibatch's, c_j / M for atom counts
+c_j, and the step has length stepsize and no diffusion term.  The horizon
+T of the Euler-Maruyama engines must be a whole number of Euler steps dt.
+The noise model, and so the diffusion increment and its width, is the
+``ModelSpec``'s (``meanfield.drift_and_noise``); the discrete recursions
+have no diffusion term and refuse a model that pins one.  Every draw of an N-particle ensemble is the first N rows of its
 (domain, slot, step) block.
 
 Iteration n of the discrete recursions is stamped with time
@@ -197,14 +196,15 @@ def _snapshot_steps(n_steps: int, step_time: float, snapshot_times, horizon: flo
     return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]  # np.unique would import numpy.ma
 
 
-def guard_moment(W: np.ndarray, step: int, t: float, ceiling: float = MOMENT_CEILING):
-    """Raise ``EnsembleDiverged`` unless the ensemble second moment is finite and <= ceiling."""
+def guard_moment(W: np.ndarray, step: int, t: float):
+    """Raise ``EnsembleDiverged`` unless the ensemble second moment is finite and at most
+    ``MOMENT_CEILING``, read when called."""
     v = W.ravel()
     # vdot is the same BLAS dot as v @ v, but an overflow there raises no
     # floating-point warning: it reads inf, and is reported as a divergence
     m2 = float(np.vdot(v, v)) / W.shape[0]
-    if not m2 <= ceiling:  # also catches NaN and inf
-        raise EnsembleDiverged(step, t, m2, ceiling)
+    if not m2 <= MOMENT_CEILING:  # also catches NaN and inf
+        raise EnsembleDiverged(step, t, m2, MOMENT_CEILING)
 
 
 # a segment's one-pass moment and its exact v @ v / n differ by at most about
@@ -212,8 +212,7 @@ def guard_moment(W: np.ndarray, step: int, t: float, ceiling: float = MOMENT_CEI
 _GUARD_MARGIN = 1e-6
 
 
-def guard_segments(W: np.ndarray, sizes, step: int, t: float,
-                   ceiling: float = MOMENT_CEILING, names=None):
+def guard_segments(W: np.ndarray, sizes, step: int, t: float, names=None):
     """``guard_moment`` on each consecutive segment of W of the given sizes, in order.
 
     One vectorised pass sums every segment; a segment near or past the
@@ -224,15 +223,15 @@ def guard_segments(W: np.ndarray, sizes, step: int, t: float,
     """
     sizes = np.asarray(sizes, dtype=np.int64).ravel()
     if len(sizes) == 1 and names is None:  # one segment: the exact check costs less
-        return guard_moment(W, step, t, ceiling)
+        return guard_moment(W, step, t)
     edges = np.concatenate(([0], np.cumsum(sizes)))
     with np.errstate(over="ignore"):  # an overflow reads inf, so guard_moment reports it
         m2 = np.add.reduceat(np.square(W), edges[:-1]).sum(axis=1) / sizes
-    for i in np.flatnonzero(~(m2 <= ceiling * (1.0 - _GUARD_MARGIN))):
+    for i in np.flatnonzero(~(m2 <= MOMENT_CEILING * (1.0 - _GUARD_MARGIN))):
         if names is not None and names[i] is None:
             continue
         try:
-            guard_moment(W[edges[i]:edges[i + 1]], step, t, ceiling)
+            guard_moment(W[edges[i]:edges[i + 1]], step, t)
         except EnsembleDiverged as exc:
             if names is not None:
                 exc.add_note(f"in {names[i]}")
@@ -299,7 +298,7 @@ def _discrete_run(
 
     snaps = _Snapshots(n_T, g, snapshot_times, hyper.T, W)
     for n in range(n_T):
-        guard_segments(W, sizes, n, n * g, MOMENT_CEILING)
+        guard_segments(W, sizes, n, n * g)
         u = np.stack([pl.uniforms(DOMAIN_SYSTEM, SLOT_DATA, n, hyper.M) for pl in plans])
         batch = np.minimum(np.searchsorted(cum_w, u, side="right"), last) + offsets
         counts = np.bincount(batch.ravel(), minlength=k * D).reshape(k, D).T
@@ -312,7 +311,7 @@ def _discrete_run(
         W = euler_step(block, np.repeat(resid, N, axis=1) if k > 1 else resid, model, pi,
                        stepsize_schedule(hyper, N, n) / N, 1.0, 0.0, None, Z_lang, eta)
         snaps.record(n + 1, W)
-    guard_segments(W, sizes, n_T, n_T * g, MOMENT_CEILING)
+    guard_segments(W, sizes, n_T, n_T * g)
 
     seed = plans[0].run_seed if k == 1 else [pl.run_seed for pl in plans]
     meta = {"gamma_scale": g, "n_steps": n_T, "seed": seed, "N": N}
@@ -355,9 +354,9 @@ def euler_step(
 
     Returns W + tw (h dt + sqrt(dt) scale R^T Z + sqrt(dt) sqrt(2 eta) Z_lang),
     with h and scale R^T Z from ``meanfield.drift_and_noise``, Z
-    (n, noise_width) and Z_lang (n, p).  ``law`` is a FieldCache or residual
-    columns broadcastable to (D, n), and ``scale`` a float or a per-particle
-    column (n, 1).  A step without a diffusion term passes Z None, and the
+    (n, noise_width) and Z_lang (n, p).  ``law`` is the residual columns
+    broadcastable to (D, n), and ``scale`` a float or a per-particle column
+    (n, 1).  A step without a diffusion term passes Z None, and the
     Langevin term is skipped when eta is 0; Z_lang may then be None.
     """
     h, noise = drift_and_noise(block, law, model, pi, scale, Z)
@@ -399,16 +398,15 @@ def euler_run(
     snaps = _Snapshots(n_steps, hyper.dt, snapshot_times, hyper.T, W)
     for n in range(n_steps):
         t = n * hyper.dt
-        guard_moment(W, n, t, MOMENT_CEILING)
+        guard_moment(W, n, t)
         Z = plan.normals(domain, SLOT_DIFFUSION, n, N, width) if sigma_scale > 0 else None
         Z_lang = plan.normals(domain, SLOT_LANGEVIN, n, N, p) if eta > 0 else None
         block = ridge_block(W, model, pi)
-        cache = field_cache(block, model, pi)
-        law_path[n] = cache.residual_d1
-        W = euler_step(block, cache, model, pi, hyper.dt, time_weight(t, hyper.alpha),
+        law_path[n] = field_cache(block, model, pi).residual_d1
+        W = euler_step(block, law_path[n], model, pi, hyper.dt, time_weight(t, hyper.alpha),
                        sigma_scale, Z, Z_lang, eta)
         snaps.record(n + 1, W)
-    guard_moment(W, n_steps, n_steps * hyper.dt, MOMENT_CEILING)
+    guard_moment(W, n_steps, n_steps * hyper.dt)
 
     meta = {"sigma_scale": sigma_scale, "sigma_override": model.sigma_override,
             "n_steps": n_steps, "seed": plan.run_seed, "N": N}
@@ -530,8 +528,9 @@ def weak_form_residual(traj: Trajectory, test_fn: TestFunction) -> np.ndarray:
         W = traj.ensembles[i]
         t = traj.times[i]
         fbar[i] = float(np.mean(test_fn.value(W)))
-        h, _, sigma = mean_field_terms(W, field_cache(W, model, pi), model, pi,
-                                       need_sigma=sigma_scale > 0)
+        block = ridge_block(W, model, pi)
+        h, _, sigma = mean_field_terms(block, field_cache(block, model, pi).residual_d1, model,
+                                       pi, need_sigma=sigma_scale > 0)
         drift = float(np.mean(np.sum(h * test_fn.grad(W), axis=1)))
         term = time_weight(float(t), hyper.alpha) * drift
         if diffusive:

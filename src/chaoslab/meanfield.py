@@ -8,23 +8,25 @@ root S.
 
 Every builtin feature is a ridge function F(w, x) = f(<w, x>), so one
 atom-major ``RidgeBlock`` of f and f' at X @ W.T (D, n) carries all a step
-needs: the law's per-atom predictions (the FieldCache) come from its f,
-and drift, covariance and diffusion increment at the points from its f'.
-The zero feature's block carries no activation: its predictions are 0 and
-its per-atom gradient terms are formed once per law column, not per point.
+needs: the law's per-atom predictions come from its f, and drift,
+covariance and diffusion increment at the points from its f'.  The zero
+feature's block carries no activation: its predictions are 0 and its
+per-atom gradient terms are formed once per law column, not per point.
 
-A kernel takes the law one way: as its ``FieldCache``, or as its residual
-columns d1l(a(x_j), y_j) broadcastable to (D, n).  One law is the (D, 1)
-case, and stacked systems give each point the column of its own law.  A
-caller that holds an ensemble calls ``field_cache`` once.  Sums over atoms
-run row by row, so a point's result does not depend on what it is stacked
+A kernel takes the law one way: as its residual columns d1l(a(x_j), y_j)
+broadcastable to (D, n).  One law is the (D,) or (D, 1) case, and stacked
+systems give each point the column of its own law.  An ensemble becomes a
+law only through ``field_cache``, once per ensemble.  Sums over atoms run
+row by row, so a point's result does not depend on what it is stacked
 with.  The noise model is the ``ModelSpec``'s: Sigma(w, mu), or s I when
-its ``sigma_override`` is s.
+its ``sigma_override`` is s.  The single-point wrappers (``mean_field_h``,
+``noise_xi`` and the rest) take the law mu as an (n, p) ensemble.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,6 @@ import numpy as np
 from .model import DataDistribution, ModelSpec, ZeroFeature
 
 __all__ = [
-    "EmpiricalMeasure",
     "RidgeBlock",
     "ridge_block",
     "FieldCache",
@@ -54,40 +55,6 @@ _SYM_TOL = 1e-10
 _EIG_FLOOR = -1e-10
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Weighted point measure on parameter space (uniform by default)."""
-
-    locations: np.ndarray  # (N, p)
-    weights: np.ndarray | None = None  # (N,), defaults to uniform
-
-    def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=np.float64)
-        if locs.ndim == 1:
-            locs = locs[:, None]
-        if locs.shape[0] == 0:
-            raise ValueError("an empirical measure needs at least one location")
-        object.__setattr__(self, "locations", locs)
-        if self.weights is None:
-            w = np.full(locs.shape[0], 1.0 / locs.shape[0])
-        else:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (locs.shape[0],):
-                raise ValueError("weights must match the number of locations")
-            if not (np.isfinite(w).all() and (w >= 0).all()):
-                raise ValueError(f"weights must be finite and >= 0, got {w}")
-            s = float(w.sum())
-            if abs(s - 1.0) > 1e-10:
-                raise ValueError(f"weights must sum to 1, got {s}")
-        object.__setattr__(self, "weights", w)
-
-
-def _as_measure(mu) -> EmpiricalMeasure:
-    if isinstance(mu, EmpiricalMeasure):
-        return mu
-    return EmpiricalMeasure(np.asarray(mu, dtype=np.float64))
-
-
 def _as_points(w, p: int) -> np.ndarray:
     W = np.asarray(w, dtype=np.float64)
     single = W.ndim == 1
@@ -95,6 +62,13 @@ def _as_points(w, p: int) -> np.ndarray:
         W = W[None, :]
     if W.shape[1] != p:
         raise ValueError(f"weight dimension {W.shape[1]} does not match model p={p}")
+    return W
+
+
+def _as_ensemble(mu, p: int) -> np.ndarray:
+    W = _as_points(mu, p)
+    if W.shape[0] == 0:
+        raise ValueError("a law needs at least one particle")
     return W
 
 
@@ -136,22 +110,21 @@ class FieldCache:
 
 
 def field_cache(mu, model: ModelSpec, pi: DataDistribution, sizes=None) -> FieldCache:
-    """The FieldCache of the law mu: an ensemble, an EmpiricalMeasure or a RidgeBlock.
+    """The FieldCache of the uniform law on an ensemble mu (n, p) or on its RidgeBlock.
 
-    A block stands for the uniform law on its points and lends its f.  With
-    ``sizes`` (S,) its columns are consecutive ensembles of those sizes, each
-    its own uniform law, and both fields are (D, S); with ``sizes`` (k, S),
-    k stacked copies of the same S segments, they are (D, k, S), summed one
-    segment position at a time for all k copies.  A segment's predictions
-    equal, bit for bit, those of the segment's own block.
+    A block lends its f.  With ``sizes`` (S,) its columns are consecutive
+    ensembles of those sizes, each its own uniform law, and both fields are
+    (D, S); with ``sizes`` (k, S), k stacked copies of the same S segments,
+    they are (D, k, S), summed one segment position at a time for all k
+    copies.  A segment's predictions equal, bit for bit, those of the
+    segment's own block.  A kernel reads the law as its ``residual_d1``.
     """
     if isinstance(mu, RidgeBlock):
-        block, weights = mu, 1.0 / mu.W.shape[0]
+        block = mu
     elif sizes is not None:
         raise ValueError("sizes needs the law as a RidgeBlock")
     else:
-        mu = _as_measure(mu)
-        block, weights = ridge_block(mu.locations, model, pi), mu.weights
+        block = ridge_block(_as_ensemble(mu, model.p), model, pi)
     D = len(pi)
     if sizes is None:
         ys, shape = pi.ys, (D,)
@@ -168,7 +141,7 @@ def field_cache(mu, model: ModelSpec, pi: DataDistribution, sizes=None) -> Field
     if block.f is None:  # the zero feature predicts 0 under every law
         preds = np.zeros(shape)
     elif sizes is None:
-        preds = (block.f * weights).sum(axis=1)
+        preds = (block.f * (1.0 / block.W.shape[0])).sum(axis=1)
     else:
         fw = block.f.reshape(D, k, L) * np.repeat(1.0 / seg, seg)
         edges = np.cumsum((0, *seg))
@@ -180,11 +153,11 @@ def field_cache(mu, model: ModelSpec, pi: DataDistribution, sizes=None) -> Field
 
 
 def predict(mu, model: ModelSpec, x: np.ndarray) -> float:
-    """Population prediction mu[F(., x)] at a single input x."""
-    mu = _as_measure(mu)
+    """Population prediction mu[F(., x)] at a single input x, mu an ensemble (n, p)."""
+    W = _as_ensemble(mu, model.p)
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    vals = model.feature.value(mu.locations, x)[:, 0]
-    return float(mu.weights @ vals)
+    vals = model.feature.value(W, x)[:, 0]
+    return float(np.full(W.shape[0], 1.0 / W.shape[0]) @ vals)
 
 
 def structural_risk(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution) -> float:
@@ -198,15 +171,15 @@ def structural_risk(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution
 def risk_gradient(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
     """Gradient (N, p) of ``structural_risk`` with respect to the ensemble: -h(w_k, mu_N) / N."""
     block = ridge_block(ensemble, model, pi)
-    h, _, _ = mean_field_terms(block, field_cache(block, model, pi), model, pi)
+    h, _, _ = mean_field_terms(block, field_cache(block, model, pi).residual_d1, model, pi)
     return -h / block.W.shape[0]
 
 
 def _block_and_law(W, law, model: ModelSpec, pi: DataDistribution):
     """The points' RidgeBlock and the law's residual columns, broadcastable to (D, n)."""
     block = W if isinstance(W, RidgeBlock) else ridge_block(W, model, pi)
-    r = law.residual_d1 if isinstance(law, FieldCache) else np.asarray(law)
-    if r.shape[0] != len(pi):
+    r = np.asarray(law)
+    if r.ndim == 0 or r.shape[0] != len(pi):
         raise ValueError(f"a law's residual columns need one row per atom ({len(pi)}), "
                          f"got shape {r.shape}")
     return block, (r[:, None] if r.ndim == 1 else r)
@@ -240,8 +213,8 @@ def mean_field_terms(W, law, model: ModelSpec, pi: DataDistribution, need_sigma:
     """Drift h, bounded part tilde_h and (optionally) covariance Sigma.
 
     ``W`` holds the evaluation points (n, p), or their RidgeBlock, and
-    ``law`` the population law as its FieldCache or its residual columns
-    broadcastable to (D, n).  Returns (h, tilde_h, Sigma) with Sigma None
+    ``law`` the population law as its residual columns broadcastable to
+    (D, n).  Returns (h, tilde_h, Sigma) with Sigma None
     unless requested; under the model's ``sigma_override`` s, Sigma is the
     constant matrix s * I.
     """
@@ -297,26 +270,28 @@ def drift_and_noise(W, law, model: ModelSpec, pi: DataDistribution, scale, Z):
 
 
 def mean_field_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
-    """Mean drift field h(w, mu) = tilde_h(w, mu) - gradV(w)."""
+    """Mean drift field h(w, mu) = tilde_h(w, mu) - gradV(w), mu an ensemble (n, p)."""
     single = np.asarray(w).ndim == 1
-    h, _, _ = mean_field_terms(w, field_cache(mu, model, pi), model, pi)
+    h, _, _ = mean_field_terms(w, field_cache(mu, model, pi).residual_d1, model, pi)
     return h[0] if single else h
 
 
 def tilde_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
-    """Penalty-free part of the drift; this is what the noise field centers on."""
+    """Penalty-free part of the drift under an ensemble mu (n, p); the noise field centers on it."""
     single = np.asarray(w).ndim == 1
-    _, th, _ = mean_field_terms(w, field_cache(mu, model, pi), model, pi)
+    _, th, _ = mean_field_terms(w, field_cache(mu, model, pi).residual_d1, model, pi)
     return th[0] if single else th
 
 
 def noise_xi(w, mu, model: ModelSpec, pi: DataDistribution, atom) -> np.ndarray:
-    """Zero-pi-mean fluctuation of the single-sample gradient term at (x, y)."""
-    if isinstance(atom, int):
+    """Zero-pi-mean fluctuation of the single-sample gradient term at (x, y).
+
+    ``mu`` is an ensemble (n, p), and ``atom`` a DataAtom or the index of one of pi's atoms.
+    """
+    if isinstance(atom, numbers.Integral):
         atom = pi.atoms[atom]
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     th = tilde_h(w, mu, model, pi)
-    mu = _as_measure(mu)
     pred = predict(mu, model, atom.x)
     r = float(model.loss.d1(pred, atom.y))
     gF = model.feature.grad(w[None, :], atom.x[None, :])[0, 0]
@@ -324,9 +299,10 @@ def noise_xi(w, mu, model: ModelSpec, pi: DataDistribution, atom) -> np.ndarray:
 
 
 def covariance_sigma(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
-    """Gradient-noise covariance Sigma(w, mu), a p x p PSD matrix."""
+    """Gradient-noise covariance Sigma(w, mu), a p x p PSD matrix, mu an ensemble (n, p)."""
     w = np.asarray(w, dtype=np.float64).reshape(-1)
-    _, _, sig = mean_field_terms(w, field_cache(mu, model, pi), model, pi, need_sigma=True)
+    law = field_cache(mu, model, pi).residual_d1
+    _, _, sig = mean_field_terms(w, law, model, pi, need_sigma=True)
     return sig[0]
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DOMAIN_REFERENCE, InitSpec, euler_run, meanfield_sigma_scale
-from .meanfield import EmpiricalMeasure, FieldCache, field_cache, mean_field_terms, ridge_block
+from .meanfield import RidgeBlock, mean_field_terms, ridge_block
 from .metrics import w2_1d_quantile
 from .model import DataDistribution, Hyperparams, ModelSpec, time_weight
 from .rng import NoisePlan, SLOT_INIT
@@ -54,6 +54,14 @@ _MAX_EXPANSIONS = 16
 
 class NonEllipticNoise(ValueError):
     """The effective diffusion variance falls below the floor somewhere on the grid."""
+
+
+def _grid_residuals(block: RidgeBlock, masses: np.ndarray, model: ModelSpec,
+                    pi: DataDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Per-atom predictions (D,) and residual row (D,) of the law that puts ``masses``
+    (summing to 1) on the points of ``block``."""
+    preds = np.zeros(len(pi)) if block.f is None else (block.f * masses).sum(axis=1)
+    return preds, np.asarray(model.loss.d1(preds, pi.ys), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,6 @@ class GridDensity1D:
     def moment(self, k: int) -> float:
         return float(np.trapezoid(self.centers**k * self.values, dx=self.cell_width))
 
-    def as_measure(self) -> EmpiricalMeasure:
-        w = self.values * self.cell_width
-        return EmpiricalMeasure(self.centers[:, None], w / w.sum())
-
     def ppf(self, u) -> np.ndarray:
         """Inverse CDF by linear interpolation on the center grid."""
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (self.values[1:] + self.values[:-1]))])
@@ -126,12 +130,13 @@ def l1_distance(a: GridDensity1D, b: GridDensity1D) -> float:
 
 def _effective_variance(
     centers: np.ndarray,
-    law: FieldCache,
+    law: np.ndarray,
     model: ModelSpec,
     pi: DataDistribution,
     hyper: Hyperparams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drift h and effective diffusion variance sigma_bar at the cell centers."""
+    """Drift h and effective diffusion variance sigma_bar at the cell centers under the
+    law's residual row (D,)."""
     h, _, sigma = mean_field_terms(centers[:, None], law, model, pi, need_sigma=True)
     scale = hyper.gamma ** (1.0 / (1.0 - hyper.alpha)) / hyper.M
     sigma_bar = scale * sigma[:, 0, 0] + 2.0 * hyper.eta
@@ -142,7 +147,7 @@ def _density_on_grid(
     lo: float,
     hi: float,
     n_cells: int,
-    law: FieldCache,
+    law: np.ndarray,
     model: ModelSpec,
     pi: DataDistribution,
     hyper: Hyperparams,
@@ -172,14 +177,16 @@ def map_H(
 ) -> GridDensity1D:
     """One application of the stationary-density map to a grid density.
 
-    The input density is read as a weighted measure on its cell centers;
+    The input density is read as masses on its cell centers;
     the output grid auto-expands until the boundary density falls below
     1e-12 of the peak (the output has Gaussian-dominated tails, so a finite
     window always suffices).
     """
     if model.p != 1:
         raise ValueError("the stationary map is defined for parameter dimension p = 1")
-    law = field_cache(mu.as_measure(), model, pi)
+    masses = mu.values * mu.cell_width
+    _, law = _grid_residuals(ridge_block(mu.centers[:, None], model, pi),
+                             masses / masses.sum(), model, pi)
     lo, hi, n = mu.lo, mu.hi, mu.n_cells
     for _ in range(_MAX_EXPANSIONS):
         out = _density_on_grid(lo, hi, n, law, model, pi, hyper)
@@ -463,8 +470,7 @@ def grid_law_path(
     resid = np.empty_like(preds)
     unresolved = 0.0
     for n in range(n_steps + 1):
-        preds[n] = 0.0 if block.f is None else (block.f * masses).sum(axis=1)
-        resid[n] = model.loss.d1(preds[n], pi.ys)
+        preds[n], resid[n] = _grid_residuals(block, masses, model, pi)
         if n == n_steps:
             break
         h, _, sigma = mean_field_terms(block, resid[n], model, pi, need_sigma=sigma_scale > 0)

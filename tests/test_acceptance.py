@@ -32,7 +32,6 @@ from chaoslab.experiments import (
     two_regime_study,
 )
 from chaoslab.meanfield import (
-    EmpiricalMeasure,
     covariance_sigma,
     mean_field_h,
     noise_xi,
@@ -85,7 +84,7 @@ class TestCriterion1KernelExactness:
             w = rng.standard_normal(p)
             n = int(rng.integers(1, 7))
             locs = rng.standard_normal((n, p))
-            mu = EmpiricalMeasure(locs)
+            mu = locs
 
             xis = np.stack([noise_xi(w, mu, model, pi, j) for j in range(len(pi))])
             worst["mean_xi"] = max(worst["mean_xi"], float(np.linalg.norm(pi.weights @ xis)))
@@ -97,7 +96,7 @@ class TestCriterion1KernelExactness:
             scale = max(1.0, float(np.linalg.norm(sig)))
             worst["root"] = max(worst["root"], float(np.linalg.norm(S @ S - sig)) / scale)
 
-            nu = EmpiricalMeasure(locs)
+            nu = locs
             grads = risk_gradient(locs, model, pi)
             for k in range(n):
                 err = np.linalg.norm(mean_field_h(locs[k], nu, model, pi) + n * grads[k])
@@ -136,7 +135,7 @@ class TestCriterion2ExplicitBounds:
             tr_bound = 2 * sum(wt * (l2**2 + 2 * model.psi(a.y) ** 2 * model.phi(a.x) ** 4)
                                for wt, a in zip(pi.weights, pi.atoms))
             w = rng.standard_normal(p) * rng.uniform(0.2, 3)
-            mu = EmpiricalMeasure(rng.standard_normal((int(rng.integers(1, 7)), p)))
+            mu = rng.standard_normal((int(rng.integers(1, 7)), p))
             checks += 2
             if np.linalg.norm(tilde_h(w, mu, model, pi)) > l2 * (1 + 1e-12):
                 violations += 1

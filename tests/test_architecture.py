@@ -38,10 +38,10 @@ def test_no_module_uses_another_modules_private_names(trees):
 
 
 def test_no_function_takes_the_noise_model_or_a_cache(trees):
-    # a law is one argument (FieldCache or residual columns), the noise
-    # model is the ModelSpec's sigma_override field, every draw is the
-    # first n rows of its block, so no function takes particle ids, and the
-    # divergence ceiling is dynamics.MOMENT_CEILING
+    # a law is one argument: its residual columns; the noise model is the
+    # ModelSpec's sigma_override field, every draw is the first n rows of its
+    # block, so no function takes particle ids, and the divergence ceiling is
+    # dynamics.MOMENT_CEILING, read when a guard is called
     offences = []
     for name, tree in trees.items():
         for node in ast.walk(tree):
@@ -141,6 +141,14 @@ def test_one_noise_kernel_for_the_euler_step(trees):
     assert callers == {"dynamics.py:euler_step"}
 
 
+def test_only_field_cache_names_the_field_cache(trees):
+    # a kernel takes a law as its residual columns alone: the FieldCache is what
+    # field_cache returns, and no other function or module names or imports it
+    assert _enclosing_functions(trees, lambda n: _named(n, "FieldCache") or (
+        isinstance(n, (ast.ClassDef, ast.alias)) and n.name == "FieldCache")) == {
+        "meanfield.py:<module>", "meanfield.py:field_cache"}
+
+
 def test_only_the_study_runner_builds_a_report(trees):
     # every study hands its tasks and its verdict step to run_study
     builds = _enclosing_functions(
@@ -185,7 +193,8 @@ def test_every_name_in_all_is_defined(trees):
 def test_names_no_study_or_command_reads_are_gone(trees):
     # test oracles and fixtures live in the tests; the package keeps what a verdict reads
     gone = {"path_metric", "PathMetric", "sgd_sde_gap", "per_sample_grad", "g_envelope",
-            "save_dataset", "_atomic_write_bytes", "from_samples", "_fd_derivative_norms"}
+            "save_dataset", "_atomic_write_bytes", "from_samples", "_fd_derivative_norms",
+            "EmpiricalMeasure", "_as_measure", "as_measure"}
     assert _enclosing_functions(trees, lambda n: bool(_bound_names(n) & gone)) == set()
 
 
@@ -231,4 +240,4 @@ def test_settable_value_count(trees):
                 fields += sum(isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
                               for s in node.body)
         visit(tree, True)
-    assert (fields, params) == (73, 41)
+    assert (fields, params) == (73, 39)

@@ -333,15 +333,19 @@ class TestGuardSegments:
 
     CEILING = 1e8
 
+    @pytest.fixture(autouse=True)
+    def ceiling(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MOMENT_CEILING", self.CEILING)
+
     @staticmethod
-    def lone(W, sizes, ceiling, names=None):
+    def lone(W, sizes, names=None):
         """guard_moment on each guarded segment in turn: the first raise, or None."""
         edges = np.cumsum((0, *sizes))
         for i, (a, b) in enumerate(zip(edges, edges[1:])):
             if names is not None and names[i] is None:
                 continue
             try:
-                guard_moment(W[a:b], 3, 0.5, ceiling)
+                guard_moment(W[a:b], 3, 0.5)
             except EnsembleDiverged as exc:
                 return i, exc.value
         return None
@@ -368,12 +372,12 @@ class TestGuardSegments:
             # finite, but its squares are not: reported as inf, with no floating-point
             # warning first (an error under this suite's filterwarnings)
             W[4:9] = 1e200
-        want = self.lone(W, sizes, self.CEILING)
+        want = self.lone(W, sizes)
         if want is None:
-            guard_segments(W, sizes, 3, 0.5, self.CEILING)
+            guard_segments(W, sizes, 3, 0.5)
             return
         with pytest.raises(EnsembleDiverged) as info:
-            guard_segments(W, sizes, 3, 0.5, self.CEILING)
+            guard_segments(W, sizes, 3, 0.5)
         assert (info.value.step, info.value.t) == (3, 0.5)
         np.testing.assert_array_equal(info.value.value, want[1])
 
@@ -383,9 +387,24 @@ class TestGuardSegments:
         W[:4] = 1e5  # over the ceiling: the first, unguarded, and the second
         names = [None, "second", "third"]
         with pytest.raises(EnsembleDiverged) as info:
-            guard_segments(W, sizes, 0, 0.0, self.CEILING, names)
+            guard_segments(W, sizes, 0, 0.0, names)
         assert info.value.__notes__ == ["in second"]
-        guard_segments(W[[0, 1, 4, 5]], (2, 2), 0, 0.0, self.CEILING, [None, "third"])
+        guard_segments(W[[0, 1, 4, 5]], (2, 2), 0, 0.0, [None, "third"])
+
+    def test_the_coupling_reads_the_ceiling_when_called(self, monkeypatch):
+        # a ceiling set after import binds the coupling's test systems as it binds an
+        # engine: both raise at step 0, before any step is taken
+        monkeypatch.setattr(dynamics, "MOMENT_CEILING", 1e-12)
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.04, dt=0.02)
+        init = InitSpec.uniform(-0.5, 0.5)
+        with pytest.raises(EnsembleDiverged) as info:
+            interacting_sde_run(TANH, NOISY, h, 4, init, NoisePlan(1))
+        assert (info.value.step, info.value.ceiling) == (0, 1e-12)
+        with pytest.raises(EnsembleDiverged) as info:
+            coupled_chaos_error(TANH, NOISY, h, Ns=(4, 8), m=2, N_ref=8, reps=1,
+                                plan=NoisePlan(1), init=init)
+        assert (info.value.step, info.value.ceiling) == (0, 1e-12)
+        assert info.value.__notes__[0] == "in rep 0 (N=4)"
 
     def test_notes_survive_pickling(self):
         # a pool worker sends the exception back by pickling; its notes come too

@@ -8,7 +8,6 @@ import pytest
 
 from chaoslab.dynamics import InitSpec, euler_run
 from chaoslab.meanfield import (
-    EmpiricalMeasure,
     covariance_sigma,
     drift_and_noise,
     field_cache,
@@ -53,32 +52,28 @@ def random_problem(rng, p=2, n_atoms=4, penalty=0.5, loss="square"):
 
 class TestPredict:
     def test_dirac_at_zero(self):
-        assert predict(EmpiricalMeasure(np.zeros((1, 1))), TANH, [1.0]) == 0.0
+        assert predict(np.zeros((1, 1)), TANH, [1.0]) == 0.0
 
     def test_odd_symmetry_cancels(self):
-        mu = EmpiricalMeasure(np.array([[-0.7], [0.7]]))
+        mu = np.array([[-0.7], [0.7]])
         for x in (0.3, -1.5, 2.0):
             assert predict(mu, TANH, [x]) == pytest.approx(0.0, abs=1e-16)
 
     def test_two_point_average(self):
-        mu = EmpiricalMeasure(np.array([[0.5], [1.5]]))
+        mu = np.array([[0.5], [1.5]])
         expected = (math.tanh(0.5) + math.tanh(1.5)) / 2  # = 0.6836327054524381
         assert predict(mu, TANH, [1.0]) == pytest.approx(expected, abs=1e-15)
         assert predict(mu, TANH, [1.0]) == pytest.approx(0.6836327054524381, abs=1e-12)
-        # 1-D locations are one point per entry
-        assert predict(EmpiricalMeasure(np.array([0.5, 1.5])), TANH, [1.0]) == \
-            predict(mu, TANH, [1.0])
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("weights", [[math.nan, math.nan], [1.5, -0.5], [math.inf, -math.inf],
-                                         [0.5, 0.25, 0.25], [0.5, 0.4]])
-    def test_weights_must_be_finite_and_nonnegative(self, weights):
-        with pytest.raises(ValueError, match="weights"):
-            EmpiricalMeasure(np.zeros((2, 1)), weights=weights)
 
     def test_a_measure_needs_a_location(self):
-        with pytest.raises(ValueError, match="at least one location"):
-            EmpiricalMeasure(np.zeros((0, 1)))
+        # an empty ensemble is no law, in field_cache or in predict
+        for p in (1, 2):
+            model = make_model("tanh-dot", "square", p=p)
+            pi = DataDistribution([DataAtom(np.ones(p), 1.0, 1.0)])
+            with pytest.raises(ValueError, match="at least one particle"):
+                field_cache(np.zeros((0, p)), model, pi)
+            with pytest.raises(ValueError, match="at least one particle"):
+                predict(np.zeros((0, p)), model, np.ones(p))
 
 
 class TestStructuralRisk:
@@ -118,18 +113,18 @@ class TestStructuralRisk:
 class TestMeanFieldH:
     def test_zero_residual_gives_zero_drift(self):
         pi = DataDistribution([DataAtom([1.0], 0.0, 1.0)])
-        mu = EmpiricalMeasure(np.zeros((1, 1)))
+        mu = np.zeros((1, 1))
         np.testing.assert_allclose(mean_field_h(np.array([0.0]), mu, TANH, pi), 0.0, atol=1e-16)
 
     def test_unit_residual_hand_value(self):
-        mu = EmpiricalMeasure(np.zeros((1, 1)))
+        mu = np.zeros((1, 1))
         np.testing.assert_allclose(
             mean_field_h(np.array([0.0]), mu, TANH, SINGLE_ATOM), [1.0], atol=1e-15
         )
 
     def test_hand_value_with_penalty(self):
         model = make_model("tanh-dot", "square", 1.0)
-        mu = EmpiricalMeasure(np.array([[2.0]]))
+        mu = np.array([[2.0]])
         expected = -(math.tanh(2.0) - 1.0) / math.cosh(2.0) ** 2 - 2.0  # -1.9974585...
         got = mean_field_h(np.array([2.0]), mu, model, SINGLE_ATOM)
         np.testing.assert_allclose(got, [expected], atol=1e-14)
@@ -140,7 +135,7 @@ class TestMeanFieldH:
         model, pi = random_problem(rng)
         for n in (1, 3, 8):
             W = rng.standard_normal((n, 2))
-            nu = EmpiricalMeasure(W)
+            nu = W
             g = risk_gradient(W, model, pi)
             for k in range(n):
                 np.testing.assert_allclose(
@@ -150,17 +145,20 @@ class TestMeanFieldH:
 
 class TestNoiseField:
     def test_single_atom_noise_vanishes(self):
-        mu = EmpiricalMeasure(np.array([[0.4]]))
+        mu = np.array([[0.4]])
         xi = noise_xi(np.array([0.7]), mu, TANH, SINGLE_ATOM, 0)
         np.testing.assert_allclose(xi, 0.0, atol=1e-16)
         sig = covariance_sigma(np.array([0.7]), mu, TANH, SINGLE_ATOM)
         np.testing.assert_allclose(sig, 0.0, atol=1e-16)
 
     def test_symmetric_two_atom_hand_values(self):
-        mu = EmpiricalMeasure(np.zeros((1, 1)))
+        mu = np.zeros((1, 1))
         w = np.array([0.0])
         np.testing.assert_allclose(noise_xi(w, mu, TANH, SYMMETRIC, 0), [1.0], atol=1e-15)
         np.testing.assert_allclose(noise_xi(w, mu, TANH, SYMMETRIC, 1), [-1.0], atol=1e-15)
+        # a numpy index names the same atom as a Python int
+        np.testing.assert_array_equal(noise_xi(w, mu, TANH, SYMMETRIC, np.int64(1)),
+                                      noise_xi(w, mu, TANH, SYMMETRIC, 1))
         sig = covariance_sigma(w, mu, TANH, SYMMETRIC)
         np.testing.assert_allclose(sig, [[1.0]], atol=1e-15)
         np.testing.assert_allclose(sqrt_psd(sig), [[1.0]], atol=1e-15)
@@ -170,7 +168,7 @@ class TestNoiseField:
         model, pi = random_problem(rng, loss="logistic")
         for _ in range(50):
             w = rng.standard_normal(2)
-            mu = EmpiricalMeasure(rng.standard_normal((rng.integers(1, 9), 2)))
+            mu = rng.standard_normal((rng.integers(1, 9), 2))
             xis = np.stack([noise_xi(w, mu, model, pi, j) for j in range(len(pi))])
             assert np.linalg.norm(pi.weights @ xis) <= 1e-10
 
@@ -181,7 +179,7 @@ class TestNoiseField:
         m1 = ModelSpec(feature=m0.feature, loss=m0.loss,
                        penalty=make_model("tanh-dot", "square", 2.0).penalty, p=2)
         w = rng.standard_normal(2)
-        mu = EmpiricalMeasure(rng.standard_normal((4, 2)))
+        mu = rng.standard_normal((4, 2))
         np.testing.assert_allclose(
             noise_xi(w, mu, m0, pi, 1), noise_xi(w, mu, m1, pi, 1), atol=1e-14
         )
@@ -228,10 +226,11 @@ class TestNoiseFactor:
         for p in (2, 3):
             model, pi = random_problem(rng, p=p, n_atoms=4)
             W = rng.standard_normal((6, p))
-            mu = EmpiricalMeasure(rng.standard_normal((5, p)))
+            mu = rng.standard_normal((5, p))
             assert noise_width(model, pi) == 4
-            h, rows = drift_and_noise(np.repeat(W, 4, axis=0), field_cache(mu, model, pi), model,
-                                      pi, 1.0, np.tile(np.eye(4), (6, 1)))
+            h, rows = drift_and_noise(np.repeat(W, 4, axis=0),
+                                      field_cache(mu, model, pi).residual_d1, model, pi, 1.0,
+                                      np.tile(np.eye(4), (6, 1)))
             np.testing.assert_array_equal(h[::4], mean_field_h(W, mu, model, pi))
             F = rows.reshape(6, 4, p)
             FF = np.einsum("ndp,ndq->npq", F, F)
@@ -260,7 +259,8 @@ class TestStackedLaws:
         for k, (a, b) in enumerate(zip(edges, edges[1:])):
             alone = field_cache(W[a:b], model, pi)
             check(stacked.predictions[:, k], alone.predictions)
-            h1, th1, sig1 = mean_field_terms(W[a:b], alone, model, pi, need_sigma=True)
+            h1, th1, sig1 = mean_field_terms(W[a:b], alone.residual_d1, model, pi,
+                                             need_sigma=True)
             check(h[a:b], h1)
             check(th[a:b], th1)
             check(sig[a:b], sig1)
@@ -289,11 +289,14 @@ class TestStackedLaws:
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_an_ensemble_is_not_a_law(self):
-        # the law is its FieldCache or residual columns, one row per atom
+        # the law is its residual columns, one row per atom; not its ensemble, its
+        # FieldCache or a scalar
         W = np.zeros((5, 1))
-        with pytest.raises(ValueError, match="one row per atom"):
-            mean_field_terms(W, W, TANH, SYMMETRIC)
-        h, _, _ = mean_field_terms(W, field_cache(W, TANH, SYMMETRIC), TANH, SYMMETRIC)
+        cache = field_cache(W, TANH, SYMMETRIC)
+        for law in (W, cache, np.float64(0.5)):
+            with pytest.raises(ValueError, match="one row per atom"):
+                mean_field_terms(W, law, TANH, SYMMETRIC)
+        h, _, _ = mean_field_terms(W, cache.residual_d1, TANH, SYMMETRIC)
         assert h.shape == (5, 1)
 
     def test_bad_sizes_rejected(self):
@@ -354,7 +357,9 @@ class TestZeroFeatureBlock:
         zero, generic, pi, W = zero_problem(p, penalty, labels)
         caches = [field_cache(W, m, pi) for m in (zero, generic)]
         assert_same_bits(caches[0].residual_d1, caches[1].residual_d1)
-        law = np.outer(caches[0].residual_d1, np.linspace(-1, 1, len(W))) if stacked else caches[0]
+        law = caches[0].residual_d1
+        if stacked:
+            law = np.outer(law, np.linspace(-1, 1, len(W)))
         for need_sigma in (False, True):
             got = mean_field_terms(ridge_block(W, zero, pi), law, zero, pi, need_sigma)
             want = mean_field_terms(ridge_block(W, generic, pi), law, generic, pi, need_sigma)
@@ -369,7 +374,7 @@ class TestZeroFeatureBlock:
     def test_drift_and_noise_root(self, p, penalty, labels, sigma_override):
         # the drift and the diffusion increment of drift_and_noise
         zero, generic, pi, W = zero_problem(p, penalty, labels, sigma_override)
-        law = field_cache(W, generic, pi)
+        law = field_cache(W, generic, pi).residual_d1
         scale = np.linspace(0.0, 1.0, len(W))[:, None]
         Z = np.random.default_rng(p).standard_normal((len(W), noise_width(zero, pi)))
         for z in (None, Z):
@@ -434,14 +439,13 @@ class TestParticleLastKernel:
         model = make_model(feature, "square", 0.0 if n == 7 else 0.5, p=p)
         W = rng.standard_normal((n, p))
         W[0] = 0.0
-        cache = field_cache(rng.standard_normal((9, p)), model, pi)
+        resid = field_cache(rng.standard_normal((9, p)), model, pi).residual_d1
         columns = rng.standard_normal((len(pi), n)) * (rng.random((len(pi), n)) < 0.7)
         Z = rng.standard_normal((n, noise_width(model, pi)))
-        for law, resid in ((cache, cache.residual_d1), (cache.residual_d1[:, None],) * 2,
-                           (columns, columns)):
+        for law in (resid, resid[:, None], columns):
             h, th, sigma = mean_field_terms(W, law, model, pi, need_sigma=True)
             for scale in (0.7, np.linspace(0.0, 1.0, n)[:, None]):
-                want = particle_first_kernel(W, resid, model, pi, scale, Z)
+                want = particle_first_kernel(W, law, model, pi, scale, Z)
                 for got, ref in zip((h, th, sigma), want):
                     assert_same_bits(got, ref)
                 h1, noise = drift_and_noise(W, law, model, pi, scale, Z)
@@ -454,7 +458,7 @@ class TestBoundedness:
 
     def sample(self, rng, model, pi):
         w = rng.standard_normal(model.p) * rng.uniform(0.2, 3)
-        mu = EmpiricalMeasure(rng.standard_normal((rng.integers(1, 8), model.p)))
+        mu = rng.standard_normal((rng.integers(1, 8), model.p))
         return w, mu
 
     def test_tilde_h_bound(self):
@@ -497,7 +501,7 @@ class TestBoundedness:
 
         def mu_g(mu):
             return np.array([
-                sum(m * envelope(loc, a) for loc, m in zip(mu.locations, mu.weights))
+                sum(1.0 / len(mu) * envelope(loc, a) for loc in mu)
                 for a in pi.atoms
             ])
 
@@ -505,15 +509,13 @@ class TestBoundedness:
             out = 0.0
             for _ in range(n):
                 w1 = rng.standard_normal(2) * rng.uniform(0.2, 3)
-                mu1 = EmpiricalMeasure(rng.standard_normal((int(rng.integers(1, 8)), 2)))
+                mu1 = rng.standard_normal((int(rng.integers(1, 8)), 2))
                 if rng.random() < 0.5:
                     w2 = w1 + rng.standard_normal(2) * 0.02
-                    mu2 = EmpiricalMeasure(
-                        mu1.locations + rng.standard_normal(mu1.locations.shape) * 0.02
-                    )
+                    mu2 = mu1 + rng.standard_normal(mu1.shape) * 0.02
                 else:
                     w2 = rng.standard_normal(2) * rng.uniform(0.2, 3)
-                    mu2 = EmpiricalMeasure(rng.standard_normal((int(rng.integers(1, 8)), 2)))
+                    mu2 = rng.standard_normal((int(rng.integers(1, 8)), 2))
                 num = np.linalg.norm(
                     mean_field_h(w1, mu1, model, pi) - mean_field_h(w2, mu2, model, pi)
                 )

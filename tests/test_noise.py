@@ -28,7 +28,6 @@ from chaoslab.experiments import (
     two_term_bound,
 )
 from chaoslab.meanfield import (
-    EmpiricalMeasure,
     covariance_sigma,
     drift_and_noise,
     field_cache,
@@ -75,13 +74,13 @@ class TestFactorIncrement:
         model = make_model("tanh-dot", "square", 0.1, p=2)
         pi = DataDistribution([DataAtom(rng.uniform(-1, 1, 2), float(rng.uniform(-1, 1)),
                                         float(rng.uniform(0.2, 1.0))) for _ in range(4)])
-        mu = EmpiricalMeasure(rng.standard_normal((8, 2)))
+        mu = rng.standard_normal((8, 2))
         w = np.array([0.3, -0.5])
         n, scale, dt = 20_000, 0.7, 0.02
         W = np.tile(w, (n, 1))
         Z = NoisePlan(3).normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, 0, n, noise_width(model, pi))
         assert Z.shape == (n, 4)
-        _, noise = drift_and_noise(W, field_cache(mu, model, pi), model, pi, scale, Z)
+        _, noise = drift_and_noise(W, field_cache(mu, model, pi).residual_d1, model, pi, scale, Z)
         inc = math.sqrt(dt) * noise
         want = scale**2 * covariance_sigma(w, mu, model, pi) * dt
         got = inc.T @ inc / n
@@ -151,8 +150,8 @@ class TestScalarRootAtP1:
         W = init.draw(NoisePlan(4), DOMAIN_SYSTEM, N, 1)
         want = [W]
         for n in range(10):
-            hn, _, sig = mean_field_terms(W, field_cache(W, TANH, NOISY), TANH, NOISY,
-                                          need_sigma=True)
+            hn, _, sig = mean_field_terms(W, field_cache(W, TANH, NOISY).residual_d1, TANH,
+                                          NOISY, need_sigma=True)
             Z = NoisePlan(4).normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, N, 1)
             incr = hn * h.dt + math.sqrt(h.dt) * scalar_root_increment(sig, scale, Z)
             W = W + time_weight(n * h.dt, h.alpha) * incr
@@ -204,9 +203,8 @@ def particle_reference_laws(h, W_ref, plan, model=TANH, pi=NOISY):
     plan's reference-domain draws when it has noise."""
     laws = []
     for n in range(h.euler_steps()):
-        cache = field_cache(W_ref, model, pi)
-        laws.append(cache.residual_d1)
-        drift, _, sig = mean_field_terms(W_ref, cache, model, pi, True)
+        laws.append(field_cache(W_ref, model, pi).residual_d1)
+        drift, _, sig = mean_field_terms(W_ref, laws[-1], model, pi, True)
         incr = drift * h.dt
         if companion_scale(h) > 0:
             Zr = plan.normals(DOMAIN_REFERENCE, SLOT_DIFFUSION, n, len(W_ref), 1)
@@ -231,7 +229,8 @@ def hand_rolled_rep(h, Ns, m, init, rep, laws, model=TANH, pi=NOISY):
         for N in Ns:
             Wt = tests[N]
             t_scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
-            h_t, _, s_t = mean_field_terms(Wt, field_cache(Wt, model, pi), model, pi, True)
+            h_t, _, s_t = mean_field_terms(Wt, field_cache(Wt, model, pi).residual_d1, model,
+                                           pi, True)
             inc_t = h_t * h.dt + sq_dt * scalar_root_increment(s_t, t_scale, Zs[:N])
             tests[N] = Wt + tw * inc_t
         W_comp = W_comp + tw * inc_c
@@ -356,7 +355,8 @@ class TestOneActivationBlockPerStep:
         W0 = traj.ensembles[0]
         Z = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, 0, N, len(pi))
         scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
-        drift, noise = drift_and_noise(W0, field_cache(W0, model, pi), model, pi, scale, Z)
+        drift, noise = drift_and_noise(W0, field_cache(W0, model, pi).residual_d1, model, pi,
+                                       scale, Z)
         np.testing.assert_array_equal(traj.ensembles[1],
                                       W0 + (drift * h.dt + math.sqrt(h.dt) * noise))
         # the factor's row j is sqrt(pi_j) xi_j, built here atom by atom
@@ -396,7 +396,7 @@ class TestNoiseModel:
         rng = np.random.default_rng(p)
         W, Z = rng.standard_normal((6, p)), rng.standard_normal((6, p))
         assert noise_width(model, pi) == p
-        law = field_cache(W, model, pi)
+        law = field_cache(W, model, pi).residual_d1
         for scale in (0.7, np.linspace(0.1, 1.0, 6)[:, None]):
             _, noise = drift_and_noise(W, law, model, pi, scale, Z)
             want = (scale * math.sqrt(0.5)) * Z if p == 1 else scale * (math.sqrt(0.5) * Z)
@@ -407,7 +407,7 @@ class TestNoiseModel:
                 np.testing.assert_array_equal(alone, noise[i:i + 1])
 
     def test_one_model_pins_every_kernel(self):
-        mu = EmpiricalMeasure(np.array([[0.3], [-0.2]]))
+        mu = np.array([[0.3], [-0.2]])
         np.testing.assert_array_equal(covariance_sigma([0.7], mu, self.PINNED, self.PI), [[0.5]])
 
         # the stationary density of dW = -w dt + sqrt(sigma_bar) dB is N(0, sigma_bar / 2)
