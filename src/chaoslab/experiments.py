@@ -82,6 +82,14 @@ __all__ = [
 # ----------------------------- report plumbing -----------------------------
 
 
+# the gates of the chaos-rate, regime and consistency verdicts; no config sets one
+_SLOPE = -0.7  # chaos-rate: log-log slope of the coupling error in N
+_ENDPOINT_RATIO = 8.0  # chaos-rate: error(N_min) / error(N_max)
+_DEVIATION_RATIO = 0.3  # regime: dev(beta < 1) / dev(beta = 1) at the largest N
+_FLOOR_JITTER = 0.5  # regime: relative change of the beta = 1 deviation, two largest N
+_GAP_DECREASE = 0.7  # consistency: gap(N_next) against gap(N), within 2 stderr
+
+
 @dataclass
 class Verdict:
     name: str
@@ -292,8 +300,6 @@ class ChaosRateConfig:
     N_ref: int = 4096
     reps: int = 24
     seed: int = 123
-    slope_threshold: float = -0.7
-    endpoint_ratio: float = 8.0  # error(N_min) / error(N_max) must reach this
 
     def __post_init__(self):
         require(len(self.N_grid) >= 4 and min(self.N_grid) >= 1, "N_grid",
@@ -310,7 +316,6 @@ class ChaosRateConfig:
         require(self.N_ref >= max(self.N_grid), "N_ref", f"be >= largest N={max(self.N_grid)}",
                 self.N_ref)
         require(self.reps >= 1, "reps", "be >= 1", self.reps)
-        require(self.endpoint_ratio > 0, "endpoint_ratio", "be > 0", self.endpoint_ratio)
         self.hyper.euler_steps()
 
 
@@ -562,13 +567,13 @@ def _chaos_rate_findings(config: ChaosRateConfig, ests) -> Findings:
     ratio = rows[0]["error"] / rows[-1]["error"]
 
     verdicts = [
-        Verdict.le("slope", fit.slope, config.slope_threshold,
+        Verdict.le("slope", fit.slope, _SLOPE,
                    note=f"log-log fit over N={list(config.N_grid)}, r2={fit.r2:.3f}; "
                         f"companions' law: {reference}"),
         Verdict.ge("upper_bound_compliance", compliance, 1.0,
                    note="min over N of C*bound(N)/error(N), C calibrated at smallest N; "
                         f"non-anchor margins {[round(m, 3) for m in margins]}"),
-        Verdict.ge("endpoint_ratio", ratio, config.endpoint_ratio,
+        Verdict.ge("endpoint_ratio", ratio, _ENDPOINT_RATIO,
                    note="error(N_min)/error(N_max)"),
     ]
     return Findings({"errors": rows}, verdicts,
@@ -586,18 +591,15 @@ class TwoRegimeConfig:
     N_grid: tuple[int, ...] = (4096, 65536, 1048576)
     seeds: int = 16
     seed: int = 7
-    ratio_threshold: float = 0.3
-    floor_jitter: float = 0.5  # relative change of the beta=1 deviation, two largest N
 
     def __post_init__(self):
         require(min(self.N_grid, default=0) >= 1, "N_grid", "be one or more sizes >= 1", self.N_grid)
         require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
                 "be strictly increasing", self.N_grid)
-        require(all(0.0 <= b <= 1.0 for b in self.betas), "betas", "lie in [0, 1]", self.betas)
+        require(len(self.betas) == len({b for b in self.betas if 0.0 <= b <= 1.0}) > 0, "betas",
+                "be one or more distinct values in [0, 1]", self.betas)
         require(self.seeds >= 2, "seeds", "be >= 2 to measure a deviation", self.seeds)
         self.problem.require_no_pin("the discrete recursion")
-        require(self.ratio_threshold > 0, "ratio_threshold", "be > 0", self.ratio_threshold)
-        require(self.floor_jitter > 0, "floor_jitter", "be > 0", self.floor_jitter)
         for beta in self.betas:
             for N in self.N_grid:
                 hyper_run, N_run = _regime_run(self, beta, N)
@@ -657,23 +659,22 @@ def _regime_findings(config: TwoRegimeConfig, per_task) -> Findings:
 
     verdicts = []
     n_lo, n_hi = config.N_grid[0], config.N_grid[-1]
-    for beta in config.betas:
-        if beta < 1.0:
-            d0, d1 = devs[(beta, n_lo)], devs[(beta, n_hi)]
-            verdicts.append(Verdict.le(f"shrinks_beta_{beta}", d1, d0,
-                                       note=f"deviation at N={n_hi} vs N={n_lo}"))
+    others = [b for b in config.betas if b < 1.0]
+    for beta in others:
+        name, d0, d1 = f"shrinks_beta_{beta}", devs[(beta, n_lo)], devs[(beta, n_hi)]
+        verdicts.append(Verdict.le(name, d1, d0, note=f"deviation at N={n_hi} vs N={n_lo}")
+                        if n_lo < n_hi else Verdict.not_applicable(name, "only one size in N_grid"))
     if 1.0 in config.betas and len(config.N_grid) >= 2:
         n_2nd = config.N_grid[-2]
         d_a, d_b = devs[(1.0, n_2nd)], devs[(1.0, n_hi)]
         jitter = abs(d_a - d_b) / max(d_a, d_b) if max(d_a, d_b) > 0 else 0.0
         verdicts.append(Verdict.le(
-            "floor_beta_1", jitter, config.floor_jitter,
+            "floor_beta_1", jitter, _FLOOR_JITTER,
             note=f"relative change of deviation between N={n_2nd} and N={n_hi}"))
-    others = [b for b in config.betas if b < 1.0]
     if 1.0 in config.betas and others:
         b, denom = max(others), devs[(1.0, n_hi)]
         ratio = devs[(b, n_hi)] / denom if denom > 0 else math.inf
-        verdicts.append(Verdict.le("deviation_ratio", ratio, config.ratio_threshold,
+        verdicts.append(Verdict.le("deviation_ratio", ratio, _DEVIATION_RATIO,
                                    note=f"dev(beta={b})/dev(beta=1.0) at N={n_hi}"))
     return Findings({"deviations": rows}, verdicts)
 
@@ -782,7 +783,8 @@ class HistogramConfig:
                 "hold at least 3 sizes, each >= 1", self.N_grid)
         require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
                 "be strictly increasing", self.N_grid)
-        require(all(0.0 <= b <= 1.0 for b in self.betas), "betas", "lie in [0, 1]", self.betas)
+        require(len(self.betas) == len({b for b in self.betas if 0.0 <= b <= 1.0}), "betas",
+                "be distinct values in [0, 1]", self.betas)
         self.hyper.euler_steps()
 
 
@@ -849,7 +851,6 @@ class ConsistencyConfig:
     N_grid: tuple[int, ...] = (256, 1024, 4096)
     reps: int = 6
     seed: int = 37
-    decrease_factor: float = 0.7
 
     def __post_init__(self):
         require(len(self.N_grid) >= 2 and min(self.N_grid) >= 1, "N_grid",
@@ -857,7 +858,6 @@ class ConsistencyConfig:
         require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
                 "be strictly increasing", self.N_grid)
         require(self.reps >= 2, "reps", "be >= 2 to pool and estimate stderr", self.reps)
-        require(self.decrease_factor > 0, "decrease_factor", "be > 0", self.decrease_factor)
         self.problem.require_no_pin("the SGD run of each size")
         self.hyper.euler_steps()
         for N in self.N_grid:
@@ -896,8 +896,8 @@ def _gap_findings(config: ConsistencyConfig, per_task) -> Findings:
         ends = per_task[i * config.reps:(i + 1) * config.reps]
         stderr = 0.5 * abs(pooled_gap(ends[:half]) - pooled_gap(ends[half:]))
         rows.append({"N": N, "gap": float(pooled_gap(ends)), "stderr": float(stderr)})
-    worst = max([-math.inf] + [b["gap"] - (config.decrease_factor * a["gap"] + 2 * b["stderr"])
+    worst = max([-math.inf] + [b["gap"] - (_GAP_DECREASE * a["gap"] + 2 * b["stderr"])
                                for a, b in zip(rows, rows[1:])])
     verdicts = [Verdict.le("gap_decreasing", worst, 0.0,
-                           note=f"gap(N_next) <= {config.decrease_factor}*gap(N) + 2*stderr")]
+                           note=f"gap(N_next) <= {_GAP_DECREASE}*gap(N) + 2*stderr")]
     return Findings({"gaps": rows}, verdicts)

@@ -152,11 +152,11 @@ class TestCriterion3RateBetaOne:
             hyper=Hyperparams(alpha=0.0, beta=1.0, gamma=1.0, M=1, T=5.0, dt=0.02),
             N_grid=(32, 64, 128, 256, 512),
             m=4, N_ref=4096, reps=24, seed=123,
-            slope_threshold=-0.7, endpoint_ratio=8.0,
         )
         rep = chaos_rate_study(cfg, workers=WORKERS)
         slope = rep.verdict("slope")
         ratio = rep.verdict("endpoint_ratio")
+        assert (slope.threshold, ratio.threshold) == (-0.7, 8.0)
         ok = bool(slope.passed and ratio.passed)
         _report(3, "N^-1 rate at beta=1", ok,
                 f"slope={slope.measured:.3f} (<= -0.7), "
@@ -212,11 +212,11 @@ class TestCriterion5TwoRegimes:
             betas=(0.75, 1.0),
             N_grid=(4096, 65536, 1048576),
             seeds=16, seed=7,
-            ratio_threshold=0.3, floor_jitter=0.5,
         )
         rep = two_regime_study(cfg, workers=WORKERS)
         ratio = rep.verdict("deviation_ratio")
         floor = rep.verdict("floor_beta_1")
+        assert (ratio.threshold, floor.threshold) == (0.3, 0.5)
         ok = bool(ratio.passed and floor.passed)
         _report(5, "two-regime separation", ok,
                 f"dev ratio={ratio.measured:.3f} (<= 0.3), "
@@ -336,11 +336,12 @@ class TestCriterion10SgdSdeDiagnostic:
             problem=ProblemConfig(labels="realizable", init_low=-2.0, init_high=2.0),
             hyper=Hyperparams(alpha=0.0, beta=1.0, gamma=0.05, M=1, T=5.0, dt=0.05),
             N_grid=(256, 1024, 4096),
-            reps=6, seed=37, decrease_factor=0.7,
+            reps=6, seed=37,
         )
         rep = sgd_sde_consistency_study(cfg, workers=WORKERS)
         rows = rep.tables["gaps"]
         v = rep.verdict("gap_decreasing")
+        assert "<= 0.7*gap(N)" in v.note
         _report(10, "SGD<->SDE law gap", bool(v.passed),
                 "gaps " + " -> ".join(f"{r['gap']:.4f}" for r in rows)
                 + " (each <= 0.7*prev + 2se)")

@@ -199,8 +199,9 @@ def test_names_no_study_or_command_reads_are_gone(trees):
 
 
 def test_no_config_carries_a_budget_or_a_statistic(trees):
-    # a setting that only its default reached is a constant of its study; run_study
-    # reads its config only through asdict, for the report's echo
+    # a setting that only its default reached is a constant of its study, and so is
+    # every verdict's gate; run_study reads its config only through asdict, for the
+    # report's echo
     def dataclass_fields(tree):
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and any(
@@ -211,7 +212,9 @@ def test_no_config_carries_a_budget_or_a_statistic(trees):
 
     fields = {f for tree in trees.values() for f in dataclass_fields(tree)}
     assert any(f.endswith("Config.seed") for f in fields)
-    assert {f for f in fields if f.split(".")[1] in ("budget_s", "statistic")} == set()
+    gates = ("slope_threshold", "endpoint_ratio", "ratio_threshold", "floor_jitter",
+             "decrease_factor")
+    assert {f for f in fields if f.split(".")[1] in ("budget_s", "statistic", *gates)} == set()
     reads = _enclosing_functions(
         trees, lambda n: isinstance(n, ast.Attribute) and _named(n.value, "config"))
     assert "experiments.py:run_study" not in reads
@@ -240,4 +243,4 @@ def test_settable_value_count(trees):
                 fields += sum(isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
                               for s in node.body)
         visit(tree, True)
-    assert (fields, params) == (73, 39)
+    assert (fields, params) == (68, 39)

@@ -420,6 +420,17 @@ class TestCliDispatch:
         verdicts = json.loads((tmp_path / "out" / "two-regime-seed1" / "verdicts.json").read_text())
         assert verdicts["passed"] is None
 
+    def test_one_size_does_not_judge_a_shrinking_deviation(self, tmp_path, capsys):
+        # a deviation compared with itself would pass whatever it measured
+        cfg = {"betas": [0.75], "N_grid": [16], "seeds": 2, "seed": 1,
+               "hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "problem": {"init_kind": "dirac"}}
+        assert self.run(tmp_path, "regime", cfg, "--strict") == 1
+        assert "shrinks_beta_0.75: n/a" in capsys.readouterr().out
+        verdicts = json.loads((tmp_path / "out" / "two-regime-seed1" / "verdicts.json").read_text())
+        assert verdicts["passed"] is None
+        assert [(v["name"], v["op"]) for v in verdicts["verdicts"]] == [("shrinks_beta_0.75", "na")]
+        assert verdicts["verdicts"][0]["note"] == "only one size in N_grid"
+
     @pytest.mark.parametrize("command, cfg", [
         ("simulate", {"engine": "interacting-sde", "N": 4}),
         ("chaos-rate", {"N_grid": [4, 8, 16, 32], "m": 2, "N_ref": 64, "reps": 2}),
@@ -454,15 +465,6 @@ class TestCliDispatch:
         assert self.run(tmp_path, "stationary", cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config field horizon" in err and "dt=0.3" in err
-
-    def test_regime_floor_threshold_is_read_from_the_config(self, tmp_path):
-        cfg = {"hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "betas": [1.0], "N_grid": [16, 64],
-               "seeds": 2, "seed": 1, "floor_jitter": 0.4,
-               "problem": {"init_kind": "dirac", "init_w0": 0.0}}
-        assert self.run(tmp_path, "regime", cfg) == EXIT_OK
-        verdicts = json.loads((tmp_path / "out" / "two-regime-seed1" / "verdicts.json").read_text())
-        floor = next(v for v in verdicts["verdicts"] if v["name"] == "floor_beta_1")
-        assert floor["threshold"] == 0.4
 
     def test_regime_tables_equal_at_one_and_two_workers(self, tmp_path):
         cfg = {"hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "betas": [0.75, 1.0],
@@ -512,6 +514,12 @@ class TestCliDispatch:
         ("metrics", {"samples_a": "a.csv", "samples_b": "b.csv", "reps": 64}, "reps"),
         # hyper.eta picks the recursion: sgd at 0, msgld above
         ("regime", {"engine": "msgld"}, "engine"),
+        # the verdicts' gates, at the values every study judges against
+        ("chaos-rate", {"slope_threshold": -0.7}, "slope_threshold"),
+        ("chaos-rate", {"endpoint_ratio": 8.0}, "endpoint_ratio"),
+        ("regime", {"ratio_threshold": 0.3}, "ratio_threshold"),
+        ("regime", {"floor_jitter": 0.5}, "floor_jitter"),
+        ("consistency", {"decrease_factor": 0.7}, "decrease_factor"),
     ])
     def test_subcommand_rejects_keys_it_does_not_read(self, tmp_path, capsys, command, cfg,
                                                       unread):
@@ -658,6 +666,10 @@ class TestCliDispatch:
         # a dataset whose x_ columns do not fit the run
         ("simulate", {"problem": {"dataset": "x2.csv", "p": 4}}, "p"),
         ("stationary", {"problem": {"dataset": "x2.csv", "sigma_override": 1.0}}, "dataset"),
+        # a regime study needs a beta, and neither study takes one twice
+        ("regime", {"betas": []}, "betas"),
+        ("regime", {"betas": [0.75, 0.75, 1.0]}, "betas"),
+        ("histograms", {"betas": [1.0, 1.0]}, "betas"),
     ])
     def test_config_key_boundary(self, tmp_path, capsys, monkeypatch, command, cfg, key):
         # the datasets the rows name, by paths relative to the working directory
@@ -805,10 +817,10 @@ class TestCliDispatch:
     def test_non_finite_config_number_names_its_field(self, tmp_path, capsys, constant):
         # json.load reads these constants; a manifest could not echo them as JSON
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"slope_threshold": %s}' % constant)
+        cfg_path.write_text('{"hyper": {"gamma": %s}}' % constant)
         assert cli_dispatch(["chaos-rate", "--config", str(cfg_path),
                              "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert f"config field slope_threshold: {float(constant)!r} is not a finite number" in \
+        assert f"config field hyper.gamma: {float(constant)!r} is not a finite number" in \
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -908,12 +920,12 @@ class TestCliDispatch:
         assert self.run(tmp_path, "chaos-rate", cfg, "--workers", workers, "--strict") == 1
 
     def test_strict_verdict_failure_exit_one(self, tmp_path):
-        # an impossible slope threshold forces a verdict failure
+        # at the fixed gates this small run fails endpoint_ratio (5.0 against 8)
+        # and upper_bound_compliance (0.88 against 1)
         cfg = {
             "problem": {"labels": "noisy"},
             "hyper": {"T": 1.0, "dt": 0.1, "gamma": 1.0},
             "N_grid": [4, 8, 16, 32], "m": 2, "N_ref": 64, "reps": 2, "seed": 7,
-            "slope_threshold": -99.0,
         }
         assert self.run(tmp_path, "chaos-rate", cfg, "--strict") == 1
         assert self.run(tmp_path, "chaos-rate", cfg) == EXIT_OK  # non-strict

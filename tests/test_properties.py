@@ -57,7 +57,7 @@ DESCENDING_GAMMAS = st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=1, max_
                              unique=True).map(lambda g: sorted(g, reverse=True))
 
 # one out-of-range key in about one config of three
-BREAKS = {"consistency": [("reps", 1), ("N_grid", [8]), ("decrease_factor", 0.0)],
+BREAKS = {"consistency": [("reps", 1), ("N_grid", [8]), ("N_grid", [64, 8])],
           "sweep": [("reps", 0), ("N_ref", 0), ("gammas", [0.5, -1.0]), ("batches", [0])]}
 
 
