@@ -67,6 +67,7 @@ __all__ = [
     "interacting_sde_run",
     "meanfield_ode_run",
     "meanfield_sde_run",
+    "interacting_sigma_scale",
     "meanfield_sigma_scale",
     "euler_step",
     "euler_run",
@@ -85,13 +86,13 @@ DEFAULT_SNAPSHOTS = 64
 
 
 class EnsembleDiverged(RuntimeError):
-    """Raised when the ensemble second moment crosses the configured ceiling."""
+    """Raised when the ensemble second moment crosses the ceiling at a step of time t
+    (None: an iteration with no time, as the stationary map's)."""
 
-    def __init__(self, step: int, t: float, value: float, ceiling: float):
-        super().__init__(
-            f"ensemble second moment {value:.3e} exceeded ceiling {ceiling:.3e} "
-            f"at step {step} (t={t:.6g})"
-        )
+    def __init__(self, step: int, t: float | None, value: float, ceiling: float):
+        at = f"iteration {step}" if t is None else f"step {step} (t={t:.6g})"
+        super().__init__(f"ensemble second moment {value:.3e} exceeded ceiling {ceiling:.3e} "
+                         f"at {at}")
         self.step = step
         self.t = t
         self.value = value
@@ -107,42 +108,31 @@ class EnsembleDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Initial-condition law: dirac at w0, or the uniform box [low, high]^p."""
+    """Initial-condition law: the uniform box [low, high]^p; a point mass is the box of width 0."""
 
-    kind: str = "uniform"
-    w0: np.ndarray | None = None
-    low: float = -0.04
-    high: float = 0.04
+    low: float
+    high: float
 
     def __post_init__(self):
-        if self.kind == "dirac":
-            if self.w0 is None or not np.all(np.isfinite(self.w0)):
-                raise ValueError(f"dirac init needs a finite w0, got {self.w0}")
-        elif self.kind == "uniform":
-            if not (math.isfinite(self.low) and math.isfinite(self.high)):
-                raise ValueError(f"uniform init needs finite ends, got low={self.low}, "
-                                 f"high={self.high}")
-            if not self.low <= self.high:
-                raise ValueError(f"uniform init needs low <= high, got low={self.low}, "
-                                 f"high={self.high}")
-        else:
-            raise ValueError(f"init kind must be uniform or dirac, got {self.kind!r}")
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ValueError(f"init needs finite ends, got low={self.low}, high={self.high}")
+        if not self.low <= self.high:
+            raise ValueError(f"init needs low <= high, got low={self.low}, high={self.high}")
 
     @staticmethod
     def dirac(w0) -> "InitSpec":
-        return InitSpec(kind="dirac", w0=np.atleast_1d(np.asarray(w0, dtype=np.float64)))
+        """The point mass at w0 in every coordinate; w0 is one number."""
+        w = np.asarray(w0, dtype=np.float64).reshape(-1)
+        if w.shape != (1,):
+            raise ValueError(f"a point mass takes one number, got {w.tolist()}")
+        return InitSpec(float(w[0]), float(w[0]))
 
     @staticmethod
     def uniform(low: float = -0.04, high: float = 0.04) -> "InitSpec":
-        return InitSpec(kind="uniform", low=low, high=high)
+        return InitSpec(low, high)
 
     def draw(self, plan: NoisePlan, domain: int, n: int, p: int) -> np.ndarray:
         """n particles (n, p), from the first n rows of the domain's init block."""
-        if self.kind == "dirac":
-            w0 = np.asarray(self.w0, dtype=np.float64).reshape(-1)
-            if w0.shape[0] != p:
-                raise ValueError(f"dirac init has dimension {w0.shape[0]}, expected {p}")
-            return np.tile(w0, (n, 1))
         u = plan.uniforms(domain, SLOT_INIT, 0, n * p).reshape(n, p)
         return self.low + (self.high - self.low) * u
 
@@ -279,6 +269,9 @@ def _discrete_run(
     if model.sigma_override is not None:
         raise ValueError("the discrete recursions have no diffusion term for the model's "
                          f"sigma_override={model.sigma_override} to pin")
+    if not langevin and hyper.eta > 0:
+        raise ValueError(f"sgd_run has no Langevin term for hyper.eta={hyper.eta}; "
+                         "msgld_run carries it")
     plans = (plan,) if isinstance(plan, NoisePlan) else tuple(plan)
     k, D = len(plans), len(pi)
     g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
@@ -288,7 +281,7 @@ def _discrete_run(
     cum_w = np.cumsum(pi.weights)
     # a u at or past a rounded-down cum_w[-1] goes to the last atom of positive weight
     last = int(np.flatnonzero(pi.weights)[-1])
-    eta = hyper.eta if langevin else 0.0
+    eta = hyper.eta
     # a minibatch with atom counts c_j is the law c_j / M: as residual columns
     # over pi, d1l_j c_j / (M pi_j), and 0 at atoms of weight 0
     per_count = np.zeros((D, 1))
@@ -325,7 +318,8 @@ def sgd_run(model, pi, hyper, N, init, plan, snapshot_times=None) -> Trajectory:
     Each iteration is one ``euler_step`` of length ``stepsize_schedule / N``
     under the minibatch's law, with no diffusion term.  ``plan`` may be a
     sequence of plans: then it runs that many independent systems of N
-    particles in one block, system s in rows s * N to (s + 1) * N.
+    particles in one block, system s in rows s * N to (s + 1) * N.  It has no
+    Langevin term, so it refuses a temperature eta > 0 (``msgld_run`` carries one).
     """
     return _discrete_run(model, pi, hyper, N, init, plan, False, snapshot_times)
 
@@ -427,12 +421,16 @@ def _drawn_run(model, pi, hyper, N, init, plan, domain, sigma_scale, kind,
 
 
 def interacting_sde_run(model, pi, hyper, N, init, plan, snapshot_times=None) -> Trajectory:
-    """Euler-Maruyama for the N-particle diffusion with factor sqrt(gamma_scale/M)."""
-    g = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
-    traj = _drawn_run(model, pi, hyper, N, init, plan, DOMAIN_SYSTEM, math.sqrt(g / hyper.M),
-                      "interacting-sde", snapshot_times)
-    traj.meta["gamma_scale"] = g
+    """Euler-Maruyama for the N-particle diffusion with factor ``interacting_sigma_scale``."""
+    traj = _drawn_run(model, pi, hyper, N, init, plan, DOMAIN_SYSTEM,
+                      interacting_sigma_scale(hyper, N), "interacting-sde", snapshot_times)
+    traj.meta["gamma_scale"] = gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N)
     return traj
+
+
+def interacting_sigma_scale(hyper: Hyperparams, N: int) -> float:
+    """Diffusion factor sqrt(gamma_scale(N)/M) of the N-particle diffusion."""
+    return math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M)
 
 
 def meanfield_sigma_scale(hyper: Hyperparams) -> float:

@@ -32,6 +32,7 @@ from .dynamics import (
     euler_step,
     guard_segments,
     interacting_sde_run,
+    interacting_sigma_scale,
     meanfield_ode_run,
     meanfield_sde_run,
     meanfield_sigma_scale,
@@ -48,7 +49,6 @@ from .model import (
     DataDistribution,
     Hyperparams,
     ModelSpec,
-    gamma_scale,
     make_model,
     require,
     time_weight,
@@ -264,10 +264,8 @@ class ProblemConfig:
         model = make_model(self.feature, self.loss, self.penalty, p=pi.d)
         if self.sigma_override is not None:
             model = replace(model, sigma_override=self.sigma_override)
-        if self.init_kind == "uniform":
-            init = InitSpec.uniform(self.init_low, self.init_high)
-        else:  # dirac
-            init = InitSpec.dirac([self.init_w0] * pi.d)
+        init = (InitSpec.uniform(self.init_low, self.init_high) if self.init_kind == "uniform"
+                else InitSpec.dirac(self.init_w0))
         return model, pi, init
 
     def _atoms(self) -> list[DataAtom]:
@@ -320,7 +318,8 @@ class ChaosRateConfig:
 
 
 def _stratified_reference(init: InitSpec, n: int, p: int) -> np.ndarray | None:
-    """Quantile-midpoint quadrature of the init law (p = 1 only).
+    """Quantile-midpoint quadrature of the init box (p = 1 only); n copies of
+    the point for a box of width zero.
 
     Removes the O(n^-1/2) sampling error of the reference law, which would
     otherwise show up as a common floor in the coupling errors.
@@ -328,9 +327,7 @@ def _stratified_reference(init: InitSpec, n: int, p: int) -> np.ndarray | None:
     if p != 1:
         return None
     q = (np.arange(n) + 0.5) / n
-    if init.kind == "uniform":
-        return (init.low + (init.high - init.low) * q)[:, None]
-    return np.tile(np.asarray(init.w0, dtype=np.float64).reshape(-1), (n, 1))
+    return (init.low + (init.high - init.low) * q)[:, None]
 
 
 @dataclass
@@ -389,11 +386,8 @@ def _coupled_grid_reps(model, pi, hyper, Ns, m, init, plan, path, rs) -> list[di
     rows = (n_sys * np.arange(k)[:, None]
             + np.concatenate([np.arange(s) for s in sizes])).ravel()
     W = np.concatenate([init.draw(pl, DOMAIN_SYSTEM, n_sys, p) for pl in plans])[rows]
-    scales = np.tile(np.repeat(
-        [mf_scale] + [math.sqrt(gamma_scale(hyper.alpha, hyper.beta, hyper.gamma, N) / hyper.M)
-                      for N in Ns],
-        sizes,
-    ), k)[:, None]
+    scales = np.tile(np.repeat([mf_scale] + [interacting_sigma_scale(hyper, N) for N in Ns],
+                               sizes), k)[:, None]
     comps = L * np.arange(k)[:, None] + np.arange(m)  # each rep's companions
     heads = np.cumsum((0, *sizes))[1:-1, None] + comps[:, None]  # each test system's first m
     eta = hyper.eta
@@ -432,10 +426,11 @@ def _companion_law(model, pi, hyper, init, N_ref, plan, pmap):
     """The companions' law for a whole study: (path, reference, ref_bias_scale, note).
 
     The path is the (n_steps, D) residual row of the law at each Euler step:
-    the grid law at p = 1 with noise and a uniform or dirac init, else the
-    ``euler_run`` of a reference ensemble of N_ref particles, started at
-    the init's quantile midpoints where ``_stratified_reference`` allows
-    and otherwise drawn, with its noise, on the plan's reference domain.
+    the grid law at p = 1 with noise, from any init box (a point mass is
+    the box of width zero), else the ``euler_run`` of a reference ensemble
+    of N_ref particles, started at the init's quantile midpoints at p = 1
+    (``_stratified_reference``) and otherwise drawn, with its noise, on the
+    plan's reference domain.
     ``pmap`` runs the grid law on its two grids side by side.
     """
     mf_scale = _companion_scale(hyper)
@@ -486,16 +481,16 @@ def coupled_chaos_error(
     reference law computed once per study, one of two
     (``ChaosErrorEstimate.reference``):
 
-    - at p = 1 with noise (beta = 1 or eta > 0) and a uniform or dirac
-      init, the grid law of the Euler scheme (``stationary.grid_law_path``);
+    - at p = 1 with noise (beta = 1 or eta > 0), from any init box, the
+      grid law of the Euler scheme (``stationary.grid_law_path``);
       its grid error, the largest gap to the path on half as many cells, is
       the estimate's ``ref_bias_scale``.  If mass reaches the grid's window,
       or the grid does not resolve the noise, the study falls back to the
       particle reference and says so;
     - otherwise the self-consistent reference of N_ref particles, started
-      at the init's quantile midpoints at p = 1 with a uniform or dirac
-      init (stratified) and drawn otherwise, with an O(N_ref^-1/2) proxy
-      bias.
+      at the init box's quantile midpoints at p = 1 (stratified; n copies
+      of the point for a point mass) and drawn otherwise, with an
+      O(N_ref^-1/2) proxy bias.
 
     The reps are stepped in stacked blocks of about
     ``_COUPLING_BLOCK_PARTICLES`` particles, with the same bits at any block

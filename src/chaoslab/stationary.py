@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import DOMAIN_REFERENCE, InitSpec, euler_run, meanfield_sigma_scale
 from .meanfield import RidgeBlock, mean_field_terms, ridge_block
 from .metrics import w2_1d_quantile
@@ -219,7 +220,8 @@ def fixed_point_iterate(
 
     Stops when the L1 residual between the iterate and its image reaches
     ``tol``.  Non-convergence is reported through the result (with the full
-    residual history), never raised: a cycling iteration is a finding.
+    residual history), never raised: a cycling iteration is a finding.  An
+    image past ``dynamics.MOMENT_CEILING`` (a runaway map) raises ``EnsembleDiverged``.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -229,6 +231,9 @@ def fixed_point_iterate(
     history: list[float] = []
     for it in range(max_iter + 1):
         image = map_H(mu, model, pi, hyper)
+        m2 = image.moment(2)
+        if not m2 <= dynamics.MOMENT_CEILING:  # also catches NaN and inf
+            raise dynamics.EnsembleDiverged(it, None, m2, dynamics.MOMENT_CEILING)
         resid = l1_distance(mu, image)
         history.append(resid)
         if resid <= tol or it == max_iter:
@@ -371,28 +376,22 @@ class GridLawPath:
 
 
 def _grid_init(init: InitSpec, lo: float, hi: float, n_cells: int):
-    """Window, cell masses and outside mass of a uniform or dirac init.
+    """Window, cell masses and outside mass of the init box.
 
-    A uniform box gets its exact cell overlaps.  A point mass shifts the
-    window so that it sits on a cell center.  Mass outside the window goes
-    to the end cells.
+    A box of positive width gets its exact cell overlaps.  A box of width
+    zero, the point mass at ``init.low``, shifts the window so that the
+    point sits on a cell center.  Mass outside the window goes to the end
+    cells.
     """
     dx = (hi - lo) / n_cells
-    if init.kind == "uniform" and init.high > init.low:
+    if init.high > init.low:
         cdf = np.clip((lo + np.arange(n_cells + 1) * dx - init.low) / (init.high - init.low),
                       0.0, 1.0)
         outside = float(cdf[0] + (1.0 - cdf[-1]))
         cdf[0], cdf[-1] = 0.0, 1.0
         return lo, hi, np.diff(cdf), outside
-    if init.kind == "uniform":
-        w0 = float(init.low)
-    else:
-        w = np.asarray(init.w0, dtype=np.float64).reshape(-1)
-        if w.shape != (1,):
-            raise ValueError(f"the grid law needs a dirac init in dimension 1, got {w.shape[0]}")
-        w0 = float(w[0])
-    k = math.floor((w0 - lo) / dx)
-    shift = w0 - (lo + (k + 0.5) * dx)
+    k = math.floor((init.low - lo) / dx)
+    shift = init.low - (lo + (k + 0.5) * dx)
     masses = np.zeros(n_cells)
     masses[min(max(k, 0), n_cells - 1)] = 1.0
     return lo + shift, hi + shift, masses, 0.0 if 0 <= k < n_cells else 1.0

@@ -220,6 +220,16 @@ def test_no_config_carries_a_budget_or_a_statistic(trees):
     assert "experiments.py:run_study" not in reads
 
 
+def test_the_init_law_is_one_box(trees):
+    # a point mass is the box of width zero: no kind to branch on and no point to read
+    fields = [s.target.id for node in ast.walk(trees["dynamics.py"])
+              if isinstance(node, ast.ClassDef) and node.name == "InitSpec"
+              for s in node.body if isinstance(s, ast.AnnAssign)]
+    assert tuple(fields) == ("low", "high")
+    assert _enclosing_functions(trees, lambda n: isinstance(n, ast.Attribute) and (
+        n.attr == "w0" or (n.attr == "kind" and "init" in ast.unparse(n.value)))) == set()
+
+
 def test_settable_value_count(trees):
     # each settable value doubles the configurations the tests must cover, so a new
     # option shows up here as a reviewed change: the fields of the *Config dataclasses

@@ -753,6 +753,15 @@ class TestCliDispatch:
         assert "exceeded ceiling" in err and "at step 0 (t=0)" in err
         assert not (tmp_path / "out").exists()
 
+    def test_diverged_stationary_map_exits_one_with_one_line(self, tmp_path, capsys):
+        # the map runs away on linear-dot: reported before numpy could warn of an overflow
+        cfg = {"problem": {"feature": "linear-dot", "labels": "noisy", "penalty": 0.01}}
+        assert self.run(tmp_path, "stationary", cfg) == EXIT_VERDICT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("diverged: ensemble second moment")
+        assert err.endswith("at iteration 3\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_diverged_study_writes_a_failing_verdict(self, tmp_path, capsys, workers):
         cfg = {"hyper": {"T": 0.2, "dt": 0.05}, "gammas": [1.0, 0.5], "N_ref": 16, "reps": 2,

@@ -20,6 +20,7 @@ from chaoslab.dynamics import (
     guard_moment,
     guard_segments,
     interacting_sde_run,
+    interacting_sigma_scale,
     meanfield_ode_run,
     meanfield_sde_run,
     msgld_run,
@@ -59,19 +60,29 @@ class TestInitSpec:
 
     # checked when built, not as a divergence at step 0
     @pytest.mark.parametrize("make, reason", [
-        (lambda: InitSpec(kind="dirac"), "dirac init needs a finite w0, got None"),
-        (lambda: InitSpec.dirac(math.nan), "dirac init needs a finite w0"),
-        (lambda: InitSpec.uniform(-math.inf, 0.0), "uniform init needs finite ends"),
-        (lambda: InitSpec.uniform(0.0, math.nan), "uniform init needs finite ends"),
-        (lambda: InitSpec(kind="gaussian"), "init kind must be uniform or dirac, got 'gaussian'"),
-    ], ids=["dirac-without-w0", "dirac-nan", "box-inf", "box-nan", "unknown-kind"])
+        (lambda: InitSpec.dirac(math.nan), "init needs finite ends"),
+        (lambda: InitSpec.uniform(-math.inf, 0.0), "init needs finite ends"),
+        (lambda: InitSpec.uniform(0.0, math.nan), "init needs finite ends"),
+    ], ids=["dirac-nan", "box-inf", "box-nan"])
     def test_malformed_init_rejected(self, make, reason):
         with pytest.raises(ValueError, match=reason):
             make()
 
     def test_dirac_point_of_the_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError, match="dirac init has dimension 2, expected 1"):
-            InitSpec.dirac([0.1, 0.2]).draw(NoisePlan(0), 0, 3, 1)
+        # a point mass is one number, the same in every coordinate
+        with pytest.raises(ValueError, match=r"a point mass takes one number, got \[0\.1, 0\.2\]"):
+            InitSpec.dirac([0.1, 0.2])
+
+    def test_a_one_element_point_is_its_number(self):
+        assert InitSpec.dirac([0.1]) == InitSpec.dirac(0.1) == InitSpec(0.1, 0.1)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("c", [0.0, 0.3, -2.5])
+    def test_point_mass_draw_is_the_point(self, c, p):
+        # the box formula low + (high - low) u at width zero: c + 0.0 u, bit for bit
+        W = InitSpec.dirac(c).draw(NoisePlan(4), 0, 7, p)
+        want = np.full((7, p), c)
+        assert W.shape == want.shape and W.tobytes() == want.tobytes()
 
 
 # gamma_scale rejects N = 0 for the engines that read it, the draw for the mean-field ones
@@ -192,7 +203,9 @@ class TestSgdRun:
         # the minibatch reweighting c_j / pi_j must not form 0/0 at the new atom
         atoms = list(NOISY.atoms)
         atoms.insert(where, DataAtom([0.3], 5.0, 0.0))
-        h = Hyperparams(alpha=0.2, beta=0.5, gamma=0.2, M=3, T=1.0, eta=0.3)
+        # sgd_run refuses a temperature; msgld_run carries it
+        h = Hyperparams(alpha=0.2, beta=0.5, gamma=0.2, M=3, T=1.0,
+                        eta=0.3 if run is msgld_run else 0.0)
         init = InitSpec.uniform(-0.5, 0.5)
         base = run(TANH, NOISY, h, 8, init, NoisePlan(4), snapshot_times="all")
         with warnings.catch_warnings():
@@ -214,6 +227,13 @@ class TestSgdRun:
         h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=1, T=0.1)
         with pytest.raises(ValueError, match="shorter than one"):
             sgd_run(TANH, SINGLE_ATOM, h, 1, InitSpec.dirac([0.0]), NoisePlan(0))
+
+    def test_temperature_rejected(self):
+        # sgd has no Langevin term to carry eta; msgld_run carries it
+        h = Hyperparams(T=0.5, gamma=0.5, eta=0.5)
+        with pytest.raises(ValueError, match=r"hyper\.eta=0\.5.*msgld_run"):
+            sgd_run(TANH, NOISY, h, 8, InitSpec.uniform(), NoisePlan(0))
+        assert msgld_run(TANH, NOISY, h, 8, InitSpec.uniform(), NoisePlan(0)).kind == "msgld"
 
     def test_divergence_guard_triggers(self):
         # a start past the ceiling's root, 1e4
@@ -463,6 +483,14 @@ class TestInteractingSde:
         want = gamma / M * s2 * h.dt
         se = want * math.sqrt(2.0 / (inc.size - 1))
         assert abs(inc.var() - want) <= 3 * se
+
+    def test_diffusion_factor_is_the_shared_one(self):
+        # the coupling harness steps its test systems with the same factor
+        h = Hyperparams(alpha=0.25, beta=0.75, gamma=0.5, M=3, T=0.1, dt=0.05)
+        traj = interacting_sde_run(TANH, NOISY, h, 16, InitSpec.uniform(), NoisePlan(0))
+        g = gamma_scale(h.alpha, h.beta, h.gamma, 16)
+        assert traj.meta["sigma_scale"] == interacting_sigma_scale(h, 16) == math.sqrt(g / h.M)
+        assert traj.meta["gamma_scale"] == g
 
     def test_self_convergence_first_order(self):
         # smooth deterministic run: error vs a dt/8 reference scales ~ dt

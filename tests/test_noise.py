@@ -331,7 +331,9 @@ class TestOneActivationBlockPerStep:
         # the minibatch reaches the drift as residual columns of the same block
         model = counting_model(p)
         pi = ProblemConfig(p=p).build()[1]
-        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=2, T=2.5, eta=0.1)
+        # sgd_run refuses a temperature; msgld_run carries it
+        h = Hyperparams(alpha=0.0, beta=1.0, gamma=0.5, M=2, T=2.5,
+                        eta=0.1 if run is msgld_run else 0.0)
         n_steps = run(model, pi, h, 16, InitSpec.uniform(), NoisePlan(2)).meta["n_steps"]
         assert n_steps == 5
         assert model.feature.calls == {"activation": n_steps, "value": 0, "grad": 0}

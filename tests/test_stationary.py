@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from chaoslab import stationary
-from chaoslab.dynamics import DOMAIN_REFERENCE, InitSpec, euler_run, meanfield_sigma_scale
+from chaoslab import dynamics
+from chaoslab.dynamics import (
+    DOMAIN_REFERENCE,
+    EnsembleDiverged,
+    InitSpec,
+    euler_run,
+    meanfield_sigma_scale,
+)
 from chaoslab.experiments import ChaosRateConfig, ProblemConfig
 from chaoslab.io import parse_config
 from chaoslab.meanfield import field_cache
@@ -161,6 +168,13 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
             fixed_point_iterate(ou_start(512), OU_PINNED, OU_PI, OU_HYPER, max_iter=-1)
 
+    def test_image_past_the_ceiling_diverges_at_its_iteration(self, monkeypatch):
+        # the ceiling is dynamics.MOMENT_CEILING, read when the iteration runs
+        m2 = stationary.map_H(ou_start(512), OU_PINNED, OU_PI, OU_HYPER).moment(2)
+        monkeypatch.setattr(dynamics, "MOMENT_CEILING", 0.5 * m2)
+        with pytest.raises(EnsembleDiverged, match=r"exceeded ceiling .* at iteration 0$"):
+            fixed_point_iterate(ou_start(512), OU_PINNED, OU_PI, OU_HYPER)
+
 
 class TestStationarityCheck:
     def fixed_point(self):
@@ -252,7 +266,6 @@ class TestGridLaw:
 
     @pytest.mark.parametrize("init, n_cells, reason", [
         (InitSpec.uniform(), 2, "at least 4 grid cells"),
-        (InitSpec.dirac([0.1, 0.2]), GRID_LAW_CELLS, "dirac init in dimension 1, got 2"),
     ])
     def test_malformed_grid_or_init_rejected(self, init, n_cells, reason):
         with pytest.raises(ValueError, match=reason):
