@@ -68,6 +68,7 @@ _ENGINES = {
 # how many seeded probe weights in [-2, 2]^p check-assumptions audits
 _FIXED_POINT_MAX_ITER = 200
 _PROBES = 16
+MAX_WORKERS = 32  # the widest --workers: a pool started under fork starts every worker at once
 
 
 @dataclass(frozen=True)
@@ -354,11 +355,14 @@ def cli_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        require(1 <= args.workers <= MAX_WORKERS, "--workers", f"lie in [1, {MAX_WORKERS}]",
+                args.workers)
         cfg = _read_input("--config", args.config, load_config) if args.config else {}
         if args.seed is not None:
             cfg["seed"] = args.seed
         cls, run = _COMMANDS[args.command]
         config = parse_config(cls, cfg, args.command)
+        require(config.seed >= 0, "seed", "be >= 0", config.seed)  # as numpy's default_rng needs
         root = output_root(args.out)
         # checked before the run, which would otherwise end in an OSError at the first write
         nearest = next(d for d in (root, *root.parents) if d.exists())

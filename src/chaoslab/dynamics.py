@@ -21,8 +21,8 @@ c_j, and the step has length stepsize and no diffusion term.  The horizon
 T of the Euler-Maruyama engines must be a whole number of Euler steps dt.
 The noise model, and so the diffusion increment and its width, is the
 ``ModelSpec``'s (``meanfield.drift_and_noise``); the discrete recursions
-have no diffusion term and refuse a model that pins one.  Every draw of an N-particle ensemble is the first N rows of its
-(domain, slot, step) block.
+have no diffusion term and refuse a model that pins one.  Every draw of an
+N-particle ensemble is the first N rows of its (domain, slot, step) block.
 
 Iteration n of the discrete recursions is stamped with time
 n * gamma_scale(N); all engines share the counter-based NoisePlan, so runs
@@ -297,8 +297,8 @@ def _discrete_run(
         counts = np.bincount(batch.ravel(), minlength=k * D).reshape(k, D).T
         block = ridge_block(W, model, pi)
         # one law is the (D,) case
-        resid = (field_cache(block, model, pi, sizes if k > 1 else None).residual_d1.reshape(D, k)
-                 * (counts * per_count))
+        resid = field_cache(block, model, pi, sizes if k > 1 else None).reshape(D, k) * (
+            counts * per_count)
         Z_lang = np.concatenate([pl.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, N, model.p)
                                  for pl in plans]) if eta > 0 else None
         W = euler_step(block, np.repeat(resid, N, axis=1) if k > 1 else resid, model, pi,
@@ -396,7 +396,7 @@ def euler_run(
         Z = plan.normals(domain, SLOT_DIFFUSION, n, N, width) if sigma_scale > 0 else None
         Z_lang = plan.normals(domain, SLOT_LANGEVIN, n, N, p) if eta > 0 else None
         block = ridge_block(W, model, pi)
-        law_path[n] = field_cache(block, model, pi).residual_d1
+        law_path[n] = field_cache(block, model, pi)
         W = euler_step(block, law_path[n], model, pi, hyper.dt, time_weight(t, hyper.alpha),
                        sigma_scale, Z, Z_lang, eta)
         snaps.record(n + 1, W)
@@ -527,8 +527,8 @@ def weak_form_residual(traj: Trajectory, test_fn: TestFunction) -> np.ndarray:
         t = traj.times[i]
         fbar[i] = float(np.mean(test_fn.value(W)))
         block = ridge_block(W, model, pi)
-        h, _, sigma = mean_field_terms(block, field_cache(block, model, pi).residual_d1, model,
-                                       pi, need_sigma=sigma_scale > 0)
+        h, _, sigma = mean_field_terms(block, field_cache(block, model, pi), model, pi,
+                                       need_sigma=sigma_scale > 0)
         drift = float(np.mean(np.sum(h * test_fn.grad(W), axis=1)))
         term = time_weight(float(t), hyper.alpha) * drift
         if diffusive:

@@ -151,7 +151,9 @@ def _pool_map(workers: int):
     its results are bitwise-identical at any width.  Each worker starts on
     ``steady_heap``, at any start method.  A task that diverges raises its
     ``EnsembleDiverged`` with a note naming the task."""
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"a pool needs at least one worker, got {workers}")
+    if workers == 1:
         yield lambda fn, tasks: _in_order(fn, tasks, map(fn, tasks))
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=steady_heap) as pool:
@@ -235,8 +237,11 @@ class ProblemConfig:
                 "be noisy, realizable or single", self.labels)
         require(self.init_kind in ("uniform", "dirac"), "init_kind", "be uniform or dirac",
                 self.init_kind)
-        require(self.init_kind == "dirac" or self.init_low <= self.init_high, "init_low",
-                f"be <= init_high={self.init_high}", self.init_low)
+        for name in ("init_low", "init_high") if self.init_kind == "dirac" else ("init_w0",):
+            require(getattr(self, name) == getattr(ProblemConfig, name), name,
+                    f"be unset: init_kind {self.init_kind} does not read it", getattr(self, name))
+        require(self.init_low <= self.init_high, "init_low", f"be <= init_high={self.init_high}",
+                self.init_low)
         for name in ("init_low", "init_high", "init_w0"):
             require(math.isfinite(getattr(self, name)), name, "be finite", getattr(self, name))
         require(self.sigma_override is None or 0 <= self.sigma_override < math.inf,
@@ -402,7 +407,7 @@ def _coupled_grid_reps(model, pi, hyper, Ns, m, init, plan, path, rs) -> list[di
         Zl = np.concatenate([pl.normals(DOMAIN_SYSTEM, SLOT_LANGEVIN, n, n_sys, p)
                              for pl in plans])[rows] if eta > 0 else None
         block = ridge_block(W, model, pi)
-        resid = field_cache(block, model, pi, segments).residual_d1
+        resid = field_cache(block, model, pi, segments)
         resid[:, :, 0] = law[:, None]  # the companions follow the reference law
         W = euler_step(block, np.repeat(resid, sizes, axis=2).reshape(len(pi), -1), model, pi,
                        hyper.dt, time_weight(t, hyper.alpha), scales, Zs, Zl, eta)

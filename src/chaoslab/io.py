@@ -64,8 +64,8 @@ def parse_config(cls, raw: dict, command: str, where: str = ""):
 
     An unknown key, a JSON type that does not fit the field's annotation, or
     a value ``__post_init__`` rejects is a ConfigError naming the field (nested
-    ones as ``hyper.alpha``).  An ``int`` takes a whole number (never a bool), a
-    ``tuple`` a JSON array; values are passed on as JSON gives them."""
+    ones as ``hyper.alpha``).  An ``int`` takes a whole number, never a bool,
+    and gets it as an int (``64.0`` as 64); a ``tuple`` takes a JSON array."""
     hints = typing.get_type_hints(cls)
     unread = sorted(where + key for key in set(raw) - {f.name for f in fields(cls)})
     if unread:
@@ -96,7 +96,7 @@ def _json_value(tp, value, name: str, command: str):
         if isinstance(value, float) and not math.isfinite(value):
             # json.load reads NaN and Infinity, which are not JSON: a manifest would echo null
             raise ConfigError(f"config field {name}: {value!r} is not a finite number", name)
-        return value
+        return int(value) if tp is int else value
     raise ConfigError(f"config field {name}: {value!r} is not of type '{kind}'", name)
 
 

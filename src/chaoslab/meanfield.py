@@ -13,10 +13,10 @@ covariance and diffusion increment at the points from its f'.  The zero
 feature's block carries no activation: its predictions are 0 and its
 per-atom gradient terms are formed once per law column, not per point.
 
-A kernel takes the law one way: as its residual columns d1l(a(x_j), y_j)
-broadcastable to (D, n).  One law is the (D,) or (D, 1) case, and stacked
-systems give each point the column of its own law.  An ensemble becomes a
-law only through ``field_cache``, once per ensemble.  Sums over atoms run
+A law is its residual columns d1l(a(x_j), y_j), broadcastable to (D, n):
+only ``field_cache`` makes them from an ensemble, once per ensemble, and
+every kernel takes them.  One law is the (D,) or (D, 1) case, and stacked
+systems give each point the column of its own law.  Sums over atoms run
 row by row, so a point's result does not depend on what it is stacked
 with.  The noise model is the ``ModelSpec``'s: Sigma(w, mu), or s I when
 its ``sigma_override`` is s.  The single-point wrappers (``mean_field_h``,
@@ -36,7 +36,6 @@ from .model import DataDistribution, ModelSpec, ZeroFeature
 __all__ = [
     "RidgeBlock",
     "ridge_block",
-    "FieldCache",
     "field_cache",
     "predict",
     "structural_risk",
@@ -97,38 +96,11 @@ def ridge_block(W, model: ModelSpec, pi: DataDistribution) -> RidgeBlock:
     return RidgeBlock(W, f, df)
 
 
-@dataclass(frozen=True)
-class FieldCache:
-    """Per-atom predictions a(x) = mu[F(., x)] and residual derivatives d1l(a(x), y).
-
-    Each field is (D,) for one law, (D, S) for S stacked laws, or (D, k, S)
-    for k stacked copies of S segments.
-    """
-
-    predictions: np.ndarray
-    residual_d1: np.ndarray
-
-
-def field_cache(mu, model: ModelSpec, pi: DataDistribution, sizes=None) -> FieldCache:
-    """The FieldCache of the uniform law on an ensemble mu (n, p) or on its RidgeBlock.
-
-    A block lends its f.  With ``sizes`` (S,) its columns are consecutive
-    ensembles of those sizes, each its own uniform law, and both fields are
-    (D, S); with ``sizes`` (k, S), k stacked copies of the same S segments,
-    they are (D, k, S), summed one segment position at a time for all k
-    copies.  A segment's predictions equal, bit for bit, those of the
-    segment's own block.  A kernel reads the law as its ``residual_d1``.
-    """
-    if isinstance(mu, RidgeBlock):
-        block = mu
-    elif sizes is not None:
-        raise ValueError("sizes needs the law as a RidgeBlock")
-    else:
-        block = ridge_block(_as_ensemble(mu, model.p), model, pi)
+def _law_predictions(block: RidgeBlock, pi: DataDistribution, sizes=None) -> np.ndarray:
+    """Per-atom predictions mu[F(., x_j)] of the uniform law on the block's points (D,),
+    or of each of its segments under ``sizes``, read as in ``field_cache``."""
     D = len(pi)
-    if sizes is None:
-        ys, shape = pi.ys, (D,)
-    else:
+    if sizes is not None:
         sizes = np.asarray(sizes, dtype=np.int64)
         copies = sizes.reshape(-1, sizes.shape[-1])  # (k, S)
         seg = copies[0]
@@ -137,19 +109,37 @@ def field_cache(mu, model: ModelSpec, pi: DataDistribution, sizes=None) -> Field
         k, L = len(copies), int(seg.sum())
         if k * L != block.W.shape[0]:
             raise ValueError(f"sizes add up to {k * L}, the block has {block.W.shape[0]} points")
-        ys, shape = pi.ys.reshape(D, *(1,) * sizes.ndim), (D, *sizes.shape)
     if block.f is None:  # the zero feature predicts 0 under every law
-        preds = np.zeros(shape)
-    elif sizes is None:
-        preds = (block.f * (1.0 / block.W.shape[0])).sum(axis=1)
+        return np.zeros((D,) if sizes is None else (D, *sizes.shape))
+    if sizes is None:
+        return (block.f * (1.0 / block.W.shape[0])).sum(axis=1)
+    fw = block.f.reshape(D, k, L) * np.repeat(1.0 / seg, seg)
+    edges = np.cumsum((0, *seg))
+    preds = np.empty((D, k, len(seg)))
+    for s, (a, b) in enumerate(zip(edges, edges[1:])):
+        preds[:, :, s] = fw[:, :, a:b].sum(axis=2)
+    return preds.reshape(D, *sizes.shape)
+
+
+def field_cache(mu, model: ModelSpec, pi: DataDistribution, sizes=None) -> np.ndarray:
+    """The law of an ensemble mu (n, p), or of its RidgeBlock, as its residual
+    columns d1l(mu[F(., x_j)], y_j): (D,) for the uniform law on all points.
+
+    A block lends its f.  With ``sizes`` (S,) its columns are consecutive
+    ensembles of those sizes, each its own uniform law, and the result is
+    (D, S); with ``sizes`` (k, S), k stacked copies of the same S segments,
+    (D, k, S), summed one segment position at a time for all k copies.  A
+    segment's columns equal, bit for bit, those of the segment's own block.
+    """
+    if isinstance(mu, RidgeBlock):
+        block = mu
+    elif sizes is not None:
+        raise ValueError("sizes needs the law as a RidgeBlock")
     else:
-        fw = block.f.reshape(D, k, L) * np.repeat(1.0 / seg, seg)
-        edges = np.cumsum((0, *seg))
-        preds = np.empty((D, k, len(seg)))
-        for s, (a, b) in enumerate(zip(edges, edges[1:])):
-            preds[:, :, s] = fw[:, :, a:b].sum(axis=2)
-        preds = preds.reshape(shape)
-    return FieldCache(preds, np.asarray(model.loss.d1(preds, ys), dtype=np.float64))
+        block = ridge_block(_as_ensemble(mu, model.p), model, pi)
+    preds = _law_predictions(block, pi, sizes)
+    ys = pi.ys.reshape(len(pi), *(1,) * (preds.ndim - 1))
+    return np.asarray(model.loss.d1(preds, ys), dtype=np.float64)
 
 
 def predict(mu, model: ModelSpec, x: np.ndarray) -> float:
@@ -162,16 +152,16 @@ def predict(mu, model: ModelSpec, x: np.ndarray) -> float:
 
 def structural_risk(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution) -> float:
     """Population risk of the N-particle predictor plus the averaged penalty."""
-    W = _as_points(ensemble, model.p)
-    cache = field_cache(W, model, pi)
-    data_term = float(pi.weights @ model.loss.value(cache.predictions, pi.ys))
+    W = _as_ensemble(ensemble, model.p)
+    preds = _law_predictions(ridge_block(W, model, pi), pi)
+    data_term = float(pi.weights @ model.loss.value(preds, pi.ys))
     return data_term + float(np.mean(model.penalty.value(W)))
 
 
 def risk_gradient(ensemble: np.ndarray, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
     """Gradient (N, p) of ``structural_risk`` with respect to the ensemble: -h(w_k, mu_N) / N."""
     block = ridge_block(ensemble, model, pi)
-    h, _, _ = mean_field_terms(block, field_cache(block, model, pi).residual_d1, model, pi)
+    h, _, _ = mean_field_terms(block, field_cache(block, model, pi), model, pi)
     return -h / block.W.shape[0]
 
 
@@ -272,14 +262,14 @@ def drift_and_noise(W, law, model: ModelSpec, pi: DataDistribution, scale, Z):
 def mean_field_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
     """Mean drift field h(w, mu) = tilde_h(w, mu) - gradV(w), mu an ensemble (n, p)."""
     single = np.asarray(w).ndim == 1
-    h, _, _ = mean_field_terms(w, field_cache(mu, model, pi).residual_d1, model, pi)
+    h, _, _ = mean_field_terms(w, field_cache(mu, model, pi), model, pi)
     return h[0] if single else h
 
 
 def tilde_h(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
     """Penalty-free part of the drift under an ensemble mu (n, p); the noise field centers on it."""
     single = np.asarray(w).ndim == 1
-    _, th, _ = mean_field_terms(w, field_cache(mu, model, pi).residual_d1, model, pi)
+    _, th, _ = mean_field_terms(w, field_cache(mu, model, pi), model, pi)
     return th[0] if single else th
 
 
@@ -301,8 +291,7 @@ def noise_xi(w, mu, model: ModelSpec, pi: DataDistribution, atom) -> np.ndarray:
 def covariance_sigma(w, mu, model: ModelSpec, pi: DataDistribution) -> np.ndarray:
     """Gradient-noise covariance Sigma(w, mu), a p x p PSD matrix, mu an ensemble (n, p)."""
     w = np.asarray(w, dtype=np.float64).reshape(-1)
-    law = field_cache(mu, model, pi).residual_d1
-    _, _, sig = mean_field_terms(w, law, model, pi, need_sigma=True)
+    _, _, sig = mean_field_terms(w, field_cache(mu, model, pi), model, pi, need_sigma=True)
     return sig[0]
 
 

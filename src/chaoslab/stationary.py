@@ -58,11 +58,11 @@ class NonEllipticNoise(ValueError):
 
 
 def _grid_residuals(block: RidgeBlock, masses: np.ndarray, model: ModelSpec,
-                    pi: DataDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Per-atom predictions (D,) and residual row (D,) of the law that puts ``masses``
+                    pi: DataDistribution) -> np.ndarray:
+    """Residual row d1l(mu[F(., x_j)], y_j) (D,) of the law mu that puts ``masses``
     (summing to 1) on the points of ``block``."""
     preds = np.zeros(len(pi)) if block.f is None else (block.f * masses).sum(axis=1)
-    return preds, np.asarray(model.loss.d1(preds, pi.ys), dtype=np.float64)
+    return np.asarray(model.loss.d1(preds, pi.ys), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -186,8 +186,8 @@ def map_H(
     if model.p != 1:
         raise ValueError("the stationary map is defined for parameter dimension p = 1")
     masses = mu.values * mu.cell_width
-    _, law = _grid_residuals(ridge_block(mu.centers[:, None], model, pi),
-                             masses / masses.sum(), model, pi)
+    law = _grid_residuals(ridge_block(mu.centers[:, None], model, pi),
+                          masses / masses.sum(), model, pi)
     lo, hi, n = mu.lo, mu.hi, mu.n_cells
     for _ in range(_MAX_EXPANSIONS):
         out = _density_on_grid(lo, hi, n, law, model, pi, hyper)
@@ -354,16 +354,15 @@ def normal_cdf(z) -> np.ndarray:
 class GridLawPath:
     """The law of an Euler scheme at every step, as masses on the centers of a 1-D grid.
 
-    Rows of ``predictions`` and ``residual_d1`` are the steps 0..n_steps (times
-    0, dt, ..., T); ``masses`` is the law at T.  ``edge_mass`` is the mass that
-    reached past the window, at the start or in a step, and was folded into
-    the end cells; ``unresolved_mass`` is the largest mass, over the steps,
-    moved by a Gaussian narrower than a cell.
+    Rows of ``residual_d1``, the law's residual row at each step, are the
+    steps 0..n_steps (times 0, dt, ..., T); ``masses`` is the law at T.
+    ``edge_mass`` is the mass that reached past the window, at the start or
+    in a step, and was folded into the end cells; ``unresolved_mass`` is
+    the largest mass, over the steps, moved by a Gaussian narrower than a cell.
     """
 
     lo: float
     hi: float
-    predictions: np.ndarray  # (n_steps + 1, D)
     residual_d1: np.ndarray  # (n_steps + 1, D)
     masses: np.ndarray  # (n_cells,)
     edge_mass: float
@@ -452,9 +451,9 @@ def grid_law_path(
     the Euler step of a particle at c_i, with tw = (t + 1)^-alpha and h,
     Sigma the drift and noise of the law at the cell centers
     (``mean_field_terms`` on the centers' RidgeBlock, under the model's
-    noise model).  The per-atom predictions of the law at each step are the
-    field path a particle driven by that law reads.  The only error is the
-    grid's: compare paths at ``n_cells`` and ``n_cells // 2`` to size it.
+    noise model).  The residual rows of the law at each step are the path a
+    particle driven by that law reads.  The only error is the grid's:
+    compare paths at ``n_cells`` and ``n_cells // 2`` to size it.
     """
     if model.p != 1:
         raise ValueError(f"the grid law is defined for p = 1, got p={model.p}")
@@ -465,11 +464,10 @@ def grid_law_path(
     centers = lo + (np.arange(n_cells) + 0.5) * dx
     block = ridge_block(centers[:, None], model, pi)
     n_steps = hyper.euler_steps()
-    preds = np.empty((n_steps + 1, len(pi)))
-    resid = np.empty_like(preds)
+    resid = np.empty((n_steps + 1, len(pi)))
     unresolved = 0.0
     for n in range(n_steps + 1):
-        preds[n], resid[n] = _grid_residuals(block, masses, model, pi)
+        resid[n] = _grid_residuals(block, masses, model, pi)
         if n == n_steps:
             break
         h, _, sigma = mean_field_terms(block, resid[n], model, pi, need_sigma=sigma_scale > 0)
@@ -482,4 +480,4 @@ def grid_law_path(
         masses, left = _transition(masses, centers + tw * hyper.dt * h[:, 0],
                                    np.maximum(sd, _SD_FLOOR_CELLS * dx), lo, dx)
         edge_mass += left
-    return GridLawPath(lo, hi, preds, resid, masses, edge_mass, unresolved)
+    return GridLawPath(lo, hi, resid, masses, edge_mass, unresolved)

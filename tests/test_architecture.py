@@ -141,14 +141,6 @@ def test_one_noise_kernel_for_the_euler_step(trees):
     assert callers == {"dynamics.py:euler_step"}
 
 
-def test_only_field_cache_names_the_field_cache(trees):
-    # a kernel takes a law as its residual columns alone: the FieldCache is what
-    # field_cache returns, and no other function or module names or imports it
-    assert _enclosing_functions(trees, lambda n: _named(n, "FieldCache") or (
-        isinstance(n, (ast.ClassDef, ast.alias)) and n.name == "FieldCache")) == {
-        "meanfield.py:<module>", "meanfield.py:field_cache"}
-
-
 def test_only_the_study_runner_builds_a_report(trees):
     # every study hands its tasks and its verdict step to run_study
     builds = _enclosing_functions(
@@ -194,8 +186,16 @@ def test_names_no_study_or_command_reads_are_gone(trees):
     # test oracles and fixtures live in the tests; the package keeps what a verdict reads
     gone = {"path_metric", "PathMetric", "sgd_sde_gap", "per_sample_grad", "g_envelope",
             "save_dataset", "_atomic_write_bytes", "from_samples", "_fd_derivative_norms",
-            "EmpiricalMeasure", "_as_measure", "as_measure"}
+            "EmpiricalMeasure", "_as_measure", "as_measure", "FieldCache"}
     assert _enclosing_functions(trees, lambda n: bool(_bound_names(n) & gone)) == set()
+    # a law is its residual columns, as field_cache returns them and every kernel
+    # takes them; the grid law keeps no per-atom prediction path beside them
+    assert _enclosing_functions(trees, lambda n: _named(n, "FieldCache") or (
+        isinstance(n, ast.Constant) and n.value == "FieldCache")) == set()
+    fields = [s.target.id for node in ast.walk(trees["stationary.py"])
+              if isinstance(node, ast.ClassDef) and node.name == "GridLawPath"
+              for s in node.body if isinstance(s, ast.AnnAssign)]
+    assert "residual_d1" in fields and "predictions" not in fields
 
 
 def test_no_config_carries_a_budget_or_a_statistic(trees):

@@ -63,6 +63,17 @@ class TestConfigSchema:
         cfg = parse_config(SimulateConfig, {"problem": {"dataset": None}}, "simulate")
         assert cfg.problem.dataset is None
 
+    # JSON may write a whole number as a float; an int field gets the int, at the
+    # top level, nested, and as a tuple's item
+    @pytest.mark.parametrize("command, raw, read", [
+        ("simulate", {"N": 64.0}, lambda c: [c.N]),
+        ("simulate", {"hyper": {"M": 2.0}}, lambda c: [c.hyper.M]),
+        ("chaos-rate", {"N_grid": [32.0, 64.0, 128.0, 256.0]}, lambda c: list(c.N_grid)),
+    ], ids=["N", "hyper.M", "N_grid"])
+    def test_whole_number_float_parses_to_int(self, command, raw, read):
+        values = read(parse_config(_COMMANDS[command][0], raw, command))
+        assert values and all(type(v) is int for v in values)
+
     def test_alpha_one_rejected_with_field_name(self):
         with pytest.raises(ConfigError) as err:
             parse_config(SimulateConfig, {"hyper": {"alpha": 1.0}}, "simulate")
@@ -670,6 +681,12 @@ class TestCliDispatch:
         ("regime", {"betas": []}, "betas"),
         ("regime", {"betas": [0.75, 0.75, 1.0]}, "betas"),
         ("histograms", {"betas": [1.0, 1.0]}, "betas"),
+        # an init key that the init kind does not read
+        ("check-assumptions", {"problem": {"init_kind": "dirac", "init_low": 5.0,
+                                           "init_high": 6.0}}, "init_low"),
+        ("simulate", {"N": 2, "hyper": {"T": 0.1},
+                      "problem": {"init_kind": "dirac", "init_high": 6.0}}, "init_high"),
+        ("check-assumptions", {"problem": {"init_w0": 3.0}}, "init_w0"),
     ])
     def test_config_key_boundary(self, tmp_path, capsys, monkeypatch, command, cfg, key):
         # the datasets the rows name, by paths relative to the working directory
@@ -1124,6 +1141,39 @@ class TestCliDispatch:
         manifest = json.loads((tmp_path / "out" / "check-assumptions-seed4" / "manifest.json")
                               .read_text())
         assert manifest["inputs"] == {}
+
+    def test_whole_number_N_runs_as_its_int(self, tmp_path):
+        cfg = {"engine": "interacting-sde", "hyper": {"T": 0.1, "dt": 0.02}, "seed": 1}
+        for sub, N in (("int", 8), ("float", 8.0)):
+            (tmp_path / sub).mkdir()
+            assert self.run(tmp_path / sub, "simulate", {**cfg, "N": N}) == EXIT_OK
+        a, b = ((tmp_path / sub / "out" / "simulate-seed1" / "trajectory.bin").read_bytes()
+                for sub in ("int", "float"))
+        assert a == b
+
+    # numpy's default_rng, behind the audit's probes and the sliced W2, takes no
+    # negative seed; --seed reaches the same rule through the config
+    @pytest.mark.parametrize("command", ["check-assumptions", "chaos-rate"])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_negative_seed_exits_config(self, tmp_path, capsys, command, flag):
+        cfg = {} if command == "check-assumptions" else {
+            "hyper": {"T": 0.1, "dt": 0.05}, "N_grid": [4, 8, 16, 32], "N_ref": 32, "reps": 2,
+            "m": 2}
+        extra = ["--seed", "-1"] if flag else []
+        assert self.run(tmp_path, command, cfg if flag else {**cfg, "seed": -1},
+                        *extra) == EXIT_CONFIG
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # no pool is started here: the audit runs in the dispatching process
+    @pytest.mark.parametrize("workers", ["0", "-3", "cap+1"])
+    def test_workers_out_of_range_exits_config(self, tmp_path, capsys, workers):
+        cap = chaoslab.cli.MAX_WORKERS
+        workers = str(cap + 1) if workers == "cap+1" else workers
+        assert self.run(tmp_path, "check-assumptions", {}, "--workers", workers) == EXIT_CONFIG
+        assert f"--workers must lie in [1, {cap}], got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert self.run(tmp_path, "check-assumptions", {}, "--workers", str(cap)) == EXIT_OK
 
     def test_seed_flag_overrides_the_config_seed(self, tmp_path):
         cfg = {"engine": "interacting-sde", "N": 4, "hyper": {"T": 0.1, "dt": 0.05}}

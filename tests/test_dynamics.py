@@ -140,7 +140,7 @@ class TestLawPath:
                                  snapshot_times="all")
         assert traj.law_path.shape == (10, len(pi))
         for n in range(10):
-            want = field_cache(traj.ensembles[n], model, pi).residual_d1
+            want = field_cache(traj.ensembles[n], model, pi)
             np.testing.assert_array_equal(traj.law_path[n], want)
 
 
@@ -190,7 +190,7 @@ class TestSgdRun:
         W = traj.ensembles[0]
         u = plan.uniforms(0, SLOT_DATA, 0, h.M)  # DOMAIN_SYSTEM, step 0
         batch = np.searchsorted(np.cumsum(pi.weights), u, side="right")
-        r = field_cache(W, model, pi).residual_d1[batch]
+        r = field_cache(W, model, pi)[batch]
         gF = model.feature.grad(W, pi.xs[batch])  # (N, M, p)
         drift = -(gF * r[None, :, None]).mean(axis=1) - model.penalty.grad(W)
         g = gamma_scale(h.alpha, h.beta, h.gamma, N)

@@ -464,6 +464,12 @@ def _diverges_at_step_2(task):
 
 
 class TestStudyRunner:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_pool_needs_a_worker(self, workers):
+        with pytest.raises(ValueError, match="at least one worker"):
+            with xp._pool_map(workers):
+                pass
+
     @pytest.mark.parametrize("study", sorted(TINY_STUDIES))
     def test_one_pool_per_study_call_and_none_when_serial(self, monkeypatch, study):
         starts = []

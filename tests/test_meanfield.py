@@ -229,7 +229,7 @@ class TestNoiseFactor:
             mu = rng.standard_normal((5, p))
             assert noise_width(model, pi) == 4
             h, rows = drift_and_noise(np.repeat(W, 4, axis=0),
-                                      field_cache(mu, model, pi).residual_d1, model, pi, 1.0,
+                                      field_cache(mu, model, pi), model, pi, 1.0,
                                       np.tile(np.eye(4), (6, 1)))
             np.testing.assert_array_equal(h[::4], mean_field_h(W, mu, model, pi))
             F = rows.reshape(6, 4, p)
@@ -249,8 +249,8 @@ class TestStackedLaws:
         W = rng.standard_normal((sum(sizes), p))
         block = ridge_block(W, model, pi)
         stacked = field_cache(block, model, pi, sizes)
-        assert stacked.predictions.shape == (4, len(sizes))
-        resid = np.repeat(stacked.residual_d1, sizes, axis=1)
+        assert stacked.shape == (4, len(sizes))
+        resid = np.repeat(stacked, sizes, axis=1)
         h, th, sig = mean_field_terms(block, resid, model, pi, need_sigma=True)
         # at p = 1 every sum over atoms or points is the segment's own, bit for bit
         check = np.testing.assert_array_equal if p == 1 else (
@@ -258,9 +258,8 @@ class TestStackedLaws:
         edges = np.cumsum((0, *sizes))
         for k, (a, b) in enumerate(zip(edges, edges[1:])):
             alone = field_cache(W[a:b], model, pi)
-            check(stacked.predictions[:, k], alone.predictions)
-            h1, th1, sig1 = mean_field_terms(W[a:b], alone.residual_d1, model, pi,
-                                             need_sigma=True)
+            check(stacked[:, k], alone)
+            h1, th1, sig1 = mean_field_terms(W[a:b], alone, model, pi, need_sigma=True)
             check(h[a:b], h1)
             check(th[a:b], th1)
             check(sig[a:b], sig1)
@@ -276,27 +275,26 @@ class TestStackedLaws:
         L = sum(sizes)
         block = ridge_block(rng.standard_normal((k * L, p)), model, pi)
         stacked = field_cache(block, model, pi, np.tile(sizes, (k, 1)))
-        assert stacked.predictions.shape == (len(pi), k, len(sizes))
+        assert stacked.shape == (len(pi), k, len(sizes))
         for c in range(k):
             cols = slice(c * L, (c + 1) * L)
             alone = field_cache(replace(block, W=block.W[cols],
                                         f=None if block.f is None else block.f[:, cols],
                                         df=None if block.df is None else block.df[:, cols]),
                                 model, pi, sizes)
-            for got, want in ((stacked.predictions[:, c], alone.predictions),
-                              (stacked.residual_d1[:, c], alone.residual_d1)):
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(stacked[:, c], alone)
+            assert np.array_equal(np.signbit(stacked[:, c]), np.signbit(alone))
 
     def test_an_ensemble_is_not_a_law(self):
-        # the law is its residual columns, one row per atom; not its ensemble, its
-        # FieldCache or a scalar
+        # the law is its residual columns, one row per atom, as field_cache returns
+        # them; not its ensemble or a scalar
         W = np.zeros((5, 1))
-        cache = field_cache(W, TANH, SYMMETRIC)
-        for law in (W, cache, np.float64(0.5)):
+        for law in (W, np.float64(0.5)):
             with pytest.raises(ValueError, match="one row per atom"):
                 mean_field_terms(W, law, TANH, SYMMETRIC)
-        h, _, _ = mean_field_terms(W, cache.residual_d1, TANH, SYMMETRIC)
+        law = field_cache(W, TANH, SYMMETRIC)
+        assert type(law) is np.ndarray and law.shape == (len(SYMMETRIC),)
+        h, _, _ = mean_field_terms(W, law, TANH, SYMMETRIC)
         assert h.shape == (5, 1)
 
     def test_bad_sizes_rejected(self):
@@ -348,16 +346,15 @@ class TestZeroFeatureBlock:
         block = ridge_block(W, zero, pi)
         assert block.f is None and block.df is None
         assert ridge_block(W, generic, pi).f.shape == (len(pi), W.shape[0])
-        assert_same_bits(field_cache(block, zero, pi, (3, 4)).residual_d1,
-                         field_cache(ridge_block(W, generic, pi), generic, pi, (3, 4)).residual_d1)
+        assert_same_bits(field_cache(block, zero, pi, (3, 4)),
+                         field_cache(ridge_block(W, generic, pi), generic, pi, (3, 4)))
 
     @pytest.mark.parametrize("p, penalty, labels", ZERO_PROBLEMS)
     @pytest.mark.parametrize("stacked", [False, True])
     def test_mean_field_terms(self, p, penalty, labels, stacked):
         zero, generic, pi, W = zero_problem(p, penalty, labels)
-        caches = [field_cache(W, m, pi) for m in (zero, generic)]
-        assert_same_bits(caches[0].residual_d1, caches[1].residual_d1)
-        law = caches[0].residual_d1
+        law, generic_law = (field_cache(W, m, pi) for m in (zero, generic))
+        assert_same_bits(law, generic_law)
         if stacked:
             law = np.outer(law, np.linspace(-1, 1, len(W)))
         for need_sigma in (False, True):
@@ -374,7 +371,7 @@ class TestZeroFeatureBlock:
     def test_drift_and_noise_root(self, p, penalty, labels, sigma_override):
         # the drift and the diffusion increment of drift_and_noise
         zero, generic, pi, W = zero_problem(p, penalty, labels, sigma_override)
-        law = field_cache(W, generic, pi).residual_d1
+        law = field_cache(W, generic, pi)
         scale = np.linspace(0.0, 1.0, len(W))[:, None]
         Z = np.random.default_rng(p).standard_normal((len(W), noise_width(zero, pi)))
         for z in (None, Z):
@@ -403,7 +400,7 @@ class TestZeroFeatureBlock:
         hyper = Hyperparams(T=0.2, dt=0.02, eta=0.05)
         laws = [grid_law_path(m, pi, hyper, InitSpec.uniform(-0.5, 0.5), 0.7, n_cells=64)
                 for m in (zero, generic)]
-        for field in ("predictions", "residual_d1", "masses"):
+        for field in ("residual_d1", "masses"):
             assert_same_bits(getattr(laws[0], field), getattr(laws[1], field))
 
 
@@ -439,7 +436,7 @@ class TestParticleLastKernel:
         model = make_model(feature, "square", 0.0 if n == 7 else 0.5, p=p)
         W = rng.standard_normal((n, p))
         W[0] = 0.0
-        resid = field_cache(rng.standard_normal((9, p)), model, pi).residual_d1
+        resid = field_cache(rng.standard_normal((9, p)), model, pi)
         columns = rng.standard_normal((len(pi), n)) * (rng.random((len(pi), n)) < 0.7)
         Z = rng.standard_normal((n, noise_width(model, pi)))
         for law in (resid, resid[:, None], columns):

@@ -80,7 +80,7 @@ class TestFactorIncrement:
         W = np.tile(w, (n, 1))
         Z = NoisePlan(3).normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, 0, n, noise_width(model, pi))
         assert Z.shape == (n, 4)
-        _, noise = drift_and_noise(W, field_cache(mu, model, pi).residual_d1, model, pi, scale, Z)
+        _, noise = drift_and_noise(W, field_cache(mu, model, pi), model, pi, scale, Z)
         inc = math.sqrt(dt) * noise
         want = scale**2 * covariance_sigma(w, mu, model, pi) * dt
         got = inc.T @ inc / n
@@ -150,7 +150,7 @@ class TestScalarRootAtP1:
         W = init.draw(NoisePlan(4), DOMAIN_SYSTEM, N, 1)
         want = [W]
         for n in range(10):
-            hn, _, sig = mean_field_terms(W, field_cache(W, TANH, NOISY).residual_d1, TANH,
+            hn, _, sig = mean_field_terms(W, field_cache(W, TANH, NOISY), TANH,
                                           NOISY, need_sigma=True)
             Z = NoisePlan(4).normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, n, N, 1)
             incr = hn * h.dt + math.sqrt(h.dt) * scalar_root_increment(sig, scale, Z)
@@ -203,7 +203,7 @@ def particle_reference_laws(h, W_ref, plan, model=TANH, pi=NOISY):
     plan's reference-domain draws when it has noise."""
     laws = []
     for n in range(h.euler_steps()):
-        laws.append(field_cache(W_ref, model, pi).residual_d1)
+        laws.append(field_cache(W_ref, model, pi))
         drift, _, sig = mean_field_terms(W_ref, laws[-1], model, pi, True)
         incr = drift * h.dt
         if companion_scale(h) > 0:
@@ -229,7 +229,7 @@ def hand_rolled_rep(h, Ns, m, init, rep, laws, model=TANH, pi=NOISY):
         for N in Ns:
             Wt = tests[N]
             t_scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
-            h_t, _, s_t = mean_field_terms(Wt, field_cache(Wt, model, pi).residual_d1, model,
+            h_t, _, s_t = mean_field_terms(Wt, field_cache(Wt, model, pi), model,
                                            pi, True)
             inc_t = h_t * h.dt + sq_dt * scalar_root_increment(s_t, t_scale, Zs[:N])
             tests[N] = Wt + tw * inc_t
@@ -357,7 +357,7 @@ class TestOneActivationBlockPerStep:
         W0 = traj.ensembles[0]
         Z = plan.normals(DOMAIN_SYSTEM, SLOT_DIFFUSION, 0, N, len(pi))
         scale = math.sqrt(gamma_scale(h.alpha, h.beta, h.gamma, N) / h.M)
-        drift, noise = drift_and_noise(W0, field_cache(W0, model, pi).residual_d1, model, pi,
+        drift, noise = drift_and_noise(W0, field_cache(W0, model, pi), model, pi,
                                        scale, Z)
         np.testing.assert_array_equal(traj.ensembles[1],
                                       W0 + (drift * h.dt + math.sqrt(h.dt) * noise))
@@ -398,7 +398,7 @@ class TestNoiseModel:
         rng = np.random.default_rng(p)
         W, Z = rng.standard_normal((6, p)), rng.standard_normal((6, p))
         assert noise_width(model, pi) == p
-        law = field_cache(W, model, pi).residual_d1
+        law = field_cache(W, model, pi)
         for scale in (0.7, np.linspace(0.1, 1.0, 6)[:, None]):
             _, noise = drift_and_noise(W, law, model, pi, scale, Z)
             want = (scale * math.sqrt(0.5)) * Z if p == 1 else scale * (math.sqrt(0.5) * Z)

@@ -105,7 +105,7 @@ def test_euler_step_is_permutation_equivariant(p, n, seed, feature, per_particle
     Z = rng.standard_normal((n, noise_width(model, pi)))
     Z_lang = rng.standard_normal((n, p))
     scale = rng.uniform(0.0, 1.0, (n, 1)) if per_particle else 0.7
-    law = field_cache(W, model, pi).residual_d1  # one law for both orders of the particles
+    law = field_cache(W, model, pi)  # one law for both orders of the particles
     perm = rng.permutation(n)
 
     def step(rows):

@@ -220,7 +220,7 @@ class TestGridLaw:
         law = grid_law_path(self.MODEL, self.PI, self.HYPER, self.INIT, 1.0)
         assert law.masses.shape == (GRID_LAW_CELLS,)
         assert (law.lo, law.hi) == GRID_LAW_WINDOW
-        assert law.predictions.shape == law.residual_d1.shape == (51, 4)
+        assert law.residual_d1.shape == (51, 4)
         assert abs(law.masses.sum() - 1.0) <= 1e-12
         assert law.edge_mass <= 1e-30
         # half of the init box lies past the window's edge at 3: that mass, and
@@ -231,7 +231,8 @@ class TestGridLaw:
 
     def test_predictions_match_a_large_stratified_reference(self):
         # an off-center init, strong noise and a fast-decaying time weight, so that
-        # the noise and its time weight move the predictions
+        # the noise and its time weight move the predictions; under the square loss
+        # a residual is the prediction minus y, so the residual rows carry them
         model, pi, init = ProblemConfig(labels="noisy", init_low=0.6, init_high=1.4).build()
         h = Hyperparams(alpha=0.75, beta=1.0, gamma=2.0, M=1, T=0.3, dt=0.02, eta=0.05)
         s = meanfield_sigma_scale(h)
@@ -241,18 +242,18 @@ class TestGridLaw:
         W0 = (0.6 + 0.8 * (np.arange(n_ref) + 0.5) / n_ref)[:, None]
         traj = euler_run(model, pi, h, W0, NoisePlan(3), DOMAIN_REFERENCE, s, "meanfield-sde",
                          snapshot_times="all")
-        preds = np.stack([field_cache(W, model, pi).predictions for W in traj.ensembles])
-        assert np.abs(preds - law.predictions).max() <= 2 * n_ref**-0.5
+        resid = np.stack([field_cache(W, model, pi) for W in traj.ensembles])
+        assert np.abs(resid - law.residual_d1).max() <= 2 * n_ref**-0.5
         # without the Sigma noise the law misses by more than that
         drift_only = grid_law_path(model, pi, h, init, 0.0)
-        assert np.abs(preds - drift_only.predictions).max() > 4 * n_ref**-0.5
+        assert np.abs(resid - drift_only.residual_d1).max() > 4 * n_ref**-0.5
 
     def test_dirac_init_sits_on_a_cell_center(self):
         law = grid_law_path(self.MODEL, self.PI, self.HYPER.replace(T=0.02), InitSpec.dirac([0.3]),
                             1.0)
         assert np.abs(law.centers - 0.3).min() <= 1e-15
-        np.testing.assert_allclose(law.predictions[0], np.tanh(0.3 * self.PI.xs[:, 0]),
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(law.residual_d1[0],
+                                   np.tanh(0.3 * self.PI.xs[:, 0]) - self.PI.ys, rtol=0, atol=1e-15)
         outside = grid_law_path(self.MODEL, self.PI, self.HYPER.replace(T=0.02),
                                 InitSpec.dirac([5.0]), 1.0)
         assert outside.edge_mass >= 1.0
@@ -262,7 +263,7 @@ class TestGridLaw:
         box = grid_law_path(self.MODEL, self.PI, hyper, InitSpec.uniform(0.3, 0.3), 1.0)
         point = grid_law_path(self.MODEL, self.PI, hyper, InitSpec.dirac([0.3]), 1.0)
         np.testing.assert_array_equal(box.masses, point.masses)
-        np.testing.assert_array_equal(box.predictions, point.predictions)
+        np.testing.assert_array_equal(box.residual_d1, point.residual_d1)
 
     @pytest.mark.parametrize("init, n_cells, reason", [
         (InitSpec.uniform(), 2, "at least 4 grid cells"),
