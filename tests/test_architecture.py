@@ -141,6 +141,17 @@ def test_one_noise_kernel_for_the_euler_step(trees):
     assert callers == {"dynamics.py:euler_step"}
 
 
+def test_only_field_cache_names_the_field_cache(trees):
+    # a kernel takes a law as its residual columns alone: field_cache returns them
+    # as an array, and no function or module defines, names or imports a FieldCache
+    assert _enclosing_functions(trees, lambda n: _named(n, "FieldCache") or (
+        isinstance(n, (ast.ClassDef, ast.alias)) and n.name == "FieldCache") or (
+        isinstance(n, ast.Constant) and n.value == "FieldCache")) == set()
+    defined = {f"{name}:{node.name}" for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "field_cache"}
+    assert defined == {"meanfield.py:field_cache"}
+
+
 def test_only_the_study_runner_builds_a_report(trees):
     # every study hands its tasks and its verdict step to run_study
     builds = _enclosing_functions(
@@ -186,12 +197,9 @@ def test_names_no_study_or_command_reads_are_gone(trees):
     # test oracles and fixtures live in the tests; the package keeps what a verdict reads
     gone = {"path_metric", "PathMetric", "sgd_sde_gap", "per_sample_grad", "g_envelope",
             "save_dataset", "_atomic_write_bytes", "from_samples", "_fd_derivative_norms",
-            "EmpiricalMeasure", "_as_measure", "as_measure", "FieldCache"}
+            "EmpiricalMeasure", "_as_measure", "as_measure"}
     assert _enclosing_functions(trees, lambda n: bool(_bound_names(n) & gone)) == set()
-    # a law is its residual columns, as field_cache returns them and every kernel
-    # takes them; the grid law keeps no per-atom prediction path beside them
-    assert _enclosing_functions(trees, lambda n: _named(n, "FieldCache") or (
-        isinstance(n, ast.Constant) and n.value == "FieldCache")) == set()
+    # the grid law keeps no per-atom prediction path beside its residual columns
     fields = [s.target.id for node in ast.walk(trees["stationary.py"])
               if isinstance(node, ast.ClassDef) and node.name == "GridLawPath"
               for s in node.body if isinstance(s, ast.AnnAssign)]
