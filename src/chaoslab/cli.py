@@ -51,7 +51,8 @@ from .io import (
 from .metrics import w2_1d, w2_ensembles, w2_sliced
 from .model import Hyperparams, check_assumptions, gamma_scale, require
 from .rng import NoisePlan
-from .stationary import GridDensity1D, NonEllipticNoise, fixed_point_iterate, stationarity_check
+from .stationary import (GridDensity1D, NonEllipticNoise, UndecayedTails, fixed_point_iterate,
+                         stationarity_check)
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -220,6 +221,8 @@ def _cmd_stationary(config: StationaryConfig, workers: int) -> Outcome:
     except NonEllipticNoise as exc:
         raise ConfigError(f"config fields problem.sigma_override/hyper.eta: {exc}",
                           "problem.sigma_override") from exc
+    except UndecayedTails as exc:  # a window too narrow for the expansions to reach the tails
+        raise ConfigError(f"config fields grid_lo/grid_hi: {exc}", "grid_lo") from exc
     # the check runs for its own horizon; hyper.T is not read
     drift = stationarity_check(result.density, model, pi, config.hyper, N_ref=config.N_ref,
                                horizon=config.horizon, plan=NoisePlan(config.seed))

@@ -435,7 +435,7 @@ def interacting_sigma_scale(hyper: Hyperparams, N: int) -> float:
 
 def meanfield_sigma_scale(hyper: Hyperparams) -> float:
     """Diffusion factor sqrt(gamma^(1/(1-alpha))/M) of the beta = 1 mean-field limit."""
-    return math.sqrt(hyper.gamma ** (1.0 / (1.0 - hyper.alpha)) / hyper.M)
+    return math.sqrt(gamma_scale(hyper.alpha, 1.0, hyper.gamma, 1) / hyper.M)
 
 
 def meanfield_ode_run(model, pi, hyper, N, init, plan, snapshot_times=None) -> Trajectory:

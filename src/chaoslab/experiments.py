@@ -190,6 +190,11 @@ def run_study(study_id: str, config, workers: int, collect, judge) -> StudyRepor
                        found.verdicts, list(found.warnings), time.time() - t0)
 
 
+def _noise_key(value: float) -> int:
+    """The noise-plan key of a grid value; values that share a key share their draws."""
+    return int(value * 1000)
+
+
 # ----------------------------- synthetic problems -----------------------------
 
 
@@ -441,14 +446,12 @@ def _companion_law(model, pi, hyper, init, N_ref, plan, pmap):
     mf_scale = _companion_scale(hyper)
     note = ""
     if model.p == 1 and (mf_scale > 0 or hyper.eta > 0):
-        n_steps = hyper.euler_steps()
         # the law on half as many cells sizes the grid's error
         law, half = pmap(partial(grid_law_path, model, pi, hyper, init, mf_scale),
                          (GRID_LAW_CELLS, GRID_LAW_CELLS // 2))
         if law.edge_mass <= _GRID_EDGE_TOL and law.unresolved_mass <= _GRID_UNRESOLVED_TOL:
-            path = law.residual_d1[:n_steps]
-            gap = np.abs(path - half.residual_d1[:n_steps]).max(initial=0.0)  # T = 0: no rows
-            return path, "grid", float(gap), ""
+            gap = np.abs(law.residual_d1 - half.residual_d1).max(initial=0.0)  # T = 0: no rows
+            return law.residual_d1, "grid", float(gap), ""
         note = (
             f"grid law not used (edge mass {law.edge_mass:.3g}, tolerance {_GRID_EDGE_TOL:g}; "
             f"mass moved by Gaussians narrower than a cell {law.unresolved_mass:.3g}, tolerance "
@@ -596,8 +599,10 @@ class TwoRegimeConfig:
         require(min(self.N_grid, default=0) >= 1, "N_grid", "be one or more sizes >= 1", self.N_grid)
         require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
                 "be strictly increasing", self.N_grid)
-        require(len(self.betas) == len({b for b in self.betas if 0.0 <= b <= 1.0}) > 0, "betas",
-                "be one or more distinct values in [0, 1]", self.betas)
+        require(len(self.betas) == len({_noise_key(b) for b in self.betas if 0.0 <= b <= 1.0}) > 0,
+                "betas", "be one or more values in [0, 1] with distinct noise keys "
+                "int(beta * 1000)", self.betas)
+        require(self.hyper.beta == 1.0, "hyper.beta", "be 1.0: runs read betas", self.hyper.beta)
         require(self.seeds >= 2, "seeds", "be >= 2 to measure a deviation", self.seeds)
         self.problem.require_no_pin("the discrete recursion")
         for beta in self.betas:
@@ -627,7 +632,7 @@ def _regime_task(config: TwoRegimeConfig, task) -> list[float]:
     """The endpoint ensemble mean of the (beta, N) runs of the given seeds."""
     beta, N, seeds = task
     model, pi, init = config.problem.build()
-    plans = [NoisePlan(config.seed).child("regime", int(beta * 1000), s) for s in seeds]
+    plans = [NoisePlan(config.seed).child("regime", _noise_key(beta), s) for s in seeds]
     hyper_run, N_run = _regime_run(config, beta, N)
     # the seeds' systems run as one stacked block, each on its own plan
     traj = msgld_run(model, pi, hyper_run, N_run, init, plans, snapshot_times=[config.hyper.T])
@@ -698,6 +703,8 @@ class SweepConfig:
         # the verdicts read the distances in list order, each step toward the limit
         require(all(a > b for a, b in zip(self.gammas, self.gammas[1:])), "gammas",
                 "be strictly decreasing", self.gammas)
+        require(len({_noise_key(g) for g in self.gammas}) == len(self.gammas), "gammas",
+                "have distinct noise keys int(gamma * 1000)", self.gammas)
         require(all(a < b for a, b in zip(self.batches, self.batches[1:])), "batches",
                 "be strictly increasing", self.batches)
         require(self.N_ref >= 1, "N_ref", "be >= 1", self.N_ref)
@@ -728,7 +735,7 @@ def _sweep_task(config: SweepConfig, key: str, values, r: int) -> list[float]:
     out = []
     for value in values:
         hyper = h.replace(gamma=value) if key == "gamma" else h.replace(M=int(value))
-        sde = endpoint(meanfield_sde_run, hyper, plan.child("sweep", key, int(value * 1000), r),
+        sde = endpoint(meanfield_sde_run, hyper, plan.child("sweep", key, _noise_key(value), r),
                        f"run at {key}={value}")
         out.append(w2_ensembles(sde, ode, seed=config.seed))
     return out
@@ -783,8 +790,10 @@ class HistogramConfig:
                 "hold at least 3 sizes, each >= 1", self.N_grid)
         require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
                 "be strictly increasing", self.N_grid)
-        require(len(self.betas) == len({b for b in self.betas if 0.0 <= b <= 1.0}), "betas",
-                "be distinct values in [0, 1]", self.betas)
+        require(len(self.betas) == len({_noise_key(b) for b in self.betas if 0.0 <= b <= 1.0}),
+                "betas", "be values in [0, 1] with distinct noise keys int(beta * 1000)",
+                self.betas)
+        require(self.hyper.beta == 1.0, "hyper.beta", "be 1.0: runs read betas", self.hyper.beta)
         self.hyper.euler_steps()
 
 
@@ -800,7 +809,7 @@ def _hist_task(config: HistogramConfig, task):
     hyper = config.hyper.replace(beta=beta)
     # rows shared across N (nested ensembles), which stabilizes the
     # consecutive-N distances without changing what they estimate
-    plan = NoisePlan(config.seed).child("hist", int(beta * 1000))
+    plan = NoisePlan(config.seed).child("hist", _noise_key(beta))
     traj = interacting_sde_run(model, pi, hyper, N, init, plan, snapshot_times=[hyper.T])
     return traj.endpoint()[:, 0]
 

@@ -255,7 +255,7 @@ def drift_and_noise(W, law, model: ModelSpec, pi: DataDistribution, scale, Z):
     F = _noise_factor(th, g, pi)
     if model.p == 1:
         # (scale * sqrt(Sigma_00)) * z; tests/test_noise.py pins this rounding
-        return h, scale * np.sqrt(np.clip((F * F).sum(axis=0).T, 0.0, None)) * Z
+        return h, scale * np.sqrt((F * F).sum(axis=0).T) * Z
     return h, scale * (F * Z.T[:, None, :]).sum(axis=0).T
 
 

@@ -1,9 +1,9 @@
 """Stationary-law fixed-point map on a 1-D density grid.
 
 For the one-dimensional mean-field diffusion with drift h(., mu) and
-diffusion variance sigma_bar(., mu) = gamma^(1/(1-alpha)) Sigma(., mu) / M
-(+ 2 eta when the Langevin channel is on), with Sigma under the model's
-noise model, the candidate stationary density given a frozen law mu is
+diffusion variance sigma_bar(., mu) = c Sigma(., mu) + 2 eta, with Sigma under
+the model's noise model and c = gamma_scale(alpha, 1, gamma, 1) / M, the
+candidate stationary density given a frozen law mu is
 
     rho_mu(w)  proportional to  sigma_bar(w, mu)^-1
                * exp( 2 * integral_0^w  h(u, mu) / sigma_bar(u, mu) du ).
@@ -15,7 +15,7 @@ candidate and measuring the Wasserstein drift of the endpoint law.
 
 ``grid_law_path`` evolves the law of the Euler-discretized mean-field
 diffusion itself on a grid of cells, step by step: the deterministic
-reference law the coupling companions read at p = 1.
+reference law the coupling companions read at p = 1, with c = sigma_scale^2.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from . import dynamics
 from .dynamics import DOMAIN_REFERENCE, InitSpec, euler_run, meanfield_sigma_scale
 from .meanfield import RidgeBlock, mean_field_terms, ridge_block
 from .metrics import w2_1d_quantile
-from .model import DataDistribution, Hyperparams, ModelSpec, time_weight
+from .model import DataDistribution, Hyperparams, ModelSpec, gamma_scale, time_weight
 from .rng import NoisePlan, SLOT_INIT
 
 __all__ = [
     "NonEllipticNoise",
+    "UndecayedTails",
     "GridDensity1D",
     "FixedPointResult",
     "map_H",
@@ -55,6 +56,24 @@ _MAX_EXPANSIONS = 16
 
 class NonEllipticNoise(ValueError):
     """The effective diffusion variance falls below the floor somewhere on the grid."""
+
+
+class UndecayedTails(ValueError):
+    """The map's output keeps mass at its window's edges after every expansion."""
+
+
+def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centers of the n uniform cells of [lo, hi]."""
+    return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
+
+
+def _drift_and_variance(points, law: np.ndarray, model: ModelSpec, pi: DataDistribution,
+                        c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Drift h (n,) and variance c Sigma_00 + 2 eta (n,) at the points ((n, 1) or their
+    RidgeBlock) under the law's residual row (D,); no Sigma is formed when c is 0."""
+    h, _, sigma = mean_field_terms(points, law, model, pi, need_sigma=c > 0)
+    var = c * sigma[:, 0, 0] + 2.0 * eta if c > 0 else np.full(h.shape[0], 2.0 * eta)
+    return h[:, 0], var
 
 
 def _grid_residuals(block: RidgeBlock, masses: np.ndarray, model: ModelSpec,
@@ -95,7 +114,7 @@ class GridDensity1D:
 
     @property
     def centers(self) -> np.ndarray:
-        return self.lo + (np.arange(self.n_cells) + 0.5) * self.cell_width
+        return _cell_centers(self.lo, self.hi, self.n_cells)
 
     def integral(self) -> float:
         return float(np.trapezoid(self.values, dx=self.cell_width))
@@ -112,8 +131,7 @@ class GridDensity1D:
 
     @staticmethod
     def gaussian(mean: float, var: float, lo: float, hi: float, n_cells: int) -> "GridDensity1D":
-        g = GridDensity1D(lo, hi, n_cells, np.ones(n_cells))
-        w = g.centers
+        w = _cell_centers(lo, hi, n_cells)
         vals = np.exp(-0.5 * (w - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
         return GridDensity1D(lo, hi, n_cells, vals)
 
@@ -123,51 +141,10 @@ def l1_distance(a: GridDensity1D, b: GridDensity1D) -> float:
     lo = min(a.lo, b.lo)
     hi = max(a.hi, b.hi)
     n = 2 * max(a.n_cells, b.n_cells)
-    w = lo + (np.arange(n) + 0.5) * (hi - lo) / n
+    w = _cell_centers(lo, hi, n)
     fa = np.interp(w, a.centers, a.values, left=0.0, right=0.0)
     fb = np.interp(w, b.centers, b.values, left=0.0, right=0.0)
     return float(np.trapezoid(np.abs(fa - fb), dx=(hi - lo) / n))
-
-
-def _effective_variance(
-    centers: np.ndarray,
-    law: np.ndarray,
-    model: ModelSpec,
-    pi: DataDistribution,
-    hyper: Hyperparams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drift h and effective diffusion variance sigma_bar at the cell centers under the
-    law's residual row (D,)."""
-    h, _, sigma = mean_field_terms(centers[:, None], law, model, pi, need_sigma=True)
-    scale = hyper.gamma ** (1.0 / (1.0 - hyper.alpha)) / hyper.M
-    sigma_bar = scale * sigma[:, 0, 0] + 2.0 * hyper.eta
-    return h[:, 0], sigma_bar
-
-
-def _density_on_grid(
-    lo: float,
-    hi: float,
-    n_cells: int,
-    law: np.ndarray,
-    model: ModelSpec,
-    pi: DataDistribution,
-    hyper: Hyperparams,
-) -> GridDensity1D:
-    centers = lo + (np.arange(n_cells) + 0.5) * (hi - lo) / n_cells
-    h, sigma_bar = _effective_variance(centers, law, model, pi, hyper)
-    if np.any(sigma_bar < _SIGMA_FLOOR):
-        k = int(np.argmin(sigma_bar))
-        raise NonEllipticNoise(
-            f"effective diffusion variance {sigma_bar[k]:.3e} below floor at w={centers[k]:.4g}; "
-            "the fixed-point map needs uniformly elliptic noise"
-        )
-    ratio = h / sigma_bar
-    dw = (hi - lo) / n_cells
-    anti = np.concatenate([[0.0], np.cumsum(0.5 * (ratio[1:] + ratio[:-1]) * dw)])
-    anti -= np.interp(0.0, centers, anti)
-    log_rho = -np.log(sigma_bar) + 2.0 * anti
-    log_rho -= log_rho.max()
-    return GridDensity1D(lo, hi, n_cells, np.exp(log_rho))
 
 
 def map_H(
@@ -178,10 +155,11 @@ def map_H(
 ) -> GridDensity1D:
     """One application of the stationary-density map to a grid density.
 
-    The input density is read as masses on its cell centers;
-    the output grid auto-expands until the boundary density falls below
-    1e-12 of the peak (the output has Gaussian-dominated tails, so a finite
-    window always suffices).
+    The input density is read as masses on its cell centers.  The output,
+    rho_mu at the centers of the input's grid, widens that grid by 1.5
+    until the boundary density falls below 1e-12 of the peak (the output
+    has Gaussian-dominated tails, so a finite window suffices), at most
+    16 times; past that it raises ``UndecayedTails``.
     """
     if model.p != 1:
         raise ValueError("the stationary map is defined for parameter dimension p = 1")
@@ -189,13 +167,28 @@ def map_H(
     law = _grid_residuals(ridge_block(mu.centers[:, None], model, pi),
                           masses / masses.sum(), model, pi)
     lo, hi, n = mu.lo, mu.hi, mu.n_cells
+    c = gamma_scale(hyper.alpha, 1.0, hyper.gamma, 1) / hyper.M
     for _ in range(_MAX_EXPANSIONS):
-        out = _density_on_grid(lo, hi, n, law, model, pi, hyper)
+        centers = _cell_centers(lo, hi, n)
+        h, sigma_bar = _drift_and_variance(centers[:, None], law, model, pi, c, hyper.eta)
+        if np.any(sigma_bar < _SIGMA_FLOOR):
+            k = int(np.argmin(sigma_bar))
+            raise NonEllipticNoise(
+                f"effective diffusion variance {sigma_bar[k]:.3e} below floor at "
+                f"w={centers[k]:.4g}; the fixed-point map needs uniformly elliptic noise"
+            )
+        ratio = h / sigma_bar
+        dw = (hi - lo) / n
+        anti = np.concatenate([[0.0], np.cumsum(0.5 * (ratio[1:] + ratio[:-1]) * dw)])
+        anti -= np.interp(0.0, centers, anti)
+        log_rho = -np.log(sigma_bar) + 2.0 * anti
+        log_rho -= log_rho.max()
+        out = GridDensity1D(lo, hi, n, np.exp(log_rho))
         peak = float(out.values.max())
         if max(out.values[0], out.values[-1]) <= _BOUNDARY_FRACTION * peak:
             return out
         lo, hi = 1.5 * lo, 1.5 * hi
-    raise ValueError("stationary map output does not decay within the expansion budget")
+    raise UndecayedTails("stationary map output does not decay within the expansion budget")
 
 
 @dataclass
@@ -355,7 +348,8 @@ class GridLawPath:
     """The law of an Euler scheme at every step, as masses on the centers of a 1-D grid.
 
     Rows of ``residual_d1``, the law's residual row at each step, are the
-    steps 0..n_steps (times 0, dt, ..., T); ``masses`` is the law at T.
+    steps 0..n_steps-1 (times 0, dt, ..., T - dt), the rows an Euler step
+    reads, as in ``Trajectory.law_path``; ``masses`` is the law at T.
     ``edge_mass`` is the mass that reached past the window, at the start or
     in a step, and was folded into the end cells; ``unresolved_mass`` is
     the largest mass, over the steps, moved by a Gaussian narrower than a cell.
@@ -363,15 +357,14 @@ class GridLawPath:
 
     lo: float
     hi: float
-    residual_d1: np.ndarray  # (n_steps + 1, D)
+    residual_d1: np.ndarray  # (n_steps, D)
     masses: np.ndarray  # (n_cells,)
     edge_mass: float
     unresolved_mass: float
 
     @property
     def centers(self) -> np.ndarray:
-        n = self.masses.shape[0]
-        return self.lo + (np.arange(n) + 0.5) * (self.hi - self.lo) / n
+        return _cell_centers(self.lo, self.hi, self.masses.shape[0])
 
 
 def _grid_init(init: InitSpec, lo: float, hi: float, n_cells: int):
@@ -451,8 +444,8 @@ def grid_law_path(
     the Euler step of a particle at c_i, with tw = (t + 1)^-alpha and h,
     Sigma the drift and noise of the law at the cell centers
     (``mean_field_terms`` on the centers' RidgeBlock, under the model's
-    noise model).  The residual rows of the law at each step are the path a
-    particle driven by that law reads.  The only error is the grid's:
+    noise model).  The residual rows of the law at steps 0..n_steps-1 are
+    the path a particle driven by that law reads.  The only error is the grid's:
     compare paths at ``n_cells`` and ``n_cells // 2`` to size it.
     """
     if model.p != 1:
@@ -461,23 +454,17 @@ def grid_law_path(
         raise ValueError("need at least 4 grid cells")
     lo, hi, masses, edge_mass = _grid_init(init, *GRID_LAW_WINDOW, n_cells)
     dx = (hi - lo) / n_cells
-    centers = lo + (np.arange(n_cells) + 0.5) * dx
+    centers = _cell_centers(lo, hi, n_cells)
     block = ridge_block(centers[:, None], model, pi)
-    n_steps = hyper.euler_steps()
-    resid = np.empty((n_steps + 1, len(pi)))
+    resid = np.empty((hyper.euler_steps(), len(pi)))
     unresolved = 0.0
-    for n in range(n_steps + 1):
+    for n in range(resid.shape[0]):
         resid[n] = _grid_residuals(block, masses, model, pi)
-        if n == n_steps:
-            break
-        h, _, sigma = mean_field_terms(block, resid[n], model, pi, need_sigma=sigma_scale > 0)
-        var = np.full(n_cells, 2.0 * hyper.eta)
-        if sigma_scale > 0:
-            var += sigma_scale**2 * np.clip(sigma[:, 0, 0], 0.0, None)
+        h, var = _drift_and_variance(block, resid[n], model, pi, sigma_scale**2, hyper.eta)
         tw = time_weight(n * hyper.dt, hyper.alpha)
         sd = tw * np.sqrt(hyper.dt * var)
         unresolved = max(unresolved, float(masses[sd < dx].sum()))
-        masses, left = _transition(masses, centers + tw * hyper.dt * h[:, 0],
+        masses, left = _transition(masses, centers + tw * hyper.dt * h,
                                    np.maximum(sd, _SD_FLOOR_CELLS * dx), lo, dx)
         edge_mass += left
     return GridLawPath(lo, hi, resid, masses, edge_mass, unresolved)

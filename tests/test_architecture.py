@@ -152,6 +152,23 @@ def test_only_field_cache_names_the_field_cache(trees):
     assert defined == {"meanfield.py:field_cache"}
 
 
+def _is_one(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 1
+
+
+def test_one_variance_rule_for_the_limit(trees):
+    # the limit's step gamma^(1/(1-alpha)) is spelled by gamma_scale alone; the
+    # stationary map and the grid law read their variance from one helper
+    spelled = _enclosing_functions(trees, lambda n: (
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+        and isinstance(n.right, ast.BinOp) and isinstance(n.right.op, ast.Div)
+        and _is_one(n.right.left) and isinstance(n.right.right, ast.BinOp)
+        and isinstance(n.right.right.op, ast.Sub) and _is_one(n.right.right.left)))
+    assert spelled == {"model.py:gamma_scale"}
+    assert _enclosing_functions(trees, lambda n: bool(_bound_names(n) & {
+        "_effective_variance"})) == set()
+
+
 def test_only_the_study_runner_builds_a_report(trees):
     # every study hands its tasks and its verdict step to run_study
     builds = _enclosing_functions(

@@ -598,6 +598,8 @@ class TestCliDispatch:
         ("chaos-rate", {"N_ref": 16}, "field N_ref"),
         ("simulate", {"engine": "sgd", "N": 8, "hyper": {"T": 1.0, "gamma": 0.5, "eta": 0.5}},
          "field hyper.eta"),
+        # a window so narrow that the map's expansions never reach the tails
+        ("stationary", {"grid_lo": -0.001, "grid_hi": 0.001}, "fields grid_lo/grid_hi"),
     ])
     def test_bad_input_exits_config_naming_the_field(self, tmp_path, capsys, command, cfg, field):
         assert self.run(tmp_path, command, {**cfg, "seed": 1}) == EXIT_CONFIG
@@ -687,6 +689,13 @@ class TestCliDispatch:
         ("simulate", {"N": 2, "hyper": {"T": 0.1},
                       "problem": {"init_kind": "dirac", "init_high": 6.0}}, "init_high"),
         ("check-assumptions", {"problem": {"init_w0": 3.0}}, "init_w0"),
+        # the studies over betas take each run's beta from them, never from hyper.beta
+        ("regime", {"hyper": {"beta": 0.3}}, "hyper.beta"),
+        ("histograms", {"hyper": {"beta": 0.3}}, "hyper.beta"),
+        # grid values that share a noise key int(value * 1000) would share their draws
+        ("regime", {"betas": [0.5, 0.5004, 1.0]}, "betas"),
+        ("histograms", {"betas": [0.5, 0.5004, 1.0]}, "betas"),
+        ("gamma-sweep", {"gammas": [0.0005, 0.0004]}, "gammas"),
     ])
     def test_config_key_boundary(self, tmp_path, capsys, monkeypatch, command, cfg, key):
         # the datasets the rows name, by paths relative to the working directory

@@ -19,7 +19,6 @@ from chaoslab.dynamics import (
 )
 from chaoslab.experiments import ChaosRateConfig, ProblemConfig
 from chaoslab.io import parse_config
-from chaoslab.meanfield import field_cache
 from chaoslab.model import DataAtom, DataDistribution, Hyperparams, make_model, two_point_distribution
 from chaoslab.rng import NoisePlan
 from chaoslab.stationary import (
@@ -220,7 +219,7 @@ class TestGridLaw:
         law = grid_law_path(self.MODEL, self.PI, self.HYPER, self.INIT, 1.0)
         assert law.masses.shape == (GRID_LAW_CELLS,)
         assert (law.lo, law.hi) == GRID_LAW_WINDOW
-        assert law.residual_d1.shape == (51, 4)
+        assert law.residual_d1.shape == (50, 4)  # the rows steps 0..n_steps-1 read
         assert abs(law.masses.sum() - 1.0) <= 1e-12
         assert law.edge_mass <= 1e-30
         # half of the init box lies past the window's edge at 3: that mass, and
@@ -240,9 +239,8 @@ class TestGridLaw:
         assert law.edge_mass <= 1e-12
         n_ref = 65536
         W0 = (0.6 + 0.8 * (np.arange(n_ref) + 0.5) / n_ref)[:, None]
-        traj = euler_run(model, pi, h, W0, NoisePlan(3), DOMAIN_REFERENCE, s, "meanfield-sde",
-                         snapshot_times="all")
-        resid = np.stack([field_cache(W, model, pi) for W in traj.ensembles])
+        traj = euler_run(model, pi, h, W0, NoisePlan(3), DOMAIN_REFERENCE, s, "meanfield-sde")
+        resid = traj.law_path  # the reference's residual row at steps 0..n_steps-1
         assert np.abs(resid - law.residual_d1).max() <= 2 * n_ref**-0.5
         # without the Sigma noise the law misses by more than that
         drift_only = grid_law_path(model, pi, h, init, 0.0)
