@@ -20,6 +20,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from .io import (
     sha256_file,
     steady_heap,
     trajectory_to_csv,
+    unread_fields,
     write_csv,
     write_json,
 )
@@ -102,14 +104,7 @@ class SimulateConfig:
         require(self.snapshot_times is None
                 or all(0.0 <= t <= self.hyper.T for t in self.snapshot_times),
                 "snapshot_times", f"lie in [0, T={self.hyper.T:g}]", self.snapshot_times)
-        # values the engine would not read: a temperature with no Langevin term to
-        # carry it, a pinned noise with no diffusion term to pin
-        require(self.engine != "sgd" or self.hyper.eta == 0, "hyper.eta",
-                "be 0 under engine sgd, which has no Langevin term (msgld has one)",
-                self.hyper.eta)
-        if self.engine in ("sgd", "msgld", "meanfield-ode"):
-            self.problem.require_no_pin(f"engine {self.engine}")
-        if self.engine in ("sgd", "msgld"):  # the discrete recursions never read dt
+        if self.engine in ("sgd", "msgld"):
             self.hyper.sgd_steps(self.N)
         else:
             self.hyper.euler_steps()
@@ -135,6 +130,8 @@ class StationaryConfig:
         try:
             self.hyper.replace(T=self.horizon).euler_steps()
         except ConfigError as exc:
+            if exc.field_name != "hyper.T":
+                raise
             raise ConfigError(str(exc), "horizon") from exc
 
 
@@ -142,9 +139,6 @@ class StationaryConfig:
 class CheckAssumptionsConfig:
     problem: xp.ProblemConfig = xp.ProblemConfig()
     seed: int = 0
-
-    def __post_init__(self):
-        self.problem.require_no_pin("check-assumptions")
 
 
 @dataclass(frozen=True)
@@ -332,6 +326,44 @@ _COMMANDS = {
 }
 
 
+# the leaves each run never reads, simulate's by engine: _parse refuses one that a
+# config sets to other than its config class's default
+_UNREAD = {
+    "regime": ("hyper.beta", "hyper.dt", "problem.sigma_override"),  # an SGD recursion per beta
+    "gamma-sweep": ("hyper.beta", "hyper.gamma", "batches"),  # each run's gamma is from gammas
+    "batch-sweep": ("hyper.beta", "hyper.M", "gammas"),  # and its M from batches
+    "histograms": ("hyper.beta",),
+    "consistency": ("problem.sigma_override",),
+    # not yet hyper.T (the run reads horizon): perfbench reads horizon from stationary.json
+    "stationary": ("hyper.beta", "problem.init_kind", "problem.init_low", "problem.init_high",
+                   "problem.init_w0"),
+    "check-assumptions": ("problem.penalty", "problem.sigma_override", "problem.init_kind",
+                          "problem.init_low", "problem.init_high", "problem.init_w0"),
+    "simulate": {"sgd": ("hyper.dt", "hyper.eta", "problem.sigma_override"),
+                 "msgld": ("hyper.dt", "problem.sigma_override"),
+                 "meanfield-ode": ("hyper.beta", "hyper.gamma", "hyper.M",
+                                   "problem.sigma_override"),
+                 "meanfield-sde": ("hyper.beta",)},
+}
+
+
+def _parse(command: str, raw: dict):
+    """``command``'s config from the JSON object ``raw`` (``parse_config``); a leaf of
+    ``_UNREAD`` that ``raw`` sets to other than its default is a ConfigError naming it."""
+    cls = _COMMANDS[command][0]
+    config = parse_config(cls, raw, command)
+    unread, reader = _UNREAD.get(command, ()), command
+    if command == "simulate":
+        unread, reader = unread.get(config.engine, ()), f"simulate with engine {config.engine}"
+    given = {*raw, *(f"{key}.{leaf}" for key, value in raw.items() if isinstance(value, dict)
+                     for leaf in value)}
+    changed = [path for path in unread
+               if path in given and attrgetter(path)(config) != attrgetter(path)(cls)]
+    if changed:
+        raise unread_fields(changed, reader)
+    return config
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaoslab",
@@ -363,8 +395,7 @@ def cli_dispatch(argv: list[str]) -> int:
         cfg = _read_input("--config", args.config, load_config) if args.config else {}
         if args.seed is not None:
             cfg["seed"] = args.seed
-        cls, run = _COMMANDS[args.command]
-        config = parse_config(cls, cfg, args.command)
+        config = _parse(args.command, cfg)
         require(config.seed >= 0, "seed", "be >= 0", config.seed)  # as numpy's default_rng needs
         root = output_root(args.out)
         # checked before the run, which would otherwise end in an OSError at the first write
@@ -376,7 +407,7 @@ def cli_dispatch(argv: list[str]) -> int:
         manifest = RunManifest.start(args.command, cfg, config.seed, workers=args.workers)
         manifest.inputs = {str(Path(path).resolve()): _read_input(what, path, sha256_file)
                            for what, path in _input_files(config)}
-        outcome = run(config, args.workers)
+        outcome = _COMMANDS[args.command][1](config, args.workers)
         out_dir = root / f"{outcome.name}-seed{config.seed}"
         try:
             for name, write in outcome.files.items():
@@ -388,6 +419,9 @@ def cli_dispatch(argv: list[str]) -> int:
                               f"{exc.strerror or exc}", "--out") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # sizes that pass every check yet do not fit in this machine
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EnsembleDiverged as exc:  # a study reports it as a verdict; a single run has no report
         print(f"diverged: {exc}", file=sys.stderr)

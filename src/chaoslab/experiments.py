@@ -263,12 +263,6 @@ class ProblemConfig:
                     f"{self.dataset}", self.p)
         object.__setattr__(self, "_data", data)
 
-    def require_no_pin(self, reader: str) -> None:
-        """A ConfigError naming ``problem.sigma_override`` unless it is unset:
-        ``reader`` has no diffusion term for it to pin."""
-        require(self.sigma_override is None, "problem.sigma_override",
-                f"be unset: {reader} has no diffusion term to pin", self.sigma_override)
-
     def build(self) -> tuple[ModelSpec, DataDistribution, InitSpec]:
         pi = self._data if self._data is not None else DataDistribution(self._atoms())
         model = make_model(self.feature, self.loss, self.penalty, p=pi.d)
@@ -602,9 +596,7 @@ class TwoRegimeConfig:
         require(len(self.betas) == len({_noise_key(b) for b in self.betas if 0.0 <= b <= 1.0}) > 0,
                 "betas", "be one or more values in [0, 1] with distinct noise keys "
                 "int(beta * 1000)", self.betas)
-        require(self.hyper.beta == 1.0, "hyper.beta", "be 1.0: runs read betas", self.hyper.beta)
         require(self.seeds >= 2, "seeds", "be >= 2 to measure a deviation", self.seeds)
-        self.problem.require_no_pin("the discrete recursion")
         for beta in self.betas:
             for N in self.N_grid:
                 hyper_run, N_run = _regime_run(self, beta, N)
@@ -793,7 +785,6 @@ class HistogramConfig:
         require(len(self.betas) == len({_noise_key(b) for b in self.betas if 0.0 <= b <= 1.0}),
                 "betas", "be values in [0, 1] with distinct noise keys int(beta * 1000)",
                 self.betas)
-        require(self.hyper.beta == 1.0, "hyper.beta", "be 1.0: runs read betas", self.hyper.beta)
         self.hyper.euler_steps()
 
 
@@ -867,7 +858,6 @@ class ConsistencyConfig:
         require(all(a < b for a, b in zip(self.N_grid, self.N_grid[1:])), "N_grid",
                 "be strictly increasing", self.N_grid)
         require(self.reps >= 2, "reps", "be >= 2 to pool and estimate stderr", self.reps)
-        self.problem.require_no_pin("the SGD run of each size")
         self.hyper.euler_steps()
         for N in self.N_grid:
             self.hyper.sgd_steps(N)

@@ -33,6 +33,7 @@ __all__ = [
     "RunManifest",
     "load_config",
     "parse_config",
+    "unread_fields",
     "cannot_read",
     "load_dataset",
     "read_csv_columns",
@@ -67,16 +68,22 @@ def parse_config(cls, raw: dict, command: str, where: str = ""):
     ones as ``hyper.alpha``).  An ``int`` takes a whole number, never a bool,
     and gets it as an int (``64.0`` as 64); a ``tuple`` takes a JSON array."""
     hints = typing.get_type_hints(cls)
-    unread = sorted(where + key for key in set(raw) - {f.name for f in fields(cls)})
+    unread = [where + key for key in set(raw) - {f.name for f in fields(cls)}]
     if unread:
-        raise ConfigError(f"config fields {', '.join(unread)}: {command} does not read them",
-                          unread[0])
+        raise unread_fields(unread, command)
     kw = {key: _json_value(hints[key], value, where + key, command) for key, value in raw.items()}
     try:
         return cls(**kw)
     except ConfigError as exc:
         name = where + exc.field_name
         raise ConfigError(f"config field {name}: {exc}", name) from exc
+
+
+def unread_fields(paths, reader: str) -> ConfigError:
+    """The ConfigError for the config fields ``paths`` (dotted, as ``hyper.dt``) that
+    ``reader``, a subcommand or one of its runs, never reads; it names the first."""
+    paths = sorted(paths)
+    return ConfigError(f"config fields {', '.join(paths)}: {reader} does not read them", paths[0])
 
 
 def _json_value(tp, value, name: str, command: str):

@@ -174,8 +174,13 @@ class Hyperparams:
         require(self.dt > 0, "dt", "be > 0", self.dt)
 
     def euler_steps(self) -> int:
-        """Number of Euler steps dt in the horizon T; a ConfigError unless it is a whole number."""
-        n = round(self.T / self.dt)
+        """Number of Euler steps dt in the horizon T; a ConfigError unless it is a whole
+        number that an array can hold."""
+        steps, most = self.T / self.dt, np.iinfo(np.intp).max
+        if not steps <= most:  # T / dt may overflow to inf
+            raise ConfigError(f"dt={self.dt} makes T/dt = {steps:.6g} Euler steps in the horizon "
+                              f"T={self.T}, more than the {most} an array can hold", "hyper.dt")
+        n = round(steps)
         if abs(n * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
             raise ConfigError(f"horizon T={self.T} is not a whole number of Euler steps "
                               f"dt={self.dt} (T/dt = {self.T / self.dt:.6g})", "hyper.T")

@@ -214,13 +214,22 @@ def test_names_no_study_or_command_reads_are_gone(trees):
     # test oracles and fixtures live in the tests; the package keeps what a verdict reads
     gone = {"path_metric", "PathMetric", "sgd_sde_gap", "per_sample_grad", "g_envelope",
             "save_dataset", "_atomic_write_bytes", "from_samples", "_fd_derivative_norms",
-            "EmpiricalMeasure", "_as_measure", "as_measure"}
+            "EmpiricalMeasure", "_as_measure", "as_measure", "require_no_pin"}
     assert _enclosing_functions(trees, lambda n: bool(_bound_names(n) & gone)) == set()
     # the grid law keeps no per-atom prediction path beside its residual columns
     fields = [s.target.id for node in ast.walk(trees["stationary.py"])
               if isinstance(node, ast.ClassDef) and node.name == "GridLawPath"
               for s in node.body if isinstance(s, ast.AnnAssign)]
     assert "residual_d1" in fields and "predictions" not in fields
+
+
+def test_one_sentence_for_a_value_no_run_reads(trees):
+    # an unknown key and a leaf of the CLI's table of unread leaves are refused alike,
+    # by io's one spelling of the sentence
+    spelled = {name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and "does not read them" in node.value}
+    assert spelled == {"io.py"}
 
 
 def test_no_config_carries_a_budget_or_a_statistic(trees):

@@ -18,7 +18,8 @@ import pytest
 
 import chaoslab
 from chaoslab import experiments as xp
-from chaoslab.cli import _COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, SimulateConfig, cli_dispatch
+from chaoslab.cli import (_COMMANDS, _ENGINES, _UNREAD, EXIT_CONFIG, EXIT_OK, EXIT_VERDICT,
+                          SimulateConfig, _parse, cli_dispatch)
 from chaoslab.dynamics import (
     InitSpec,
     TestFunction,
@@ -109,15 +110,22 @@ class TestShippedConfigs:
         for path in configs:
             # each subcommand that reads the config; sweep.json feeds both sweeps
             for command in ("gamma-sweep", "batch-sweep") if path.stem == "sweep" else (path.stem,):
-                parse_config(_COMMANDS[command][0], load_config(path), command)
+                _parse(command, load_config(path))
 
-    @pytest.mark.parametrize("command, name", [
-        ("chaos-rate", "chaos-rate.json"), ("regime", "regime.json"),
-        ("gamma-sweep", "sweep.json"), ("batch-sweep", "sweep.json"),
-        ("histograms", "histograms.json"), ("consistency", "consistency.json"),
+    # noise-p4 is the benchmark's batch-sweep at p = 4
+    @pytest.mark.parametrize("command, name, overrides", [
+        *(pytest.param(command, name, {}, id=f"{command}-{name}") for command, name in (
+            ("chaos-rate", "chaos-rate.json"), ("regime", "regime.json"),
+            ("gamma-sweep", "sweep.json"), ("batch-sweep", "sweep.json"),
+            ("histograms", "histograms.json"), ("consistency", "consistency.json"))),
+        pytest.param("batch-sweep", "sweep.json", {"problem": {"p": 4}, "N_ref": 512},
+                     id="batch-sweep-noise-p4"),
     ])
-    def test_study_configs_hold_only_keys_their_study_reads(self, command, name):
-        parse_config(_COMMANDS[command][0], load_config(CONFIGS / name), command)
+    def test_study_configs_hold_only_keys_their_study_reads(self, command, name, overrides):
+        cfg = load_config(CONFIGS / name)
+        for key, value in overrides.items():
+            cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+        _parse(command, cfg)
 
     # simulate with N = 4096 is the benchmark's override of the shipped config
     @pytest.mark.parametrize("command, name, overrides", [
@@ -423,7 +431,7 @@ class TestCliDispatch:
         assert "atom y" in capsys.readouterr().err
 
     def test_no_applicable_verdict_fails_strict(self, tmp_path, capsys):
-        cfg = {"hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "betas": [1.0], "N_grid": [64],
+        cfg = {"hyper": {"T": 1.0, "gamma": 0.5}, "betas": [1.0], "N_grid": [64],
                "seeds": 4, "seed": 1, "problem": {"init_kind": "dirac", "init_w0": 0.0}}
         assert self.run(tmp_path, "regime", cfg, "--strict") == 1
         assert "no applicable verdict: n/a" in capsys.readouterr().out
@@ -434,7 +442,7 @@ class TestCliDispatch:
     def test_one_size_does_not_judge_a_shrinking_deviation(self, tmp_path, capsys):
         # a deviation compared with itself would pass whatever it measured
         cfg = {"betas": [0.75], "N_grid": [16], "seeds": 2, "seed": 1,
-               "hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "problem": {"init_kind": "dirac"}}
+               "hyper": {"T": 1.0, "gamma": 0.5}, "problem": {"init_kind": "dirac"}}
         assert self.run(tmp_path, "regime", cfg, "--strict") == 1
         assert "shrinks_beta_0.75: n/a" in capsys.readouterr().out
         verdicts = json.loads((tmp_path / "out" / "two-regime-seed1" / "verdicts.json").read_text())
@@ -478,7 +486,7 @@ class TestCliDispatch:
         assert "config field horizon" in err and "dt=0.3" in err
 
     def test_regime_tables_equal_at_one_and_two_workers(self, tmp_path):
-        cfg = {"hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "betas": [0.75, 1.0],
+        cfg = {"hyper": {"T": 1.0, "gamma": 0.5}, "betas": [0.75, 1.0],
                "N_grid": [16, 64, 256], "seeds": 4, "seed": 1,
                "problem": {"init_kind": "dirac", "init_w0": 0.0}}
         tables = []
@@ -488,13 +496,6 @@ class TestCliDispatch:
             tables.append((tmp_path / workers / "out" / "two-regime-seed1" / "deviations.csv")
                           .read_bytes())
         assert tables[0] == tables[1]
-
-    def test_sgd_regime_ignores_dt(self, tmp_path):
-        # the discrete recursions never take an Euler step
-        cfg = {"hyper": {"T": 1.0, "dt": 0.3, "gamma": 0.5}, "betas": [0.75, 1.0],
-               "N_grid": [16, 64], "seeds": 2, "seed": 1,
-               "problem": {"init_kind": "dirac", "init_w0": 0.0}}
-        assert self.run(tmp_path, "regime", cfg) == EXIT_OK
 
     def test_study_rejects_keys_it_does_not_read(self, tmp_path, capsys):
         cfg = {"dataset": "d.csv", "sigma_override": 1.0, "engine": "sgd", "N": 8,
@@ -589,7 +590,7 @@ class TestCliDispatch:
         # values the engine would not read: a pinned noise with no diffusion term
         # to pin, and a temperature where no Langevin term runs
         ("simulate", {"engine": "meanfield-ode", "N": 8, "hyper": {"T": 0.2, "dt": 0.05},
-                      "problem": {"sigma_override": 1.0}}, "field problem.sigma_override"),
+                      "problem": {"sigma_override": 1.0}}, "fields problem.sigma_override"),
         # the histogram study runs the interacting diffusion alone, on whole Euler steps
         ("histograms", {"hyper": {"T": 1.0, "dt": 0.3}}, "field hyper.T"),
         # sizes the coupling harness refuses: more companions than the smallest
@@ -597,7 +598,7 @@ class TestCliDispatch:
         ("chaos-rate", {"N_grid": [4, 8, 16, 32], "m": 8}, "field m"),
         ("chaos-rate", {"N_ref": 16}, "field N_ref"),
         ("simulate", {"engine": "sgd", "N": 8, "hyper": {"T": 1.0, "gamma": 0.5, "eta": 0.5}},
-         "field hyper.eta"),
+         "fields hyper.eta"),
         # a window so narrow that the map's expansions never reach the tails
         ("stationary", {"grid_lo": -0.001, "grid_hi": 0.001}, "fields grid_lo/grid_hi"),
     ])
@@ -696,6 +697,10 @@ class TestCliDispatch:
         ("regime", {"betas": [0.5, 0.5004, 1.0]}, "betas"),
         ("histograms", {"betas": [0.5, 0.5004, 1.0]}, "betas"),
         ("gamma-sweep", {"gammas": [0.0005, 0.0004]}, "gammas"),
+        # the discrete recursions never take an Euler step
+        ("regime", {"hyper": {"T": 1.0, "dt": 0.3, "gamma": 0.5}, "betas": [0.75, 1.0],
+                    "N_grid": [16, 64], "seeds": 2, "seed": 1,
+                    "problem": {"init_kind": "dirac", "init_w0": 0.0}}, "hyper.dt"),
     ])
     def test_config_key_boundary(self, tmp_path, capsys, monkeypatch, command, cfg, key):
         # the datasets the rows name, by paths relative to the working directory
@@ -734,8 +739,69 @@ class TestCliDispatch:
         cfg = {"engine": engine, "N": 4, "problem": {"sigma_override": 1.0}, "seed": 1,
                "hyper": {"T": 0.2, "gamma": 0.1}}
         assert self.run(tmp_path, "simulate", cfg) == EXIT_CONFIG
-        assert (f"config field problem.sigma_override: problem.sigma_override must be unset: "
-                f"engine {engine} has no diffusion term to pin, got 1.0") in capsys.readouterr().err
+        assert (f"config fields problem.sigma_override: simulate with engine {engine} "
+                "does not read them") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # a valid value of each leaf that _UNREAD lists, unlike every config's default
+    UNREAD_VALUES = {"hyper.beta": 0.5, "hyper.dt": 0.005, "hyper.gamma": 0.5, "hyper.M": 2,
+                     "hyper.eta": 0.1, "problem.sigma_override": 0.5, "problem.penalty": 0.1,
+                     "problem.init_kind": "dirac", "problem.init_low": -0.5,
+                     "problem.init_high": 0.5, "problem.init_w0": 0.5, "batches": [1, 2],
+                     "gammas": [1.0, 0.5]}
+
+    @pytest.mark.parametrize("command, engine, path", [
+        pytest.param(command, engine, path, id=f"{command}-{engine or ''}-{path}")
+        for command, unread in _UNREAD.items()
+        for engine, paths in (unread.items() if command == "simulate" else [(None, unread)])
+        for path in paths
+    ])
+    def test_a_leaf_the_run_never_reads_exits_config_at_parse(self, tmp_path, capsys, monkeypatch,
+                                                             command, engine, path):
+        def no_run(*args):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setitem(_COMMANDS, command, (_COMMANDS[command][0], no_run))
+        leaves = {path: self.UNREAD_VALUES[path]}
+        if path == "problem.init_w0":  # a uniform init refuses a point of its own
+            leaves["problem.init_kind"] = "dirac"
+        cfg = {"engine": engine} if engine else {}
+        for leaf, value in leaves.items():
+            head, _, key = leaf.rpartition(".")
+            (cfg.setdefault(head, {}) if head else cfg)[key] = value
+        reader = f"simulate with engine {engine}" if engine else command
+        assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: config fields {', '.join(sorted(leaves))}: "
+                                           f"{reader} does not read them\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, dt, steps", [
+        ("simulate", 1e-300, "1e+300"), ("simulate", 5e-324, "inf"),
+        ("stationary", 1e-300, "5e+300"),
+    ])
+    def test_more_euler_steps_than_an_array_holds_exits_config(self, tmp_path, capsys,
+                                                              monkeypatch, command, dt, steps):
+        def no_run(*args):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setitem(_COMMANDS, command, (_COMMANDS[command][0], no_run))
+        cfg = {"engine": "interacting-sde", "hyper": {"dt": dt}} if command == "simulate" \
+            else {"hyper": {"dt": dt}, "problem": {"sigma_override": 1.0}}
+        assert self.run(tmp_path, command, cfg) == EXIT_CONFIG
+        T = 1.0 if command == "simulate" else 5.0
+        assert capsys.readouterr().err == (
+            f"config error: config field hyper.dt: dt={dt} makes T/dt = {steps} Euler steps in "
+            f"the horizon T={T}, more than the {np.iinfo(np.intp).max} an array can hold\n")
+
+    def test_memory_error_exits_config_on_one_line(self, tmp_path, capsys, monkeypatch):
+        def engine(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.78 EiB for an array")
+
+        monkeypatch.setitem(_ENGINES, "interacting-sde", engine)
+        cfg = {"engine": "interacting-sde", "N": 2, "hyper": {"T": 0.1, "dt": 0.05}}
+        assert self.run(tmp_path, "simulate", cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: out of memory: Unable to allocate 2.78 EiB for an array\n"
         assert not (tmp_path / "out").exists()
 
     def test_simulate_writes_outputs_and_manifest(self, tmp_path):
@@ -1110,7 +1176,7 @@ class TestCliDispatch:
     # a study's directory is named by its report, known only after the run
     @pytest.mark.parametrize("command, cfg, run_dir", [
         ("check-assumptions", {"seed": 2}, "check-assumptions-seed2"),
-        ("regime", {"hyper": {"T": 1.0, "dt": 0.1, "gamma": 0.5}, "betas": [0.75, 1.0],
+        ("regime", {"hyper": {"T": 1.0, "gamma": 0.5}, "betas": [0.75, 1.0],
                     "N_grid": [16, 64], "seeds": 2, "seed": 7,
                     "problem": {"init_kind": "dirac", "init_w0": 0.0}}, "two-regime-seed7"),
     ])
@@ -1210,10 +1276,10 @@ class TestCliDispatch:
     def test_remaining_studies_dispatch(self, tmp_path):
         fast_hyper = {"T": 1.0, "dt": 0.1, "gamma": 0.5}
         runs = [
-            ("regime", {"hyper": fast_hyper, "betas": [0.75, 1.0], "N_grid": [16, 64, 256],
-                        "seeds": 4, "seed": 1,
+            ("regime", {"hyper": {"T": 1.0, "gamma": 0.5}, "betas": [0.75, 1.0],
+                        "N_grid": [16, 64, 256], "seeds": 4, "seed": 1,
                         "problem": {"init_kind": "dirac", "init_w0": 0.0}}),
-            ("gamma-sweep", {"hyper": fast_hyper, "gammas": [0.5, 0.25], "N_ref": 64,
+            ("gamma-sweep", {"hyper": {"T": 1.0, "dt": 0.1}, "gammas": [0.5, 0.25], "N_ref": 64,
                              "reps": 2, "seed": 1}),
             ("batch-sweep", {"hyper": fast_hyper, "batches": [1, 8], "N_ref": 64,
                              "reps": 2, "seed": 1}),

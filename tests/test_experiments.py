@@ -71,12 +71,8 @@ class TestConfigRanges:
         (HistogramConfig, {"N_grid": (64, 32, 16)}, "N_grid"),
         (ProblemConfig, {"penalty": -0.5}, "penalty"),
         (ProblemConfig, {"sigma_override": -1.0}, "sigma_override"),
-        # a pinned noise where a discrete recursion runs (two-regime, consistency), which has
-        # no diffusion term; the histogram study runs the diffusion alone, on 3 sizes at least
-        (TwoRegimeConfig, {"problem": ProblemConfig(sigma_override=1.0)}, "problem.sigma_override"),
+        # the histogram study runs the diffusion alone, on 3 sizes at least
         (HistogramConfig, {"N_grid": (8, 16)}, "N_grid"),
-        (ConsistencyConfig, {"problem": ProblemConfig(sigma_override=1.0)},
-         "problem.sigma_override"),
     ])
     def test_out_of_range_value_names_the_field(self, cls, kw, field):
         with pytest.raises(ValueError, match=rf"^{field} must "):
