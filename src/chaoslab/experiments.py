@@ -624,7 +624,9 @@ def _regime_task(config: TwoRegimeConfig, task) -> list[float]:
     """The endpoint ensemble mean of the (beta, N) runs of the given seeds."""
     beta, N, seeds = task
     model, pi, init = config.problem.build()
-    plans = [NoisePlan(config.seed).child("regime", _noise_key(beta), s) for s in seeds]
+    # each N draws its own minibatches: a shared sequence would make the beta = 1
+    # runs, whose N-runs are one run under the shortcut, equal at every N
+    plans = [NoisePlan(config.seed).child("regime", _noise_key(beta), N, s) for s in seeds]
     hyper_run, N_run = _regime_run(config, beta, N)
     # the seeds' systems run as one stacked block, each on its own plan
     traj = msgld_run(model, pi, hyper_run, N_run, init, plans, snapshot_times=[config.hyper.T])

@@ -203,7 +203,7 @@ class TestTwoRegimeStudy:
             for N in cfg.N_grid:
                 stats = np.array([
                     sgd_run(model, pi, cfg.hyper.replace(beta=beta), N, init,
-                            NoisePlan(cfg.seed).child("regime", int(beta * 1000), s),
+                            NoisePlan(cfg.seed).child("regime", int(beta * 1000), N, s),
                             snapshot_times=[cfg.hyper.T]).endpoint()[:, 0].mean()
                     for s in range(cfg.seeds)])
                 full.append((stats.mean(), stats.std(ddof=1)))
@@ -221,7 +221,7 @@ class TestTwoRegimeStudy:
                 hyper1 = cfg.hyper.replace(beta=1.0, gamma=cfg.hyper.gamma * float(N) ** (beta - 1.0))
                 stats = np.array([
                     sgd_run(model, pi, hyper1, 1, init,
-                            NoisePlan(cfg.seed).child("regime", int(beta * 1000), s),
+                            NoisePlan(cfg.seed).child("regime", int(beta * 1000), N, s),
                             snapshot_times=[cfg.hyper.T]).endpoint()[0, 0]
                     for s in range(cfg.seeds)])
                 want.append((float(stats.mean()), float(stats.std(ddof=1))))
