@@ -183,7 +183,7 @@ class Hyperparams:
         n = round(steps)
         if abs(n * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
             raise ConfigError(f"horizon T={self.T} is not a whole number of Euler steps "
-                              f"dt={self.dt} (T/dt = {self.T / self.dt:.6g})", "hyper.T")
+                              f"dt={self.dt} (T/dt = {steps:.6g})", "hyper.T")
         return n
 
     def sgd_steps(self, N: int) -> int:
