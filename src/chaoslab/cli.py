@@ -222,8 +222,7 @@ def _cmd_stationary(config: StationaryConfig, workers: int) -> Outcome:
                                horizon=config.horizon, plan=NoisePlan(config.seed))
     derived = {"converged": result.converged, "iterations": result.iterations,
                "residual": result.residual, "w2_drift": drift}
-    density = [{"w": repr(float(w)), "density": repr(float(v))}
-               for w, v in zip(result.density.centers, result.density.values)]
+    density = [dict(w=w, density=v) for w, v in zip(result.density.centers, result.density.values)]
     return Outcome(
         "stationary",
         {"density.csv": partial(write_csv, rows=density),

@@ -1,14 +1,14 @@
 """Desk-scale studies on synthetic models, with machine-checkable verdicts.
 
-Each study takes a config dataclass and emits a ``StudyReport``: config
-echo, CSV-serializable metric tables, and named verdicts (measured value,
-threshold, pass/fail).  A study is declared by how it collects its results
-(a task function and its tasks, or a callable given the pool's map) and a
-pure ``(config, results) -> Findings`` step; ``run_study`` owns the clock,
-the one process pool and divergence: a task whose ensemble crosses the
-moment ceiling turns the report into one failing ``diverged`` verdict with
-no tables.  Reports are deterministic given (config, seed), bit for bit at
-any pool width.
+Each study takes a config dataclass and emits a ``StudyReport``:
+CSV-serializable metric tables and named verdicts (measured value,
+threshold, pass/fail); the CLI's manifest echoes the config.  A study is
+declared by how it collects its results (a task function and its tasks, or
+a callable given the pool's map) and a pure ``(config, results) ->
+Findings`` step; ``run_study`` owns the clock, the one process pool and
+divergence: a task whose ensemble crosses the moment ceiling turns the
+report into one failing ``diverged`` verdict with no tables.  Reports are
+deterministic given (config, seed), bit for bit at any pool width.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -117,7 +117,6 @@ class Verdict:
 @dataclass
 class StudyReport:
     study_id: str
-    config: dict
     tables: dict[str, list[dict]]
     verdicts: list[Verdict]
     warnings: list[str] = field(default_factory=list)
@@ -141,7 +140,6 @@ class Findings(NamedTuple):
 
     tables: dict[str, list[dict]]
     verdicts: list[Verdict]
-    config_extras: dict = {}
     warnings: tuple[str, ...] = ()
 
 
@@ -186,8 +184,8 @@ def run_study(study_id: str, config, workers: int, collect, judge) -> StudyRepor
         ))])
     else:
         found = judge(config, results)
-    return StudyReport(study_id, {**asdict(config), **found.config_extras}, found.tables,
-                       found.verdicts, list(found.warnings), time.time() - t0)
+    return StudyReport(study_id, found.tables, found.verdicts, list(found.warnings),
+                       time.time() - t0)
 
 
 def _noise_key(value: float) -> int:
@@ -554,7 +552,7 @@ def _chaos_rate_findings(config: ChaosRateConfig, ests) -> Findings:
         note = f"coupling error 0 at N={zero}; companions' law: {reference}"
         verdicts = [Verdict.not_applicable(name, note)
                     for name in ("slope", "upper_bound_compliance", "endpoint_ratio")]
-        return Findings({"errors": rows}, verdicts, {"reference": e.reference}, notes)
+        return Findings({"errors": rows}, verdicts, notes)
     fit = fit_rate([(r["N"], r["error"], r["stderr"]) for r in rows])
     C = rows[0]["error"] / rows[0]["bound"]
     # the anchor margin is 1 by construction; forming it by division anyway
@@ -573,8 +571,7 @@ def _chaos_rate_findings(config: ChaosRateConfig, ests) -> Findings:
         Verdict.ge("endpoint_ratio", ratio, _ENDPOINT_RATIO,
                    note="error(N_min)/error(N_max)"),
     ]
-    return Findings({"errors": rows}, verdicts,
-                    {"fit_slope": fit.slope, "fit_r2": fit.r2, "reference": e.reference}, notes)
+    return Findings({"errors": rows}, verdicts, notes)
 
 
 # ----------------------------- two-regime study -----------------------------

@@ -48,8 +48,8 @@ __all__ = [
 
 _MAGIC = b"CHAOSTRJ"
 _VERSION = 1
-# rows formatted and written per block by write_csv: one snapshot of a
-# 4096-particle trajectory, about 150 KiB of text at p = 1
+# rows formatted and written per block by write_csv, and particles per block of
+# trajectory_to_csv: about 150 KiB of text at p = 1
 _CSV_BLOCK_ROWS = 4096
 _HASH_CHUNK = 1 << 18  # bytes sha256_file reads per update
 
@@ -248,29 +248,27 @@ def load_trajectory(path: str | Path) -> Trajectory:
 
 
 def trajectory_to_csv(traj: Trajectory, path: str | Path):
-    """Flat CSV export: one row per (time, particle), full-precision reprs.
+    """CSV of the endpoint: one row per particle at the last snapshot time, in
+    full-precision reprs; ``load_trajectory`` of the ``.bin`` gives every snapshot.
 
-    Rows are streamed to ``write_csv`` as tuples of formatted cells, one
-    snapshot's at a time: each snapshot's time is formatted once, and every
-    other cell is a particle index or the ``repr`` of a coordinate.
+    The endpoint is converted to Python floats ``_CSV_BLOCK_ROWS`` particles at
+    a time and streamed to ``write_csv``, so at any N the export holds one block.
     """
-    n_particles, p = traj.n_particles, traj.p
-    indices = [str(k) for k in range(n_particles)]
-    rows = chain.from_iterable(
-        zip(repeat(repr(t), n_particles), indices,
-            *(map(repr, snap[:, j].tolist()) for j in range(p)))
-        for t, snap in zip(traj.times.tolist(), traj.ensembles)
+    end, t = traj.endpoint(), repr(float(traj.times[-1]))
+    rows = chain.from_iterable(  # zip stops with the block's columns, before the indices
+        zip(repeat(t), map(str, range(lo, len(end))),
+            *(map(repr, col) for col in end[lo:lo + _CSV_BLOCK_ROWS].T.tolist()))
+        for lo in range(0, len(end), _CSV_BLOCK_ROWS)
     )
-    write_csv(path, rows, columns=["time", "particle", *(f"w_{j+1}" for j in range(p))])
+    write_csv(path, rows, columns=["time", "particle", *(f"w_{j+1}" for j in range(traj.p))])
 
 
 # ----------------------------- generic writers -----------------------------
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    # numpy's float64 subclasses float, and its repr is np.float64(...) under numpy 2
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
 

@@ -187,9 +187,15 @@ class Hyperparams:
         return n
 
     def sgd_steps(self, N: int) -> int:
-        """Iterations floor(T / gamma_scale(N)) of the discrete recursion; a ConfigError if none."""
+        """Iterations floor(T / gamma_scale(N)); a ConfigError if none or too many for an array."""
         g = gamma_scale(self.alpha, self.beta, self.gamma, N)
-        n = int(math.floor(self.T / g + 1e-12))
+        # g underflows to 0 below the smallest float, and T / g overflows to inf above it
+        steps, most = self.T / g if g > 0 else math.inf, np.iinfo(np.intp).max
+        if not steps <= most:
+            raise ConfigError(f"gamma={self.gamma} makes T/gamma_scale = {steps:.6g} SGD steps "
+                              f"at N={N} in the horizon T={self.T}, more than the {most} an "
+                              "array can hold", "hyper.gamma")
+        n = int(math.floor(steps + 1e-12))
         if n == 0:
             raise ConfigError(f"horizon T={self.T} is shorter than one SGD step "
                               f"gamma_scale={g:.6g}; nothing to run", "hyper.T")

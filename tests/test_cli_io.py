@@ -265,30 +265,31 @@ class TestTrajectoryIO:
         trajectory_to_csv(traj, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "time,particle,w_1"
-        # re-parse reproduces the coordinates bitwise
-        vals = [float(line.split(",")[2]) for line in lines[1:1 + traj.n_particles]]
-        np.testing.assert_array_equal(vals, traj.ensembles[0][:, 0])
+        # the endpoint alone, and re-parsing reproduces its coordinates bitwise
+        assert len(lines) == 1 + traj.n_particles
+        vals = [float(line.split(",")[2]) for line in lines[1:]]
+        np.testing.assert_array_equal(vals, traj.ensembles[-1][:, 0])
 
 
     def test_csv_export_matches_dict_per_row_reference(self, tmp_path):
-        # awkward floats: short and long reprs, signed zero, exponent forms
-        times = np.array([0.0, 1e-05, 123456789.0])
-        ens = np.array([
-            [[1e-05, -0.0], [1e16, 123456789.0], [5e-324, 1.7976931348623157e308]],
-            [[-1e-300, 0.1], [1 / 3, -2.5e-17], [1e22, -1e16]],
-            [[0.0, -123456789.0], [2.0 ** -1074, 9.999999999999999e15], [-0.0, 1e-05]],
+        # awkward floats at the endpoint: short and long reprs, signed zero,
+        # exponent forms, subnormals
+        end = np.array([
+            [1e-05, -0.0], [1e16, 123456789.0], [5e-324, 1.7976931348623157e308],
+            [-1e-300, 0.1], [1 / 3, -2.5e-17], [1e22, -1e16],
+            [0.0, -123456789.0], [2.0 ** -1074, 9.999999999999999e15], [-0.0, 1e-05],
         ])
-        traj = Trajectory("test", times, ens, Hyperparams())
+        times = np.array([0.0, 123456789.0])
+        traj = Trajectory("test", times, np.stack([np.zeros_like(end), end]), Hyperparams())
         path = tmp_path / "t.csv"
         trajectory_to_csv(traj, path)
-        # the dict-per-row formula the export replaced
+        # the dict-per-row formula the export replaced, at the endpoint
         rows = []
-        for t, snap in zip(times, ens):
-            for k in range(snap.shape[0]):
-                row = {"time": repr(float(t)), "particle": k}
-                for j in range(snap.shape[1]):
-                    row[f"w_{j+1}"] = repr(float(snap[k, j]))
-                rows.append(row)
+        for k in range(end.shape[0]):
+            row = {"time": repr(float(times[-1])), "particle": k}
+            for j in range(end.shape[1]):
+                row[f"w_{j+1}"] = repr(float(end[k, j]))
+            rows.append(row)
         ref = tmp_path / "ref.csv"
         write_csv(ref, rows)
         assert path.read_bytes() == ref.read_bytes()
@@ -303,9 +304,11 @@ class TestCsvWriter:
         write_csv(tmp_path / "c.csv", iter(cells), columns=["a", "b", "c"])
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
         assert (tmp_path / "c.csv").read_text() == "a,b,c\n0.5,3,x\n-0.0,4,y\n"
-        # a numpy float cell is written as the Python float of its value
-        write_csv(tmp_path / "f.csv", [{"a": np.float32(0.5), "b": 3, "c": "x"}])
-        assert (tmp_path / "f.csv").read_text() == "a,b,c\n0.5,3,x\n"
+        # a numpy float cell is written as the Python float of its value; float64
+        # subclasses float, and its own repr under numpy 2 is np.float64(0.5)
+        for cell in (np.float32(0.5), np.float64(0.5)):
+            write_csv(tmp_path / "f.csv", [{"a": cell, "b": 3, "c": "x"}])
+            assert (tmp_path / "f.csv").read_text() == "a,b,c\n0.5,3,x\n"
 
     def test_no_rows_writes_empty_file(self, tmp_path):
         write_csv(tmp_path / "d.csv", [])
@@ -350,7 +353,9 @@ class TestStreamedIO:
         ens = np.random.default_rng(0).standard_normal((65, 4096, 1))
         traj = Trajectory("interacting-sde", np.linspace(0.0, 1.0, 65), ens, Hyperparams())
         csv_path, bin_path = tmp_path / "t.csv", tmp_path / "t.bin"
-        csv_peak = self.traced_peak(trajectory_to_csv, traj, csv_path)
+        # the CSV holds the endpoint alone: one of 65 * 4096 particles makes a file as large
+        end = Trajectory("interacting-sde", np.array([1.0]), ens.reshape(1, -1, 1), Hyperparams())
+        csv_peak = self.traced_peak(trajectory_to_csv, end, csv_path)
         bin_peak = self.traced_peak(save_trajectory, traj, bin_path)
         for path, peak in [(csv_path, csv_peak), (bin_path, bin_peak)]:
             size = path.stat().st_size
@@ -793,6 +798,24 @@ class TestCliDispatch:
             f"config error: config field hyper.dt: dt={dt} makes T/dt = {steps} Euler steps in "
             f"the horizon T={T}, more than the {np.iinfo(np.intp).max} an array can hold\n")
 
+    @pytest.mark.parametrize("gamma, alpha, steps", [
+        (1e-300, 0.0, "1e+300"), (5e-324, 0.0, "inf"), (1e-300, 0.5, "inf"),
+    ], ids=["huge", "overflow", "underflow"])
+    def test_more_sgd_steps_than_an_array_holds_exits_config(self, tmp_path, capsys,
+                                                            monkeypatch, gamma, alpha, steps):
+        # parse only: at 1e300 iterations the run would never end
+        def no_run(*args):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setitem(_COMMANDS, "simulate", (_COMMANDS["simulate"][0], no_run))
+        cfg = {"engine": "sgd", "N": 2, "hyper": {"gamma": gamma, "alpha": alpha}}
+        assert self.run(tmp_path, "simulate", cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config field hyper.gamma: gamma={gamma} makes T/gamma_scale = {steps} "
+            f"SGD steps at N=2 in the horizon T=1.0, more than the {np.iinfo(np.intp).max} an "
+            "array can hold\n")
+        assert not (tmp_path / "out").exists()
+
     def test_memory_error_exits_config_on_one_line(self, tmp_path, capsys, monkeypatch):
         def engine(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.78 EiB for an array")
@@ -821,6 +844,20 @@ class TestCliDispatch:
         assert set(manifest["outputs"]) == {"trajectory.bin", "trajectory.csv"}
         traj = load_trajectory(out / "trajectory.bin")
         assert traj.n_particles == 4
+
+    def test_simulate_csv_is_the_endpoint_of_the_bin(self, tmp_path):
+        cfg = {"hyper": {"T": 0.2, "dt": 0.05, "gamma": 0.5}, "N": 5, "engine": "interacting-sde",
+               "problem": {"p": 2}, "seed": 3}
+        assert self.run(tmp_path, "simulate", cfg) == EXIT_OK
+        out = tmp_path / "out" / "simulate-seed3"
+        traj = load_trajectory(out / "trajectory.bin")
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "time,particle,w_1,w_2" and len(lines) == 1 + cfg["N"]
+        cells = [line.split(",") for line in lines[1:]]
+        assert [c[:2] for c in cells] == [[repr(float(traj.times[-1])), str(k)] for k in range(5)]
+        # the CSV re-parses bit for bit to the bin's last snapshot
+        np.testing.assert_array_equal([[float(v) for v in c[2:]] for c in cells],
+                                      traj.ensembles[-1])
 
     def test_manifest_records_the_heap_and_the_page_faults_of_the_joined_workers(self, tmp_path):
         cfg = {"hyper": {"T": 0.2, "dt": 0.05}, "gammas": [1.0, 0.5], "N_ref": 16, "reps": 2,

@@ -85,7 +85,7 @@ class TestVerdict:
         ok, bad = Verdict.le("a", 1.0, 2.0), Verdict.le("b", 3.0, 2.0)
 
         def report(*verdicts):
-            return StudyReport("s", {}, {}, list(verdicts))
+            return StudyReport("s", {}, list(verdicts))
 
         assert report(na, ok).passed is True
         assert report(na, ok, bad).passed is False
@@ -93,7 +93,7 @@ class TestVerdict:
         assert report().passed is None
 
     def test_verdict_looks_up_by_name(self):
-        report = StudyReport("s", {}, {}, [Verdict.le("a", 1.0, 2.0)])
+        report = StudyReport("s", {}, [Verdict.le("a", 1.0, 2.0)])
         assert report.verdict("a").measured == 1.0
         with pytest.raises(KeyError, match="nope"):
             report.verdict("nope")
@@ -135,8 +135,7 @@ class TestChaosRateStudy:
 
     def test_names_its_reference(self):
         rep = chaos_rate_study(fast_chaos_config())
-        assert rep.config["reference"] == "grid"
-        assert "grid law" in rep.verdict("slope").note
+        assert "companions' law: grid law" in rep.verdict("slope").note
         assert rep.warnings == []
         assert all(r["ref_bias_scale"] < 1e-3 for r in rep.tables["errors"])
 
@@ -144,7 +143,7 @@ class TestChaosRateStudy:
         # a point mass at w0 = 3.5 starts outside the grid's window [-3, 3]
         rep = chaos_rate_study(fast_chaos_config(
             problem=ProblemConfig(labels="noisy", init_kind="dirac", init_w0=3.5)))
-        assert rep.config["reference"] == "particle"
+        assert "companions' law: particle reference" in rep.verdict("slope").note
         assert len(rep.warnings) == 1 and "grid law not used (edge mass 1" in rep.warnings[0]
         assert all(r["ref_bias_scale"] == 128**-0.5 for r in rep.tables["errors"])
 
@@ -155,7 +154,7 @@ class TestChaosRateStudy:
                 "from chaoslab.model import Hyperparams\n"
                 "rep = chaos_rate_study(ChaosRateConfig(hyper=Hyperparams(T=0.2, dt=0.02), "
                 "N_grid=(8, 16, 32, 64), m=2, N_ref=64, reps=2))\n"
-                "assert rep.config['reference'] == 'grid'\n"
+                "assert \"companions' law: grid law\" in rep.verdict('slope').note\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         src = str(Path(chaoslab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -121,7 +121,7 @@ class TestFactorIncrement:
         )
         serial = chaos_rate_study(config, workers=1)
         pooled = chaos_rate_study(config, workers=2)
-        assert serial.config["reference"] == "particle"
+        assert "companions' law: particle reference" in serial.verdict("slope").note
         assert serial.tables == pooled.tables
 
     def test_p2_reference_is_drawn_on_the_reference_domain(self):
@@ -263,7 +263,7 @@ class TestSharedReference:
                          "stderr": float(vals.std(ddof=1) / math.sqrt(config.reps)),
                          "bound": two_term_bound(N, 0.25, 0.5, 1), "ref_bias_scale": 64**-0.5})
         report = chaos_rate_study(config, workers=2)
-        assert report.config["reference"] == "particle"
+        assert "companions' law: particle reference" in report.verdict("slope").note
         assert report.tables == {"errors": rows}
 
     def test_deterministic_reference_is_stepped_once_per_study(self):
