@@ -333,7 +333,8 @@ _UNREAD = {
     "batch-sweep": ("hyper.beta", "hyper.M", "gammas"),  # and its M from batches
     "histograms": ("hyper.beta",),
     "consistency": ("problem.sigma_override",),
-    # not yet hyper.T (the run reads horizon): perfbench reads horizon from stationary.json
+    # not yet hyper.T, though the run reads horizon: folding horizon into hyper.T waits
+    # for a change to the benchmark, whose step count reads horizon from stationary.json
     "stationary": ("hyper.beta", "problem.init_kind", "problem.init_low", "problem.init_high",
                    "problem.init_w0"),
     "check-assumptions": ("problem.penalty", "problem.sigma_override", "problem.init_kind",

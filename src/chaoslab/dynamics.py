@@ -528,18 +528,12 @@ def weak_form_residual(traj: Trajectory, test_fn: TestFunction) -> np.ndarray:
         fbar[i] = float(np.mean(test_fn.value(W)))
         block = ridge_block(W, model, pi)
         h, _, sigma = mean_field_terms(block, field_cache(block, model, pi), model, pi,
-                                       need_sigma=sigma_scale > 0)
+                                       need_sigma=diffusive)
         drift = float(np.mean(np.sum(h * test_fn.grad(W), axis=1)))
         term = time_weight(float(t), hyper.alpha) * drift
         if diffusive:
-            H = test_fn.hess(W)
-            if sigma_scale > 0:
-                cov = sigma_scale**2 * sigma
-            else:
-                cov = np.zeros((W.shape[0], W.shape[1], W.shape[1]))
-            if eta > 0:
-                cov = cov + 2.0 * eta * np.eye(W.shape[1])
-            trace = float(np.mean(np.einsum("npq,nqp->n", cov, H)))
+            cov = sigma_scale**2 * sigma + 2.0 * eta * np.eye(W.shape[1])
+            trace = float(np.mean(np.einsum("npq,nqp->n", cov, test_fn.hess(W))))
             term += 0.5 * time_weight(float(t), hyper.alpha) ** 2 * trace
         integrand[i] = term
 

@@ -470,7 +470,7 @@ def coupled_chaos_error(
     N_ref: int,
     reps: int,
     plan: NoisePlan,
-    init: InitSpec | None = None,
+    init: InitSpec = InitSpec.uniform(),
     workers: int = 1,
 ) -> dict[int, ChaosErrorEstimate]:
     """Coupling error between the interacting system and its mean-field limit.
@@ -498,8 +498,7 @@ def coupled_chaos_error(
     step; a diverging test system is named by its rep and N.
     """
     with _pool_map(workers) as pmap:
-        return _coupling_estimates(model, pi, hyper, tuple(Ns), m, N_ref, reps, plan,
-                                   InitSpec.uniform() if init is None else init, pmap)
+        return _coupling_estimates(model, pi, hyper, tuple(Ns), m, N_ref, reps, plan, init, pmap)
 
 
 def _coupling_estimates(model, pi, hyper, Ns, m, N_ref, reps, plan, init, pmap):
@@ -594,21 +593,23 @@ class TwoRegimeConfig:
                 "betas", "be one or more values in [0, 1] with distinct noise keys "
                 "int(beta * 1000)", self.betas)
         require(self.seeds >= 2, "seeds", "be >= 2 to measure a deviation", self.seeds)
+        init = self.problem.build()[2]
         for beta in self.betas:
             for N in self.N_grid:
-                hyper_run, N_run = _regime_run(self, beta, N)
+                hyper_run, N_run = _regime_run(self, init, beta, N)
                 hyper_run.sgd_steps(N_run)
 
 
-def _regime_shortcut(config: TwoRegimeConfig) -> bool:
-    """Whether the study's N-runs reduce to one particle: sgd (eta = 0) from a dirac init."""
-    return config.hyper.eta == 0 and config.problem.init_kind == "dirac"
+def _regime_shortcut(config: TwoRegimeConfig, init: InitSpec) -> bool:
+    """Whether the study's N-runs reduce to one particle: sgd (eta = 0) from a point mass."""
+    return config.hyper.eta == 0 and init.low == init.high
 
 
-def _regime_run(config: TwoRegimeConfig, beta: float, N: int) -> tuple[Hyperparams, int]:
-    """The hyperparameters and particle count that the (beta, N) runs are made with."""
+def _regime_run(config: TwoRegimeConfig, init: InitSpec, beta: float,
+                N: int) -> tuple[Hyperparams, int]:
+    """The hyperparameters and particle count of the (beta, N) runs from ``init``."""
     hyper = config.hyper.replace(beta=beta)
-    if not _regime_shortcut(config):
+    if not _regime_shortcut(config, init):
         return hyper, N
     # All particles share the minibatch and start equal, so every
     # particle of the N-run follows one common trajectory; a single
@@ -624,7 +625,7 @@ def _regime_task(config: TwoRegimeConfig, task) -> list[float]:
     # each N draws its own minibatches: a shared sequence would make the beta = 1
     # runs, whose N-runs are one run under the shortcut, equal at every N
     plans = [NoisePlan(config.seed).child("regime", _noise_key(beta), N, s) for s in seeds]
-    hyper_run, N_run = _regime_run(config, beta, N)
+    hyper_run, N_run = _regime_run(config, init, beta, N)
     # the seeds' systems run as one stacked block, each on its own plan
     traj = msgld_run(model, pi, hyper_run, N_run, init, plans, snapshot_times=[config.hyper.T])
     W = traj.endpoint().reshape(len(plans), N_run, model.p)
@@ -636,7 +637,8 @@ def two_regime_study(config: TwoRegimeConfig, workers: int = 1) -> StudyReport:
     seeds = range(config.seeds)
     # the shortcut stacks every seed's one particle; a full N-run (up to 2^20
     # particles) is one seed per task, so no block holds several of them
-    groups = [tuple(seeds)] if _regime_shortcut(config) else [(s,) for s in seeds]
+    shortcut = _regime_shortcut(config, config.problem.build()[2])
+    groups = [tuple(seeds)] if shortcut else [(s,) for s in seeds]
     tasks = [(beta, N, group) for beta in config.betas for N in config.N_grid for group in groups]
     return run_study("two-regime", config, workers, (partial(_regime_task, config), tasks),
                      _regime_findings)
@@ -667,11 +669,16 @@ def _regime_findings(config: TwoRegimeConfig, per_task) -> Findings:
         verdicts.append(Verdict.le(
             "floor_beta_1", jitter, _FLOOR_JITTER,
             note=f"relative change of deviation between N={n_2nd} and N={n_hi}"))
+    else:
+        verdicts.append(Verdict.not_applicable("floor_beta_1", "needs beta 1.0 and two sizes"))
     if 1.0 in config.betas and others:
         b, denom = max(others), devs[(1.0, n_hi)]
         ratio = devs[(b, n_hi)] / denom if denom > 0 else math.inf
         verdicts.append(Verdict.le("deviation_ratio", ratio, _DEVIATION_RATIO,
                                    note=f"dev(beta={b})/dev(beta=1.0) at N={n_hi}"))
+    else:
+        verdicts.append(Verdict.not_applicable("deviation_ratio",
+                                               "needs beta 1.0 and a beta below 1"))
     return Findings({"deviations": rows}, verdicts)
 
 
@@ -745,8 +752,9 @@ def _sweep_findings(key: str, values, config: SweepConfig, per_rep) -> Findings:
         rows.append({key: v, "w2_to_ode_limit": float(ws.mean()), "stderr": stderr})
 
     if len(rows) < 2:
-        return Findings({"distances": rows}, [Verdict.not_applicable(
-            "nonincreasing", f"degenerate single-{key} grid; monotonicity not applicable")])
+        note = f"degenerate single-{key} grid; not applicable"
+        return Findings({"distances": rows}, [Verdict.not_applicable(name, note)
+                                              for name in ("nonincreasing", "final_vs_first")])
     d = [r["w2_to_ode_limit"] for r in rows]
     worst = max([-math.inf] + [b - (a + 2 * r["stderr"]) for a, b, r in zip(d, d[1:], rows[1:])])
     verdicts = [Verdict.le("nonincreasing", worst, 0.0, note="each step <= previous + 2*stderr"),
@@ -837,6 +845,9 @@ def _hist_findings(config: HistogramConfig, results) -> Findings:
                                    note="limits for beta<1 agree; beta=1 differs"))
         tables["regime_separation"] = [{"pair": "0.5-0.75", "w2": d_mid},
                                        {"pair": "0.75-1.0", "w2": d_sep}]
+    else:
+        verdicts.append(Verdict.not_applicable("two_regime_separation",
+                                               "needs betas 0.5, 0.75 and 1.0"))
     return Findings(tables, verdicts)
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "SquareLoss",
     "LogisticLoss",
     "QuadraticPenalty",
-    "ZeroPenalty",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -375,17 +374,6 @@ class LogisticLoss:
 # ----------------------------- penalties -----------------------------
 
 
-class ZeroPenalty:
-    name = "none"
-    lam = 0.0
-
-    def value(self, W: np.ndarray) -> np.ndarray:
-        return np.zeros(W.shape[0])
-
-    def grad(self, W: np.ndarray) -> np.ndarray:
-        return np.zeros_like(W)
-
-
 class QuadraticPenalty:
     """V(w) = lam * ||w||^2 / 2."""
 
@@ -457,15 +445,15 @@ def make_model(
 ) -> ModelSpec:
     """Build a ModelSpec from the builtin registry.
 
-    ``penalty`` is the quadratic strength lam >= 0; 0 selects the zero penalty.
+    ``penalty`` is the quadratic strength lam >= 0.
     """
     require(penalty >= 0, "penalty", "be >= 0", penalty)
     if feature not in FEATURES:
         raise KeyError(f"unknown feature {feature!r}; choose from {sorted(FEATURES)}")
     if loss not in LOSSES:
         raise KeyError(f"unknown loss {loss!r}; choose from {sorted(LOSSES)}")
-    pen = QuadraticPenalty(penalty) if penalty > 0 else ZeroPenalty()
-    return ModelSpec(feature=FEATURES[feature](), loss=LOSSES[loss](), penalty=pen, p=p)
+    return ModelSpec(feature=FEATURES[feature](), loss=LOSSES[loss](),
+                     penalty=QuadraticPenalty(penalty), p=p)
 
 
 # ----------------------------- hypothesis audit -----------------------------

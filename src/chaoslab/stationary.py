@@ -70,10 +70,9 @@ def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
 def _drift_and_variance(points, law: np.ndarray, model: ModelSpec, pi: DataDistribution,
                         c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Drift h (n,) and variance c Sigma_00 + 2 eta (n,) at the points ((n, 1) or their
-    RidgeBlock) under the law's residual row (D,); no Sigma is formed when c is 0."""
-    h, _, sigma = mean_field_terms(points, law, model, pi, need_sigma=c > 0)
-    var = c * sigma[:, 0, 0] + 2.0 * eta if c > 0 else np.full(h.shape[0], 2.0 * eta)
-    return h[:, 0], var
+    RidgeBlock) under the law's residual row (D,)."""
+    h, _, sigma = mean_field_terms(points, law, model, pi, need_sigma=True)
+    return h[:, 0], c * sigma[:, 0, 0] + 2.0 * eta
 
 
 def _grid_residuals(block: RidgeBlock, masses: np.ndarray, model: ModelSpec,

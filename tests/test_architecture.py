@@ -264,6 +264,14 @@ def test_the_init_law_is_one_box(trees):
         n.attr == "w0" or (n.attr == "kind" and "init" in ast.unparse(n.value)))) == set()
 
 
+def test_only_the_problem_config_reads_init_kind(trees):
+    # init_kind spells a box in the config; the runs, the regime shortcut included,
+    # read the InitSpec that ProblemConfig.build makes of it
+    assert _enclosing_functions(trees, lambda n: isinstance(n, ast.Attribute)
+                                and n.attr == "init_kind") == {
+        "experiments.py:__post_init__", "experiments.py:build"}
+
+
 def test_settable_value_count(trees):
     # each settable value doubles the configurations the tests must cover, so a new
     # option shows up here as a reviewed change: the fields of the *Config dataclasses

@@ -2,6 +2,7 @@
 
 import ctypes
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -111,6 +112,19 @@ class TestShippedConfigs:
             # each subcommand that reads the config; sweep.json feeds both sweeps
             for command in ("gamma-sweep", "batch-sweep") if path.stem == "sweep" else (path.stem,):
                 _parse(command, load_config(path))
+
+    def test_the_digest_audit_runs_every_shipped_config(self):
+        # audit/digests.py hashes what the shipped runs write; a config it leaves
+        # out would go unchecked
+        path = CONFIGS.parent / "audit" / "digests.py"
+        spec = importlib.util.spec_from_file_location("digests", path)
+        digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digests)
+        called = {(command, config) for _, command, config, _ in digests.CALLS}
+        for config in sorted(CONFIGS.glob("*.json")):
+            commands = ("gamma-sweep", "batch-sweep") if config.stem == "sweep" else (config.stem,)
+            for command in commands:
+                assert (command, config.name) in called, f"{command} on {config.name}"
 
     # noise-p4 is the benchmark's batch-sweep at p = 4
     @pytest.mark.parametrize("command, name, overrides", [
@@ -452,8 +466,20 @@ class TestCliDispatch:
         assert "shrinks_beta_0.75: n/a" in capsys.readouterr().out
         verdicts = json.loads((tmp_path / "out" / "two-regime-seed1" / "verdicts.json").read_text())
         assert verdicts["passed"] is None
-        assert [(v["name"], v["op"]) for v in verdicts["verdicts"]] == [("shrinks_beta_0.75", "na")]
+        assert [(v["name"], v["op"]) for v in verdicts["verdicts"]] == [
+            ("shrinks_beta_0.75", "na"), ("floor_beta_1", "na"), ("deviation_ratio", "na")]
         assert verdicts["verdicts"][0]["note"] == "only one size in N_grid"
+
+    def test_regime_takes_its_shortcut_from_a_point_mass_box(self, tmp_path):
+        # the box of width zero is the dirac init: both take the one-particle shortcut
+        tables = []
+        for problem in ({"init_kind": "dirac", "init_w0": 0.0},
+                        {"init_kind": "uniform", "init_low": 0.0, "init_high": 0.0}):
+            cfg = {**load_config(CONFIGS / "regime.json"), "N_grid": [64, 256], "seeds": 4,
+                   "problem": {"labels": "noisy", **problem}}
+            assert self.run(tmp_path, "regime", cfg) == EXIT_OK
+            tables.append((tmp_path / "out" / "two-regime-seed7" / "deviations.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("command, cfg", [
         ("simulate", {"engine": "interacting-sde", "N": 4}),

@@ -105,6 +105,29 @@ class TestVerdict:
         assert Verdict.not_applicable("c", "why").passed is None
 
 
+    @pytest.mark.parametrize("study, config, names", [
+        pytest.param(two_regime_study, TwoRegimeConfig(
+            hyper=FAST_HYPER.replace(gamma=0.5), betas=(0.5, 0.75), N_grid=(16, 64), seeds=2),
+            ("floor_beta_1", "deviation_ratio"), id="regime-no-beta-1"),
+        pytest.param(two_regime_study, TwoRegimeConfig(
+            hyper=FAST_HYPER.replace(gamma=0.5), betas=(1.0,), N_grid=(16,), seeds=2),
+            ("floor_beta_1", "deviation_ratio"), id="regime-beta-1-one-size"),
+        pytest.param(histogram_convergence_study, HistogramConfig(
+            hyper=FAST_HYPER, betas=(0.25, 0.5, 1.0), N_grid=(16, 32, 64)),
+            ("two_regime_separation",), id="histograms-no-beta-0.75"),
+        pytest.param(gamma_sweep, SweepConfig(hyper=FAST_HYPER, gammas=(0.5,), N_ref=32, reps=2),
+                     ("nonincreasing", "final_vs_first"), id="gamma-sweep-one-gamma"),
+        pytest.param(batch_sweep, SweepConfig(hyper=FAST_HYPER, batches=(4,), N_ref=32, reps=2),
+                     ("nonincreasing", "final_vs_first"), id="batch-sweep-one-batch"),
+    ])
+    def test_a_verdict_the_study_cannot_judge_is_reported_not_applicable(self, study, config,
+                                                                         names):
+        rep = study(config)
+        for name in names:
+            v = rep.verdict(name)
+            assert (v.op, v.passed) == ("na", None) and v.note
+
+
 class TestChaosRateStudy:
     def test_deterministic_given_config_and_seed(self):
         a = chaos_rate_study(fast_chaos_config())

@@ -15,7 +15,6 @@ from chaoslab.model import (
     QuadraticPenalty,
     RidgeFeature,
     SquareLoss,
-    ZeroPenalty,
     check_assumptions,
     gamma_scale,
     make_model,
@@ -256,7 +255,7 @@ class TestCheckAssumptions:
 
     def test_unbounded_linear_feature_is_flagged(self):
         model = ModelSpec(feature=LinearDotFeature(), loss=SquareLoss(),
-                          penalty=ZeroPenalty(), p=1)
+                          penalty=QuadraticPenalty(0.0), p=1)
         pi = two_point_distribution([1.0], 1.0, [-1.0], 1.0)
         report = check_assumptions(model, pi, [np.array([5.0])])
         assert not report.ok
